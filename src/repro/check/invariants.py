@@ -303,7 +303,7 @@ def check_portfolio(art: CaseArtifacts, *, eps: float = 1e-6) -> None:
       (member runs share the portfolio's seeds, so each alone-run is a
       candidate subset and the merge must dominate it).
     """
-    from ..core.optimize import _theorem2_objective
+    from ..core.cumulative import Theorem2Objective
 
     pe = art.pepiped
     if pe is None:
@@ -326,8 +326,11 @@ def check_portfolio(art: CaseArtifacts, *, eps: float = 1e-6) -> None:
             continue
         art.tally.hit("pepiped-objective-consistent")
         l = res.l_matrix.shape[0]
-        recomputed = _theorem2_objective(
-            art.uisets, np.asarray(res.l_matrix, dtype=float).ravel(), l
+        # A freshly compiled objective, never the instance the members
+        # scored with, so a corrupted shared objective cannot vouch for
+        # its own claims.
+        recomputed = Theorem2Objective(art.uisets, l)(
+            np.asarray(res.l_matrix, dtype=float).ravel()
         )
         denom = max(abs(recomputed), 1.0)
         if abs(res.objective - recomputed) > eps * denom:

@@ -138,10 +138,10 @@ def anneal_parallelepiped(
 ) -> AnnealResult | None:
     """Anneal ``L`` to minimise ``objective(l_flat)`` at ``|det L| = V``.
 
-    ``objective`` is called with the flattened matrix (the same signature
-    slice :func:`~repro.core.optimize._theorem2_objective` exposes via
-    ``functools.partial``).  ``start`` seeds restart 0 verbatim; later
-    restarts perturb it.  ``deadline`` is an absolute
+    ``objective`` is called with the flattened matrix (the signature of
+    a compiled :class:`~repro.core.cumulative.Theorem2Objective`).
+    ``start`` seeds restart 0 verbatim; later restarts perturb it.
+    ``deadline`` is an absolute
     ``time.monotonic()`` instant; when given, the loop polls the clock
     every ``config.deadline_check_every`` steps and stops early (the only
     nondeterministic mode — see the module docstring).

@@ -35,6 +35,7 @@ from .footprint import footprint_size
 from .tiles import ParallelepipedTile, RectangularTile
 
 __all__ = [
+    "Theorem2Objective",
     "cumulative_footprint_size",
     "cumulative_footprint_rect",
     "cumulative_footprint_size_exact",
@@ -82,25 +83,62 @@ def spread_coefficients(uiset: UISet) -> np.ndarray:
     return np.abs(np.array([float(c) for c in sol]))
 
 
+class Theorem2Objective:
+    """Theorem 2's objective, compiled once for a fixed list of classes.
+
+    ``Σ_classes [|det LG′| + Σ_i |det LG′_{i→â}|]`` as a function of the
+    flattened ``l × l`` tile matrix ``L``.  The column reduction ``G′``
+    and the spread vector ``â`` depend only on the classes, never on
+    ``L``, so they are computed here once; each call then stacks every
+    class's ``l + 1`` matrices and takes one batched determinant.  The
+    ``|det|`` values are summed per class and then across classes in the
+    order of the per-matrix formula, so values are bit-identical to it.
+
+    Raises :class:`SingularMatrixError` at construction when some class's
+    ``L·G′`` is not square (dependent rows of ``G`` after reduction).
+    Holds only numpy arrays, so it pickles into process-pool workers.
+    """
+
+    def __init__(self, uisets, l: int):
+        self.l = int(l)
+        gs, a_hats = [], []
+        for s in uisets:
+            g, offsets = _reduced(s)
+            if g.shape[0] != g.shape[1]:
+                raise SingularMatrixError(
+                    "Theorem 2 needs full-row-rank G after reduction"
+                )
+            gs.append(g)
+            a_hats.append((offsets.max(axis=0) - offsets.min(axis=0)).astype(float))
+        self._g = np.array(gs, dtype=float).reshape(len(gs), self.l, self.l)
+        self._a_hat = np.array(a_hats, dtype=float).reshape(len(gs), 1, self.l)
+
+    def __call__(self, l_flat) -> float:
+        l = self.l
+        lm = np.asarray(l_flat, dtype=float).reshape(l, l)
+        # stack[k, 0] = L·G′_k; stack[k, i + 1] = the same with row i → â_k.
+        stack = np.repeat((lm @ self._g)[:, None], l + 1, axis=1)
+        rows = np.arange(l)
+        stack[:, rows + 1, rows, :] = self._a_hat
+        total = 0.0
+        for dets in np.abs(np.linalg.det(stack)).tolist():
+            class_total = dets[0]
+            for d in dets[1:]:
+                class_total += d
+            total += class_total
+        return total
+
+
 def cumulative_footprint_size(uiset: UISet, tile: ParallelepipedTile) -> float:
     """Theorem 2: ``|det LG| + Σ_{i=1..d} |det LG_{i→â}|``.
 
     ``LG_{i→â}`` replaces the ``i``-th row of ``LG`` with the spread
     vector ``â``.  Requires square ``L·G′`` (full-row-rank reference after
     reduction).  Continuous estimate — compare with the exact path in
-    tests and benchmarks.
+    tests and benchmarks.  A one-class :class:`Theorem2Objective`.
     """
-    g, offsets = _reduced(uiset)
-    lg = np.asarray(tile.l_matrix, dtype=float) @ g
-    if lg.shape[0] != lg.shape[1]:
-        raise SingularMatrixError("Theorem 2 needs full-row-rank G after reduction")
-    a_hat = (offsets.max(axis=0) - offsets.min(axis=0)).astype(float)
-    total = abs(np.linalg.det(lg))
-    for i in range(lg.shape[0]):
-        m = lg.copy()
-        m[i, :] = a_hat
-        total += abs(np.linalg.det(m))
-    return float(total)
+    lm = np.asarray(tile.l_matrix, dtype=float)
+    return Theorem2Objective([uiset], lm.shape[0])(lm)
 
 
 def cumulative_footprint_rect(uiset: UISet, tile: RectangularTile) -> float:

@@ -28,7 +28,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import combinations, product
 
 import numpy as np
@@ -42,8 +41,8 @@ from ..obs.tracing import span as _span
 from .anneal import AnnealConfig, anneal_parallelepiped
 from .classify import UISet, partition_references
 from .cumulative import (
+    Theorem2Objective,
     cumulative_footprint_rect,
-    cumulative_footprint_size,
     cumulative_footprint_size_exact,
     spread_coefficients,
 )
@@ -537,19 +536,8 @@ class ParallelepipedOptResult:
 
 
 def _theorem2_objective(uisets: list[UISet], l_flat: np.ndarray, l_dim: int) -> float:
-    lm = l_flat.reshape(l_dim, l_dim)
-    tile_like = _FloatTile(lm)
-    total = 0.0
-    for s in uisets:
-        total += cumulative_footprint_size(s, tile_like)
-    return total
-
-
-class _FloatTile:
-    """Duck-typed tile carrying a float L for the continuous optimizer."""
-
-    def __init__(self, lm: np.ndarray):
-        self.l_matrix = lm
+    """One-off Theorem 2 objective (compiles a fresh :class:`Theorem2Objective`)."""
+    return Theorem2Objective(uisets, l_dim)(l_flat)
 
 
 #: Portfolio members in deterministic merge-priority order: on objective
@@ -609,6 +597,7 @@ def _slsqp_starts(
 
 def _slsqp_member(
     uisets: list[UISet],
+    objective: Theorem2Objective,
     l: int,
     v: float,
     sides: np.ndarray,
@@ -650,7 +639,7 @@ def _slsqp_member(
                 s0[0] = -s0[0]
             try:
                 res = minimize(
-                    lambda x: _theorem2_objective(uisets, x, l),
+                    objective,
                     np.clip(s0.ravel(), [b[0] for b in var_bounds], [b[1] for b in var_bounds]),
                     method="SLSQP",
                     constraints=[det_con],
@@ -668,7 +657,7 @@ def _slsqp_member(
 
 
 def _anneal_member(
-    uisets: list[UISet],
+    objective: Theorem2Objective,
     l: int,
     v: float,
     sides: np.ndarray,
@@ -680,7 +669,7 @@ def _anneal_member(
 ) -> tuple[np.ndarray | None, float]:
     """Seeded simulated annealing over ``L`` (see :mod:`repro.core.anneal`)."""
     result = anneal_parallelepiped(
-        partial(_theorem2_objective, uisets, l_dim=l),
+        objective,
         np.diag(sides),
         v,
         max_extents=max_extents,
@@ -696,6 +685,7 @@ def _anneal_member(
 def _run_portfolio_member(
     member: str,
     uisets: list[UISet],
+    objective: Theorem2Objective,
     l: int,
     v: float,
     sides: np.ndarray,
@@ -707,6 +697,8 @@ def _run_portfolio_member(
 ) -> tuple[str, np.ndarray | None, float, float]:
     """Run one portfolio member; module-level so a process pool can pickle it.
 
+    ``objective`` is the caller's compiled Theorem 2 objective; it holds
+    only numpy arrays, so it pickles into a pool child with the classes.
     The budget travels as a *duration* (not an absolute deadline): a pool
     child's clock starts when the task does, so each member gets at most
     ``budget_s`` of its own wall time.  Returns
@@ -716,12 +708,12 @@ def _run_portfolio_member(
     t0 = time.perf_counter()
     if member == "slsqp":
         lm, obj = _slsqp_member(
-            uisets, l, v, sides, max_extents,
+            uisets, objective, l, v, sides, max_extents,
             seed=seed, extra_starts=extra_starts, deadline=deadline,
         )
     elif member == "anneal":
         lm, obj = _anneal_member(
-            uisets, l, v, sides, max_extents,
+            objective, l, v, sides, max_extents,
             seed=seed, config=anneal_config, deadline=deadline,
         )
     else:  # pragma: no cover - caller validates
@@ -797,6 +789,9 @@ def optimize_parallelepiped(
         max_extents = np.full(l, 3.0 * v ** (1.0 / l))
     else:
         max_extents = np.asarray(max_extents, dtype=float)
+    # Compiled once and shared by the baseline, every member and the
+    # rounding; raises SingularMatrixError before any member runs.
+    objective = Theorem2Objective(uisets, l)
 
     # Rectangular baseline: the validated Lagrange sides seed every
     # member's start and anchor the reported improvement.
@@ -810,7 +805,7 @@ def optimize_parallelepiped(
     # start; the Lagrange solver widens them to the full extent instead.
     sides = _continuous_lagrange(a, max_extents, v)
     diag_start = np.diag(sides)
-    rect_obj = _theorem2_objective(uisets, diag_start.ravel(), l)
+    rect_obj = objective(diag_start.ravel())
 
     # Run the members — in parallel (one pool task each) or serially in
     # the declared order, each under its own wall-time budget.
@@ -826,7 +821,7 @@ def optimize_parallelepiped(
                 futures = [
                     pool.submit(
                         _run_portfolio_member,
-                        m, uisets, l, v, sides, max_extents,
+                        m, uisets, objective, l, v, sides, max_extents,
                         seed, extra_starts, budget_s, anneal_config,
                     )
                     for m in ordered
@@ -837,7 +832,7 @@ def optimize_parallelepiped(
         else:
             for m in ordered:
                 name, lm, obj, elapsed = _run_portfolio_member(
-                    m, uisets, l, v, sides, max_extents,
+                    m, uisets, objective, l, v, sides, max_extents,
                     seed, extra_starts, budget_s, anneal_config,
                 )
                 outcomes[name] = (lm, obj, elapsed)
@@ -870,7 +865,7 @@ def optimize_parallelepiped(
     round_error: OptimizationError | None = None
     for obj, _priority, name, lm in candidates:
         try:
-            tile = _round_tile(lm, uisets=uisets, volume=v)
+            tile = _round_tile(lm, objective=objective, volume=v)
         except OptimizationError as e:
             round_error = e
             continue
@@ -919,6 +914,7 @@ def _round_tile(
     uisets: list[UISet] | None = None,
     volume: float | None = None,
     tol: float = 0.5,
+    objective: Theorem2Objective | None = None,
 ) -> ParallelepipedTile:
     """Round a float ``L`` to an integer tile honouring load balance.
 
@@ -930,10 +926,14 @@ def _round_tile(
     is given, keep ``|det L|`` within ``tol·V`` of ``V``; among those the
     Theorem-2 objective decides (entry distance to ``lm`` breaks ties,
     and stands in for the objective when no classes are supplied).
+    ``objective`` is a compiled objective to score with; ``uisets``
+    compiles one.
     Raises :class:`OptimizationError` only when no neighbour satisfies
     the volume tolerance.
     """
     l = lm.shape[0]
+    if objective is None and uisets:
+        objective = Theorem2Objective(uisets, l)
     rounded = np.round(lm).astype(np.int64)
     candidates: list[np.ndarray] = [rounded]
     if l <= 3:
@@ -961,13 +961,7 @@ def _round_tile(
             continue
         if volume is not None and abs(det - volume) > tol * volume:
             continue
-        if uisets:
-            try:
-                score = _theorem2_objective(uisets, cand.astype(float).ravel(), l)
-            except SingularMatrixError:  # pragma: no cover - defensive
-                continue
-        else:
-            score = 0.0
+        score = objective(cand.astype(float).ravel()) if objective is not None else 0.0
         vol_err = abs(det - volume) if volume is not None else 0.0
         rank = (score, vol_err, float(np.abs(cand - lm).sum()), key)
         if best is None or rank < best:

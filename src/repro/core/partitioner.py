@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..exceptions import OptimizationError, PartitionError
+from ..exceptions import OptimizationError, PartitionError, SingularMatrixError
 from ..obs.log import get_logger
 from ..obs.tracing import span
 from .classify import UISet, partition_references
@@ -166,7 +166,7 @@ class LoopPartitioner:
             basis = self.comm_free_basis()
         rect_res = None
         pe_res = None
-        candidates: list[tuple[float, str, ParallelepipedTile, tuple[int, ...] | None]] = []
+        candidates: list[tuple[str, ParallelepipedTile, tuple[int, ...] | None]] = []
 
         if method in ("rectangular", "auto"):
             with span("optimize.rectangular", processors=self.processors):
@@ -179,10 +179,7 @@ class LoopPartitioner:
                     cache=cache,
                     plan_cache=plan_cache,
                 )
-                est = estimate_traffic(list(self.uisets), rect_res.tile, method="exact")
-            candidates.append(
-                (est.cold_misses, "rectangular", rect_res.tile, rect_res.grid)
-            )
+            candidates.append(("rectangular", rect_res.tile, rect_res.grid))
         if method in ("parallelepiped", "auto"):
             volume = space.volume / self.processors
             try:
@@ -195,25 +192,31 @@ class LoopPartitioner:
                         budget_s=opt_budget_s,
                         workers=workers,
                     )
-                    est = estimate_traffic(
-                        list(self.uisets), pe_res.tile, method="exact"
-                    )
-                candidates.append((est.cold_misses, "parallelepiped", pe_res.tile, None))
-            except OptimizationError:
+                candidates.append(("parallelepiped", pe_res.tile, None))
+            except (OptimizationError, SingularMatrixError) as e:
+                # Under 'auto' the rectangular candidate stands alone when
+                # Theorem 2 has no tile to offer (no feasible rounding, or
+                # a class whose reduced G has dependent rows).
                 if method == "parallelepiped":
                     raise
+                logger.debug("auto: keeping the rectangular tile: %s", e)
         if not candidates:
             raise PartitionError(f"unknown method {method!r}")
-        candidates.sort(key=lambda t: t[0])
-        cost, chosen_method, tile, grid = candidates[0]
+        # Each candidate's exact estimate is computed once and the
+        # winner's is returned; on ties the first (rectangular) wins.
+        scored = []
+        for name, tile, grid in candidates:
+            with span("partition.estimate", method=name):
+                scored.append(
+                    (estimate_traffic(list(self.uisets), tile, method="exact"), name, tile, grid)
+                )
+        estimate, chosen_method, tile, grid = min(scored, key=lambda t: t[0].cold_misses)
         logger.debug(
             "chose %s tile (predicted %.1f misses/tile) among %d candidates",
             chosen_method,
-            cost,
-            len(candidates),
+            estimate.cold_misses,
+            len(scored),
         )
-        with span("partition.estimate"):
-            estimate = estimate_traffic(list(self.uisets), tile, method="exact")
         return PartitionResult(
             tile=tile,
             grid=grid,

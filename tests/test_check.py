@@ -138,6 +138,22 @@ class TestFaultInjection:
         )
         assert report["failed"] >= 1
 
+    def test_objective_check_does_not_trust_the_shared_objective(self, monkeypatch):
+        """``pepiped-objective-consistent`` recomputes every claim with a
+        freshly compiled objective: a portfolio whose shared compiled
+        objective under-reports 4x is flagged."""
+        from repro.core import optimize as _opt
+        from repro.core.cumulative import Theorem2Objective
+
+        class UnderReporting(Theorem2Objective):
+            def __call__(self, l_flat):
+                return 0.25 * super().__call__(l_flat)
+
+        monkeypatch.setattr(_opt, "Theorem2Objective", UnderReporting)
+        art = run_case(generate_case(45, seed=0))
+        assert art.pepiped is not None
+        assert "pepiped-objective-consistent" in {v.invariant for v in art.violations}
+
     def test_unknown_fault_rejected(self):
         with pytest.raises(ValueError, match="unknown fault"):
             with inject_fault("nope"):

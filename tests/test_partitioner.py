@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.core import partitioner as partitioner_mod
 from repro.core.cost import estimate_traffic
 from repro.core.partitioner import LoopPartitioner
 from repro.core.tiles import ParallelepipedTile, RectangularTile
-from repro.exceptions import PartitionError
+from repro.exceptions import PartitionError, SingularMatrixError
+from repro.lang import compile_nest
 
 
 class TestPartitioner:
@@ -33,6 +35,42 @@ class TestPartitioner:
         res = part.partition(method="auto")
         rect = part.partition(method="rectangular")
         assert res.estimate.cold_misses <= rect.estimate.cold_misses + 1e-9
+
+    def test_auto_keeps_rectangular_when_theorem2_is_singular(self):
+        """A 1-D array read in a 2-D nest has a rank-deficient G′: Theorem 2
+        has no objective, so 'auto' returns the rectangular partition and
+        only an explicit 'parallelepiped' request raises."""
+        nest = compile_nest(
+            """
+            Doall (i, 1, 16)
+              Doall (j, 1, 16)
+                B[i,j] = A[i]
+              EndDoall
+            EndDoall
+            """
+        )
+        part = LoopPartitioner(nest, 4)
+        res = part.partition(method="auto")
+        rect = part.partition(method="rectangular")
+        assert res.method == "rectangular"
+        assert np.array_equal(res.tile.l_matrix, rect.tile.l_matrix)
+        assert res.grid == rect.grid
+        assert res.estimate == rect.estimate
+        with pytest.raises(SingularMatrixError):
+            part.partition(method="parallelepiped")
+
+    @pytest.mark.parametrize("method,calls", [("rectangular", 1), ("auto", 2)])
+    def test_each_candidate_estimated_once(self, example3_nest, monkeypatch, method, calls):
+        seen = []
+
+        def counting(sets, tile, **kw):
+            seen.append(tile)
+            return estimate_traffic(sets, tile, **kw)
+
+        monkeypatch.setattr(partitioner_mod, "estimate_traffic", counting)
+        res = LoopPartitioner(example3_nest, 4).partition(method=method)
+        assert len(seen) == calls
+        assert res.estimate == estimate_traffic(example3_nest, res.tile, method="exact")
 
     def test_parallelepiped_method(self, example3_nest):
         res = LoopPartitioner(example3_nest, 4).partition(method="parallelepiped")
