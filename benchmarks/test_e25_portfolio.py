@@ -8,12 +8,13 @@ objectives and per-member latency:
 * the portfolio is never Theorem-2-costlier than either member alone or
   the rectangular baseline (the merge keeps the cheapest *feasible*
   candidate, rectangular diagonal included);
-* on at least one paper program where SLSQP previously fell back — the
-  pinned witness is Example 8's 2:3:4 stencil at N=24, P=500, where
-  SLSQP's continuous optimum has no feasible integer rounding and the
-  pre-portfolio optimizer raised ``OptimizationError`` — the anneal
-  member (and hence the portfolio) must win with a *strictly lower*
-  objective than SLSQP-alone delivers;
+* on at least one paper program where SLSQP falls back — the pinned
+  witness is Example 3's ``B[i,j] + B[i+1,j+3]`` nest at N=36, P=500,
+  where SLSQP's continuous optimum (objective 5.400) beats the
+  rectangular diagonal (10.776) but has no feasible integer rounding,
+  so SLSQP-alone returns the diagonal — the anneal member (and hence
+  the portfolio) must win with a *strictly lower* objective than
+  SLSQP-alone delivers;
 * every reported improvement is >= 0.
 
 With ``REPRO_BENCH_REPORTS`` set the numbers land in
@@ -32,8 +33,8 @@ from .paper_programs import example3, example6, example8, example9, example10, f
 from .reporting import write_bench_report
 
 #: (label, nest factory args, processors).  The last entry is the pinned
-#: SLSQP-fallback witness: at N=24, P=500 the continuous SLSQP optimum
-#: cannot be rounded to a feasible integer tile.
+#: SLSQP-fallback witness: for Example 3 at N=36, P=500 the continuous
+#: SLSQP optimum cannot be rounded to a feasible integer tile.
 PROGRAMS = [
     ("example3", lambda: example3(36), 16),
     ("example6", lambda: example6(), 25),
@@ -41,10 +42,10 @@ PROGRAMS = [
     ("example9", lambda: example9(36), 16),
     ("example10", lambda: example10(36), 16),
     ("figure9", lambda: figure9(8), 8),
-    ("example8_p500", lambda: example8(24), 500),
+    ("example3_p500", lambda: example3(36), 500),
 ]
 
-FALLBACK_WITNESS = "example8_p500"
+FALLBACK_WITNESS = "example3_p500"
 
 
 def _run_variant(uisets, nest, processors, members=None):
@@ -115,10 +116,10 @@ def test_portfolio_never_loses_and_rescues_fallback(benchmark):
     problems = _check_portfolio_dominates(rows)
     assert not problems, problems
 
-    # The gate: on the pinned program where SLSQP previously fell back
-    # (the pre-portfolio code raised — no integer rounding of its
-    # continuous optimum exists), anneal and the portfolio must beat what
-    # SLSQP-alone now delivers, strictly.
+    # The gate: on the pinned program where SLSQP falls back (no integer
+    # rounding of its continuous optimum exists, so SLSQP-alone returns
+    # the rectangular diagonal), anneal and the portfolio must beat what
+    # SLSQP-alone delivers, strictly.
     witness = rows[FALLBACK_WITNESS]
     assert witness["slsqp"] is not None and witness["portfolio"] is not None
     assert witness["slsqp"]["winner"] == "rectangular", (
@@ -137,12 +138,12 @@ def test_portfolio_never_loses_and_rescues_fallback(benchmark):
     full = _run_variant(uisets, nest, processors)
     write_bench_report(
         "portfolio",
-        processors=500,
+        processors=processors,
         estimate=estimate_traffic(uisets, full.tile),
         program={
             "workload": "paper-program portfolio sweep "
             f"({len(PROGRAMS)} programs; witness {FALLBACK_WITNESS})",
-            "source": "B(i-1,j,k+1) + B(i,j+1,k) + B(i+1,j-2,k-3)",
+            "source": "Example 3 (N=36): A[i,j] = B[i,j] + B[i+1,j+3]",
         },
         meta={
             "portfolio": rows,

@@ -10,8 +10,10 @@ can leave a bounded, replayable record::
 ``seq`` is the global access sequence number (pre-sampling), so sampled
 traces remain alignable with the full run.
 
-:func:`prometheus_text` renders a :class:`~repro.obs.metrics.MetricsRegistry`
-in the Prometheus text exposition format (version 0.0.4): counters gain a
+:func:`prometheus_text_from_snapshot` renders registry snapshot entries
+(:func:`prometheus_text` is the same for a live
+:class:`~repro.obs.metrics.MetricsRegistry`) in the Prometheus text
+exposition format (version 0.0.4): counters gain a
 ``_total`` suffix, histograms emit cumulative ``_bucket{le=...}`` series
 ending at ``+Inf`` plus ``_sum``/``_count``, and fixed-bucket latency
 histograms additionally emit a ``<name>_summary`` with interpolated
@@ -152,107 +154,48 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _le_str(edge) -> str:
-    return "+Inf" if (isinstance(edge, float) and math.isinf(edge)) else _fmt(float(edge))
+def _cumulative_buckets(entry: dict) -> list[tuple[str, int]]:
+    """``(le, cumulative count)`` pairs of a snapshot histogram, ending at
+    ``+Inf``: fixed buckets as stored, exact bins accumulated."""
+    if "buckets" in entry:
+        return [
+            ("+Inf" if b.get("le") == "+Inf" else _fmt(float(b.get("le"))), b.get("count", 0))
+            for b in entry["buckets"]
+        ]
+    out, cum = [], 0
+    for value, count in sorted((int(k), v) for k, v in (entry.get("bins") or {}).items()):
+        cum += count
+        out.append((_fmt(float(value)), cum))
+    out.append(("+Inf", entry.get("count", 0)))
+    return out
 
 
 def prometheus_text(registry, *, extra_gauges: dict | None = None) -> str:
-    """Render a registry as Prometheus text exposition.
-
-    ``extra_gauges`` maps metric name → numeric value for server-level
-    quantities (in-flight requests, cache sizes) that live outside the
-    registry.  Output is deterministic: metrics sort by (name, labels),
-    one HELP/TYPE header per metric name.
+    """Render a :class:`~repro.obs.metrics.MetricsRegistry` as Prometheus
+    text exposition: :func:`prometheus_text_from_snapshot` of its
+    :meth:`~repro.obs.metrics.MetricsRegistry.snapshot`, so values carry
+    the snapshot's rounding (latency quantiles to 3 decimals, sums to 6).
     """
-    from .metrics import Counter, Gauge, Histogram, LatencyHistogram
-
-    groups: dict[str, list] = {}
-    for (name, labels), m in sorted(
-        registry._items(), key=lambda kv: (kv[0][0], str(kv[0][1]))
-    ):
-        groups.setdefault(name, []).append((labels, m))
-
-    lines: list[str] = []
-
-    def header(pname: str, ptype: str, source: str) -> None:
-        lines.append(f"# HELP {pname} repro metric {source}")
-        lines.append(f"# TYPE {pname} {ptype}")
-
-    for name, members in groups.items():
-        base = _prom_name(name)
-        kind = type(members[0][1])
-        if kind is Counter:
-            header(f"{base}_total", "counter", name)
-            for labels, m in members:
-                lines.append(f"{base}_total{_label_str(labels)} {_fmt(m.value)}")
-        elif kind is Gauge:
-            numeric = [
-                (labels, m) for labels, m in members
-                if isinstance(m.value, (int, float)) and not isinstance(m.value, bool)
-            ]
-            if not numeric:
-                continue  # non-numeric gauges have no text representation
-            header(base, "gauge", name)
-            for labels, m in numeric:
-                lines.append(f"{base}{_label_str(labels)} {_fmt(float(m.value))}")
-        elif kind is LatencyHistogram:
-            header(base, "histogram", name)
-            for labels, m in members:
-                for edge, cum in m.cumulative_buckets():
-                    le = _label_str(labels, {"le": _le_str(edge)})
-                    lines.append(f"{base}_bucket{le} {cum}")
-                lines.append(f"{base}_sum{_label_str(labels)} {_fmt(m.total)}")
-                lines.append(f"{base}_count{_label_str(labels)} {m.count}")
-            sname = f"{base}_summary"
-            header(sname, "summary", name)
-            for labels, m in members:
-                for q in (0.5, 0.95, 0.99):
-                    ql = _label_str(labels, {"quantile": _fmt(q)})
-                    lines.append(f"{sname}{ql} {_fmt(m.quantile(q))}")
-                lines.append(f"{sname}_sum{_label_str(labels)} {_fmt(m.total)}")
-                lines.append(f"{sname}_count{_label_str(labels)} {m.count}")
-        elif kind is Histogram:
-            header(base, "histogram", name)
-            for labels, m in members:
-                snap = m.to_dict()
-                cum = 0
-                for bin_value, bin_count in sorted(
-                    ((int(k), v) for k, v in snap["bins"].items())
-                ):
-                    cum += bin_count
-                    le = _label_str(labels, {"le": _fmt(float(bin_value))})
-                    lines.append(f"{base}_bucket{le} {cum}")
-                inf = _label_str(labels, {"le": "+Inf"})
-                lines.append(f"{base}_bucket{inf} {snap['count']}")
-                lines.append(f"{base}_sum{_label_str(labels)} {_fmt(float(snap['sum']))}")
-                lines.append(f"{base}_count{_label_str(labels)} {snap['count']}")
-
-    for name, value in sorted((extra_gauges or {}).items()):
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            continue
-        base = _prom_name(name)
-        header(base, "gauge", name)
-        lines.append(f"{base} {_fmt(float(value))}")
-
-    return "\n".join(lines) + "\n"
+    return prometheus_text_from_snapshot(registry.snapshot(), extra_gauges=extra_gauges)
 
 
 def prometheus_text_from_snapshot(entries, *, extra_gauges: dict | None = None) -> str:
     """Render registry *snapshot* entries as Prometheus text exposition.
 
-    The input is the JSON shape :meth:`MetricsRegistry.snapshot`
-    produces (``{"name", "labels", "type", ...}`` dicts) rather than
-    live instruments, so a process can render metrics it only holds as
-    data — the cluster router uses this to emit one merged scrape from
-    its own snapshot plus every replica's, each entry labeled with its
-    ``replica``.  Entries are grouped by metric name first (one
-    HELP/TYPE header per name, which the strict parser requires even
-    when the same metric arrives from several replicas).  Exact-bin
-    histograms (``bins``) and fixed-bucket latency histograms
-    (``buckets`` + quantiles) render in the same shapes
-    :func:`prometheus_text` uses; entries whose type disagrees with the
-    first seen for that name are skipped rather than corrupting the
-    exposition.
+    The one Prometheus renderer.  The input is the JSON shape
+    :meth:`MetricsRegistry.snapshot` produces (``{"name", "labels",
+    "type", ...}`` dicts) rather than live instruments, so a process can
+    render metrics it only holds as data — the cluster router emits one
+    merged scrape from its own snapshot plus every replica's, each entry
+    labeled with its ``replica``.  ``extra_gauges`` maps metric name →
+    numeric value for quantities that live outside the registry.  Output
+    is deterministic: entries are grouped by metric name (one HELP/TYPE
+    header per name, which the strict parser requires even when the same
+    metric arrives from several replicas) and sorted by labels.
+    Exact-bin histograms (``bins``) render as cumulative buckets;
+    fixed-bucket latency histograms (``buckets`` + quantiles) add a
+    ``<name>_summary``; entries whose type disagrees with the first seen
+    for that name are skipped rather than corrupting the exposition.
     """
     groups: dict[str, list[dict]] = {}
     for entry in entries:
@@ -289,43 +232,24 @@ def prometheus_text_from_snapshot(entries, *, extra_gauges: dict | None = None) 
             header(base, "gauge", name)
             for e in numeric:
                 lines.append(f"{base}{_label_str(labels_of(e))} {_fmt(float(e['value']))}")
-        elif etype == "histogram" and "buckets" in members[0]:
-            header(base, "histogram", name)
-            for e in members:
-                ls = labels_of(e)
-                for bucket in e.get("buckets", []):
-                    le = bucket.get("le")
-                    le_text = "+Inf" if le == "+Inf" else _le_str(le)
-                    lines.append(
-                        f"{base}_bucket{_label_str(ls, {'le': le_text})} "
-                        f"{bucket.get('count', 0)}"
-                    )
-                lines.append(f"{base}_sum{_label_str(ls)} {_fmt(float(e.get('sum', 0.0)))}")
-                lines.append(f"{base}_count{_label_str(ls)} {e.get('count', 0)}")
-            sname = f"{base}_summary"
-            header(sname, "summary", name)
-            for e in members:
-                ls = labels_of(e)
-                for q, key in ((0.5, "p50"), (0.95, "p95"), (0.99, "p99")):
-                    ql = _label_str(ls, {"quantile": _fmt(q)})
-                    lines.append(f"{sname}{ql} {_fmt(float(e.get(key, 0.0)))}")
-                lines.append(f"{sname}_sum{_label_str(ls)} {_fmt(float(e.get('sum', 0.0)))}")
-                lines.append(f"{sname}_count{_label_str(ls)} {e.get('count', 0)}")
         elif etype == "histogram":
             header(base, "histogram", name)
             for e in members:
                 ls = labels_of(e)
-                cum = 0
-                for bin_value, bin_count in sorted(
-                    (int(k), v) for k, v in (e.get("bins") or {}).items()
-                ):
-                    cum += bin_count
-                    le = _label_str(ls, {"le": _fmt(float(bin_value))})
-                    lines.append(f"{base}_bucket{le} {cum}")
-                inf = _label_str(ls, {"le": "+Inf"})
-                lines.append(f"{base}_bucket{inf} {e.get('count', 0)}")
+                for le, cum in _cumulative_buckets(e):
+                    lines.append(f"{base}_bucket{_label_str(ls, {'le': le})} {cum}")
                 lines.append(f"{base}_sum{_label_str(ls)} {_fmt(float(e.get('sum', 0)))}")
                 lines.append(f"{base}_count{_label_str(ls)} {e.get('count', 0)}")
+            if "buckets" in members[0]:  # fixed-bucket latency histogram
+                sname = f"{base}_summary"
+                header(sname, "summary", name)
+                for e in members:
+                    ls = labels_of(e)
+                    for q, key in ((0.5, "p50"), (0.95, "p95"), (0.99, "p99")):
+                        ql = _label_str(ls, {"quantile": _fmt(q)})
+                        lines.append(f"{sname}{ql} {_fmt(float(e.get(key, 0.0)))}")
+                    lines.append(f"{sname}_sum{_label_str(ls)} {_fmt(float(e.get('sum', 0.0)))}")
+                    lines.append(f"{sname}_count{_label_str(ls)} {e.get('count', 0)}")
 
     for name, value in sorted((extra_gauges or {}).items()):
         if not isinstance(value, (int, float)) or isinstance(value, bool):

@@ -7,7 +7,8 @@ coalescing and a completed-response LRU, micro-batching of compute onto
 a process pool (:mod:`~repro.serve.batching` →
 :mod:`~repro.serve.pipeline`), bounded admission with 429 backpressure,
 per-request deadlines, and graceful drain — all metered through
-:mod:`repro.obs` (:mod:`~repro.serve.server`).  Blocking and asyncio
+:mod:`repro.obs` (:mod:`~repro.serve.server`, on the HTTP core in
+:mod:`~repro.serve.http` that the router shares).  Blocking and asyncio
 clients live in :mod:`~repro.serve.client`; the closed-loop load
 generator behind ``repro loadgen`` in :mod:`~repro.serve.loadgen`.
 

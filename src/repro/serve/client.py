@@ -26,6 +26,8 @@ import json
 import random
 import time
 
+from .http import encode_request, read_response
+
 __all__ = [
     "ServeError",
     "ServeClient",
@@ -78,15 +80,14 @@ def _request_body(source, processors, **options) -> dict:
     return body
 
 
-class ServeClient:
-    """Blocking keep-alive client."""
+class _ClientBase:
+    """The 429 retry policy and last-response state both clients share."""
 
     def __init__(
         self,
         host: str = "127.0.0.1",
         port: int = 8787,
         *,
-        timeout: float = 60.0,
         max_retries_429: int = 4,
         backoff_base_s: float = 0.05,
         backoff_cap_s: float = 2.0,
@@ -94,18 +95,67 @@ class ServeClient:
     ):
         self.host = host
         self.port = port
-        self.timeout = timeout
         self.max_retries_429 = max_retries_429
         self.backoff_base_s = backoff_base_s
         self.backoff_cap_s = backoff_cap_s
         self._backoff_rng = random.Random(backoff_seed)
-        self._conn: http.client.HTTPConnection | None = None
         #: Cache disposition of the last compute call (miss/hit/coalesced).
         self.last_cache_status: str | None = None
         #: Request id the server echoed (or minted) for the last call.
         self.last_request_id: str | None = None
         #: 429-overload retries this client has performed.
         self.retries_429 = 0
+
+    def _retry_delay(self, error: "ServeError", attempt: int) -> float:
+        """Backoff before retry ``attempt`` of ``error``; re-raises it
+        unless it is a 429 with retries left."""
+        if error.status != 429 or attempt >= self.max_retries_429:
+            raise error
+        self.retries_429 += 1
+        return backoff_delay_s(
+            attempt, error.retry_after,
+            base_s=self.backoff_base_s,
+            cap_s=self.backoff_cap_s,
+            rng=self._backoff_rng,
+        )
+
+    def _decode(
+        self, status: int, headers: dict[str, str], raw: bytes, *, raw_body: bool = False
+    ) -> dict | str:
+        """Response → decoded JSON (or text with ``raw_body``); a non-200
+        raises :class:`ServeError`.  ``headers`` keys are lower-case."""
+        self.last_cache_status = headers.get("x-repro-cache")
+        self.last_request_id = headers.get("x-repro-request-id")
+        if raw_body and status == 200:
+            return raw.decode("utf-8")
+        try:
+            decoded = json.loads(raw.decode("utf-8")) if raw else {}
+        except json.JSONDecodeError as e:
+            raise ServeError(status, {"error": {
+                "code": "bad-response", "message": f"undecodable body: {e}"}}) from None
+        if status != 200:
+            err = ServeError(status, decoded)
+            try:
+                err.retry_after = float(headers["retry-after"])
+            except (KeyError, ValueError):
+                pass
+            raise err
+        return decoded
+
+
+class ServeClient(_ClientBase):
+    """Blocking keep-alive client.
+
+    Keywords other than ``timeout`` set the 429 retry policy
+    (``max_retries_429``, ``backoff_base_s``, ``backoff_cap_s``,
+    ``backoff_seed``); :class:`AsyncServeClient` takes the same ones.
+    """
+
+    def __init__(self, host: str = "127.0.0.1", port: int = 8787, *,
+                 timeout: float = 60.0, **retry):
+        super().__init__(host, port, **retry)
+        self.timeout = timeout
+        self._conn: http.client.HTTPConnection | None = None
 
     def _connection(self) -> http.client.HTTPConnection:
         if self._conn is None:
@@ -149,18 +199,8 @@ class ServeClient:
                     request_id=request_id, accept=accept, raw_body=raw_body,
                 )
             except ServeError as e:
-                if e.status != 429 or attempt >= self.max_retries_429:
-                    raise
-                time.sleep(
-                    backoff_delay_s(
-                        attempt, e.retry_after,
-                        base_s=self.backoff_base_s,
-                        cap_s=self.backoff_cap_s,
-                        rng=self._backoff_rng,
-                    )
-                )
+                time.sleep(self._retry_delay(e, attempt))
                 attempt += 1
-                self.retries_429 += 1
 
     def _round_trip(
         self,
@@ -194,25 +234,8 @@ class ServeClient:
             conn.request(method, path, body=body, headers=headers)
             response = conn.getresponse()
             raw = response.read()
-        self.last_cache_status = response.getheader("X-Repro-Cache")
-        self.last_request_id = response.getheader("X-Repro-Request-Id")
-        if raw_body and response.status == 200:
-            return raw.decode("utf-8")
-        try:
-            decoded = json.loads(raw.decode("utf-8")) if raw else {}
-        except json.JSONDecodeError as e:
-            raise ServeError(response.status, {"error": {
-                "code": "bad-response", "message": f"undecodable body: {e}"}}) from None
-        if response.status != 200:
-            err = ServeError(response.status, decoded)
-            retry_after = response.getheader("Retry-After")
-            if retry_after is not None:
-                try:
-                    err.retry_after = float(retry_after)
-                except ValueError:
-                    pass
-            raise err
-        return decoded
+        rheaders = {name.lower(): value for name, value in response.getheaders()}
+        return self._decode(response.status, rheaders, raw, raw_body=raw_body)
 
     # -- endpoints -------------------------------------------------------
     def partition(
@@ -259,51 +282,6 @@ class ServeClient:
     def debug_inflight(self) -> dict:
         """``GET /debug/inflight`` — requests currently being served."""
         return self.request("GET", "/debug/inflight")
-
-
-async def _read_http_response(reader: asyncio.StreamReader):
-    """One HTTP/1.1 response from ``reader`` → ``(status, headers, body)``.
-
-    ``headers`` keys are lower-cased.  Raises
-    :class:`asyncio.IncompleteReadError` / :class:`ConnectionError` on a
-    connection dropped mid-response and :class:`ServeError` on an empty
-    stream (peer closed before the status line).
-    """
-    status_line = await reader.readline()
-    if not status_line:
-        raise ServeError(0, {"error": {"code": "connection-closed",
-                                       "message": "server closed the connection"}})
-    parts = status_line.decode("latin-1").split(" ", 2)
-    status = int(parts[1])
-    headers: dict[str, str] = {}
-    while True:
-        line = await reader.readline()
-        if line in (b"\r\n", b"\n", b""):
-            break
-        name, _, value = line.decode("latin-1").partition(":")
-        headers[name.strip().lower()] = value.strip()
-    length = int(headers.get("content-length", "0"))
-    body = await reader.readexactly(length) if length else b""
-    return status, headers, body
-
-
-def _encode_http_request(
-    method: str,
-    path: str,
-    host: str,
-    port: int,
-    body: bytes,
-    headers: dict[str, str] | None,
-) -> bytes:
-    lines = [
-        f"{method} {path} HTTP/1.1",
-        f"Host: {host}:{port}",
-        f"Content-Length: {len(body)}",
-        "Connection: keep-alive",
-    ]
-    for name, value in (headers or {}).items():
-        lines.append(f"{name}: {value}")
-    return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body
 
 
 class AsyncConnectionPool:
@@ -363,22 +341,29 @@ class AsyncConnectionPool:
         body: bytes = b"",
         headers: dict[str, str] | None = None,
     ) -> tuple[int, dict[str, str], bytes]:
-        """One round trip → ``(status, lowercase headers, raw body)``."""
+        """One round trip → ``(status, lowercase headers, raw body)``.
+
+        Raises :class:`ServeError` (status 0) if the peer closed before
+        answering and :class:`~repro.serve.http.FramingError` if the
+        response breaks the HTTP framing."""
         if self._closed:
             raise ConnectionError("pool is closed")
         async with self._sem:
             reader, writer = await self._checkout()
             try:
                 writer.write(
-                    _encode_http_request(
-                        method, path, self.host, self.port, body, headers
-                    )
+                    encode_request(method, path, self.host, self.port, body, headers)
                 )
                 await writer.drain()
-                status, rheaders, rbody = await _read_http_response(reader)
+                response = await read_response(reader)
+                if response is None:
+                    raise ServeError(0, {"error": {
+                        "code": "connection-closed",
+                        "message": "server closed the connection"}})
             except BaseException:
                 _close_writer(writer)
                 raise
+            status, rheaders, rbody = response
             if rheaders.get("connection", "").lower() == "close" or self._closed:
                 _close_writer(writer)
             else:
@@ -399,45 +384,18 @@ def _close_writer(writer: asyncio.StreamWriter) -> None:
         pass
 
 
-class AsyncServeClient:
-    """Asyncio client (one connection, sequential requests)."""
+class AsyncServeClient(_ClientBase):
+    """Asyncio client: sequential requests over a one-connection
+    :class:`AsyncConnectionPool`."""
 
-    def __init__(
-        self,
-        host: str = "127.0.0.1",
-        port: int = 8787,
-        *,
-        max_retries_429: int = 4,
-        backoff_base_s: float = 0.05,
-        backoff_cap_s: float = 2.0,
-        backoff_seed: int = 0,
-    ):
-        self.host = host
-        self.port = port
-        self.max_retries_429 = max_retries_429
-        self.backoff_base_s = backoff_base_s
-        self.backoff_cap_s = backoff_cap_s
-        self._backoff_rng = random.Random(backoff_seed)
-        self._reader = None
-        self._writer = None
-        self.last_cache_status: str | None = None
-        self.last_request_id: str | None = None
-        self.retries_429 = 0
-
-    async def _connect(self) -> None:
-        if self._writer is None:
-            self._reader, self._writer = await asyncio.open_connection(
-                self.host, self.port, limit=1 << 22
-            )
+    def __init__(self, host: str = "127.0.0.1", port: int = 8787, **retry):
+        super().__init__(host, port, **retry)
+        self._pool: AsyncConnectionPool | None = None
 
     async def close(self) -> None:
-        if self._writer is not None:
-            self._writer.close()
-            try:
-                await self._writer.wait_closed()
-            except ConnectionError:  # pragma: no cover
-                pass
-            self._reader = self._writer = None
+        if self._pool is not None:
+            await self._pool.close()
+            self._pool = None
 
     async def __aenter__(self) -> "AsyncServeClient":
         return self
@@ -458,46 +416,19 @@ class AsyncServeClient:
             try:
                 return await self._round_trip(method, path, payload, request_id)
             except ServeError as e:
-                if e.status != 429 or attempt >= self.max_retries_429:
-                    raise
-                await asyncio.sleep(
-                    backoff_delay_s(
-                        attempt, e.retry_after,
-                        base_s=self.backoff_base_s,
-                        cap_s=self.backoff_cap_s,
-                        rng=self._backoff_rng,
-                    )
-                )
+                await asyncio.sleep(self._retry_delay(e, attempt))
                 attempt += 1
-                self.retries_429 += 1
 
     async def _round_trip(
         self, method: str, path: str, payload: dict | None, request_id: str | None
     ) -> dict:
-        await self._connect()
+        if self._pool is None:
+            self._pool = AsyncConnectionPool(self.host, self.port, size=1)
         body = json.dumps(payload).encode("utf-8") if payload is not None else b""
         headers = {"Content-Type": "application/json"}
         if request_id is not None:
             headers["X-Repro-Request-Id"] = request_id
-        self._writer.write(
-            _encode_http_request(method, path, self.host, self.port, body, headers)
-        )
-        await self._writer.drain()
-        status, rheaders, raw = await _read_http_response(self._reader)
-        if rheaders.get("connection", "").lower() == "close":
-            await self.close()
-        decoded = json.loads(raw.decode("utf-8")) if raw else {}
-        self.last_cache_status = rheaders.get("x-repro-cache")
-        self.last_request_id = rheaders.get("x-repro-request-id")
-        if status != 200:
-            err = ServeError(status, decoded)
-            if "retry-after" in rheaders:
-                try:
-                    err.retry_after = float(rheaders["retry-after"])
-                except ValueError:
-                    pass
-            raise err
-        return decoded
+        return self._decode(*await self._pool.request_raw(method, path, body, headers))
 
     async def partition(
         self, source: str, processors: int, *, request_id: str | None = None, **options

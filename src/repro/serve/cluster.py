@@ -46,35 +46,22 @@ import argparse
 import asyncio
 import hashlib
 import json
-import signal
 import sys
 import time
-import uuid
+from dataclasses import dataclass
 
 from .. import __version__
-from ..obs import (
-    FlightRecorder,
-    configure_logging,
-    get_logger,
-    get_registry,
-    prometheus_text_from_snapshot,
-)
-from ..obs.export import PROMETHEUS_CONTENT_TYPE
+from ..obs import configure_logging, get_logger, stitch_trace
 from .client import AsyncConnectionPool, ServeError
-from .protocol import (
-    ProtocolError,
-    error_payload,
-    validate_partition_request,
-    validate_request_id,
+from .http import (
+    Body,
+    EmbeddedService,
+    FramingError,
+    HttpService,
+    run_service,
+    service_parser,
 )
-from .server import (
-    EmbeddedServer,
-    _encode_response,
-    _HttpError,
-    _read_request,
-    _STATUS_TEXT,
-    _TextPayload,
-)
+from .protocol import ProtocolError, decode_partition_request
 
 __all__ = [
     "RouterConfig",
@@ -86,12 +73,9 @@ __all__ = [
 
 logger = get_logger("serve.cluster")
 
-_POST_ROUTES = ("/v1/partition", "/v1/simulate")
-_GET_ROUTES = ("/healthz", "/metrics", "/debug/requests", "/debug/inflight")
-_DEBUG_REQUEST_PREFIX = "/debug/requests/"
-
-#: Response headers forwarded from replica to client verbatim.
-_PASSTHROUGH_HEADERS = ("x-repro-cache", "retry-after", "content-type")
+#: Response headers forwarded from replica to client verbatim (the
+#: replica's Content-Type travels with the relayed body).
+_PASSTHROUGH_HEADERS = {"x-repro-cache": "X-Repro-Cache", "retry-after": "Retry-After"}
 
 
 def rendezvous_order(key: str, addresses: list[str]) -> list[str]:
@@ -111,31 +95,34 @@ def rendezvous_order(key: str, addresses: list[str]) -> list[str]:
     return sorted(addresses, key=score, reverse=True)
 
 
+@dataclass(kw_only=True)
 class RouterConfig:
-    """Tunables of one router instance (CLI flags map 1:1)."""
+    """Tunables of one router instance (CLI flags map 1:1).
 
-    def __init__(
-        self,
-        *,
-        host: str = "127.0.0.1",
-        port: int = 8790,
-        replicas: tuple[str, ...] = (),
-        pool_size: int = 8,
-        health_interval_s: float = 0.5,
-        health_timeout_s: float = 2.0,
-        eject_after: int = 2,
-        readmit_after: int = 2,
-        forward_timeout_s: float = 120.0,
-        port_file: str | None = None,
-        flight_capacity: int = 512,
-        slo_p99_ms: float = 1000.0,
-        slo_error_rate: float = 0.01,
-    ):
-        if not replicas:
+    ``replicas`` is given as ``HOST:PORT`` strings and stored parsed, as
+    ``(address, host, port)`` triples.
+    """
+
+    host: str = "127.0.0.1"
+    port: int = 8790
+    replicas: tuple = ()
+    pool_size: int = 8
+    health_interval_s: float = 0.5
+    health_timeout_s: float = 2.0
+    eject_after: int = 2
+    readmit_after: int = 2
+    forward_timeout_s: float = 120.0
+    port_file: str | None = None
+    flight_capacity: int = 512
+    slo_p99_ms: float = 1000.0
+    slo_error_rate: float = 0.01
+
+    def __post_init__(self):
+        if not self.replicas:
             raise ValueError("router needs at least one replica address")
         seen = set()
         parsed = []
-        for address in replicas:
+        for address in self.replicas:
             address = address.strip()
             host_part, sep, port_part = address.rpartition(":")
             if not sep or not host_part:
@@ -150,19 +137,9 @@ class RouterConfig:
                 raise ValueError(f"duplicate replica address {address!r}")
             seen.add(address)
             parsed.append((address, host_part, replica_port))
-        self.host = host
-        self.port = port
         self.replicas = tuple(parsed)
-        self.pool_size = pool_size
-        self.health_interval_s = health_interval_s
-        self.health_timeout_s = health_timeout_s
-        self.eject_after = max(1, eject_after)
-        self.readmit_after = max(1, readmit_after)
-        self.forward_timeout_s = forward_timeout_s
-        self.port_file = port_file
-        self.flight_capacity = flight_capacity
-        self.slo_p99_ms = slo_p99_ms
-        self.slo_error_rate = slo_error_rate
+        self.eject_after = max(1, self.eject_after)
+        self.readmit_after = max(1, self.readmit_after)
 
 
 class Replica:
@@ -196,53 +173,39 @@ class Replica:
         }
 
 
-#: Errors that mean "this replica did not produce a response".
+#: Errors that mean "this replica did not produce a usable response".
 _FORWARD_ERRORS = (
     OSError,
     ConnectionError,
     asyncio.TimeoutError,
     asyncio.IncompleteReadError,
+    FramingError,
+    ServeError,
 )
 
 
-class RouterServer:
-    """The front tier: owns the listener, replica pools, health loop."""
+class RouterServer(HttpService):
+    """The front tier: rendezvous sharding, health probes, failover and
+    the merged ``/metrics``, on top of the shared
+    :class:`~repro.serve.http.HttpService`."""
+
+    name = "route"
 
     def __init__(self, config: RouterConfig):
-        self.config = config
-        self.port: int | None = None
-        self.started_at: float | None = None
-        self._server: asyncio.base_events.Server | None = None
+        super().__init__(config)
         self._replicas: dict[str, Replica] = {
             address: Replica(address, host, port, pool_size=config.pool_size)
             for address, host, port in config.replicas
         }
-        self._metrics = get_registry()
-        self._flight = FlightRecorder(max(config.flight_capacity, 1))
-        self._inflight = 0
-        self._requests_served = 0
-        self._shutdown_event: asyncio.Event | None = None
-        self._draining = False
-        self._health_task: asyncio.Task | None = None
 
     # -- lifecycle -------------------------------------------------------
-    async def start(self) -> None:
-        """Probe the fleet once, bind the listener, start health probes."""
+    async def _setup(self) -> None:
+        """Probe the fleet once before the listener binds."""
         await self._probe_all()
-        self._shutdown_event = asyncio.Event()
-        self._server = await asyncio.start_server(
-            self._handle_connection,
-            self.config.host,
-            self.config.port,
-            limit=65536,
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
-        self.started_at = time.monotonic()
-        self._health_task = asyncio.create_task(self._health_loop())
+
+    def _on_listening(self) -> None:
+        self._spawn(self._health_loop())
         self._refresh_fleet_gauges()
-        if self.config.port_file:
-            with open(self.config.port_file, "w", encoding="utf-8") as fh:
-                fh.write(f"{self.port}\n")
         logger.info(
             "routing on %s:%d across %d replica(s): %s",
             self.config.host,
@@ -251,29 +214,7 @@ class RouterServer:
             ", ".join(self._replicas),
         )
 
-    def signal_shutdown(self) -> None:
-        if self._shutdown_event is not None:
-            self._shutdown_event.set()
-
-    async def serve_until_shutdown(self) -> None:
-        assert self._shutdown_event is not None, "start() first"
-        await self._shutdown_event.wait()
-        await self.shutdown()
-
-    async def shutdown(self) -> None:
-        if self._server is None:
-            return
-        self._draining = True
-        if self._health_task is not None:
-            self._health_task.cancel()
-            try:
-                await self._health_task
-            except asyncio.CancelledError:
-                pass
-            self._health_task = None
-        self._server.close()
-        await self._server.wait_closed()
-        self._server = None
+    async def _drain(self) -> None:
         for replica in self._replicas.values():
             await replica.pool.close()
         logger.info("router drained; %d requests served", self._requests_served)
@@ -302,7 +243,7 @@ class RouterServer:
             # Pre-readiness servers (and anything that predates the
             # ready flag) count as ready once alive.
             ready = bool(doc.get("ready", True))
-        except _FORWARD_ERRORS + (ServeError, ValueError) as e:
+        except _FORWARD_ERRORS + (ValueError,) as e:
             self._note_failure(replica, f"healthz: {type(e).__name__}: {e}")
             return
         if not alive:
@@ -351,163 +292,29 @@ class RouterServer:
             sum(1 for r in self._replicas.values() if r.routable)
         )
 
-    # -- connection handling ---------------------------------------------
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            while True:
-                try:
-                    parsed = await asyncio.wait_for(_read_request(reader), timeout=60.0)
-                except asyncio.TimeoutError:
-                    break
-                except (asyncio.IncompleteReadError, ConnectionError):
-                    break
-                except _HttpError as e:
-                    writer.write(
-                        _encode_response(
-                            e.status,
-                            error_payload("invalid-request", str(e)),
-                            keep_alive=False,
-                        )
-                    )
-                    await writer.drain()
-                    break
-                if parsed is None:
-                    break
-                method, path, headers, body = parsed
-                keep_alive = headers.get("connection", "keep-alive").lower() != "close"
-                response = await self._route(method, path, headers, body)
-                writer.write(self._encode(response, keep_alive=keep_alive))
-                await writer.drain()
-                self._requests_served += 1
-                if not keep_alive:
-                    break
-        except ConnectionError:
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except ConnectionError:  # pragma: no cover
-                pass
-
-    @staticmethod
-    def _encode(response, *, keep_alive: bool) -> bytes:
-        status, payload, extra = response
-        if isinstance(payload, (bytes, bytearray)):
-            content_type = extra.pop("Content-Type", "application/json")
-            lines = [
-                f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'Unknown')}",
-                f"Content-Type: {content_type}",
-                f"Content-Length: {len(payload)}",
-                f"Server: repro-route/{__version__}",
-                f"Connection: {'keep-alive' if keep_alive else 'close'}",
-            ]
-            for name, value in extra.items():
-                lines.append(f"{name}: {value}")
-            return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + bytes(payload)
-        return _encode_response(status, payload, keep_alive=keep_alive, extra_headers=extra)
-
     # -- routing ---------------------------------------------------------
-    async def _route(self, method: str, path: str, headers: dict[str, str], body: bytes):
-        """Dispatch one request; returns ``(status, payload, extra_headers)``.
-
-        ``payload`` is a dict (router-generated JSON), a
-        :class:`_TextPayload`, or raw ``bytes`` forwarded verbatim from
-        a replica.
-        """
-        if path.startswith(_DEBUG_REQUEST_PREFIX):
-            endpoint = "/debug/requests/<id>"
-        else:
-            endpoint = path if path in _POST_ROUTES + _GET_ROUTES else "other"
-        self._metrics.counter("route.requests", endpoint=endpoint).inc()
-        t0 = time.perf_counter()
-        extra: dict[str, str] = {}
-        record = None
-        replica_used = None
-        error_code = None
+    async def _handle_compute(self, path: str, body: bytes, request_id: str):
+        self._admitted += 1
         try:
-            request_id = validate_request_id(headers.get("x-repro-request-id"))
-            if request_id is None:
-                request_id = uuid.uuid4().hex[:16]
-            extra["X-Repro-Request-Id"] = request_id
-            if path in _POST_ROUTES:
-                if method != "POST":
-                    raise ProtocolError(
-                        f"{path} only supports POST", code="method-not-allowed", status=405
-                    )
-                record = self._flight.begin(request_id, endpoint)
-                self._inflight += 1
-                try:
-                    status, payload, extra_f, replica_used, route_span = (
-                        await self._forward_compute(path, body, request_id)
-                    )
-                finally:
-                    self._inflight -= 1
-                extra.update(extra_f)
-            elif path in _GET_ROUTES or endpoint == "/debug/requests/<id>":
-                if method != "GET":
-                    raise ProtocolError(
-                        f"{path} only supports GET", code="method-not-allowed", status=405
-                    )
-                status, payload = 200, await self._handle_get(path, headers)
-                route_span = None
-            else:
-                raise ProtocolError(
-                    f"no such endpoint {path!r}", code="not-found", status=404
-                )
-        except ProtocolError as e:
-            status, payload, error_code = e.status, e.to_payload(), e.code
-            route_span = None
-            if e.status == 429:
-                extra.setdefault("Retry-After", "1")
-        except Exception as e:  # pragma: no cover - route safety net
-            logger.exception("unhandled router error serving %s %s", method, path)
-            status, error_code = 500, "internal-error"
-            payload = error_payload("internal-error", f"{type(e).__name__}: {e}")
-            route_span = None
-        total_ms = (time.perf_counter() - t0) * 1000.0
-        if record is not None:
-            self._finish_flight(
-                record,
-                status=status,
-                cache=extra.get("X-Repro-Cache"),
-                total_ms=total_ms,
-                error_code=error_code,
-                replica=replica_used,
-                route_span=route_span,
-                endpoint=endpoint,
-            )
-        self._metrics.counter(
-            "route.responses", endpoint=endpoint, status=str(status)
-        ).inc()
-        self._metrics.latency_histogram("route.latency_ms", endpoint=endpoint).observe(
-            total_ms
-        )
-        return status, payload, extra
+            return await self._forward_compute(path, body, request_id)
+        finally:
+            self._admitted -= 1
 
     async def _forward_compute(self, path: str, body: bytes, request_id: str):
         """Pick the shard, forward the raw request, fail over on error.
 
-        Returns ``(status, raw_body, extra_headers, replica_address,
-        route_span)``.  The request is validated *here* so malformed
-        requests get their 400/422 from the router without burning a
-        replica round trip — and so the shard key is the same canonical
-        key the replica's response cache will use.
+        Returns ``(status, relayed body, extra_headers, flight info)``.
+        The request is validated *here* so malformed requests get their
+        400/422 from the router without burning a replica round trip —
+        and so the shard key is the same canonical key the replica's
+        response cache will use.  A replica whose response breaks the
+        HTTP framing counts as failed, like one that drops the
+        connection.
         """
         if self._draining:
             raise ProtocolError("router is draining", code="shutting-down", status=503)
-        try:
-            decoded = json.loads(body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as e:
-            raise ProtocolError(
-                f"request body is not valid JSON: {e}",
-                code="invalid-request",
-                status=400,
-            ) from None
-        request = validate_partition_request(
-            decoded, force_simulate=(path == "/v1/simulate")
+        request = decode_partition_request(
+            body, force_simulate=(path == "/v1/simulate")
         )
         shard_key = repr(request.canonical_key)
         order = rendezvous_order(shard_key, list(self._replicas))
@@ -531,7 +338,7 @@ class RouterServer:
                     replica.pool.request_raw("POST", path, body, fwd_headers),
                     timeout=self.config.forward_timeout_s,
                 )
-            except _FORWARD_ERRORS + (ServeError,) as e:
+            except _FORWARD_ERRORS as e:
                 forward_ms = (time.perf_counter() - t0) * 1000.0
                 last_error = f"{type(e).__name__}: {e}"
                 self._metrics.counter("route.forward_errors", replica=address).inc()
@@ -546,12 +353,11 @@ class RouterServer:
                 continue
             forward_ms = (time.perf_counter() - t0) * 1000.0
             replica.consecutive_failures = 0
-            extra = {}
-            for name in _PASSTHROUGH_HEADERS:
-                if name in rheaders:
-                    extra["-".join(p.capitalize() for p in name.split("-"))] = (
-                        rheaders[name]
-                    )
+            extra = {
+                header: rheaders[name]
+                for name, header in _PASSTHROUGH_HEADERS.items()
+                if name in rheaders
+            }
             extra["X-Repro-Replica"] = address
             if attempts > 1:
                 self._metrics.counter("route.failovers").inc()
@@ -560,7 +366,12 @@ class RouterServer:
                 "duration_s": round(forward_ms / 1000.0, 9),
                 "attrs": {"replica": address, "attempts": attempts},
             }
-            return status, rbody, extra, address, route_span
+            relayed = Body(
+                rbody,
+                rheaders.get("content-type", "application/json"),
+                server="repro-route",
+            )
+            return status, relayed, extra, {"replica": address, "route_span": route_span}
         raise ProtocolError(
             f"all {attempts} routable replica(s) failed this request "
             f"(last: {last_error})",
@@ -568,85 +379,26 @@ class RouterServer:
             status=503,
         )
 
-    def _finish_flight(
-        self,
-        record,
-        *,
-        status: int,
-        cache: str | None,
-        total_ms: float,
-        error_code: str | None,
-        replica: str | None,
-        route_span: dict | None,
-        endpoint: str,
-    ) -> None:
-        trace = None
-        if route_span is not None:
-            attrs = {
-                "request_id": record.request_id,
-                "endpoint": endpoint,
-                "status": status,
-                "router": True,
-            }
-            if cache is not None:
-                attrs["cache"] = cache
-            trace = {
-                "name": "request",
-                "duration_s": round(total_ms / 1000.0, 9),
-                "attrs": attrs,
-                "children": [route_span],
-            }
-        self._flight.finish(
-            record,
-            status=status,
-            cache=cache,
-            total_ms=round(total_ms, 3),
-            error_code=error_code,
-            trace=trace,
-            replica=replica,
-        )
+    def _flight_details(self, record, status, cache, info, total_ms) -> dict:
+        """The replica that answered, and the ``serve.route`` hop as the
+        trace, under which ``/debug/requests/<id>`` grafts the replica's
+        own trace."""
+        details = {"replica": info.get("replica")}
+        if info.get("route_span") is not None:
+            trace = stitch_trace(
+                record.request_id, record.endpoint,
+                total_ms=total_ms, status=status, cache=cache,
+            )
+            trace["attrs"]["router"] = True
+            trace["children"] = [info["route_span"]]
+            details["trace"] = trace
+        return details
 
     # -- GET endpoints ---------------------------------------------------
-    async def _handle_get(self, path: str, headers: dict[str, str]):
-        if path == "/healthz":
-            return self._healthz()
-        if path == "/metrics":
-            accept = headers.get("accept", "")
-            if "text/plain" in accept or "openmetrics" in accept:
-                return _TextPayload(
-                    prometheus_text_from_snapshot(
-                        await self._merged_metric_entries()
-                    ),
-                    content_type=PROMETHEUS_CONTENT_TYPE,
-                )
-            return await self._metrics_dump()
-        if path == "/debug/requests":
-            return {
-                "schema": "repro.serve-debug-requests",
-                "version": 1,
-                "requests": self._flight.recent(50),
-                "slowest": self._flight.slowest(),
-            }
-        if path == "/debug/inflight":
-            return {
-                "schema": "repro.serve-debug-inflight",
-                "version": 1,
-                "admitted": self._inflight,
-                "inflight": self._flight.inflight(),
-            }
-        request_id = path[len(_DEBUG_REQUEST_PREFIX):]
-        return await self._debug_request(request_id)
-
     async def _debug_request(self, request_id: str) -> dict:
-        found = self._flight.get(request_id)
-        if found is None:
-            raise ProtocolError(
-                f"no retained request {request_id!r} (records and traces "
-                "are bounded rings; it may have been evicted)",
-                code="not-found",
-                status=404,
-            )
-        out = dict({"schema": "repro.serve-debug-request", "version": 1}, **found)
+        """The router's record, with the replica's stitched trace grafted
+        under its ``serve.route`` span."""
+        out = await super()._debug_request(request_id)
         record = out.get("record") or {}
         trace = out.get("trace")
         replica_address = record.get("replica")
@@ -675,10 +427,8 @@ class RouterServer:
             "ready": routable > 0 and not self._draining,
             "router": True,
             "version": __version__,
-            "uptime_s": round(time.monotonic() - self.started_at, 3)
-            if self.started_at is not None
-            else 0.0,
-            "inflight": self._inflight,
+            "uptime_s": self._uptime_s(),
+            "inflight": self._admitted,
             "replicas_total": len(self._replicas),
             "replicas_routable": routable,
             "replicas": [r.to_dict() for r in self._replicas.values()],
@@ -693,7 +443,7 @@ class RouterServer:
             if status != 200:
                 return None
             return json.loads(body.decode("utf-8"))
-        except _FORWARD_ERRORS + (ServeError, ValueError):
+        except _FORWARD_ERRORS + (ValueError,):
             return None
 
     async def _replica_dumps(self) -> list[tuple[str, dict]]:
@@ -704,7 +454,7 @@ class RouterServer:
         )
         return [(r.address, doc) for r, doc in zip(replicas, docs) if doc]
 
-    async def _merged_metric_entries(self, dumps=None) -> list[dict]:
+    async def _metric_entries(self, dumps=None) -> list[dict]:
         """Router ``route.*`` entries + replica entries labeled ``replica=``.
 
         The router's registry is filtered to its own ``route.*`` names so
@@ -727,7 +477,7 @@ class RouterServer:
                 entries.append(entry)
         return entries
 
-    async def _metrics_dump(self) -> dict:
+    async def _metrics_json(self) -> dict:
         dumps = await self._replica_dumps()
         caches: dict = {}
         servers = []
@@ -751,7 +501,7 @@ class RouterServer:
             "version": 1,
             "generated_by": f"repro {__version__} (router)",
             "server": server,
-            "metrics": await self._merged_metric_entries(dumps),
+            "metrics": await self._metric_entries(dumps),
             "caches": caches,
             "replicas": [
                 dict(self._replicas[a].to_dict(), server=s) for a, s in servers
@@ -780,28 +530,23 @@ def _merge_numeric(into: dict, src: dict) -> dict:
     return into
 
 
-class EmbeddedRouter(EmbeddedServer):
+class EmbeddedRouter(EmbeddedService):
     """A :class:`RouterServer` on a background thread (tests, embedding)."""
 
-    def __init__(self, config: RouterConfig):
-        super().__init__(server=RouterServer(config))
+    service_class = RouterServer
 
 
 def build_route_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="repro route",
-        description="Consistent-hash front tier over N repro serve replicas: "
+    p = service_parser(
+        "repro route",
+        "Consistent-hash front tier over N repro serve replicas: "
         "shard-affine routing by canonical request key, health-tracked "
         "failover, merged /metrics and /debug.",
+        port=8790,
     )
     p.add_argument("--replicas", action="append", default=[], metavar="HOST:PORT",
                    help="backend replica address (repeatable, or one "
                    "comma-separated list)")
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=8790,
-                   help="TCP port (0 = ephemeral; see --port-file)")
-    p.add_argument("--port-file", default=None, metavar="PATH",
-                   help="write the bound port here once listening")
     p.add_argument("--pool-size", type=int, default=8, metavar="N",
                    help="max keep-alive connections per replica")
     p.add_argument("--health-interval-s", type=float, default=0.5, metavar="S",
@@ -815,11 +560,6 @@ def build_route_parser() -> argparse.ArgumentParser:
                    "replica is re-admitted")
     p.add_argument("--forward-timeout-s", type=float, default=120.0, metavar="S",
                    help="per-forward ceiling before failing over")
-    p.add_argument("--flight-capacity", type=int, default=512, metavar="N")
-    p.add_argument("--slo-p99-ms", type=float, default=1000.0, metavar="MS")
-    p.add_argument("--slo-error-rate", type=float, default=0.01, metavar="RATE")
-    p.add_argument("--log-level", default=None,
-                   choices=["debug", "info", "warning", "error"])
     return p
 
 
@@ -856,27 +596,8 @@ def route_main(argv: list[str] | None = None, *, out=None) -> int:
     except ValueError as e:
         parser.error(str(e))
 
-    async def run() -> None:
-        router = RouterServer(config)
-        await router.start()
-        loop = asyncio.get_running_loop()
-        for sig in (signal.SIGTERM, signal.SIGINT):
-            try:
-                loop.add_signal_handler(sig, router.signal_shutdown)
-            except NotImplementedError:  # pragma: no cover - non-POSIX
-                pass
-        print(
-            f"route: listening on http://{config.host}:{router.port} "
-            f"across {len(config.replicas)} replica(s)",
-            file=out,
-            flush=True,
-        )
-        await router.serve_until_shutdown()
-        print("route: drained, bye", file=out, flush=True)
-
-    try:
-        asyncio.run(run())
-    except OSError as e:
-        print(f"error: cannot listen on {config.host}:{config.port}: {e}", file=out)
-        return 1
-    return 0
+    return run_service(
+        RouterServer(config),
+        out=out,
+        banner=f"across {len(config.replicas)} replica(s)",
+    )

@@ -20,17 +20,21 @@ exists.
 
 from __future__ import annotations
 
+import json
 import re
 from dataclasses import dataclass
 
 __all__ = [
     "MAX_BODY_BYTES",
+    "MAX_LINE_BYTES",
+    "MAX_HEADER_LINES",
     "METHODS",
     "ENGINES",
     "PROGRAMS",
     "STRATEGIES",
     "ProtocolError",
     "PartitionRequest",
+    "decode_partition_request",
     "validate_partition_request",
     "validate_request_id",
     "error_payload",
@@ -40,6 +44,13 @@ __all__ = [
 #: a megabyte leaves two orders of magnitude of headroom while bounding
 #: what a client can make the server buffer.
 MAX_BODY_BYTES = 1 << 20
+
+#: Longest request or header line (the listener's stream limit).  A
+#: longer request line is refused with 414, a longer header line with 431.
+MAX_LINE_BYTES = 1 << 16
+
+#: Most header lines one request may carry; one more is refused with 431.
+MAX_HEADER_LINES = 100
 
 METHODS = ("rectangular", "parallelepiped", "auto")
 ENGINES = ("auto", "fast", "exact")
@@ -193,6 +204,22 @@ def _int_field(payload: dict, name: str, *, lo: int, hi: int, default=None):
     )
     _require(lo <= value <= hi, f"{name!r} must be in [{lo}, {hi}], got {value}", field=name)
     return value
+
+
+def decode_partition_request(
+    body: bytes, *, force_simulate: bool = False
+) -> PartitionRequest:
+    """Decode a raw request body and validate it: 400 if it is not JSON,
+    422 (from :func:`validate_partition_request`) if the JSON is wrong."""
+    try:
+        decoded = json.loads(body.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise ProtocolError(
+            f"request body is not valid JSON: {e}",
+            code="invalid-request",
+            status=400,
+        ) from None
+    return validate_partition_request(decoded, force_simulate=force_simulate)
 
 
 def validate_partition_request(

@@ -50,53 +50,30 @@ Production semantics, in the order a request meets them:
    work finish (bounded by ``--drain-s``), flush the warm caches to
    ``--cache-dir``, then exit.
 
-The HTTP implementation is a deliberately minimal HTTP/1.1 subset over
-``asyncio`` streams (keep-alive, ``Content-Length`` framing only) — the
-stdlib has no asyncio HTTP server and this service needs exactly this
-much.
+The HTTP framing, connection loop, dispatcher, ``/debug`` endpoints and
+lifecycle are the shared core in :mod:`repro.serve.http`; this module
+holds only the replica's handlers.
 """
 
 from __future__ import annotations
 
 import argparse
 import asyncio
-import json
 import os
-import signal
 import sys
-import threading
-import time
-import uuid
 from collections import OrderedDict
 from dataclasses import dataclass
 
 from .. import __version__
 from ..lattice import analytic_cache_stats
-from ..obs import (
-    FlightRecorder,
-    configure_logging,
-    get_logger,
-    get_registry,
-    prometheus_text,
-    stitch_trace,
-)
-from ..obs.export import PROMETHEUS_CONTENT_TYPE
+from ..obs import configure_logging, get_logger, stitch_trace
 from .batching import MicroBatcher
-from .protocol import (
-    MAX_BODY_BYTES,
-    ProtocolError,
-    error_payload,
-    validate_partition_request,
-    validate_request_id,
-)
+from .http import EmbeddedService, HttpService, run_service, service_parser
+from .protocol import ProtocolError, decode_partition_request
 
 __all__ = ["ServeConfig", "PartitionServer", "EmbeddedServer", "serve_main"]
 
 logger = get_logger("serve.server")
-
-_POST_ROUTES = ("/v1/partition", "/v1/simulate")
-_GET_ROUTES = ("/healthz", "/metrics", "/debug/requests", "/debug/inflight")
-_DEBUG_REQUEST_PREFIX = "/debug/requests/"
 
 
 @dataclass(frozen=True)
@@ -123,116 +100,18 @@ class ServeConfig:
     cache_exchange_s: float | None = None  # period of cross-replica cache exchange
 
 
-class _HttpError(Exception):
-    def __init__(self, status: int, message: str):
-        super().__init__(message)
-        self.status = status
+class PartitionServer(HttpService):
+    """The replica: admission, coalescing, the response cache and the
+    batcher, on top of the shared :class:`~repro.serve.http.HttpService`."""
 
-
-_STATUS_TEXT = {
-    200: "OK",
-    400: "Bad Request",
-    404: "Not Found",
-    405: "Method Not Allowed",
-    408: "Request Timeout",
-    413: "Payload Too Large",
-    422: "Unprocessable Entity",
-    429: "Too Many Requests",
-    500: "Internal Server Error",
-    503: "Service Unavailable",
-    504: "Gateway Timeout",
-}
-
-
-async def _read_request(reader: asyncio.StreamReader):
-    """One HTTP/1.1 request → ``(method, path, headers, body)``.
-
-    Returns ``None`` on a clean EOF before the request line (keep-alive
-    connection closed by the peer).
-    """
-    line = await reader.readline()
-    if not line:
-        return None
-    try:
-        method, path, _version = line.decode("latin-1").rstrip("\r\n").split(" ", 2)
-    except ValueError:
-        raise _HttpError(400, "malformed request line") from None
-    headers: dict[str, str] = {}
-    while True:
-        raw = await reader.readline()
-        if raw in (b"\r\n", b"\n"):
-            break
-        if not raw:
-            raise _HttpError(400, "truncated headers")
-        try:
-            name, _, value = raw.decode("latin-1").partition(":")
-        except UnicodeDecodeError:  # pragma: no cover - latin-1 total
-            raise _HttpError(400, "undecodable header") from None
-        if not _:
-            raise _HttpError(400, f"malformed header line {raw!r}")
-        headers[name.strip().lower()] = value.strip()
-    body = b""
-    length = headers.get("content-length")
-    if length is not None:
-        try:
-            n = int(length)
-        except ValueError:
-            raise _HttpError(400, "malformed Content-Length") from None
-        if n < 0:
-            raise _HttpError(400, "negative Content-Length")
-        if n > MAX_BODY_BYTES:
-            raise _HttpError(413, f"request body exceeds {MAX_BODY_BYTES} bytes")
-        body = await reader.readexactly(n)
-    elif headers.get("transfer-encoding"):
-        raise _HttpError(400, "chunked request bodies are not supported")
-    return method, path.split("?", 1)[0], headers, body
-
-
-@dataclass(frozen=True)
-class _TextPayload:
-    """A non-JSON response body (Prometheus text exposition)."""
-
-    text: str
-    content_type: str = PROMETHEUS_CONTENT_TYPE
-
-
-def _encode_response(
-    status: int,
-    payload,
-    *,
-    keep_alive: bool,
-    extra_headers: dict[str, str] | None = None,
-) -> bytes:
-    if isinstance(payload, _TextPayload):
-        body = payload.text.encode("utf-8")
-        content_type = payload.content_type
-    else:
-        body = json.dumps(payload, indent=2).encode("utf-8") + b"\n"
-        content_type = "application/json"
-    lines = [
-        f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'Unknown')}",
-        f"Content-Type: {content_type}",
-        f"Content-Length: {len(body)}",
-        f"Server: repro-serve/{__version__}",
-        f"Connection: {'keep-alive' if keep_alive else 'close'}",
-    ]
-    for name, value in (extra_headers or {}).items():
-        lines.append(f"{name}: {value}")
-    return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body
-
-
-class PartitionServer:
-    """The service: owns the listener, the batcher, and the shared caches."""
+    name = "serve"
 
     def __init__(self, config: ServeConfig | None = None):
-        self.config = config or ServeConfig()
+        super().__init__(config or ServeConfig())
         if self.config.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.config.workers}")
         if self.config.queue_depth < 1:
             raise ValueError(f"queue-depth must be >= 1, got {self.config.queue_depth}")
-        self.port: int | None = None
-        self.started_at: float | None = None
-        self._server: asyncio.base_events.Server | None = None
         self._batcher = MicroBatcher(
             workers=self.config.workers,
             cache_dir=self.config.cache_dir,
@@ -242,21 +121,15 @@ class PartitionServer:
             plan_cache=self.config.plan_cache,
             opt_budget_s=self.config.opt_budget_s,
         )
-        self._metrics = get_registry()
-        self._flight = FlightRecorder(max(self.config.flight_capacity, 1))
-        self._admitted = 0  # unique computations queued or running
+        # self._admitted (from HttpService) counts unique computations
+        # queued or running.
         self._inflight: dict[tuple, asyncio.Task] = {}
         self._response_cache: OrderedDict[tuple, dict] = OrderedDict()
-        self._shutdown_event: asyncio.Event | None = None
-        self._draining = False
-        self._requests_served = 0
         self._ready = False
-        self._prewarm_task: asyncio.Task | None = None
-        self._exchange_task: asyncio.Task | None = None
 
     # -- lifecycle -------------------------------------------------------
-    async def start(self) -> None:
-        """Hydrate caches, spin up the pool, bind the listener."""
+    async def _setup(self) -> None:
+        """Hydrate caches and spin up the pool before the listener binds."""
         loaded = 0
         if self.config.cache_dir:
             from ..lattice.persist import load_caches
@@ -268,23 +141,13 @@ class PartitionServer:
                 self.config.cache_dir,
             )
         self._batcher.start()
-        self._shutdown_event = asyncio.Event()
-        self._server = await asyncio.start_server(
-            self._handle_connection,
-            self.config.host,
-            self.config.port,
-            limit=65536,
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
-        self.started_at = time.monotonic()
         self._metrics.gauge("serve.queue_depth_limit").set(self.config.queue_depth)
         self._metrics.gauge("serve.cache_entries_loaded").set(loaded)
-        self._prewarm_task = asyncio.create_task(self._prewarm())
+
+    def _on_listening(self) -> None:
+        self._spawn(self._prewarm())
         if self.config.cache_dir and self.config.cache_exchange_s:
-            self._exchange_task = asyncio.create_task(self._cache_exchange_loop())
-        if self.config.port_file:
-            with open(self.config.port_file, "w", encoding="utf-8") as fh:
-                fh.write(f"{self.port}\n")
+            self._spawn(self._cache_exchange_loop())
         logger.info("listening on %s:%d", self.config.host, self.port)
 
     async def _prewarm(self) -> None:
@@ -331,32 +194,8 @@ class PartitionServer:
             self._metrics.counter("serve.cache_exchange.absorbed").inc(absorbed)
             self._metrics.gauge("serve.cache_exchange.last_written").set(written)
 
-    def signal_shutdown(self) -> None:
-        """Begin graceful drain (call from within the event loop)."""
-        if self._shutdown_event is not None:
-            self._shutdown_event.set()
-
-    async def serve_until_shutdown(self) -> None:
-        assert self._shutdown_event is not None, "start() first"
-        await self._shutdown_event.wait()
-        await self.shutdown()
-
-    async def shutdown(self) -> None:
-        """Stop accepting, drain in-flight work, flush caches."""
-        if self._server is None:
-            return
-        self._draining = True
-        for task in (self._prewarm_task, self._exchange_task):
-            if task is not None and not task.done():
-                task.cancel()
-                try:
-                    await task
-                except (asyncio.CancelledError, Exception):
-                    pass
-        self._prewarm_task = self._exchange_task = None
-        self._server.close()
-        await self._server.wait_closed()
-        self._server = None
+    async def _drain(self) -> None:
+        """Drain in-flight work and flush caches once the listener is closed."""
         try:
             await asyncio.wait_for(self._batcher.drain(), timeout=self.config.drain_s)
         except asyncio.TimeoutError:
@@ -386,208 +225,35 @@ class PartitionServer:
         await asyncio.get_running_loop().run_in_executor(None, self._batcher.stop)
         logger.info("drained; %d requests served", self._requests_served)
 
-    # -- connection handling ---------------------------------------------
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            while True:
-                try:
-                    parsed = await asyncio.wait_for(_read_request(reader), timeout=60.0)
-                except asyncio.TimeoutError:
-                    break  # idle keep-alive connection
-                except (asyncio.IncompleteReadError, ConnectionError):
-                    break
-                except _HttpError as e:
-                    writer.write(
-                        _encode_response(
-                            e.status,
-                            error_payload("invalid-request", str(e)),
-                            keep_alive=False,
-                        )
-                    )
-                    await writer.drain()
-                    break
-                if parsed is None:
-                    break
-                method, path, headers, body = parsed
-                keep_alive = headers.get("connection", "keep-alive").lower() != "close"
-                status, payload, extra = await self._route(method, path, headers, body)
-                writer.write(
-                    _encode_response(
-                        status, payload, keep_alive=keep_alive, extra_headers=extra
-                    )
-                )
-                await writer.drain()
-                self._requests_served += 1
-                if not keep_alive:
-                    break
-        except ConnectionError:  # peer vanished mid-response
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except ConnectionError:  # pragma: no cover
-                pass
-
-    # -- routing ---------------------------------------------------------
-    async def _route(self, method: str, path: str, headers: dict[str, str], body: bytes):
-        """Dispatch one request; returns ``(status, payload, extra_headers)``."""
-        if path.startswith(_DEBUG_REQUEST_PREFIX):
-            endpoint = "/debug/requests/<id>"
-        else:
-            endpoint = path if path in _POST_ROUTES + _GET_ROUTES else "other"
-        self._metrics.counter("serve.requests", endpoint=endpoint).inc()
-        t0 = time.perf_counter()
-        extra: dict[str, str] = {}
-        is_compute = path in _POST_ROUTES
-        record = meta = None
-        error_code = None
-        try:
-            request_id = validate_request_id(headers.get("x-repro-request-id"))
-            if request_id is None:
-                request_id = uuid.uuid4().hex[:16]
-            extra["X-Repro-Request-Id"] = request_id
-            if is_compute:
-                record = self._flight.begin(request_id, endpoint)
-            if path in _GET_ROUTES or endpoint == "/debug/requests/<id>":
-                if method != "GET":
-                    raise ProtocolError(
-                        f"{path} only supports GET", code="method-not-allowed", status=405
-                    )
-                status, payload = 200, self._handle_get(path, headers)
-            elif is_compute:
-                if method != "POST":
-                    raise ProtocolError(
-                        f"{path} only supports POST", code="method-not-allowed", status=405
-                    )
-                status, payload, extra_c, meta = await self._handle_compute(
-                    path, body, request_id
-                )
-                extra.update(extra_c)
-            else:
-                raise ProtocolError(
-                    f"no such endpoint {path!r}", code="not-found", status=404
-                )
-        except ProtocolError as e:
-            status, payload, error_code = e.status, e.to_payload(), e.code
-            meta = getattr(e, "compute_meta", None)
-            if e.status == 429:
-                extra["Retry-After"] = "1"
-        except Exception as e:  # pragma: no cover - route safety net
-            logger.exception("unhandled error serving %s %s", method, path)
-            status = 500
-            error_code = "internal-error"
-            payload = error_payload("internal-error", f"{type(e).__name__}: {e}")
-        total_ms = (time.perf_counter() - t0) * 1000.0
-        if record is not None:
-            self._finish_flight(
-                record, status=status, cache=extra.get("X-Repro-Cache"),
-                meta=meta, total_ms=total_ms, error_code=error_code,
-            )
-        self._metrics.counter(
-            "serve.responses", endpoint=endpoint, status=str(status)
-        ).inc()
-        self._metrics.latency_histogram("serve.latency_ms", endpoint=endpoint).observe(
-            total_ms
-        )
-        return status, payload, extra
-
-    def _finish_flight(
-        self,
-        record,
-        *,
-        status: int,
-        cache: str | None,
-        meta: dict | None,
-        total_ms: float,
-        error_code: str | None,
-    ) -> None:
-        """Close a compute request's flight record, stitching its trace.
+    def _flight_details(self, record, status, cache, meta, total_ms) -> dict:
+        """Worker timings for a compute request's flight record, and its
+        stitched trace.
 
         A full trace is kept only for requests that actually ran the
         compute (cache=miss with worker meta); hits and coalesced
         followers reuse the leader's computation, so their records carry
         the latency breakdown but no duplicate span tree.
         """
-        meta = meta or {}
-        trace = None
+        details = {k: meta.get(k) for k in ("queue_ms", "compute_ms", "worker_pid")}
         if self.config.trace_requests and cache == "miss" and "spans" in meta:
-            trace = stitch_trace(
+            details["trace"] = stitch_trace(
                 record.request_id,
                 record.endpoint,
                 total_ms=total_ms,
                 status=status,
                 cache=cache,
-                queue_ms=meta.get("queue_ms"),
-                compute_ms=meta.get("compute_ms"),
-                worker_pid=meta.get("worker_pid"),
-                worker_spans=meta.get("spans"),
+                worker_spans=meta["spans"],
+                **details,
             )
-        self._flight.finish(
-            record,
-            status=status,
-            cache=cache,
-            queue_ms=meta.get("queue_ms"),
-            compute_ms=meta.get("compute_ms"),
-            total_ms=round(total_ms, 3),
-            worker_pid=meta.get("worker_pid"),
-            error_code=error_code,
-            trace=trace,
-        )
-
-    def _handle_get(self, path: str, headers: dict[str, str]):
-        if path == "/healthz":
-            return self._healthz()
-        if path == "/metrics":
-            accept = headers.get("accept", "")
-            if "text/plain" in accept or "openmetrics" in accept:
-                self._refresh_slo_gauges()
-                return _TextPayload(prometheus_text(self._metrics))
-            return self._metrics_dump()
-        if path == "/debug/requests":
-            return {
-                "schema": "repro.serve-debug-requests",
-                "version": 1,
-                "requests": self._flight.recent(50),
-                "slowest": self._flight.slowest(),
-            }
-        if path == "/debug/inflight":
-            return {
-                "schema": "repro.serve-debug-inflight",
-                "version": 1,
-                "admitted": self._admitted,
-                "inflight": self._flight.inflight(),
-            }
-        request_id = path[len(_DEBUG_REQUEST_PREFIX):]
-        found = self._flight.get(request_id)
-        if found is None:
-            raise ProtocolError(
-                f"no retained request {request_id!r} (records and traces "
-                "are bounded rings; it may have been evicted)",
-                code="not-found",
-                status=404,
-            )
-        return dict(
-            {"schema": "repro.serve-debug-request", "version": 1}, **found
-        )
+        return details
 
     async def _handle_compute(self, path: str, body: bytes, request_id: str):
         if self._draining:
             raise ProtocolError(
                 "server is draining", code="shutting-down", status=503
             )
-        try:
-            decoded = json.loads(body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as e:
-            raise ProtocolError(
-                f"request body is not valid JSON: {e}",
-                code="invalid-request",
-                status=400,
-            ) from None
-        request = validate_partition_request(
-            decoded, force_simulate=(path == "/v1/simulate")
+        request = decode_partition_request(
+            body, force_simulate=(path == "/v1/simulate")
         )
         key = request.canonical_key
 
@@ -658,9 +324,7 @@ class PartitionServer:
             "status": "draining" if self._draining else "ok",
             "ready": bool(self._ready and not self._draining),
             "version": __version__,
-            "uptime_s": round(time.monotonic() - self.started_at, 3)
-            if self.started_at is not None
-            else 0.0,
+            "uptime_s": self._uptime_s(),
             "inflight": self._admitted,
             "queue_depth": self.config.queue_depth,
             "workers": self.config.workers,
@@ -683,14 +347,17 @@ class PartitionServer:
         self._metrics.gauge("serve.slo.error_rate").set(burn["error_rate"])
         self._metrics.gauge("serve.slo.window_requests").set(burn["window_requests"])
 
-    def _metrics_dump(self) -> dict:
+    async def _metric_entries(self) -> list[dict]:
         self._refresh_slo_gauges()
+        return self._metrics.snapshot()
+
+    async def _metrics_json(self) -> dict:
         return {
             "schema": "repro.serve-metrics",
             "version": 1,
             "generated_by": f"repro {__version__}",
             "server": self._healthz(),
-            "metrics": self._metrics.snapshot(),
+            "metrics": await self._metric_entries(),
             "caches": analytic_cache_stats(),
             "slo": {
                 "p99_ms": self.config.slo_p99_ms,
@@ -703,81 +370,19 @@ class PartitionServer:
 # Embedding and CLI
 
 
-class EmbeddedServer:
-    """A :class:`PartitionServer` on a background thread.
+class EmbeddedServer(EmbeddedService):
+    """A :class:`PartitionServer` on a background thread (tests, embedding)."""
 
-    For tests and in-process embedding: ``start()`` returns once the
-    port is bound; ``stop()`` runs the full graceful drain.  Usable as a
-    context manager.
-    """
-
-    def __init__(self, config: ServeConfig | None = None, *, server=None):
-        # ``server`` lets subclasses (EmbeddedRouter) reuse the thread
-        # harness around any object with the same lifecycle protocol
-        # (start / serve_until_shutdown / signal_shutdown / port).
-        self.server = server if server is not None else PartitionServer(config)
-        self._thread: threading.Thread | None = None
-        self._started = threading.Event()
-        self._startup_error: BaseException | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
-
-    @property
-    def port(self) -> int:
-        assert self.server.port is not None, "server not started"
-        return self.server.port
-
-    def start(self) -> "EmbeddedServer":
-        self._thread = threading.Thread(
-            target=self._run, name="repro-serve", daemon=True
-        )
-        self._thread.start()
-        self._started.wait(timeout=30)
-        if self._startup_error is not None:
-            raise self._startup_error
-        if not self._started.is_set():
-            raise RuntimeError("embedded server did not start within 30s")
-        return self
-
-    def _run(self) -> None:
-        async def main() -> None:
-            try:
-                await self.server.start()
-            except BaseException as e:
-                self._startup_error = e
-                self._started.set()
-                raise
-            self._loop = asyncio.get_running_loop()
-            self._started.set()
-            await self.server.serve_until_shutdown()
-
-        try:
-            asyncio.run(main())
-        except BaseException:
-            if not self._started.is_set():  # pragma: no cover - surfaced in start()
-                self._started.set()
-
-    def stop(self) -> None:
-        if self._loop is not None and self._thread is not None and self._thread.is_alive():
-            self._loop.call_soon_threadsafe(self.server.signal_shutdown)
-        if self._thread is not None:
-            self._thread.join(timeout=60)
-
-    def __enter__(self) -> "EmbeddedServer":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
+    service_class = PartitionServer
 
 
 def build_serve_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="repro serve",
-        description="Long-lived partition-as-a-service HTTP server: "
+    p = service_parser(
+        "repro serve",
+        "Long-lived partition-as-a-service HTTP server: "
         "POST /v1/partition, POST /v1/simulate, GET /healthz, GET /metrics.",
+        port=8787,
     )
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=8787,
-                   help="TCP port (0 = ephemeral; see --port-file)")
     p.add_argument("--workers", type=int, default=1, metavar="N",
                    help="compute worker processes (>= 1)")
     p.add_argument("--queue-depth", type=int, default=64, metavar="N",
@@ -797,16 +402,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
                    help="default per-request deadline")
     p.add_argument("--drain-s", type=float, default=10.0, metavar="S",
                    help="max seconds to wait for in-flight work on shutdown")
-    p.add_argument("--port-file", default=None, metavar="PATH",
-                   help="write the bound port here once listening")
-    p.add_argument("--slo-p99-ms", type=float, default=1000.0, metavar="MS",
-                   help="latency SLO target: p99 of request latency "
-                   "(feeds the serve.slo.latency_burn gauge)")
-    p.add_argument("--slo-error-rate", type=float, default=0.01, metavar="RATE",
-                   help="error-budget SLO: allowed 5xx fraction "
-                   "(feeds the serve.slo.error_burn gauge)")
-    p.add_argument("--flight-capacity", type=int, default=512, metavar="N",
-                   help="per-request flight-recorder ring size")
     p.add_argument("--plan-cache", action="store_true",
                    help="solve the Sec 3.6 closed forms once per loop "
                    "structure and instantiate cached plans per request "
@@ -825,8 +420,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
                    help="do not ship worker span trees back per request "
                    "(/debug/requests/<id> loses stitched traces; used to "
                    "measure telemetry overhead)")
-    p.add_argument("--log-level", default=None,
-                   choices=["debug", "info", "warning", "error"])
     return p
 
 
@@ -864,27 +457,8 @@ def serve_main(argv: list[str] | None = None, *, out=None) -> int:
         cache_exchange_s=args.cache_exchange_s,
     )
 
-    async def run() -> None:
-        server = PartitionServer(config)
-        await server.start()
-        loop = asyncio.get_running_loop()
-        for sig in (signal.SIGTERM, signal.SIGINT):
-            try:
-                loop.add_signal_handler(sig, server.signal_shutdown)
-            except NotImplementedError:  # pragma: no cover - non-POSIX
-                pass
-        print(
-            f"serve: listening on http://{config.host}:{server.port} "
-            f"(workers={config.workers}, queue-depth={config.queue_depth})",
-            file=out,
-            flush=True,
-        )
-        await server.serve_until_shutdown()
-        print("serve: drained, bye", file=out, flush=True)
-
-    try:
-        asyncio.run(run())
-    except OSError as e:
-        print(f"error: cannot listen on {config.host}:{config.port}: {e}", file=out)
-        return 1
-    return 0
+    return run_service(
+        PartitionServer(config),
+        out=out,
+        banner=f"(workers={config.workers}, queue-depth={config.queue_depth})",
+    )
