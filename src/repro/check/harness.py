@@ -200,12 +200,39 @@ def _inject_flow():
         yield
 
 
+@contextmanager
+def _inject_engine():
+    """Clear one sharer bit in the fast engine's first read-only record.
+
+    The fast engine defers its read-only analytic lines as arrays; this
+    drops one processor from one such line's toucher matrix, so the
+    materialised caches and directory agree with each other (invariant
+    checks pass) but hold one copy fewer than the exact engine's.  The
+    ``engine-parity`` oracle must flag the sharer-histogram mismatch on
+    every case with a read-only shared array.
+    """
+    from ..sim.directory import Directory
+
+    orig = Directory.bulk_install_shared
+
+    def bad(self, array, line_coords, touch):
+        first = not any(r.touch is not None for r in self._deferred)
+        orig(self, array, line_coords, touch)
+        if first and self._deferred:
+            procs, lines = self._deferred[-1].touch.nonzero()
+            self._deferred[-1].touch[procs[0], lines[0]] = False
+
+    with _patched(Directory, "bulk_install_shared", bad):
+        yield
+
+
 FAULTS = {
     "spread": _inject_spread,
     "exact-count": _inject_exact_count,
     "plan": _inject_plan,
     "anneal": _inject_anneal,
     "flow": _inject_flow,
+    "engine": _inject_engine,
 }
 
 

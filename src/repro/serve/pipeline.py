@@ -27,7 +27,10 @@ changing by a byte.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
+import signal
+import sys
 import time
 
 from ..core.partitioner import LoopPartitioner
@@ -161,8 +164,17 @@ def init_worker(
     structure-keyed plan tier for every request this worker runs;
     ``opt_budget_s`` caps each parallelepiped portfolio member's wall
     time for every request this worker runs.
+
+    A forked worker inherits the server's asyncio signal setup: no-op
+    SIGTERM/SIGINT handlers and a wakeup fd into the server's event
+    loop.  In a pool worker both are reset, so the worker dies on
+    SIGTERM/SIGINT like any process, and on Linux the kernel SIGKILLs
+    the worker when the server thread that forked it goes — after a
+    SIGKILLed server nobody else would end it.  Called in-process (not
+    in a pool worker) it only sets the module state.
     """
     global _PLAN_ENABLED, _plan_stats_base, _OPT_BUDGET_S
+    _detach_from_server()
     _PLAN_ENABLED = bool(plan_cache)
     _OPT_BUDGET_S = opt_budget_s
     # Test hook: REPRO_TEST_WORKER_INIT_DELAY_S stretches worker
@@ -181,6 +193,35 @@ def init_worker(
     _shipped_footprint.update(k for k, _ in DEFAULT_FOOTPRINT_TABLE.export_entries())
     _shipped_plan.update(k for k, _ in DEFAULT_PLAN_CACHE.export_entries())
     _plan_stats_base = DEFAULT_PLAN_CACHE.export_stats()
+
+
+def _load_prctl():
+    """libc's ``prctl``, resolved before any fork, or ``None`` off Linux."""
+    if not sys.platform.startswith("linux"):
+        return None
+    try:
+        import ctypes
+
+        return ctypes.CDLL(None, use_errno=True).prctl
+    except (OSError, AttributeError):
+        return None
+
+
+_PRCTL = _load_prctl()
+_PR_SET_PDEATHSIG = 1
+
+
+def _detach_from_server() -> None:
+    parent = multiprocessing.parent_process()
+    if parent is None:
+        return
+    signal.set_wakeup_fd(-1)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_DFL)
+    if _PRCTL is not None:
+        _PRCTL(_PR_SET_PDEATHSIG, int(signal.SIGKILL))
+    if os.getppid() != parent.pid:
+        os._exit(1)  # the server died before the death signal was armed
 
 
 def prewarm_worker() -> int:

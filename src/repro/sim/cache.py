@@ -107,14 +107,25 @@ class Cache:
         # unbounded caches use a plain dict (faster lookups and updates).
         self._lines: dict = OrderedDict() if capacity is not None else {}
         self.stats = CacheStats(registry=registry, **labels)
+        # The directory driving this cache (set by it); its deferred bulk
+        # lines are materialised before any per-line query below.
+        self._directory = None
+
+    def _materialize(self) -> None:
+        d = self._directory
+        if d is not None and d._deferred:
+            d.materialize()
 
     def __len__(self) -> int:
+        self._materialize()
         return len(self._lines)
 
     def __contains__(self, addr) -> bool:
+        self._materialize()
         return addr in self._lines
 
     def state(self, addr) -> LineState | None:
+        self._materialize()
         return self._lines.get(addr)
 
     def _touch(self, addr) -> None:

@@ -41,6 +41,19 @@ class DirectoryEntry:
     owner: int | None = None
 
 
+@dataclass(slots=True)
+class _BulkRecord:
+    """One deferred bulk install: ``coords`` is the ``(N, d)`` line array;
+    a read-only record carries its ``(P, N)`` toucher matrix ``touch``, a
+    private one its sole toucher ``proc`` and whether it ends ``modified``."""
+
+    array: str
+    coords: np.ndarray
+    touch: np.ndarray | None
+    proc: int = -1
+    modified: bool = False
+
+
 class CoherenceStats:
     """Machine-wide protocol event counters.
 
@@ -100,9 +113,20 @@ class Directory:
         self._invalidated_at: dict = {}
         self._evicted_at: dict = {}
         self._ever_filled: set = set()
+        # Analytic lines the fast engine resolved in bulk, kept as arrays
+        # until a per-line view needs them (see :meth:`materialize`).
+        self._deferred: list[_BulkRecord] = []
+        self._miss_class: dict = {}
+        for c in caches:
+            c._directory = self
 
-    def _count_miss_class(self, kind: str, proc: int) -> None:
-        self.metrics.counter("sim.directory.miss_class", kind=kind, proc=proc).inc()
+    def _count_miss_class(self, kind: str, proc: int, n: int = 1) -> None:
+        counter = self._miss_class.get((kind, proc))
+        if counter is None:
+            counter = self._miss_class[(kind, proc)] = self.metrics.counter(
+                "sim.directory.miss_class", kind=kind, proc=proc
+            )
+        counter.inc(n)
 
     def _entry(self, addr) -> DirectoryEntry:
         e = self.entries.get(addr)
@@ -220,83 +244,131 @@ class Directory:
     def bulk_install(
         self, proc: int, array: str, line_coords, *, modified: bool
     ) -> None:
-        """Install lines proven private to ``proc`` (fast engine).
+        """Record lines proven private to ``proc`` (fast engine).
 
         ``line_coords`` is an ``(N, d)`` integer array of line
-        coordinates.  ``modified=True`` leaves every line in M with
+        coordinates.  ``modified=True`` means every line ends in M with
         ``proc`` as owner (the state the exact protocol ends in after the
         line's last write — a written analytic line is by construction
         private to one processor), ``False`` in S with ``proc`` the sole
-        sharer.  Event counters are *not* touched — the caller accounts
-        misses, upgrades and messages in bulk; this keeps the directory
-        entries, caches and ``_ever_filled`` consistent so
-        :meth:`check_invariants`, :meth:`sharer_histogram` and later
-        accesses see the same state the scalar path would have produced.
+        sharer.  Nothing per line is built here: the array is appended to
+        the deferred store, which :meth:`sharer_histogram` counts
+        directly and :meth:`materialize` turns into directory entries,
+        cached lines and fill history on the first per-line query.
+        Event counters are *not* touched — the caller accounts misses,
+        upgrades and messages in bulk.
         """
-        cache = self.caches[proc]
-        if cache.capacity is not None:
+        if self.caches[proc].capacity is not None:
             raise SimulationError("bulk install requires an unbounded cache")
-        addrs = [(array, tuple(row)) for row in line_coords.tolist()]
-        state = LineState.MODIFIED if modified else LineState.SHARED
-        owner = proc if modified else None
-        cache._lines.update(dict.fromkeys(addrs, state))
-        self.entries.update(
-            (a, DirectoryEntry(sharers={proc}, owner=owner)) for a in addrs
-        )
-        self._ever_filled.update(addrs)
+        if len(line_coords):
+            self._deferred.append(
+                _BulkRecord(array, line_coords, None, proc, modified)
+            )
 
     def bulk_install_shared(self, array: str, line_coords, touch) -> None:
-        """Install globally read-only lines at every toucher (fast engine).
+        """Record globally read-only lines at every toucher (fast engine).
 
         ``touch`` is a ``(P, N)`` boolean matrix: ``touch[p, i]`` marks
         processor ``p`` as having read line ``i``.  Every touched copy
-        ends in S; the directory entry records the full sharer set, no
+        ends in S; the directory entry holds the full sharer set, no
         owner — the state the exact protocol reaches for a never-written
-        line regardless of access order.  Counters are the caller's job,
-        as in :meth:`bulk_install`.
+        line regardless of access order.  Deferred like
+        :meth:`bulk_install`: the record keeps ``line_coords`` and
+        ``touch`` as they are.  Counters are the caller's job.
         """
-        addrs = [(array, tuple(row)) for row in line_coords.tolist()]
+        if any(c.capacity is not None for c in self.caches):
+            raise SimulationError("bulk install requires an unbounded cache")
+        if len(line_coords):
+            self._deferred.append(_BulkRecord(array, line_coords, touch))
+
+    def materialize(self) -> None:
+        """Build the per-line state of every deferred bulk record.
+
+        Installs each record's lines in the toucher caches, the directory
+        entries and the fill history — exactly what the scalar protocol
+        leaves behind — then empties the store.  Runs on the first use of
+        any per-line view (:meth:`Cache.state`, ``in``, ``len``,
+        :meth:`check_invariants`, :meth:`Machine.access`); the fast
+        engine's own residue replay never needs it, since residue lines
+        are disjoint from the deferred ones.
+        """
+        records, self._deferred = self._deferred, []
+        entries = self.entries
+        for rec in records:
+            addrs = [(rec.array, tuple(row)) for row in rec.coords.tolist()]
+            if rec.touch is None:
+                state = LineState.MODIFIED if rec.modified else LineState.SHARED
+                owner = rec.proc if rec.modified else None
+                self.caches[rec.proc]._lines.update(dict.fromkeys(addrs, state))
+                entries.update(
+                    (a, DirectoryEntry(sharers={rec.proc}, owner=owner))
+                    for a in addrs
+                )
+            else:
+                self._materialize_shared(addrs, rec.touch)
+            self._ever_filled.update(addrs)
+
+    def _materialize_shared(self, addrs: list, touch) -> None:
         for p, cache in enumerate(self.caches):
             sel = np.flatnonzero(touch[p])
-            if sel.size == 0:
-                continue
-            if cache.capacity is not None:
-                raise SimulationError("bulk install requires an unbounded cache")
-            cache._lines.update(
-                dict.fromkeys((addrs[i] for i in sel.tolist()), LineState.SHARED)
-            )
-        entries = self.entries
-        nprocs = touch.shape[0]
-        if nprocs <= 62:
-            # Group lines by sharer bitmask: distinct sharer *sets* are few
-            # (tile-boundary patterns), so decode each mask only once.
-            weights = np.left_shift(np.int64(1), np.arange(nprocs, dtype=np.int64))
-            masks = touch.T.astype(np.int64) @ weights
-            decoded: dict[int, list[int]] = {}
-            for addr, m in zip(addrs, masks.tolist()):
-                procs = decoded.get(m)
-                if procs is None:
-                    procs = decoded[m] = [p for p in range(nprocs) if (m >> p) & 1]
-                entries[addr] = DirectoryEntry(sharers=set(procs), owner=None)
-        else:  # pragma: no cover - machines beyond bitmask range
-            for i, addr in enumerate(addrs):
-                entries[addr] = DirectoryEntry(
-                    sharers=set(np.flatnonzero(touch[:, i]).tolist()), owner=None
+            if sel.size:
+                cache._lines.update(
+                    dict.fromkeys((addrs[i] for i in sel.tolist()), LineState.SHARED)
                 )
-        self._ever_filled.update(addrs)
+        # Distinct sharer *sets* are few (tile-boundary patterns), so
+        # decode each toucher column pattern only once.
+        patterns, inv = np.unique(touch.T, axis=0, return_inverse=True)
+        sharer_sets = [np.flatnonzero(row).tolist() for row in patterns]
+        entries = self.entries
+        for addr, g in zip(addrs, inv.reshape(-1).tolist()):
+            entries[addr] = DirectoryEntry(sharers=set(sharer_sets[g]), owner=None)
+
+    def is_empty(self) -> bool:
+        """No line state at all: no entries, deferred records, fill
+        history or cached lines (a fresh machine)."""
+        return not (
+            self.entries
+            or self._deferred
+            or self._ever_filled
+            or any(c._lines for c in self.caches)
+        )
+
+    def clear(self) -> None:
+        """Drop all line state, deferred records included; keep counters."""
+        for c in self.caches:
+            c.flush()
+        self.entries.clear()
+        self._deferred.clear()
+        self._invalidated_at.clear()
+        self._evicted_at.clear()
+        self._ever_filled.clear()
 
     # ------------------------------------------------------------------
     def sharer_histogram(self) -> dict[int, int]:
-        """Map ``k`` → number of addresses currently cached by ``k`` procs."""
+        """Map ``k`` → number of addresses currently cached by ``k`` procs.
+
+        Deferred bulk records are counted from their arrays without being
+        materialised: a private line has one holder, a read-only line as
+        many as its toucher column has set bits.
+        """
         hist: dict[int, int] = {}
         for e in self.entries.values():
             k = len(e.sharers) + (1 if e.owner is not None and e.owner not in e.sharers else 0)
             hist[k] = hist.get(k, 0) + 1
+        for rec in self._deferred:
+            if rec.touch is None:
+                hist[1] = hist.get(1, 0) + len(rec.coords)
+                continue
+            for k, n in enumerate(np.bincount(rec.touch.sum(axis=0)).tolist()):
+                if n:
+                    hist[k] = hist.get(k, 0) + n
         return hist
 
     def check_invariants(self) -> None:
         """Protocol sanity: an owned line has exactly one cached M copy and
         no other copies; sharer sets match the caches."""
+        if self._deferred:
+            self.materialize()
         for addr, e in self.entries.items():
             holders = [
                 p for p, c in enumerate(self.caches) if c.state(addr) is not None

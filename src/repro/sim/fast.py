@@ -28,6 +28,11 @@ construction) and an exact vectorised ownership count otherwise — then
 
 * resolves all analytic lines in bulk with vectorised first-touch
   accounting (optionally fanned out over a ``multiprocessing`` pool),
+* records their end state as arrays in the directory's deferred store
+  (:meth:`~repro.sim.directory.Directory.bulk_install`,
+  :meth:`~repro.sim.directory.Directory.bulk_install_shared`) — one
+  record per (processor, array) or per read-only array, no per-line
+  objects,
 * replays only the write-shared residue through the exact scalar
   protocol, in the same global interleaved order the exact engine would
   use.
@@ -35,7 +40,13 @@ construction) and an exact vectorised ownership count otherwise — then
 Analytic accesses never touch a residue line's cache or directory state
 (and unbounded caches have no capacity coupling), so removing them from
 the replayed stream leaves the residue lines' protocol histories — and
-therefore every counter — bit-identical to the exact engine.  The
+therefore every counter — bit-identical to the exact engine.  For the
+same reason the replay never reads a deferred line, so the store stays
+arrays for the whole run: the sharer histogram is counted from the
+records, and the per-line caches and directory entries are built by
+:meth:`~repro.sim.directory.Directory.materialize` only when something
+asks for them (a cache query, an invariant check, a later
+:meth:`~repro.sim.machine.Machine.access`).  The
 differential-parity suite (``tests/test_sim_parity.py``) asserts exactly
 that over all of the paper's programs.
 """
@@ -76,11 +87,7 @@ def fast_path_blockers(machine: Machine, observer=None) -> list[str]:
         blockers.append("caching disabled")
     if cfg.cache_capacity is not None:
         blockers.append(f"finite cache capacity ({cfg.cache_capacity} lines)")
-    if (
-        machine.directory.entries
-        or machine.directory._ever_filled
-        or any(len(c) for c in machine.caches)
-    ):
+    if not machine.directory.is_empty():
         blockers.append("machine not fresh (pre-existing cache/directory state)")
     return blockers
 
@@ -228,9 +235,7 @@ def _bulk_account(machine, proc, array, n_lines, first_read, upgrade_mask,
     st.read_hits += reads_total * sweeps - first_read
     st.write_hits += writes_total * sweeps - first_write - upgrades
     if n_lines:
-        machine.directory.metrics.counter(
-            "sim.directory.miss_class", kind="cold", proc=proc
-        ).inc(n_lines)
+        machine.directory._count_miss_class("cold", proc, n_lines)
     machine.directory._sharers_at_write.observe_bulk(0, int(written.sum()))
     homes = machine.address_map.homes_vector(array, coords_lines)
     events = 1 + upgrade_mask.astype(np.int64)
@@ -349,7 +354,7 @@ def execute_fast(
         # processors each is shared by (first fetch by *anyone*).
         directory.stats.cold_fills += int(bulk.sum())
 
-        # Install the analytic lines' end state.  A written bulk line is
+        # Record the analytic lines' end state.  A written bulk line is
         # private: its sole toucher ends with it in M.  A read-only bulk
         # line ends in S at every toucher.
         bulk_idx = np.flatnonzero(bulk)
@@ -396,7 +401,9 @@ def execute_fast(
         len(events),
         sum(s.coords.shape[0] for st_ in streams.values() for s in st_),
     )
-    access = machine.access
+    # ``_access``, not ``access``: residue lines are disjoint from the
+    # deferred bulk lines, so the replay never needs them materialised.
+    access = machine._access
     for _sweep in range(sweeps):
         for p, array, coords, kind in events:
             access(p, array, coords, kind)

@@ -129,22 +129,19 @@ class Machine:
         round trip in :meth:`access` — the only protocol shape a private
         line can produce.
         """
-        homes = np.asarray(homes, dtype=np.int64)
-        events = np.asarray(events, dtype=np.int64)
-        local = homes == proc
-        n_local = int(events[local].sum())
-        n_remote = int(events[~local].sum())
+        per_home = np.bincount(
+            homes, weights=events, minlength=self.p
+        ).astype(np.int64)
+        n_local = int(per_home[proc])
+        n_remote = int(per_home.sum()) - n_local
         if n_local:
             self.local_miss_count[proc] += n_local
             self.memory_cost[proc] += n_local * self.config.local_cost
         if n_remote:
             self.remote_miss_count[proc] += n_remote
             self.memory_cost[proc] += n_remote * self.config.remote_cost
-            remote_homes = homes[~local]
-            remote_events = events[~local]
-            for h in np.unique(remote_homes):
-                cnt = int(remote_events[remote_homes == h].sum())
-                self.network.send_bulk(proc, int(h), 2 * cnt)
+            per_home[proc] = 0
+            self.network.send_bulk_vector(proc, 2 * per_home)
 
     def line_of(self, array: str, coords: tuple[int, ...]) -> tuple[int, ...]:
         """Coherence-unit coordinates: last dimension divided by line size."""
@@ -159,7 +156,11 @@ class Machine:
         ``kind`` ∈ {'read', 'write', 'sync'}; sync behaves as write
         (Appendix A).  When an :attr:`observer` is attached it sees every
         access (element coordinates, pre line-grouping) after servicing.
+        Deferred bulk lines are materialised first, so an access to one
+        sees the state the scalar protocol would have left.
         """
+        if self.directory._deferred:
+            self.directory.materialize()
         hit = self._access(proc, array, coords, kind)
         if self.observer is not None:
             self.observer(proc, array, coords, kind, hit)
@@ -217,12 +218,7 @@ class Machine:
 
     def flush_caches(self) -> None:
         """Reset cache and directory content, keep counters."""
-        for c in self.caches:
-            c.flush()
-        self.directory.entries.clear()
-        self.directory._invalidated_at.clear()
-        self.directory._evicted_at.clear()
-        self.directory._ever_filled.clear()
+        self.directory.clear()
 
     def check(self) -> None:
         """Run protocol invariant checks (tests call this liberally)."""

@@ -54,8 +54,9 @@ class MeshNetwork:
         return divmod(node, self.shape[1])
 
     def distance(self, a: int, b: int) -> int:
-        ra, ca = self.coords(a)
-        rb, cb = self.coords(b)
+        w = self.shape[1]
+        ra, ca = divmod(a, w)
+        rb, cb = divmod(b, w)
         return abs(ra - rb) + abs(ca - cb)
 
     def send(self, src: int, dst: int) -> int:
@@ -65,13 +66,15 @@ class MeshNetwork:
         self.hops += d
         return d
 
-    def send_bulk(self, src: int, dst: int, count: int) -> None:
-        """Account ``count`` messages between one src/dst pair at once."""
-        if count <= 0:
-            return
-        d = self.distance(src, dst)
-        self.messages += count
-        self.hops += d * count
+    def send_bulk_vector(self, src: int, counts) -> None:
+        """Account ``counts[dst]`` messages from ``src`` to every ``dst``."""
+        counts = np.asarray(counts, dtype=np.int64)
+        w = self.shape[1]
+        rows, cols = np.divmod(np.arange(counts.shape[0]), w)
+        rs, cs = divmod(src, w)
+        dist = np.abs(rows - rs) + np.abs(cols - cs)
+        self.messages += int(counts.sum())
+        self.hops += int(counts @ dist)
 
     def reset(self) -> None:
         self.messages.reset()
@@ -109,13 +112,11 @@ class GraphNetwork:
         self.hops += d
         return d
 
-    def send_bulk(self, src: int, dst: int, count: int) -> None:
-        """Account ``count`` messages between one src/dst pair at once."""
-        if count <= 0:
-            return
-        d = self.distance(src, dst)
-        self.messages += count
-        self.hops += d * count
+    def send_bulk_vector(self, src: int, counts) -> None:
+        """Account ``counts[dst]`` messages from ``src`` to every ``dst``."""
+        counts = np.asarray(counts, dtype=np.int64)
+        self.messages += int(counts.sum())
+        self.hops += int(counts @ self._dist[src, : counts.shape[0]])
 
     def reset(self) -> None:
         self.messages.reset()

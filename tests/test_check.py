@@ -138,6 +138,18 @@ class TestFaultInjection:
         )
         assert report["failed"] >= 1
 
+    def test_engine_fault_caught(self):
+        """One sharer bit cleared in one deferred read-only record of the
+        fast engine is caught by ``engine-parity``."""
+        report = run_check(
+            cases=4,
+            seed=0,
+            fault="engine",
+            config=CheckConfig(shrink_budget=40),
+        )
+        assert report["failed"] >= 1
+        assert {f["invariant"] for f in report["failures"]} == {"engine-parity"}
+
     def test_objective_check_does_not_trust_the_shared_objective(self, monkeypatch):
         """``pepiped-objective-consistent`` recomputes every claim with a
         freshly compiled objective: a portfolio whose shared compiled

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import os
 import threading
 import time
 
@@ -254,6 +255,48 @@ class TestWorkerDeath:
                     e for e in m["metrics"] if e["name"] == "serve.worker_deaths"
                 ]
                 assert deaths and deaths[0]["value"] >= 1
+
+
+def _children(pid: int) -> list[int]:
+    out = []
+    for task in os.listdir(f"/proc/{pid}/task"):
+        with open(f"/proc/{pid}/task/{task}/children") as fh:
+            out += [int(c) for c in fh.read().split()]
+    return out
+
+
+def _running(pid: int) -> bool:
+    """Alive and not a zombie awaiting a reaper."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rpartition(")")[2].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(
+    not os.path.exists("/proc/self/task"), reason="needs Linux /proc"
+)
+def test_pool_workers_exit_after_server_sigkill():
+    """A SIGKILLed server leaves no pool worker behind."""
+    from repro.serve.loadgen import spawn_server
+
+    proc, port = spawn_server(workers=1)
+    try:
+        deadline = time.monotonic() + 60
+        with ServeClient("127.0.0.1", port) as c:
+            while not c.healthz().get("ready"):
+                assert time.monotonic() < deadline, "server never became ready"
+                time.sleep(0.1)
+        workers = _children(proc.pid)
+        assert workers, "no pool worker forked"
+    finally:
+        proc.kill()
+        proc.wait()
+    deadline = time.monotonic() + 5
+    while any(_running(pid) for pid in workers):
+        assert time.monotonic() < deadline, f"orphaned workers {workers} still run"
+        time.sleep(0.1)
 
 
 class TestDrain:

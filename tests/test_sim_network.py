@@ -80,3 +80,22 @@ class TestGraphNetwork:
         for a in range(12):
             for b in range(12):
                 assert net.distance(a, b) == mesh.distance(a, b)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: MeshNetwork(6, (2, 3)),
+        lambda: GraphNetwork(nx.cycle_graph(6)),
+    ],
+    ids=["mesh", "graph"],
+)
+def test_send_bulk_vector_matches_scalar_sends(make):
+    counts = [0, 3, 1, 0, 5, 2]
+    bulk, scalar = make(), make()
+    bulk.send_bulk_vector(4, counts)
+    for dst, n in enumerate(counts):
+        for _ in range(n):
+            scalar.send(4, dst)
+    assert int(bulk.messages) == int(scalar.messages) == sum(counts)
+    assert int(bulk.hops) == int(scalar.hops)

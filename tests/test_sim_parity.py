@@ -143,6 +143,91 @@ def test_parity_node0_address_map():
     )
 
 
+def _line_state(machine: Machine):
+    """Every cache's ``(addr, state)`` set and every directory entry's
+    ``(sharers, owner)``."""
+    caches = [
+        {(a, machine.caches[p].state(a)) for a in machine.caches[p]._lines}
+        for p in range(machine.p)
+    ]
+    entries = {
+        a: (frozenset(e.sharers), e.owner)
+        for a, e in machine.directory.entries.items()
+    }
+    return caches, entries
+
+
+class TestDeferredStore:
+    """The fast engine keeps its analytic lines as arrays (the directory's
+    deferred store) and builds per-line state only on demand."""
+
+    @pytest.mark.parametrize("name", sorted(PROGRAMS))
+    @pytest.mark.parametrize("line_size", [1, 2])
+    def test_materialized_end_state_matches_exact(self, name, line_size):
+        nest = PROGRAMS[name]()
+        tile = _half_tile(nest)
+        exact, fast = (
+            simulate_nest(
+                nest, tile, 4, engine=e, machine=_machine(4, line_size=line_size)
+            )
+            for e in ("exact", "fast")
+        )
+        d = fast.machine.directory
+        deferred = {
+            (r.array, tuple(row)) for r in d._deferred for row in r.coords.tolist()
+        }
+        # Right after the run only residue lines have per-line state.
+        assert not deferred & set(d.entries)
+        assert deferred | set(d.entries) == set(exact.machine.directory.entries)
+        d.materialize()
+        assert not d._deferred
+        assert _line_state(fast.machine) == _line_state(exact.machine)
+        fast.machine.check()
+
+    def test_access_to_bulk_line_hits(self):
+        nest = PROGRAMS["example8"]()
+        r = simulate_nest(nest, _half_tile(nest), 4, engine="fast")
+        m = r.machine
+        rec = next(x for x in m.directory._deferred if x.touch is None)
+        coords = tuple(rec.coords[0].tolist())
+        kind = "write" if rec.modified else "read"
+        assert m.access(rec.proc, rec.array, coords, kind)
+        assert not m.directory._deferred
+
+    def test_per_line_views_materialize(self):
+        nest = PROGRAMS["example8"]()
+        r = simulate_nest(nest, _half_tile(nest), 4, engine="fast")
+        assert r.machine.directory._deferred
+        assert len(r.machine.caches[0]) > 0
+        assert not r.machine.directory._deferred
+
+    def test_flush_caches_drops_records(self):
+        nest = PROGRAMS["example8"]()
+        r = simulate_nest(nest, _half_tile(nest), 4, engine="fast")
+        assert r.machine.directory._deferred
+        r.machine.flush_caches()
+        assert not r.machine.directory._deferred
+        assert r.machine.directory.sharer_histogram() == {}
+        assert all(len(c) == 0 for c in r.machine.caches)
+
+    def test_deferred_records_block_fast_path(self):
+        from repro.sim.fast import fast_path_blockers
+
+        nest = PROGRAMS["example8"]()
+        r = simulate_nest(nest, _half_tile(nest), 4, engine="fast")
+        d = r.machine.directory
+        assert d._deferred
+        # Leave the deferred records as the only line state.
+        d.entries.clear()
+        d._ever_filled.clear()
+        for c in r.machine.caches:
+            c._lines.clear()
+        assert fast_path_blockers(r.machine) == [
+            "machine not fresh (pre-existing cache/directory state)"
+        ]
+        assert d._deferred  # the check itself materialised nothing
+
+
 def test_auto_falls_back_on_finite_capacity():
     """engine='auto' must not use the fast path when evictions can occur —
     and the fallback still produces the exact engine's numbers."""
