@@ -5,7 +5,7 @@ claims for the *analytic* side of the pipeline (PR 4):
 
 * the vectorized exact lattice kernels (`union_of_boxes_size`,
   `parallelepiped_lattice_points`) are ≥ 5× faster than the scalar
-  oracles they bit-match (``REPRO_SCALAR_KERNELS=1`` paths);
+  oracles they bit-match (the ``*_scalar`` functions, called directly);
 * ``repro check`` throughput scales with ``--workers`` (recorded always;
   the ≥ 2.5× 1→4 scaling is asserted only on runners with ≥ 4 cores —
   a single-core container cannot demonstrate parallel speedup);

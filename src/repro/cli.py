@@ -4,7 +4,7 @@
 
     python -m repro program.doall -p 16 -D N=64 [--method auto]
                                   [--simulate] [--sweeps 2]
-                                  [--engine auto|fast|exact] [--workers N]
+                                  [--engine auto|fast|exact]
                                   [--cache-dir DIR] [--plan-cache]
                                   [--opt-budget SECONDS]
                                   [--pseudocode 0,1] [--data]
@@ -95,13 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="simulator execution engine: 'fast' resolves provably-private "
         "lines in bulk, 'exact' drives every access through the MSI "
         "protocol, 'auto' picks fast when its preconditions hold",
-    )
-    p.add_argument(
-        "--workers",
-        type=int,
-        metavar="N",
-        help="fan the optimizer's grid search and the fast engine's bulk "
-        "phase out over N processes",
     )
     p.add_argument(
         "--cache-dir",
@@ -243,7 +236,6 @@ def _flow_main(args, source, bindings, cache_dir, emit, tracer) -> int:
             method=args.method,
             simulate=args.simulate,
             sweeps=args.sweeps,
-            workers=args.workers or 1,
             cache=DEFAULT_LATTICE_CACHE if cache_dir else None,
             plan_cache=plan_cache,
             opt_budget_s=args.opt_budget,
@@ -350,8 +342,8 @@ def main(argv: list[str] | None = None, *, out=None) -> int:
     args = parser.parse_args(argv)
     if args.trace_sample < 1:
         parser.error(f"--trace-sample must be >= 1, got {args.trace_sample}")
-    if args.workers is not None and args.workers < 1:
-        parser.error(f"--workers must be >= 1, got {args.workers}")
+    if args.processors < 1:
+        parser.error(f"--processors must be >= 1, got {args.processors}")
     if args.opt_budget is not None and args.opt_budget <= 0:
         parser.error(f"--opt-budget must be positive, got {args.opt_budget}")
     out = out or sys.stdout
@@ -427,7 +419,6 @@ def main(argv: list[str] | None = None, *, out=None) -> int:
             from .core.plan import DEFAULT_PLAN_CACHE
         result = part.partition(
             method=args.method,
-            workers=args.workers or 1,
             cache=DEFAULT_LATTICE_CACHE if cache_dir else None,
             plan_cache=DEFAULT_PLAN_CACHE if args.plan_cache else None,
             opt_budget_s=args.opt_budget,
@@ -474,7 +465,6 @@ def main(argv: list[str] | None = None, *, out=None) -> int:
                 machine=machine,
                 observer=trace_writer,
                 engine=args.engine,
-                workers=args.workers,
             )
         except ReproError as e:
             emit(f"error: {e}")

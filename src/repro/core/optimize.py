@@ -235,80 +235,6 @@ def _candidate_tile(ints: np.ndarray, grid: tuple[int, ...]) -> RectangularTile:
     )
 
 
-def _score_grid_batch(
-    uisets: list[UISet],
-    spread_u: list,
-    kernels: list,
-    ints: np.ndarray,
-    grids: list[tuple[int, ...]],
-    scoring: str,
-    cache_entries: list,
-):
-    """Worker: score a contiguous batch of grids with a private cache.
-
-    Runs in a ``ProcessPoolExecutor`` child (must stay module-level for
-    pickling).  The private cache is warm-started from the caller's
-    exported entries; the new entries travel back so the caller can
-    absorb them — the merged parent cache ends up with the same keys
-    regardless of how the batches were split.
-    """
-    cache = LatticeCountCache()
-    cache.absorb_entries(cache_entries)
-    scores = [
-        _score_candidate(
-            uisets, spread_u, kernels, _candidate_tile(ints, grid), grid, scoring, cache
-        )
-        for grid in grids
-    ]
-    seed_keys = {k for k, _ in cache_entries}
-    fresh = [(k, v) for k, v in cache.export_entries() if k not in seed_keys]
-    return scores, fresh
-
-
-def _parallel_scores(
-    uisets: list[UISet],
-    spread_u: list,
-    kernels: list,
-    ints: np.ndarray,
-    feasible: list[tuple[int, ...]],
-    scoring: str,
-    cache: LatticeCountCache,
-    workers: int,
-) -> list[float]:
-    """Fan the candidate grids out over a process pool; order-preserving.
-
-    Contiguous batches keep cache locality (adjacent factorisations share
-    tile sides); results are concatenated in submission order, so the
-    caller's reduction sees exactly the serial candidate order.
-    """
-    from concurrent.futures import ProcessPoolExecutor
-
-    nbatches = min(workers, len(feasible))
-    bounds = [round(i * len(feasible) / nbatches) for i in range(nbatches + 1)]
-    batches = [feasible[bounds[i] : bounds[i + 1]] for i in range(nbatches)]
-    seed_entries = cache.export_entries()
-    scores: list[float] = []
-    with ProcessPoolExecutor(max_workers=nbatches) as pool:
-        futures = [
-            pool.submit(
-                _score_grid_batch,
-                uisets,
-                spread_u,
-                kernels,
-                ints,
-                batch,
-                scoring,
-                seed_entries,
-            )
-            for batch in batches
-        ]
-        for future in futures:
-            batch_scores, fresh = future.result()
-            scores.extend(batch_scores)
-            cache.absorb_entries(fresh)
-    return scores
-
-
 def _continuous_lagrange(a: np.ndarray, extents: np.ndarray, volume: float) -> np.ndarray:
     """Solve ``min Σ A_i V/s_i s.t. Π s_i = V, 1 <= s_i <= N_i``.
 
@@ -365,7 +291,6 @@ def optimize_rectangular(
     *,
     scoring: str = "theorem4",
     cache: LatticeCountCache | None = None,
-    workers: int = 1,
     plan_cache=None,
 ) -> RectOptResult:
     """Find the best rectangular tile for ``P`` processors (Examples 8-10).
@@ -389,13 +314,6 @@ def optimize_rectangular(
     processor-count sweep over one nest, where every ``P`` re-scores
     overlapping side sets.
 
-    ``workers > 1`` scores the factorisation candidates in parallel
-    batches on a ``ProcessPoolExecutor``.  Each worker gets a private
-    cache warm-started from ``cache``; new entries are merged back, and
-    the result is identical to the serial search for any worker count
-    (candidates keep their enumeration order through the deterministic
-    ``(cost, distance, grid)`` reduction).
-
     ``plan_cache`` (a :class:`repro.core.plan.PlanCache`) consults the
     structure-keyed plan tier first: a usable solved plan reproduces this
     function's answer from its stored closed forms without running the
@@ -403,16 +321,14 @@ def optimize_rectangular(
     the numeric search below runs unchanged.  Plans model the default
     ``theorem4`` scoring only.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    uisets = _as_uisets(accesses_or_sets)
-    l = space.depth
-    extents = space.extents.astype(float)
-    volume = float(space.volume) / float(processors)
     if processors < 1 or processors > space.volume:
         raise OptimizationError(
             f"cannot split {space.volume} iterations over {processors} processors"
         )
+    uisets = _as_uisets(accesses_or_sets)
+    l = space.depth
+    extents = space.extents.astype(float)
+    volume = float(space.volume) / float(processors)
     if cache is None:
         cache = LatticeCountCache()
     if plan_cache is not None and scoring == "theorem4":
@@ -467,28 +383,12 @@ def optimize_rectangular(
         for grid in factorizations(processors, l)
         if not any(p > n for p, n in zip(grid, ints))
     ]
-    with _span(
-        "optimize.rectangular.grid_search", processors=processors, workers=workers
-    ):
-        if workers == 1 or len(feasible) < 2 * workers:
-            scores = [
-                _score_candidate(
-                    uisets,
-                    spread_u,
-                    kernels,
-                    _candidate_tile(ints, grid),
-                    grid,
-                    scoring,
-                    cache,
-                )
-                for grid in feasible
-            ]
-        else:
-            scores = _parallel_scores(
-                uisets, spread_u, kernels, ints, feasible, scoring, cache, workers
-            )
-        for grid, c in zip(feasible, scores):
+    with _span("optimize.rectangular.grid_search", processors=processors):
+        for grid in feasible:
             tile = _candidate_tile(ints, grid)
+            c = _score_candidate(
+                uisets, spread_u, kernels, tile, grid, scoring, cache
+            )
             # Deterministic tie-break: prefer grids closest to the continuous
             # optimum (ratio distance), then lexicographic.
             dist = sum(
@@ -694,15 +594,11 @@ def _run_portfolio_member(
     extra_starts: int,
     budget_s: float | None,
     anneal_config,
-) -> tuple[str, np.ndarray | None, float, float]:
-    """Run one portfolio member; module-level so a process pool can pickle it.
+) -> tuple[np.ndarray | None, float, float]:
+    """Run one portfolio member under its own ``budget_s`` of wall time.
 
-    ``objective`` is the caller's compiled Theorem 2 objective; it holds
-    only numpy arrays, so it pickles into a pool child with the classes.
-    The budget travels as a *duration* (not an absolute deadline): a pool
-    child's clock starts when the task does, so each member gets at most
-    ``budget_s`` of its own wall time.  Returns
-    ``(member, matrix_or_None, objective, elapsed_s)``.
+    ``objective`` is the caller's compiled Theorem 2 objective.  Returns
+    ``(matrix_or_None, objective, elapsed_s)``.
     """
     deadline = time.monotonic() + budget_s if budget_s is not None else None
     t0 = time.perf_counter()
@@ -718,7 +614,7 @@ def _run_portfolio_member(
         )
     else:  # pragma: no cover - caller validates
         raise ValueError(f"unknown portfolio member {member!r}")
-    return member, lm, obj, time.perf_counter() - t0
+    return lm, obj, time.perf_counter() - t0
 
 
 def optimize_parallelepiped(
@@ -731,7 +627,6 @@ def optimize_parallelepiped(
     max_extents=None,
     members: tuple[str, ...] = PORTFOLIO_MEMBERS,
     budget_s: float | None = None,
-    workers: int = 1,
     anneal_config=None,
 ) -> ParallelepipedOptResult:
     """Minimise the Theorem 2 objective over hyperparallelepiped tiles.
@@ -757,10 +652,7 @@ def optimize_parallelepiped(
     ``budget_s`` caps each member's wall time (the ``--opt-budget``
     knob).  Members stop at deterministic checkpoints (between SLSQP
     starts, every few annealing steps), so a budget can truncate the
-    search — budget-less runs are bit-reproducible.  ``workers > 1``
-    fans the members out over a process pool (one task per member;
-    results are merged in the same deterministic order as the serial
-    path).
+    search — budget-less runs are bit-reproducible.
 
     ``max_extents`` bounds each entry of ``L`` (tile edges cannot exceed
     the iteration-space extents — without this, objectives like Example
@@ -776,8 +668,6 @@ def optimize_parallelepiped(
         depth = uisets[0].g.shape[0]
     l = depth
     v = float(volume)
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     unknown = [m for m in members if m not in PORTFOLIO_MEMBERS]
     if unknown:
         raise ValueError(
@@ -785,6 +675,8 @@ def optimize_parallelepiped(
         )
     if budget_s is not None and budget_s <= 0:
         raise ValueError(f"budget_s must be positive, got {budget_s}")
+    if not v > 0:
+        raise ValueError(f"volume must be positive, got {volume}")
     if max_extents is None:
         max_extents = np.full(l, 3.0 * v ** (1.0 / l))
     else:
@@ -807,35 +699,16 @@ def optimize_parallelepiped(
     diag_start = np.diag(sides)
     rect_obj = objective(diag_start.ravel())
 
-    # Run the members — in parallel (one pool task each) or serially in
-    # the declared order, each under its own wall-time budget.
+    # Run the members serially in the declared order, each under its own
+    # wall-time budget.
     ordered = [m for m in PORTFOLIO_MEMBERS if m in members]
     outcomes: dict[str, tuple[np.ndarray | None, float, float]] = {}
-    with _span(
-        "optimize.portfolio", members=len(ordered), workers=workers
-    ):
-        if workers > 1 and len(ordered) > 1:
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(max_workers=min(workers, len(ordered))) as pool:
-                futures = [
-                    pool.submit(
-                        _run_portfolio_member,
-                        m, uisets, objective, l, v, sides, max_extents,
-                        seed, extra_starts, budget_s, anneal_config,
-                    )
-                    for m in ordered
-                ]
-                for future in futures:
-                    name, lm, obj, elapsed = future.result()
-                    outcomes[name] = (lm, obj, elapsed)
-        else:
-            for m in ordered:
-                name, lm, obj, elapsed = _run_portfolio_member(
-                    m, uisets, objective, l, v, sides, max_extents,
-                    seed, extra_starts, budget_s, anneal_config,
-                )
-                outcomes[name] = (lm, obj, elapsed)
+    with _span("optimize.portfolio", members=len(ordered)):
+        for m in ordered:
+            outcomes[m] = _run_portfolio_member(
+                m, uisets, objective, l, v, sides, max_extents,
+                seed, extra_starts, budget_s, anneal_config,
+            )
 
     if "slsqp" in outcomes and outcomes["slsqp"][0] is None:
         # Graceful degradation (the pre-portfolio failure mode): a valid

@@ -136,7 +136,6 @@ class LoopPartitioner:
         *,
         method: str = "rectangular",
         scoring: str = "theorem4",
-        workers: int = 1,
         cache=None,
         plan_cache=None,
         opt_budget_s: float | None = None,
@@ -150,16 +149,14 @@ class LoopPartitioner:
         * ``'parallelepiped'`` — general Theorem 2 minimisation.
         * ``'auto'`` — run both, keep the better *exact* predicted cost.
 
-        ``workers`` parallelises the rectangular grid search
-        (:func:`optimize_rectangular`'s process pool); ``cache`` is an
-        optional shared :class:`~repro.lattice.points.LatticeCountCache`
-        for its exact enumerations (e.g. the CLI's warm-start cache);
+        ``cache`` is an optional shared
+        :class:`~repro.lattice.points.LatticeCountCache` for the grid
+        search's exact enumerations (e.g. the CLI's warm-start cache);
         ``plan_cache`` is an optional :class:`~repro.core.plan.PlanCache`
         consulted before the rectangular grid search (solved structure
         plans instantiate in O(1); inapplicable plans fall back here).
         ``opt_budget_s`` caps each parallelepiped portfolio member's
-        wall time (the ``--opt-budget`` knob; ``workers`` also fans the
-        portfolio members over the process pool).
+        wall time (the ``--opt-budget`` knob).
         """
         space = self.nest.space
         with span("partition.comm_free"):
@@ -175,7 +172,6 @@ class LoopPartitioner:
                     space,
                     self.processors,
                     scoring=scoring,
-                    workers=workers,
                     cache=cache,
                     plan_cache=plan_cache,
                 )
@@ -190,7 +186,6 @@ class LoopPartitioner:
                         depth=self.nest.depth,
                         max_extents=space.extents,
                         budget_s=opt_budget_s,
-                        workers=workers,
                     )
                 candidates.append(("parallelepiped", pe_res.tile, None))
             except (OptimizationError, SingularMatrixError) as e:

@@ -178,7 +178,6 @@ def _independent(
     processors: int,
     *,
     method: str,
-    workers: int,
     cache,
     plan_cache,
     opt_budget_s,
@@ -187,7 +186,6 @@ def _independent(
     for stmt in graph.statements:
         result = LoopPartitioner(stmt.nest, processors).partition(
             method=method,
-            workers=workers,
             cache=cache,
             plan_cache=plan_cache,
             opt_budget_s=opt_budget_s,
@@ -215,7 +213,6 @@ def partition_flow(
     *,
     strategy: str = "co",
     method: str = "rectangular",
-    workers: int = 1,
     cache=None,
     plan_cache=None,
     opt_budget_s: float | None = None,
@@ -240,7 +237,6 @@ def partition_flow(
             graph,
             processors,
             method=method,
-            workers=workers,
             cache=cache,
             plan_cache=plan_cache,
             opt_budget_s=opt_budget_s,

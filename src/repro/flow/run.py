@@ -41,7 +41,6 @@ def run_flow(
     simulate: bool = False,
     sweeps: int = 1,
     line_size: int = 1,
-    workers: int = 1,
     cache=None,
     plan_cache=None,
     opt_budget_s: float | None = None,
@@ -62,7 +61,6 @@ def run_flow(
         processors,
         strategy=strategy,
         method=method,
-        workers=workers,
         cache=cache,
         plan_cache=plan_cache,
         opt_budget_s=opt_budget_s,

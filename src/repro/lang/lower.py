@@ -50,6 +50,12 @@ def _lower_nest(node: LoopNode, bindings: dict[str, int] | None = None) -> LoopN
     def walk(n: LoopNode) -> None:
         lo = _eval_bound(n.lower, bindings, f"lower bound of {n.index}")
         hi = _eval_bound(n.upper, bindings, f"upper bound of {n.index}")
+        if hi < lo:
+            raise LoweringError(
+                f"loop {n.index} is empty: upper bound {hi} < lower {lo}",
+                n.line,
+                n.column,
+            )
         loop = Loop(n.index, lo, hi, parallel=(n.kind == "doall"))
         if n.kind == "doseq":
             if par_loops:

@@ -38,7 +38,6 @@ from .points import (
     parallelepiped_lattice_points_scalar,
     parallelogram_boundary_points,
     distinct_values_1d,
-    scalar_kernels_enabled,
     union_of_boxes_size,
     union_of_boxes_size_scalar,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "union_of_boxes_size",
     "union_of_boxes_size_scalar",
     "distinct_values_1d",
-    "scalar_kernels_enabled",
     "analytic_cache_stats",
     "FootprintTable",
     "DEFAULT_FOOTPRINT_TABLE",

@@ -24,19 +24,17 @@ Kernel variants
 ---------------
 The hot kernels (:func:`union_of_boxes_size`,
 :func:`parallelepiped_lattice_points`) each exist twice: a vectorized
-NumPy implementation (the default) and the original scalar reference
-implementation, kept as a differential oracle.  Setting
-``REPRO_SCALAR_KERNELS=1`` in the environment routes the public names to
-the scalar paths; the ``*_scalar`` functions are also callable directly.
-Both variants are exact — ``tests/test_kernels_vectorized.py`` asserts
-they bit-match on fuzzed inputs.
+NumPy implementation (the public name) and the original scalar reference
+implementation, kept as a differential oracle and callable directly as
+the ``*_scalar`` function.  Both variants are exact —
+``tests/test_kernels_vectorized.py`` asserts they bit-match on fuzzed
+inputs.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import os
 import threading
 from fractions import Fraction
 
@@ -64,7 +62,6 @@ __all__ = [
     "union_of_boxes_size",
     "union_of_boxes_size_scalar",
     "distinct_values_1d",
-    "scalar_kernels_enabled",
     "analytic_cache_stats",
     "FootprintTable",
     "DEFAULT_FOOTPRINT_TABLE",
@@ -79,11 +76,6 @@ __all__ = [
 PARALLELEPIPED_ENUM_CAP = 50_000_000
 _PARALLELEPIPED_SCALAR_CAP = 5_000_000
 _MEMBERSHIP_CHUNK = 1 << 18
-
-
-def scalar_kernels_enabled() -> bool:
-    """True when ``REPRO_SCALAR_KERNELS`` selects the scalar oracle paths."""
-    return os.environ.get("REPRO_SCALAR_KERNELS", "") not in ("", "0")
 
 
 def enumerate_footprint(g, lo, hi, offset=None) -> np.ndarray:
@@ -151,12 +143,9 @@ def parallelepiped_lattice_points(q) -> int:
     ``Q`` is ``(m, n)`` with rows the edge vectors (Definition 7).  Uses
     Pick's theorem for ``2×2`` inputs; the general case streams the
     bounding box in bounded-memory chunks through an exact-integer
-    membership test (:class:`_ExactMembership`).  With
-    ``REPRO_SCALAR_KERNELS=1`` the original scalar/float oracle runs
-    instead (:func:`parallelepiped_lattice_points_scalar`).
+    membership test (:class:`_ExactMembership`).  The original
+    scalar/float oracle is :func:`parallelepiped_lattice_points_scalar`.
     """
-    if scalar_kernels_enabled():
-        return parallelepiped_lattice_points_scalar(q)
     q = as_int_matrix(q, name="Q")
     m, n = q.shape
     if m == 2 and n == 2:
@@ -407,16 +396,13 @@ def union_of_boxes_size(offsets, extents) -> int:
     boolean coverage mask over the cell grid is built as the OR over boxes
     of per-axis interval-mask outer products, and the covered cells'
     exact volumes (Python-int arithmetic, overflow-free) are summed.
-    With ``REPRO_SCALAR_KERNELS=1`` the original per-cell Python loop
-    (:func:`union_of_boxes_size_scalar`) runs instead.
+    The original per-cell Python loop is :func:`union_of_boxes_size_scalar`.
 
     This yields the *exact* cumulative footprint of a rectangular tile for
     a uniformly intersecting class once offsets are expressed in lattice
     coordinates ``u_r = a_r · G⁻¹`` (cf. Theorem 4, which approximates the
     same quantity from the spread vector alone).
     """
-    if scalar_kernels_enabled():
-        return union_of_boxes_size_scalar(offsets, extents)
     offsets = as_int_matrix(np.atleast_2d(offsets), name="offsets")
     extents = as_int_vector(extents, name="extents")
     r, l = offsets.shape

@@ -160,7 +160,6 @@ def simulate_nest(
     cache_enabled: bool = True,
     observer=None,
     engine: str = "auto",
-    workers: int | None = None,
 ) -> SimulationResult:
     """Run ``sweeps`` executions of the nest under the given partition.
 
@@ -179,13 +178,10 @@ def simulate_nest(
     magnitude faster on private-heavy programs; ``'auto'`` (default)
     uses the fast engine whenever its preconditions hold (fresh
     infinite-cache coherent machine, no observer) and falls back to
-    exact otherwise.  ``workers`` optionally fans the fast engine's bulk
-    phase out over a process pool.
+    exact otherwise.
     """
     if engine not in ("auto", "fast", "exact"):
         raise SimulationError(f"unknown engine {engine!r}")
-    if workers is not None and workers < 1:
-        raise SimulationError(f"workers must be >= 1, got {workers}")
     if sweeps == 1 and nest.has_sequential_wrapper:
         sweeps = 1
         for l in nest.sequential_loops:
@@ -253,7 +249,6 @@ def simulate_nest(
                 sweeps=sweeps,
                 interleave=interleave,
                 check_invariants=check_invariants,
-                workers=workers,
             )
         else:
             _execute_exact(

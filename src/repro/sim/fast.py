@@ -27,7 +27,7 @@ machinery with no nonzero solution, so every line is private by
 construction) and an exact vectorised ownership count otherwise — then
 
 * resolves all analytic lines in bulk with vectorised first-touch
-  accounting (optionally fanned out over a ``multiprocessing`` pool),
+  accounting,
 * records their end state as arrays in the directory's deferred store
   (:meth:`~repro.sim.directory.Directory.bulk_install`,
   :meth:`~repro.sim.directory.Directory.bulk_install_shared`) — one
@@ -183,8 +183,7 @@ def _private_line_summary(ids, wr, order):
     Returns ``(line_ids, first_is_write, has_write)`` — the unique line
     ids (ascending), whether each line's earliest access (by ``order``)
     is write-like, and whether the line is ever written by this
-    processor.  Pure numpy on plain arrays so it can run in a
-    ``multiprocessing`` worker.
+    processor.
     """
     perm = np.lexsort((order, ids))
     sid = ids[perm]
@@ -196,20 +195,6 @@ def _private_line_summary(ids, wr, order):
     group_idx = np.cumsum(new_group) - 1
     writes_per_line = np.bincount(group_idx, weights=swr)
     return line_ids, first_wr, writes_per_line > 0
-
-
-def _run_summaries(payloads, workers):
-    """Run :func:`_private_line_summary` over payloads, optionally in a
-    process pool.  Results keep payload order either way (determinism)."""
-    if workers and workers > 1 and len(payloads) > 1:
-        import multiprocessing as mp
-
-        try:
-            with mp.get_context().Pool(min(workers, len(payloads))) as pool:
-                return pool.starmap(_private_line_summary, payloads)
-        except (OSError, ValueError) as e:  # pragma: no cover - env-specific
-            logger.warning("multiprocessing fan-out unavailable (%s); serial", e)
-    return [_private_line_summary(*p) for p in payloads]
 
 
 # ----------------------------------------------------------------------
@@ -250,7 +235,6 @@ def execute_fast(
     sweeps: int,
     interleave: str,
     check_invariants: bool = False,
-    workers: int | None = None,
 ) -> None:
     """Run the batched engine; mutates ``machine`` exactly as the scalar
     loop would (see module docstring for the argument why)."""
@@ -262,10 +246,9 @@ def execute_fast(
     analytic = _analytically_private_arrays(nest, line_size)
     directory = machine.directory
 
-    # Per-(proc, array) bulk aggregation inputs and the write-shared
-    # residue, built array by array.
-    payloads: list[tuple] = []
-    payload_meta: list[tuple] = []
+    # Per-(proc, array) first-touch digests of the bulk lines and the
+    # write-shared residue, built array by array.
+    summaries: list[tuple] = []
     residue: list[tuple] = []
 
     for array in arrays:
@@ -342,12 +325,12 @@ def execute_fast(
                     for it, coord in zip(rows.tolist(), elem.tolist()):
                         residue.append((it, p, r, array, tuple(coord), kind))
             if ids_parts:
-                ids_pa = np.concatenate(ids_parts)
                 wr_pa = np.concatenate(wr_parts)
-                order_pa = np.concatenate(order_parts)
-                payloads.append((ids_pa, wr_pa, order_pa))
-                payload_meta.append(
-                    (p, array, uniq_lines, int((~wr_pa).sum()), int(wr_pa.sum()))
+                summary = _private_line_summary(
+                    np.concatenate(ids_parts), wr_pa, np.concatenate(order_parts)
+                )
+                summaries.append(
+                    (p, array, uniq_lines, int((~wr_pa).sum()), int(wr_pa.sum()), summary)
                 )
 
         # Machine-wide cold fills: one per bulk line, however many
@@ -371,12 +354,8 @@ def execute_fast(
                 directory.bulk_install_shared(array, rows_bulk[ro], tb[:, ro])
 
     # ---- bulk phase: vectorised first-touch accounting ----------------
-    summaries = _run_summaries(payloads, workers)
-    for (p, array, uniq_lines, reads_total, writes_total), (
-        line_ids,
-        first_wr,
-        has_write,
-    ) in zip(payload_meta, summaries):
+    for p, array, uniq_lines, reads_total, writes_total, summary in summaries:
+        line_ids, first_wr, has_write = summary
         n_lines = int(line_ids.shape[0])
         _bulk_account(
             machine, p, array,

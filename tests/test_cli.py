@@ -67,14 +67,6 @@ class TestCLI:
         assert code == 1
         assert "engine='fast'" in out
 
-    def test_workers_flag(self, ex8_file):
-        code, out = run_cli(
-            [ex8_file, "-p", "8", "-D", "N=12", "--simulate",
-             "--engine", "fast", "--workers", "2"]
-        )
-        assert code == 0
-        assert "mean misses/processor" in out
-
     def test_pseudocode(self, ex8_file):
         code, out = run_cli(
             [ex8_file, "-p", "8", "-D", "N=12", "--pseudocode", "0"]
@@ -207,16 +199,38 @@ class TestObservabilityFlags:
         assert "sim.execute" in out
 
 
-class TestWorkersFlag:
-    def test_rejects_zero_workers(self, ex8_file):
-        with pytest.raises(SystemExit) as exc:
-            run_cli([ex8_file, "-D", "N=12", "--simulate", "--workers", "0"])
-        assert exc.value.code == 2
+def test_partition_run_rejects_workers_flag(ex8_file, capsys):
+    """A partition run is serial; only ``check``/``serve`` take --workers."""
+    with pytest.raises(SystemExit) as exc:
+        run_cli([ex8_file, "-D", "N=12", "--simulate", "--workers", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --workers" in capsys.readouterr().err
 
-    def test_rejects_negative_workers(self, ex8_file):
+
+class TestBadInputs:
+    """Bad sizes are usage or input errors, never raw tracebacks."""
+
+    @pytest.fixture(params=["nest", "flow"])
+    def program_args(self, request, ex8_file, tmp_path):
+        if request.param == "nest":
+            return [ex8_file]
+        f = tmp_path / "pipe.flow"
+        f.write_text(FLOW_SRC)
+        return [str(f), "--flow"]
+
+    @pytest.mark.parametrize("p", ["0", "-3"])
+    def test_nonpositive_processors_rejected(self, program_args, capsys, p):
         with pytest.raises(SystemExit) as exc:
-            run_cli([ex8_file, "-D", "N=12", "--simulate", "--workers", "-2"])
+            run_cli(program_args + ["-p", p, "-D", "N=12"])
         assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--processors must be >= 1" in err
+        assert "Traceback" not in err
+
+    def test_empty_loop_is_typed_error(self, program_args):
+        code, out = run_cli(program_args + ["-p", "4", "-D", "N=-1"])
+        assert code == 1
+        assert out.startswith("error: loop i is empty: upper bound -1 < lower ")
 
 
 class TestErrorPaths:

@@ -3,7 +3,7 @@
 The vectorized fast paths of :mod:`repro.lattice.points`
 (`union_of_boxes_size`, `parallelepiped_lattice_points`, `_corner_points`)
 must *bit-match* the original scalar implementations, which are kept as
-oracles behind ``REPRO_SCALAR_KERNELS=1``.  Inputs are drawn from the
+``*_scalar`` oracles.  Inputs are drawn from the
 same seeded generator that drives ``repro check``
 (:mod:`repro.check.generator`), so the distribution matches what the
 pipeline actually feeds the kernels, plus pinned regressions on the
@@ -22,7 +22,6 @@ from repro.lattice.points import (
     _corner_points_scalar,
     parallelepiped_lattice_points,
     parallelepiped_lattice_points_scalar,
-    scalar_kernels_enabled,
     union_of_boxes_size,
     union_of_boxes_size_scalar,
 )
@@ -116,25 +115,6 @@ class TestParallelepipedDifferential:
             n = int(rng.integers(1, 5))
             q = rng.integers(-7, 8, size=(m, n)).astype(np.int64)
             assert np.array_equal(_corner_points(q), _corner_points_scalar(q))
-
-
-class TestScalarKernelSwitch:
-    def test_env_flag_routes_to_oracle(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCALAR_KERNELS", "1")
-        assert scalar_kernels_enabled()
-        # Same answers either way on a nontrivial input.
-        offsets = np.array([[0, 0], [2, 3], [-1, 1]], dtype=np.int64)
-        extents = np.array([4, 5], dtype=np.int64)
-        forced = union_of_boxes_size(offsets, extents)
-        monkeypatch.setenv("REPRO_SCALAR_KERNELS", "0")
-        assert not scalar_kernels_enabled()
-        assert union_of_boxes_size(offsets, extents) == forced
-
-    def test_blank_and_zero_disable(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCALAR_KERNELS", "")
-        assert not scalar_kernels_enabled()
-        monkeypatch.delenv("REPRO_SCALAR_KERNELS", raising=False)
-        assert not scalar_kernels_enabled()
 
 
 class TestPaperRegressions:

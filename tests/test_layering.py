@@ -1,0 +1,58 @@
+"""One level of parallelism: only ``serve/`` and ``check/`` hold process pools.
+
+The partitioner is a compile-time pass run once per loop nest; the
+service and the self-check parallelise across requests and cases.  A
+single request (optimizer, simulator, flow pipeline, lattice kernels,
+frontend, code generator) runs serially, so none of those packages may
+import a process or thread pool module.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import repro
+
+SERIAL_PACKAGES = ("core", "sim", "flow", "lattice", "lang", "codegen")
+POOL_MODULES = ("multiprocessing", "concurrent.futures")
+
+
+def _imported_modules(tree: ast.AST) -> set[str]:
+    names: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            names.add(node.module)
+            names.update(f"{node.module}.{alias.name}" for alias in node.names)
+    return names
+
+
+def _is_pool_module(name: str) -> bool:
+    return any(name == m or name.startswith(m + ".") for m in POOL_MODULES)
+
+
+def _serial_modules() -> list[Path]:
+    root = Path(repro.__file__).parent
+    return sorted(
+        path for pkg in SERIAL_PACKAGES for path in (root / pkg).rglob("*.py")
+    )
+
+
+def test_serial_packages_exist():
+    root = Path(repro.__file__).parent
+    for pkg in SERIAL_PACKAGES:
+        assert (root / pkg / "__init__.py").is_file(), pkg
+
+
+@pytest.mark.parametrize(
+    "path", _serial_modules(), ids=lambda p: f"{p.parent.name}/{p.name}"
+)
+def test_no_pool_imports(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    offending = sorted(n for n in _imported_modules(tree) if _is_pool_module(n))
+    assert not offending, f"{path.name} imports {offending}"
+

@@ -102,6 +102,12 @@ class TestOptimizeRectangular:
         with pytest.raises(OptimizationError):
             optimize_rectangular(sets, example2_nest.space, 10**6)
 
+    @pytest.mark.parametrize("processors", [0, -2])
+    def test_nonpositive_processors_typed(self, example2_nest, processors):
+        sets = partition_references(example2_nest.accesses)
+        with pytest.raises(OptimizationError, match="cannot split"):
+            optimize_rectangular(sets, example2_nest.space, processors)
+
     def test_exact_scoring(self, example2_nest):
         sets = partition_references(example2_nest.accesses)
         res = optimize_rectangular(sets, example2_nest.space, 100, scoring="exact")
@@ -360,14 +366,6 @@ class TestPortfolio:
         assert a.objective == b.objective
         assert a.winner == b.winner
 
-    def test_workers_fanout_matches_serial(self):
-        sets = self._stencil_sets()
-        serial = optimize_parallelepiped(sets, volume=16.0, workers=1)
-        fanned = optimize_parallelepiped(sets, volume=16.0, workers=2)
-        assert np.array_equal(serial.l_matrix, fanned.l_matrix)
-        assert serial.objective == fanned.objective
-        assert serial.winner == fanned.winner
-
     def test_budget_still_returns_feasible_tile(self):
         # A microscopic budget truncates both members at their first
         # checkpoint; the rectangular baseline keeps the result feasible.
@@ -383,11 +381,18 @@ class TestPortfolio:
                 self._stencil_sets(), volume=16.0, members=("slsqp", "genetic")
             )
 
-    def test_rejects_bad_budget_and_workers(self):
+    def test_rejects_bad_budget(self):
         with pytest.raises(ValueError, match="budget_s"):
             optimize_parallelepiped(self._stencil_sets(), volume=16.0, budget_s=0.0)
-        with pytest.raises(ValueError, match="workers"):
-            optimize_parallelepiped(self._stencil_sets(), volume=16.0, workers=0)
+
+    @pytest.mark.parametrize("volume", [0.0, -4.0])
+    def test_rejects_nonpositive_volume_up_front(self, volume):
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="volume must be positive"):
+                optimize_parallelepiped(self._stencil_sets(), volume=volume)
 
     def test_winner_metrics_counted(self):
         from repro.obs.metrics import get_registry

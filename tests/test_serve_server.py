@@ -123,6 +123,14 @@ class TestEndpoints:
         assert exc.value.code == "pipeline-error"
         assert "N" in str(exc.value)  # unbound symbol named
 
+    def test_empty_loop_is_pipeline_error(self, client):
+        with pytest.raises(ServeError) as exc:
+            client.partition(
+                "Doall (i, 1, N)\n  A[i] = B[i]\nEndDoall\n", 4, bindings={"N": 0}
+            )
+        assert exc.value.status == 422
+        assert exc.value.code == "pipeline-error"
+
     def test_413_oversized_body(self, server):
         import socket
 
@@ -355,3 +363,21 @@ class TestFlowFamilies:
         assert plan["misses"] == 2, plan
         assert plan["hits"] >= plan["misses"], plan
         assert plan["fallbacks"] == 0, plan
+
+
+@pytest.mark.parametrize("program,source", [
+    ("doall", "Doall (i, 1, N)\n  A[i] = B[i]\nEndDoall\n"),
+    ("flow", "Doall (i, 1, N)\n  T[i] = A[i]\nEndDoall\n"
+             "Doall (i, 1, N)\n  B[i] = T[i]\nEndDoall\n"),
+], ids=["doall", "flow"])
+def test_execute_request_empty_loop_is_pipeline_error(program, source):
+    from repro.serve.pipeline import execute_request
+    from repro.serve.protocol import PartitionRequest, ProtocolError
+
+    request = PartitionRequest(
+        source=source, processors=4, bindings=(("N", 0),), program=program
+    )
+    with pytest.raises(ProtocolError) as exc:
+        execute_request(request)
+    assert exc.value.code == "pipeline-error"
+    assert "upper bound 0 < lower 1" in str(exc.value)

@@ -305,15 +305,6 @@ class TestFastEngineErrors:
             simulate_nest(nest, _half_tile(nest), 4, engine="warp")
 
 
-def test_workers_fan_out_matches_serial():
-    """The multiprocessing bulk phase must not change any counter."""
-    nest = PROGRAMS["example8"]()
-    tile = _half_tile(nest)
-    serial = simulate_nest(nest, tile, 4, engine="fast")
-    fanned = simulate_nest(nest, tile, 4, engine="fast", workers=2)
-    assert fanned == serial
-
-
 def test_fast_supports_empty_processors():
     """More processors than tiles: some streams are empty."""
     nest = PROGRAMS["example3"]()
@@ -389,17 +380,3 @@ class TestEngineObservability:
         assert fast.engine != exact.engine
         assert fast == exact
 
-
-class TestWorkersValidation:
-    @pytest.mark.parametrize("workers", [0, -1])
-    def test_rejects_nonpositive_workers(self, workers):
-        nest = PROGRAMS["example8"]()
-        with pytest.raises(SimulationError, match="workers must be >= 1"):
-            simulate_nest(nest, _half_tile(nest), 4, workers=workers)
-
-    def test_workers_one_allowed(self):
-        nest = PROGRAMS["example8"]()
-        tile = _half_tile(nest)
-        assert simulate_nest(nest, tile, 4, workers=1) == simulate_nest(
-            nest, tile, 4
-        )

@@ -8,7 +8,6 @@ from repro.check.generator import generate_case
 from repro.core.affine import AffineRef
 from repro.core.classify import partition_references
 from repro.core.cumulative import Theorem2Objective, _reduced
-from repro.core.optimize import optimize_parallelepiped
 from repro.exceptions import SingularMatrixError
 
 CORPUS = "tests/data/check_corpus.json"
@@ -93,13 +92,3 @@ def test_rank_deficient_class_raises_at_construction():
 def test_no_classes_scores_zero():
     assert Theorem2Objective([], 2)(np.eye(2).ravel()) == 0.0
 
-
-def test_pool_members_match_serial_on_example3(example3_nest):
-    sets = partition_references(example3_nest.accesses)
-    volume = example3_nest.space.volume / 4
-    extents = example3_nest.space.extents
-    serial = optimize_parallelepiped(sets, volume, max_extents=extents, workers=1)
-    pooled = optimize_parallelepiped(sets, volume, max_extents=extents, workers=2)
-    assert np.array_equal(pooled.l_matrix, serial.l_matrix)
-    assert pooled.objective == serial.objective
-    assert pooled.winner == serial.winner
