@@ -25,7 +25,7 @@ from ..core import cost as _cost
 from ..core import cumulative as _cum
 from ..core import optimize as _opt
 from ..core import plan as _plan
-from ..core.classify import partition_references
+from ..core.classify import UISet, partition_references
 from ..core.optimize import optimize_parallelepiped
 from ..core.partitioner import LoopPartitioner
 from ..exceptions import OptimizationError, ReproError, SingularMatrixError
@@ -82,24 +82,27 @@ def _patched(module, name, fn):
 def _inject_spread():
     """Scale spread coefficients down: Theorem-4 costs undercount.
 
-    The plan solver's binding is patched too, so the plan-vs-numeric
-    oracle stays green (the plan *intentionally* replicates the numeric
-    formula — a consistent fault must be caught by the independent
-    exact-lattice oracle, not by self-comparison).  The shared plan
-    cache is cleared on both sides so faulted payloads never leak into
-    or out of the faulted region.
+    Every reader takes ``u`` from :attr:`UISet.u`, so one binding is
+    patched: for the duration, ``UISet.u`` is a property returning 0.25×
+    the real value.  A data descriptor outranks the value an instance
+    has cached, and the faulted value is never stored, so each class
+    reads its real ``u`` again after exit.  The plan solver reads the
+    same binding, so the plan-vs-numeric oracle stays green (the plan
+    *intentionally* replicates the numeric formula — a consistent fault
+    must be caught by the independent exact-lattice oracle, not by
+    self-comparison).  The shared plan cache is cleared on both sides so
+    faulted payloads never leak into or out of the faulted region.
     """
-    orig = _cum.spread_coefficients
+    real = UISet.__dict__["u"]
 
     def bad(uiset):
-        return orig(uiset) * 0.25
+        u = real.__get__(uiset, UISet)
+        return None if u is None else u * 0.25
 
     _plan.DEFAULT_PLAN_CACHE.clear()
     try:
-        with _patched(_cum, "spread_coefficients", bad):
-            with _patched(_opt, "spread_coefficients", bad):
-                with _patched(_plan, "spread_coefficients", bad):
-                    yield
+        with _patched(UISet, "u", property(bad)):
+            yield
     finally:
         _plan.DEFAULT_PLAN_CACHE.clear()
 

@@ -155,15 +155,10 @@ def subdivide_for_cache(uisets_or_accesses, tile: RectangularTile, capacity: int
     Returns the sub-tile; raises :class:`PartitionError` if even a 1-size
     tile does not fit (capacity smaller than one iteration's data).
     """
-    from ..core.classify import UISet, partition_references
+    from ..core.classify import as_uisets
     from ..core.cumulative import cumulative_footprint_size_exact
 
-    items = list(uisets_or_accesses)
-    sets = (
-        items
-        if items and isinstance(items[0], UISet)
-        else partition_references(items)
-    )
+    sets = as_uisets(uisets_or_accesses)
     if capacity < 1:
         raise PartitionError(f"cache capacity must be >= 1, got {capacity}")
     orig = [int(s) for s in tile.sides]

@@ -9,15 +9,22 @@
   partitioned into maximal classes of uniformly intersecting references
   (:func:`partition_references`); footprints of distinct classes overlap
   little or not at all, so their traffic adds (Section 3.5).
+
+A :class:`UISet` also owns the facts that depend only on its ``G`` and
+offsets, never on a tile: the column reduction ``G′`` (Section 3.4.1),
+Theorem 4's spread coefficients ``u``, the integer kernel of ``G`` and
+the data-sharing directions.  Each is computed on first use and kept.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
-from ..lattice.snf import solve_integer
+from .._util import exact_solve, int_rank
+from ..lattice.snf import integer_kernel_basis, solve_integer
 from .affine import AccessKind, AffineRef, ArrayAccess
 from .spread import spread_vector
 
@@ -27,6 +34,7 @@ __all__ = [
     "uniformly_intersecting",
     "UISet",
     "partition_references",
+    "as_uisets",
 ]
 
 
@@ -77,6 +85,36 @@ def uniformly_intersecting(r: AffineRef, s: AffineRef) -> bool:
     return solve_integer(r.g, s.offset - r.offset) is not None
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+class _cached:
+    """A per-instance attribute computed on first read and kept.
+
+    Like :class:`functools.cached_property`, but without its class-wide
+    lock (Python < 3.12): a process forked while another thread holds
+    that lock — a serve worker pool starting up — deadlocks on its
+    first read.  Two threads racing here compute the same value twice.
+    """
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        cache = instance.__dict__
+        if self.name not in cache:
+            cache[self.name] = self.func(instance)
+        return cache[self.name]
+
+
 @dataclass(frozen=True)
 class UISet:
     """A maximal class of uniformly intersecting references.
@@ -85,6 +123,10 @@ class UISet:
     ----------
     accesses:
         The member accesses (reference + read/write kind).
+
+    The geometry members (:attr:`reduced`, :attr:`u`, :attr:`kernel`,
+    :attr:`sharing`) are computed on first read, kept on the instance and
+    returned as read-only arrays shared by every caller.
     """
 
     accesses: tuple[ArrayAccess, ...]
@@ -128,6 +170,62 @@ class UISet:
         order = np.lexsort(self.offsets.T[::-1])
         return self.refs[int(order[0])]
 
+    @_cached
+    def reduced(self) -> tuple[np.ndarray, np.ndarray]:
+        """Column-reduce the class: shared ``G′`` plus per-member offsets.
+
+        Zero columns are dropped first (Example 1), then a maximal
+        independent column set is kept (Section 3.4.1).  Within a
+        uniformly intersecting class this preserves footprint sizes and
+        overlaps exactly (see :meth:`AffineRef.reduce_columns`).
+        """
+        g = self.g
+        nonzero = [c for c in range(g.shape[1]) if g[:, c].any()]
+        sub = self.base_ref().drop_zero_columns().reduced_columns()
+        keep = [nonzero[c] for c in sub]
+        return _frozen(g[:, keep]), _frozen(self.offsets[:, keep])
+
+    @_cached
+    def u(self) -> np.ndarray | None:
+        """The ``u`` of Theorems 3-4: ``â = Σ u_i g_i`` (absolute values).
+
+        Solved exactly over the rationals on the column-reduced ``G′``;
+        the result is float (Theorem 4 is an approximation anyway and
+        Example 10 shows non-unimodular ``G`` with integral ``u``;
+        fractional ``u`` just means the extreme offsets do not lie on the
+        footprint lattice and the dilation is fractional).  ``None`` when
+        ``G′`` has dependent rows: the class has no Theorem-4 form.
+        """
+        g, offsets = self.reduced
+        if int_rank(g) < g.shape[0]:
+            return None
+        sol = exact_solve(g, offsets.max(axis=0) - offsets.min(axis=0))
+        if sol is None:  # pragma: no cover - â lies in the row space by construction
+            return None
+        return _frozen(np.abs(np.array([float(c) for c in sol])))
+
+    @_cached
+    def kernel(self) -> np.ndarray:
+        """Integer kernel basis of ``G`` (rows): the self-reuse directions."""
+        return _frozen(integer_kernel_basis(self.g))
+
+    @_cached
+    def sharing(self) -> np.ndarray:
+        """Iteration-space directions along which this class shares data.
+
+        The rows of :attr:`kernel` plus one nonzero particular solution
+        ``x0`` of ``x0·G = a_s − a_r`` per member pair.
+        """
+        rows = list(self.kernel)
+        offs = self.offsets
+        for r, s in combinations(range(self.size), 2):
+            x0 = solve_integer(self.g, offs[s] - offs[r])
+            if x0 is not None and np.any(x0):
+                rows.append(x0)
+        if not rows:
+            return _frozen(np.empty((0, self.g.shape[0]), dtype=np.int64))
+        return _frozen(np.vstack(rows))
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return "UISet{" + ", ".join(repr(a.ref) for a in self.accesses) + "}"
 
@@ -170,3 +268,11 @@ def partition_references(
         if not placed:
             classes.append([acc])
     return [UISet(tuple(cls)) for cls in classes]
+
+
+def as_uisets(accesses_or_sets) -> list[UISet]:
+    """A list of :class:`UISet` as given, or raw accesses classified."""
+    items = list(accesses_or_sets)
+    if items and isinstance(items[0], UISet):
+        return items
+    return partition_references(items)

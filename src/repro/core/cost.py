@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .classify import UISet, partition_references
+from .classify import UISet, as_uisets
 from .cumulative import (
     cumulative_footprint_rect,
     cumulative_footprint_size,
@@ -111,13 +111,9 @@ def estimate_traffic(
     (determinant approximation).
     """
     if isinstance(nest_or_sets, LoopNest):
-        sets = partition_references(nest_or_sets.accesses)
-    else:
-        sets = list(nest_or_sets)
-        if sets and not isinstance(sets[0], UISet):
-            sets = partition_references(sets)
+        nest_or_sets = nest_or_sets.accesses
     classes = []
-    for s in sets:
+    for s in as_uisets(nest_or_sets):
         fp = _class_footprint(s, tile, method)
         single = float(footprint_size(s.base_ref(), tile))
         classes.append(ClassTraffic(uiset=s, footprint=fp, single_footprint=single))

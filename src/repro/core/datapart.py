@@ -34,7 +34,7 @@ import numpy as np
 
 from .._util import exact_solve, int_rank
 from ..exceptions import OptimizationError, SingularMatrixError
-from .classify import UISet, partition_references
+from .classify import UISet, as_uisets
 from .loopnest import IterationSpace
 from .optimize import RectOptResult, _continuous_lagrange, factorizations
 from .spread import cumulative_spread_vector
@@ -48,26 +48,13 @@ __all__ = [
 ]
 
 
-def _as_uisets(accesses_or_sets) -> list[UISet]:
-    items = list(accesses_or_sets)
-    if items and isinstance(items[0], UISet):
-        return items
-    return partition_references(items)
-
-
-def _reduced_offsets(uiset: UISet):
-    from .cumulative import _reduced
-
-    return _reduced(uiset)
-
-
 def data_spread_coefficients(uiset: UISet) -> np.ndarray:
     """``u⁺`` with ``a⁺ = u⁺·G′`` (absolute values), cf. Theorem 4.
 
     Same mechanics as :func:`repro.core.cumulative.spread_coefficients`
     but fed the cumulative spread instead of the max−min spread.
     """
-    g, offsets = _reduced_offsets(uiset)
+    g, offsets = uiset.reduced
     if int_rank(g) < g.shape[0]:
         raise SingularMatrixError(
             "data spread coefficients require independent rows of G"
@@ -82,7 +69,7 @@ def data_spread_coefficients(uiset: UISet) -> np.ndarray:
 def data_cost_coefficients(uisets, depth: int) -> np.ndarray:
     """Per-loop-dimension data-partitioning coefficients ``Σ u⁺_i``."""
     a = np.zeros(depth, dtype=float)
-    for s in _as_uisets(uisets):
+    for s in as_uisets(uisets):
         if s.size == 1:
             continue
         if not np.any(cumulative_spread_vector(s.offsets)):
@@ -122,7 +109,7 @@ def optimize_rectangular_data(
     same linearised objective (remote volume has no exact cached-union to
     fall back on — every extra copy pays).
     """
-    uisets = _as_uisets(accesses_or_sets)
+    uisets = as_uisets(accesses_or_sets)
     l = space.depth
     if processors < 1 or processors > space.volume:
         raise OptimizationError(

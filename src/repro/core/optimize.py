@@ -28,23 +28,22 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import product
 
 import numpy as np
 
-from ..exceptions import OptimizationError, SingularMatrixError
+from ..exceptions import OptimizationError
 from ..lattice.points import LatticeCountCache
-from ..lattice.snf import integer_kernel_basis, solve_integer
+from ..lattice.snf import integer_kernel_basis
 from ..obs.log import get_logger
 from ..obs.metrics import get_registry
 from ..obs.tracing import span as _span
 from .anneal import AnnealConfig, anneal_parallelepiped
-from .classify import UISet, partition_references
+from .classify import UISet, as_uisets
 from .cumulative import (
     Theorem2Objective,
     cumulative_footprint_rect,
     cumulative_footprint_size_exact,
-    spread_coefficients,
 )
 from .loopnest import IterationSpace
 from .tiles import ParallelepipedTile, RectangularTile
@@ -65,11 +64,8 @@ __all__ = [
 logger = get_logger("core.optimize")
 
 
-def _as_uisets(accesses_or_sets) -> list[UISet]:
-    items = list(accesses_or_sets)
-    if items and isinstance(items[0], UISet):
-        return items
-    return partition_references(items)
+#: The cost models ``optimize_rectangular`` can score candidate grids with.
+SCORINGS = ("theorem4", "exact")
 
 
 def rect_cost_coefficients(uisets, depth: int) -> np.ndarray:
@@ -86,17 +82,15 @@ def rect_cost_coefficients(uisets, depth: int) -> np.ndarray:
     parallelepiped path or exact search instead).
     """
     a = np.zeros(depth, dtype=float)
-    for s in _as_uisets(uisets):
-        if s.size == 1:
+    for s in as_uisets(uisets):
+        if s.size == 1 or not np.any(s.spread()):
             continue
-        if not np.any(s.spread()):
-            continue
-        try:
-            a += spread_coefficients(s)
-        except SingularMatrixError as e:
+        if s.u is None:
             raise OptimizationError(
-                f"class {s!r} has no Theorem-4 coefficients: {e}"
-            ) from e
+                f"class {s!r} has no Theorem-4 coefficients "
+                "(dependent rows of G after column reduction)"
+            )
+        a += s.u
     return a
 
 
@@ -174,30 +168,19 @@ def _exact_footprint(s: UISet, tile: RectangularTile, cache: LatticeCountCache) 
 
 def _class_footprint(
     s: UISet,
-    u: np.ndarray | None,
     tile: RectangularTile,
     scoring: str,
     cache: LatticeCountCache,
 ) -> float:
-    if scoring == "exact":
+    if scoring == "exact" or s.u is None:
+        # Without Theorem-4 coefficients (dependent rows) Theorem 4 does
+        # not apply; the exact count stands in.
         return _exact_footprint(s, tile, cache)
-    if u is None:
-        # No Theorem-4 coefficients (dependent rows): exact fallback,
-        # as cumulative_footprint_rect would have raised.
-        return _exact_footprint(s, tile, cache)
-    # Theorem 4 with the precomputed u — same expression as
-    # cumulative_footprint_rect evaluates, term for term.
-    sides = tile.sides.astype(float)
-    total = float(np.prod(sides))
-    for i, ui in enumerate(u):
-        total += float(ui) * float(np.prod(np.delete(sides, i)))
-    return total
+    return cumulative_footprint_rect(s, tile)
 
 
 def _score_candidate(
     uisets: list[UISet],
-    spread_u: list,
-    kernels: list,
     tile: RectangularTile,
     grid: tuple[int, ...],
     scoring: str,
@@ -216,10 +199,10 @@ def _score_candidate(
     that keep ``C`` private.
     """
     total = 0.0
-    for idx, s in enumerate(uisets):
-        fp = _class_footprint(s, spread_u[idx], tile, scoring, cache)
+    for s in uisets:
+        fp = _class_footprint(s, tile, scoring, cache)
         total += fp
-        ker = kernels[idx]
+        ker = s.kernel
         if s.has_write() and ker.size:
             m = 1
             for k, p_k in enumerate(grid):
@@ -320,12 +303,16 @@ def optimize_rectangular(
     grid search; an inapplicable or losing plan records a fallback and
     the numeric search below runs unchanged.  Plans model the default
     ``theorem4`` scoring only.
+
+    Raises :class:`ValueError` for a ``scoring`` not in :data:`SCORINGS`.
     """
+    if scoring not in SCORINGS:
+        raise ValueError(f"unknown scoring {scoring!r}; known: {SCORINGS}")
     if processors < 1 or processors > space.volume:
         raise OptimizationError(
             f"cannot split {space.volume} iterations over {processors} processors"
         )
-    uisets = _as_uisets(accesses_or_sets)
+    uisets = as_uisets(accesses_or_sets)
     l = space.depth
     extents = space.extents.astype(float)
     volume = float(space.volume) / float(processors)
@@ -337,42 +324,19 @@ def optimize_rectangular(
         planned = plan_optimize(uisets, space, processors, cache=plan_cache)
         if planned is not None:
             return planned
-    try:
-        a = rect_cost_coefficients(uisets, l)
-    except OptimizationError:
-        # Some class has no Theorem-4 coefficients (dependent rows after
-        # column reduction).  The grid search below still scores such
-        # classes exactly; they just cannot steer the continuous seed, so
-        # sum the coefficients of the classes that have them.
-        logger.warning(
-            "rectangular seed: a class has no Theorem-4 coefficients; "
-            "seeding the grid search from the remaining classes"
-        )
-        a = np.zeros(l, dtype=float)
-        for s in uisets:
-            if s.size == 1 or not np.any(s.spread()):
-                continue
-            try:
-                a += spread_coefficients(s)
-            except SingularMatrixError:
-                continue
+    # The seed sums the Theorem-4 coefficients of the classes whose spread
+    # is partition-sensitive.  A class without coefficients (dependent
+    # rows after column reduction) cannot steer it; the grid search below
+    # still scores that class exactly.
+    a = np.zeros(l, dtype=float)
+    for s in uisets:
+        if s.size > 1 and s.u is not None and np.any(s.spread()):
+            a += s.u
     if not np.any(a):
         # No partition-sensitive traffic at all: any load-balanced tile is
         # optimal; pick the most compact grid.
         a = np.ones(l)
     cont = _continuous_lagrange(np.where(a > 0, a, 0.0), extents.astype(np.int64), volume)
-
-    # Grid-invariant per-class quantities, computed once.  The scoring
-    # loop visits every factorisation of P; re-deriving the exact rational
-    # spread solve and the kernel basis per candidate dominated its cost.
-    spread_u: list[np.ndarray | None] = []
-    kernels: list[np.ndarray] = []
-    for s in uisets:
-        try:
-            spread_u.append(spread_coefficients(s))
-        except SingularMatrixError:
-            spread_u.append(None)
-        kernels.append(integer_kernel_basis(s.g))
 
     best_key: tuple[float, float, tuple[int, ...]] | None = None
     best_tile: RectangularTile | None = None
@@ -386,9 +350,7 @@ def optimize_rectangular(
     with _span("optimize.rectangular.grid_search", processors=processors):
         for grid in feasible:
             tile = _candidate_tile(ints, grid)
-            c = _score_candidate(
-                uisets, spread_u, kernels, tile, grid, scoring, cache
-            )
+            c = _score_candidate(uisets, tile, grid, scoring, cache)
             # Deterministic tie-break: prefer grids closest to the continuous
             # optimum (ratio distance), then lexicographic.
             dist = sum(
@@ -471,10 +433,7 @@ def _slsqp_starts(
     for s in uisets:
         if s.size < 2 or not np.any(s.spread()):
             continue
-        try:
-            u = spread_coefficients(s)
-        except SingularMatrixError:
-            continue
+        u = s.u
         if not np.any(u):
             continue
         skew = diag_start.copy()
@@ -663,7 +622,7 @@ def optimize_parallelepiped(
     winning member and per-member objectives/timings recorded on the
     result and in the ``opt.portfolio.*`` metrics.
     """
-    uisets = _as_uisets(accesses_or_sets)
+    uisets = as_uisets(accesses_or_sets)
     if depth is None:
         depth = uisets[0].g.shape[0]
     l = depth
@@ -682,15 +641,13 @@ def optimize_parallelepiped(
     else:
         max_extents = np.asarray(max_extents, dtype=float)
     # Compiled once and shared by the baseline, every member and the
-    # rounding; raises SingularMatrixError before any member runs.
+    # rounding; raises SingularMatrixError before any member runs, so
+    # every class below has a square G′ and thus Theorem-4 coefficients.
     objective = Theorem2Objective(uisets, l)
 
     # Rectangular baseline: the validated Lagrange sides seed every
     # member's start and anchor the reported improvement.
-    try:
-        a = rect_cost_coefficients(uisets, l)
-    except OptimizationError:
-        a = np.ones(l)
+    a = rect_cost_coefficients(uisets, l)
     if not np.any(a):
         a = np.ones(l)
     # Communication-free dims (a_i = 0) would zero the naive s_i ∝ a_i
@@ -856,19 +813,10 @@ def sharing_directions(accesses_or_sets) -> np.ndarray:
     separates two iterations differing by a row (or an integer combination
     of rows plus kernel moves) is communication-free.
     """
-    uisets = _as_uisets(accesses_or_sets)
-    rows: list[np.ndarray] = []
-    for s in uisets:
-        rows.extend(integer_kernel_basis(s.g))
-        offs = s.offsets
-        for r_i, s_i in combinations(range(s.size), 2):
-            x0 = solve_integer(s.g, offs[s_i] - offs[r_i])
-            if x0 is not None and np.any(x0):
-                rows.append(x0)
-    if not rows:
-        depth = uisets[0].g.shape[0] if uisets else 0
-        return np.empty((0, depth), dtype=np.int64)
-    return np.vstack(rows)
+    uisets = as_uisets(accesses_or_sets)
+    if not uisets:
+        return np.empty((0, 0), dtype=np.int64)
+    return np.vstack([s.sharing for s in uisets])
 
 
 def communication_free_partition(accesses_or_sets, depth: int) -> np.ndarray:
@@ -888,7 +836,7 @@ def communication_free_partition(accesses_or_sets, depth: int) -> np.ndarray:
     reproduces their "no communication-free partition exists" verdict,
     where this framework still optimises (Section 5).
     """
-    c = sharing_directions(_as_uisets(accesses_or_sets))
+    c = sharing_directions(accesses_or_sets)
     if c.shape[0] == 0:
         # Everything is private per iteration: every direction is free.
         return np.eye(depth, dtype=np.int64)

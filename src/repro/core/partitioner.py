@@ -158,6 +158,8 @@ class LoopPartitioner:
         ``opt_budget_s`` caps each parallelepiped portfolio member's
         wall time (the ``--opt-budget`` knob).
         """
+        if method not in ("rectangular", "parallelepiped", "auto"):
+            raise PartitionError(f"unknown method {method!r}")
         space = self.nest.space
         with span("partition.comm_free"):
             basis = self.comm_free_basis()
@@ -195,8 +197,6 @@ class LoopPartitioner:
                 if method == "parallelepiped":
                     raise
                 logger.debug("auto: keeping the rectangular tile: %s", e)
-        if not candidates:
-            raise PartitionError(f"unknown method {method!r}")
         # Each candidate's exact estimate is computed once and the
         # winner's is returned; on ties the first (rectangular) wins.
         scored = []

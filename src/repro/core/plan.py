@@ -2,10 +2,11 @@
 
 A request family is one loop structure (``G`` matrices, offset spreads,
 read/write mix) instantiated with many different bounds ``N`` and
-processor counts ``P``.  The numeric optimiser re-derives the same
-rational solves, kernel bases, and cost model for every member; this
-module quotients the family down to its :func:`~repro.core.structure.
-structure_key` and caches a *solved plan*:
+processor counts ``P``.  The numeric optimiser re-runs the same grid
+search and cost model for every member; this module quotients the
+family down to its :func:`~repro.core.structure.structure_key` and
+caches a *solved plan*, built from each class's geometry
+(:attr:`~repro.core.classify.UISet.u`, ``.kernel`` and ``.reduced``):
 
 * per class, the Theorem-4 spread coefficients ``u`` (the
   partition-sensitive polynomial ``Π s_j + Σ_i u_i Π_{j≠i} s_j``), or —
@@ -42,11 +43,9 @@ import threading
 import numpy as np
 
 from .._util import int_rank
-from ..exceptions import SingularMatrixError
 from ..lattice.points import _CacheMetrics
-from ..lattice.snf import integer_kernel_basis, solve_integer
+from ..lattice.snf import solve_integer
 from ..obs.tracing import span as _span
-from .cumulative import _reduced, spread_coefficients
 from .loopnest import IterationSpace
 from .optimize import RectOptResult, _candidate_tile, _continuous_lagrange, factorizations
 from .structure import canonical_class_order, structure_key
@@ -157,7 +156,7 @@ def solve_plan(uisets, depth: int) -> dict:
     applicable = True
     reason = None
     for s in ordered:
-        ker = integer_kernel_basis(s.g)
+        ker = s.kernel
         mask = (
             [bool(np.any(ker[:, k] != 0)) for k in range(l)]
             if ker.size
@@ -170,19 +169,15 @@ def solve_plan(uisets, depth: int) -> dict:
             "kernel_mask": mask,
             "penalized": bool(s.has_write() and ker.size),
         }
-        try:
-            u = spread_coefficients(s)
-        except SingularMatrixError:
-            u = None
+        u = s.u
         if u is not None:
             # Theorem-4 class: footprint Π s_j + Σ_i u_i Π_{j≠i} s_j,
-            # the exact expression _class_footprint evaluates.
+            # the expression cumulative_footprint_rect evaluates.
             entry["u"] = [float(x) for x in u]
             poly = poly + class_polynomial_from_u(u, names)
             if s.size > 1 and np.any(s.spread()):
-                # Same accumulation rule as rect_cost_coefficients (and
-                # its singular-class fallback): only classes with a
-                # nonzero spread steer the continuous seed.
+                # Same accumulation rule as optimize_rectangular's seed:
+                # only classes with a nonzero spread steer it.
                 a += u
         else:
             # No Theorem-4 coefficients.  When the nonzero rows of the
@@ -194,7 +189,7 @@ def solve_plan(uisets, depth: int) -> dict:
             # by enumeration.  Dependent nonzero rows (e.g. a 1-D array
             # folding two loop dimensions) have no closed form here —
             # the paper itself resorts to table lookup for those.
-            g_red, off_red = _reduced(s)
+            g_red, off_red = s.reduced
             nz = [i for i in range(g_red.shape[0]) if np.any(g_red[i, :] != 0)]
             independent = not nz or int_rank(g_red[nz, :]) == len(nz)
             if not independent and g_red.shape[1] == 1:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..exceptions import SingularMatrixError
-from .classify import UISet, partition_references
+from .classify import UISet, as_uisets
 from .cumulative import spread_coefficients
 
 __all__ = [
@@ -137,24 +137,17 @@ def class_polynomial(uiset: UISet, names) -> RectFootprintPolynomial:
     :class:`~repro.exceptions.SingularMatrixError` propagates.
     Single-reference classes yield just the volume term.
     """
-    names = tuple(names)
-    l = len(names)
-    d: dict[tuple[int, ...], float] = {tuple(range(l)): 1.0}
+    u = ()
     if uiset.size > 1 and np.any(uiset.spread()):
         u = spread_coefficients(uiset)
-        for i, ui in enumerate(u):
-            if ui:
-                dims = tuple(j for j in range(l) if j != i)
-                d[dims] = d.get(dims, 0.0) + float(ui)
-    return RectFootprintPolynomial.from_dict(d, names)
+    return class_polynomial_from_u(u, names)
 
 
 def class_polynomial_from_u(u, names) -> RectFootprintPolynomial:
-    """Theorem-4 polynomial from precomputed spread coefficients ``u``.
+    """Theorem-4 polynomial from spread coefficients ``u``.
 
-    Same expression as :func:`class_polynomial` without re-solving the
-    rational system — the plan solver stores ``u`` once per structure
-    and rebuilds the polynomial from it.
+    ``Π_j s_j + Σ_i u_i Π_{j≠i} s_j``; the plan solver rebuilds it from
+    the ``u`` it stores per structure.
     """
     names = tuple(names)
     l = len(names)
@@ -174,16 +167,10 @@ def loop_polynomial(accesses_or_sets, names) -> RectFootprintPolynomial:
     but lacks a closed polynomial; the numeric optimizer handles them
     exactly).
     """
-    items = list(accesses_or_sets)
-    sets = (
-        items
-        if items and isinstance(items[0], UISet)
-        else partition_references(items)
-    )
     names = tuple(names)
     total = RectFootprintPolynomial.from_dict({}, names)
     l = len(names)
-    for s in sets:
+    for s in as_uisets(accesses_or_sets):
         try:
             total = total + class_polynomial(s, names)
         except SingularMatrixError:

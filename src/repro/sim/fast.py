@@ -57,7 +57,6 @@ import numpy as np
 
 from ..core.classify import partition_references
 from ..core.loopnest import LoopNest
-from ..lattice.snf import integer_kernel_basis
 from ..obs.log import get_logger
 from .machine import Machine
 from .trace import RefStream
@@ -171,7 +170,7 @@ def _analytically_private_arrays(nest: LoopNest, line_size: int) -> set[str]:
         if (
             len(classes) == 1
             and classes[0].size == 1
-            and integer_kernel_basis(classes[0].g).shape[0] == 0
+            and classes[0].kernel.shape[0] == 0
         ):
             out.add(array)
     return out

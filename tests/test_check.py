@@ -166,6 +166,23 @@ class TestFaultInjection:
         assert art.pepiped is not None
         assert "pepiped-objective-consistent" in {v.invariant for v in art.violations}
 
+    def test_spread_fault_leaves_no_faulted_u_cached(self):
+        """A class whose ``u`` is first read inside the fault reads its
+        real ``u`` after the context exits."""
+        from repro.core.affine import AffineRef
+        from repro.core.classify import partition_references
+
+        def stencil():
+            refs = [AffineRef("B", np.eye(2, dtype=int), [0, 0]),
+                    AffineRef("B", np.eye(2, dtype=int), [2, 1])]
+            return partition_references(refs)[0]
+
+        s = stencil()
+        with inject_fault("spread"):
+            assert s.u.tolist() == [0.5, 0.25]
+        assert s.u.tolist() == [2.0, 1.0]
+        assert stencil().u.tolist() == [2.0, 1.0]
+
     def test_unknown_fault_rejected(self):
         with pytest.raises(ValueError, match="unknown fault"):
             with inject_fault("nope"):
@@ -173,12 +190,12 @@ class TestFaultInjection:
 
     def test_fault_is_scoped(self):
         """The patch is undone when the context exits."""
-        from repro.core import cumulative as _cum
+        from repro.core.classify import UISet
 
-        orig = _cum.spread_coefficients
+        orig = UISet.__dict__["u"]
         with inject_fault("spread"):
-            assert _cum.spread_coefficients is not orig
-        assert _cum.spread_coefficients is orig
+            assert UISet.__dict__["u"] is not orig
+        assert UISet.__dict__["u"] is orig
 
 
 class TestShrink:

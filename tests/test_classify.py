@@ -5,6 +5,8 @@ verdicts at unit level plus the structural behaviour of
 partition_references.
 """
 
+import os
+
 import numpy as np
 import pytest
 
@@ -178,3 +180,123 @@ class TestPartitionReferences:
 
         with pytest.raises(ValueError):
             UISet(())
+
+
+def _stencil_kernel_in_child():
+    """Fork target: read a fresh class's geometry, exit 0 if it returns."""
+    s = partition_references(
+        [AffineRef("B", I2, [-1, 0]), AffineRef("B", I2, [1, 3])]
+    )[0]
+    assert s.kernel.shape == (0, 2)
+
+
+class TestClassGeometry:
+    """``UISet``'s tile-independent geometry: computed once, read-only."""
+
+    def _stencil(self):
+        return partition_references(
+            [AffineRef("B", I2, [-1, 0]), AffineRef("B", I2, [1, 3])]
+        )[0]
+
+    def test_geometry_values(self):
+        s = self._stencil()
+        g, offsets = s.reduced
+        assert g.tolist() == I2
+        assert offsets.tolist() == [[-1, 0], [1, 3]]
+        assert s.u.tolist() == [2.0, 3.0]
+        assert s.kernel.shape == (0, 2)
+        assert s.sharing.tolist() == [[2, 3]]
+
+    def test_rank_deficient_class_has_no_u(self):
+        s = partition_references(
+            [AffineRef("A", [[1], [1]], [0]), AffineRef("A", [[1], [1]], [2])]
+        )[0]
+        assert s.u is None
+        assert s.kernel.tolist() in ([[1, -1]], [[-1, 1]])
+
+    def test_arrays_are_read_only(self):
+        s = self._stencil()
+        for a in (*s.reduced, s.u, s.kernel, s.sharing):
+            with pytest.raises(ValueError):
+                a[...] = 0
+        assert s.u.tolist() == [2.0, 3.0]
+
+    def test_geometry_survives_pickling(self):
+        import pickle
+
+        s = self._stencil()
+        assert s.u is not None and s.sharing.size  # cached before the round trip
+        t = pickle.loads(pickle.dumps(s))
+        assert t == s
+        assert t.u.tolist() == [2.0, 3.0]
+        assert t.sharing.tolist() == [[2, 3]]
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_forked_child_reads_geometry_while_a_thread_computes(self, monkeypatch):
+        """A process forked while another thread is inside a geometry
+        computation (a serve worker pool starting up) must not inherit a
+        held lock: its own first read has to return."""
+        import multiprocessing
+        import threading
+
+        from repro.core import classify
+
+        entered, release = threading.Event(), threading.Event()
+        real = classify.integer_kernel_basis
+
+        def blocking(g):
+            entered.set()
+            release.wait(10)
+            return real(g)
+
+        monkeypatch.setattr(classify, "integer_kernel_basis", blocking)
+        s = self._stencil()
+        thread = threading.Thread(target=lambda: s.kernel)
+        thread.start()
+        try:
+            assert entered.wait(10)
+            monkeypatch.setattr(classify, "integer_kernel_basis", real)
+            child = multiprocessing.get_context("fork").Process(
+                target=_stencil_kernel_in_child
+            )
+            child.start()
+            child.join(10)
+            hung = child.is_alive()
+            if hung:
+                child.kill()
+                child.join()
+        finally:
+            release.set()
+            thread.join()
+        assert not hung and child.exitcode == 0
+
+    def test_partition_derives_geometry_once_per_class(self, example8_nest):
+        """One column reduction per class and one kernel per class (plus
+        the comm-free kernel of the stacked sharing rows) for a whole
+        ``method='auto'`` partition.  Counted on code objects, so the count
+        does not depend on how modules import the functions."""
+        import sys
+        from collections import Counter
+
+        from repro.core.partitioner import LoopPartitioner
+        from repro.lattice import snf
+
+        watch = {
+            AffineRef.reduced_columns.__code__: "reduced_columns",
+            snf.integer_kernel_basis.__code__: "integer_kernel_basis",
+        }
+        calls = Counter()
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code in watch:
+                calls[watch[frame.f_code]] += 1
+
+        part = LoopPartitioner(example8_nest, 8)
+        assert len(part.uisets) == 2
+        sys.setprofile(profile)
+        try:
+            part.partition(method="auto")
+        finally:
+            sys.setprofile(None)
+        assert calls["reduced_columns"] <= 2
+        assert calls["integer_kernel_basis"] <= 3

@@ -113,6 +113,21 @@ class TestOptimizeRectangular:
         res = optimize_rectangular(sets, example2_nest.space, 100, scoring="exact")
         assert res.grid == (1, 100)
 
+    def test_unknown_scoring_rejected(self, example8_nest):
+        """A misspelt scoring is an error, not a silent Theorem-4 run
+        (Example 8 at P=8 costs 4752 under theorem4, 4610 exactly)."""
+        from repro.core.plan import PlanCache
+
+        sets = partition_references(example8_nest.accesses)
+        cache = PlanCache()
+        with pytest.raises(ValueError, match="exct"):
+            optimize_rectangular(
+                sets, example8_nest.space, 8, scoring="exct", plan_cache=cache
+            )
+        assert cache.stats()["misses"] == 0
+        exact = optimize_rectangular(sets, example8_nest.space, 8, scoring="exact")
+        assert exact.predicted_cost == 4610
+
     def test_no_traffic_any_grid_ok(self):
         from repro.core.affine import AffineRef
 
@@ -327,7 +342,7 @@ class TestGracefulDegradation:
         with caplog.at_level(logging.WARNING):
             res = optimize_rectangular(sets, space, 4, scoring="exact")
         assert res.grid is not None
-        assert "no Theorem-4 coefficients" in caplog.text
+        assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
 
 
 class TestPortfolio:

@@ -30,6 +30,16 @@ class TestPartitioner:
         assert res.tile.sides.tolist() == [18, 12]
         assert res.comm_free_basis.shape[0] == 0
 
+    def test_unknown_method_rejected_up_front(self, example8_nest, monkeypatch):
+        """An unknown method raises before any analysis runs."""
+
+        def no_comm_free(*args, **kwargs):
+            raise AssertionError("comm-free analysis ran for an unknown method")
+
+        monkeypatch.setattr(partitioner_mod, "communication_free_partition", no_comm_free)
+        with pytest.raises(PartitionError, match="bogus"):
+            LoopPartitioner(example8_nest, 8).partition(method="bogus")
+
     def test_auto_prefers_cheaper(self, example3_nest):
         part = LoopPartitioner(example3_nest, 4)
         res = part.partition(method="auto")

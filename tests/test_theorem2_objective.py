@@ -7,7 +7,7 @@ from repro.check.corpus import load_corpus, spec_from_dict
 from repro.check.generator import generate_case
 from repro.core.affine import AffineRef
 from repro.core.classify import partition_references
-from repro.core.cumulative import Theorem2Objective, _reduced
+from repro.core.cumulative import Theorem2Objective
 from repro.exceptions import SingularMatrixError
 
 CORPUS = "tests/data/check_corpus.json"
@@ -19,7 +19,7 @@ def literal_objective(uisets, l_flat, l):
     lm = np.asarray(l_flat, dtype=float).reshape(l, l)
     total = 0.0
     for s in uisets:
-        g, offsets = _reduced(s)
+        g, offsets = s.reduced
         lg = lm @ g
         if lg.shape[0] != lg.shape[1]:
             raise SingularMatrixError("Theorem 2 needs full-row-rank G after reduction")
