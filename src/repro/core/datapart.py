@@ -36,7 +36,7 @@ from .._util import exact_solve, int_rank
 from ..exceptions import OptimizationError, SingularMatrixError
 from .classify import UISet, as_uisets
 from .loopnest import IterationSpace
-from .optimize import RectOptResult, _continuous_lagrange, factorizations
+from .optimize import RectOptResult, _feasible_grids, _lagrange_seed
 from .spread import cumulative_spread_vector
 from .tiles import RectangularTile
 
@@ -105,9 +105,10 @@ def optimize_rectangular_data(
 
     Identical structure to :func:`repro.core.optimize.optimize_rectangular`
     with ``â → a⁺``: minimise ``Σ_i A⁺_i · V / s_i`` s.t. ``Π s_i = V``,
-    then integerise against processor-grid factorisations scored by the
-    same linearised objective (remote volume has no exact cached-union to
-    fall back on — every extra copy pays).
+    then integerise against the same feasible processor grids, scored by
+    the same linearised objective (remote volume has no exact cached-union
+    to fall back on — every extra copy pays).  Ties go to the
+    lexicographically smallest grid.
     """
     uisets = as_uisets(accesses_or_sets)
     l = space.depth
@@ -116,40 +117,22 @@ def optimize_rectangular_data(
             f"cannot split {space.volume} iterations over {processors} processors"
         )
     volume = float(space.volume) / float(processors)
-    a = data_cost_coefficients(uisets, l)
-    if not np.any(a):
-        a = np.ones(l)
-    cont = _continuous_lagrange(
-        np.where(a > 0, a, 0.0), space.extents, volume
-    )
-
-    def score(sides) -> float:
-        total = 0.0
-        prod_all = float(np.prod([float(s) for s in sides]))
-        for i in range(l):
-            total += a[i] * prod_all / float(sides[i])
-        return total
-
-    best_key = None
-    best = None
-    ints = space.extents
-    for grid in factorizations(processors, l):
-        if any(p > n for p, n in zip(grid, ints)):
-            continue
-        sides = tuple(-(-int(n) // int(p)) for n, p in zip(ints, grid))
-        key = (score(sides), grid)
-        if best_key is None or key < best_key:
-            best_key = key
-            best = (grid, sides)
-    if best is None:
+    a, cont = _lagrange_seed(data_cost_coefficients(uisets, l), space.extents, volume)
+    grids, sides = _feasible_grids(processors, space.extents)
+    if not grids:
         raise OptimizationError(
-            f"no feasible processor grid: P={processors}, extents={ints.tolist()}"
+            f"no feasible processor grid: P={processors}, extents={space.extents.tolist()}"
         )
-    grid, sides = best
+    sf = sides.astype(float)
+    prod = np.prod(sf, axis=1)
+    cost = np.zeros(len(grids))
+    for i in range(l):
+        cost = cost + a[i] * prod / sf[:, i]
+    best = min(range(len(grids)), key=lambda k: (cost[k], grids[k]))
     return RectOptResult(
-        tile=RectangularTile(sides),
-        grid=grid,
-        predicted_cost=best_key[0],
+        tile=RectangularTile(sides[best]),
+        grid=grids[best],
+        predicted_cost=cost[best],
         continuous_sides=cont,
         coefficients=a,
     )

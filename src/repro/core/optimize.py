@@ -12,7 +12,10 @@ Three solvers:
   and ``A_i = Σ_classes u_i`` the summed spread coefficients (Theorem 4);
   Lagrange multipliers give ``s_i ∝ A_i``.  The continuous optimum is then
   *integerised* against a processor-grid factorisation, evaluating the
-  true Theorem-4 (or exact) cost for each candidate grid.
+  true Theorem-4 (or exact) cost for each candidate grid.  That grid
+  search (seed, feasible grids, penalty and tie-break) is shared with the
+  plan tier (:mod:`repro.core.plan`) and the data-partition optimizer
+  (:mod:`repro.core.datapart`); only the footprint columns differ.
 * :func:`optimize_parallelepiped` — general hyperparallelepiped tiles via
   constrained numerical minimisation of the Theorem 2 objective
   (scipy SLSQP, multiple deterministic starts).  This is the path that
@@ -38,7 +41,7 @@ from ..lattice.snf import integer_kernel_basis
 from ..obs.log import get_logger
 from ..obs.metrics import get_registry
 from ..obs.tracing import span as _span
-from .anneal import AnnealConfig, anneal_parallelepiped
+from .anneal import anneal_parallelepiped
 from .classify import UISet, as_uisets
 from .cumulative import (
     Theorem2Objective,
@@ -166,58 +169,6 @@ def _exact_footprint(s: UISet, tile: RectangularTile, cache: LatticeCountCache) 
     )
 
 
-def _class_footprint(
-    s: UISet,
-    tile: RectangularTile,
-    scoring: str,
-    cache: LatticeCountCache,
-) -> float:
-    if scoring == "exact" or s.u is None:
-        # Without Theorem-4 coefficients (dependent rows) Theorem 4 does
-        # not apply; the exact count stands in.
-        return _exact_footprint(s, tile, cache)
-    return cumulative_footprint_rect(s, tile)
-
-
-def _score_candidate(
-    uisets: list[UISet],
-    tile: RectangularTile,
-    grid: tuple[int, ...],
-    scoring: str,
-    cache: LatticeCountCache,
-) -> float:
-    """Per-tile footprint plus a write-sharing coherence penalty.
-
-    A class whose ``G`` has a nonzero integer kernel re-touches the
-    same element along kernel directions (e.g. matmul's ``C[i,j]``
-    along ``k``).  Cutting such a direction makes ``m`` tiles write
-    the same elements; each extra writer costs at least one
-    invalidation + refetch per element, so write classes pay
-    ``(m − 1) × footprint`` on top (Appendix A's "slightly more
-    expensive communication").  Footprints alone cannot distinguish
-    those grids — this term is what steers matmul to block tiles
-    that keep ``C`` private.
-    """
-    total = 0.0
-    for s in uisets:
-        fp = _class_footprint(s, tile, scoring, cache)
-        total += fp
-        ker = s.kernel
-        if s.has_write() and ker.size:
-            m = 1
-            for k, p_k in enumerate(grid):
-                if p_k > 1 and np.any(ker[:, k] != 0):
-                    m *= p_k
-            total += (m - 1) * fp
-    return total
-
-
-def _candidate_tile(ints: np.ndarray, grid: tuple[int, ...]) -> RectangularTile:
-    return RectangularTile(
-        tuple(-(-int(n) // int(p)) for n, p in zip(ints, grid))
-    )
-
-
 def _continuous_lagrange(a: np.ndarray, extents: np.ndarray, volume: float) -> np.ndarray:
     """Solve ``min Σ A_i V/s_i s.t. Π s_i = V, 1 <= s_i <= N_i``.
 
@@ -267,6 +218,74 @@ def _continuous_lagrange(a: np.ndarray, extents: np.ndarray, volume: float) -> n
     return s
 
 
+def _lagrange_seed(a: np.ndarray, extents, volume: float) -> tuple[np.ndarray, np.ndarray]:
+    """``(a, cont)``: the grid search's coefficients and continuous optimum.
+
+    With no partition-sensitive traffic at all (every ``a_i = 0``) any
+    load-balanced tile is optimal, and all-ones coefficients pick the
+    most compact grid.
+    """
+    if not np.any(a):
+        a = np.ones(len(a))
+    return a, _continuous_lagrange(np.where(a > 0, a, 0.0), extents, volume)
+
+
+def _feasible_grids(processors: int, extents) -> tuple[list[tuple[int, ...]], np.ndarray]:
+    """Grids ``Π p_i = P`` with every ``p_i <= N_i``, in
+    :func:`factorizations` order, and their tile sides ``⌈N_i / p_i⌉``
+    (an int64 array, one row per grid)."""
+    ext = np.asarray(extents, dtype=np.int64)
+    bounds = ext.tolist()
+    grids = [
+        grid
+        for grid in factorizations(int(processors), len(bounds))
+        if not any(p > n for p, n in zip(grid, bounds))
+    ]
+    sides = -(-ext[None, :] // np.asarray(grids, dtype=np.int64).reshape(-1, len(bounds)))
+    return grids, sides
+
+
+def _select_grid(
+    grids: list[tuple[int, ...]],
+    sides: np.ndarray,
+    cont: np.ndarray,
+    columns,
+) -> tuple[int, float]:
+    """``(index, cost)`` of the cheapest grid.
+
+    ``columns`` holds one ``(footprint column, kernel mask or None)`` pair
+    per class: the class's footprint on every grid, and for a write class
+    whose ``G`` has a nonzero integer kernel, which loop dimensions that
+    kernel moves along.  Such a class re-touches the same element along
+    kernel directions (e.g. matmul's ``C[i,j]`` along ``k``).  Cutting
+    such a direction makes ``m`` tiles write the same elements; each
+    extra writer costs at least one invalidation + refetch per element,
+    so write classes pay ``(m − 1) × footprint`` on top (Appendix A's
+    "slightly more expensive communication").  Footprints alone cannot
+    distinguish those grids — this term is what steers matmul to block
+    tiles that keep ``C`` private.
+
+    Ties go to the grid closest to the continuous optimum (ratio
+    distance), then to the lexicographically smallest grid.
+    """
+    p = np.asarray(grids, dtype=np.int64)
+    total = np.zeros(len(grids), dtype=float)
+    for fp, mask in columns:
+        total = total + fp
+        if mask is not None:
+            m = np.prod(np.where((p > 1) & mask[None, :], p, 1), axis=1).astype(float)
+            total = total + (m - 1.0) * fp
+
+    def key(idx: int):
+        dist = sum(
+            abs(math.log(sd / cs)) for sd, cs in zip(sides[idx].tolist(), cont) if cs > 0
+        )
+        return float(total[idx]), dist, grids[idx]
+
+    best = min(range(len(grids)), key=key)
+    return best, float(total[best])
+
+
 def optimize_rectangular(
     accesses_or_sets,
     space: IterationSpace,
@@ -314,7 +333,6 @@ def optimize_rectangular(
         )
     uisets = as_uisets(accesses_or_sets)
     l = space.depth
-    extents = space.extents.astype(float)
     volume = float(space.volume) / float(processors)
     if cache is None:
         cache = LatticeCountCache()
@@ -332,41 +350,38 @@ def optimize_rectangular(
     for s in uisets:
         if s.size > 1 and s.u is not None and np.any(s.spread()):
             a += s.u
-    if not np.any(a):
-        # No partition-sensitive traffic at all: any load-balanced tile is
-        # optimal; pick the most compact grid.
-        a = np.ones(l)
-    cont = _continuous_lagrange(np.where(a > 0, a, 0.0), extents.astype(np.int64), volume)
-
-    best_key: tuple[float, float, tuple[int, ...]] | None = None
-    best_tile: RectangularTile | None = None
-    best_grid: tuple[int, ...] | None = None
-    ints = space.extents
-    feasible = [
-        grid
-        for grid in factorizations(processors, l)
-        if not any(p > n for p, n in zip(grid, ints))
-    ]
+    a, cont = _lagrange_seed(a, space.extents, volume)
+    grids, sides = _feasible_grids(processors, space.extents)
+    best = None
     with _span("optimize.rectangular.grid_search", processors=processors):
-        for grid in feasible:
-            tile = _candidate_tile(ints, grid)
-            c = _score_candidate(uisets, tile, grid, scoring, cache)
-            # Deterministic tie-break: prefer grids closest to the continuous
-            # optimum (ratio distance), then lexicographic.
-            dist = sum(
-                abs(math.log(sd / cs)) for sd, cs in zip(tile.sides, cont) if cs > 0
-            )
-            key = (c, dist, grid)
-            if best_key is None or key < best_key:
-                best_key, best_tile, best_grid = key, tile, grid
-    if best_key is None or best_tile is None or best_grid is None:
+        # The scalar reference models, one call per grid and class in
+        # grid-major order — the plan tier's closed forms are checked
+        # against this path (``repro check``'s plan-parity oracle).
+        fps = np.empty((len(grids), len(uisets)))
+        for g, row in enumerate(sides):
+            tile = RectangularTile(row)
+            for c, s in enumerate(uisets):
+                if scoring == "exact" or s.u is None:
+                    # Without Theorem-4 coefficients (dependent rows)
+                    # Theorem 4 does not apply; the exact count stands in.
+                    fps[g, c] = _exact_footprint(s, tile, cache)
+                else:
+                    fps[g, c] = cumulative_footprint_rect(s, tile)
+        if grids:
+            masks = [
+                np.any(s.kernel != 0, axis=0) if s.has_write() and s.kernel.size else None
+                for s in uisets
+            ]
+            best = _select_grid(grids, sides, cont, zip(fps.T, masks))
+    if best is None:
         raise OptimizationError(
-            f"no feasible processor grid: P={processors}, extents={ints.tolist()}"
+            f"no feasible processor grid: P={processors}, extents={space.extents.tolist()}"
         )
+    idx, cost = best
     return RectOptResult(
-        tile=best_tile,
-        grid=best_grid,
-        predicted_cost=best_key[0],
+        tile=RectangularTile(sides[idx]),
+        grid=grids[idx],
+        predicted_cost=cost,
         continuous_sides=cont,
         coefficients=a,
     )
@@ -397,16 +412,14 @@ class ParallelepipedOptResult:
     member_seconds: dict = field(default_factory=dict)
 
 
-def _theorem2_objective(uisets: list[UISet], l_flat: np.ndarray, l_dim: int) -> float:
-    """One-off Theorem 2 objective (compiles a fresh :class:`Theorem2Objective`)."""
-    return Theorem2Objective(uisets, l_dim)(l_flat)
-
-
 #: Portfolio members in deterministic merge-priority order: on objective
 #: ties the earlier name wins, and the implicit rectangular baseline
 #: always outranks both (so a member that merely matches the diagonal
 #: never displaces it).
 PORTFOLIO_MEMBERS = ("slsqp", "anneal")
+
+#: Seeded random perturbations of the diagonal among the SLSQP starts.
+_EXTRA_STARTS = 4
 
 
 def _slsqp_starts(
@@ -416,7 +429,6 @@ def _slsqp_starts(
     sides: np.ndarray,
     *,
     seed: int,
-    extra_starts: int,
 ) -> list[np.ndarray]:
     """The deterministic multi-start set of the SLSQP member.
 
@@ -425,7 +437,7 @@ def _slsqp_starts(
       class spread direction mapped back to iteration space (the
       direction that internalises the inter-reference reuse, cf.
       Example 3), plus a strongly-skewed long-thin variant;
-    * ``extra_starts`` seeded random perturbations.
+    * :data:`_EXTRA_STARTS` seeded random perturbations.
     """
     diag_start = np.diag(sides)
     side = float(np.mean(sides))
@@ -449,7 +461,7 @@ def _slsqp_starts(
             skew2[j, j] = (v / np.linalg.norm(skew2[0])) ** (1.0 / max(l - 1, 1))
         starts.append(skew2)
     rng = np.random.default_rng(seed)
-    for _ in range(extra_starts):
+    for _ in range(_EXTRA_STARTS):
         starts.append(diag_start + rng.normal(scale=0.3 * side, size=(l, l)))
     return starts
 
@@ -463,7 +475,6 @@ def _slsqp_member(
     max_extents: np.ndarray,
     *,
     seed: int,
-    extra_starts: int,
     deadline: float | None = None,
 ) -> tuple[np.ndarray | None, float]:
     """Multi-start SLSQP minimisation of the Theorem 2 objective.
@@ -482,7 +493,7 @@ def _slsqp_member(
         for _i in range(l)
         for j in range(l)
     ]
-    starts = _slsqp_starts(uisets, l, v, sides, seed=seed, extra_starts=extra_starts)
+    starts = _slsqp_starts(uisets, l, v, sides, seed=seed)
     det_con = NonlinearConstraint(
         lambda x: np.linalg.det(x.reshape(l, l)), v, v
     )
@@ -515,78 +526,15 @@ def _slsqp_member(
     return best_x, best_f
 
 
-def _anneal_member(
-    objective: Theorem2Objective,
-    l: int,
-    v: float,
-    sides: np.ndarray,
-    max_extents: np.ndarray,
-    *,
-    seed: int,
-    config=None,
-    deadline: float | None = None,
-) -> tuple[np.ndarray | None, float]:
-    """Seeded simulated annealing over ``L`` (see :mod:`repro.core.anneal`)."""
-    result = anneal_parallelepiped(
-        objective,
-        np.diag(sides),
-        v,
-        max_extents=max_extents,
-        seed=seed,
-        config=config,
-        deadline=deadline,
-    )
-    if result is None:
-        return None, np.inf
-    return result.l_matrix, float(result.objective)
-
-
-def _run_portfolio_member(
-    member: str,
-    uisets: list[UISet],
-    objective: Theorem2Objective,
-    l: int,
-    v: float,
-    sides: np.ndarray,
-    max_extents: np.ndarray,
-    seed: int,
-    extra_starts: int,
-    budget_s: float | None,
-    anneal_config,
-) -> tuple[np.ndarray | None, float, float]:
-    """Run one portfolio member under its own ``budget_s`` of wall time.
-
-    ``objective`` is the caller's compiled Theorem 2 objective.  Returns
-    ``(matrix_or_None, objective, elapsed_s)``.
-    """
-    deadline = time.monotonic() + budget_s if budget_s is not None else None
-    t0 = time.perf_counter()
-    if member == "slsqp":
-        lm, obj = _slsqp_member(
-            uisets, objective, l, v, sides, max_extents,
-            seed=seed, extra_starts=extra_starts, deadline=deadline,
-        )
-    elif member == "anneal":
-        lm, obj = _anneal_member(
-            objective, l, v, sides, max_extents,
-            seed=seed, config=anneal_config, deadline=deadline,
-        )
-    else:  # pragma: no cover - caller validates
-        raise ValueError(f"unknown portfolio member {member!r}")
-    return lm, obj, time.perf_counter() - t0
-
-
 def optimize_parallelepiped(
     accesses_or_sets,
     volume: float,
     *,
     depth: int | None = None,
-    extra_starts: int = 4,
     seed: int = 0,
     max_extents=None,
     members: tuple[str, ...] = PORTFOLIO_MEMBERS,
     budget_s: float | None = None,
-    anneal_config=None,
 ) -> ParallelepipedOptResult:
     """Minimise the Theorem 2 objective over hyperparallelepiped tiles.
 
@@ -657,15 +605,26 @@ def optimize_parallelepiped(
     rect_obj = objective(diag_start.ravel())
 
     # Run the members serially in the declared order, each under its own
-    # wall-time budget.
+    # wall-time budget; an outcome is ``(matrix_or_None, objective,
+    # elapsed_s)``.
     ordered = [m for m in PORTFOLIO_MEMBERS if m in members]
     outcomes: dict[str, tuple[np.ndarray | None, float, float]] = {}
     with _span("optimize.portfolio", members=len(ordered)):
         for m in ordered:
-            outcomes[m] = _run_portfolio_member(
-                m, uisets, objective, l, v, sides, max_extents,
-                seed, extra_starts, budget_s, anneal_config,
-            )
+            deadline = time.monotonic() + budget_s if budget_s is not None else None
+            t0 = time.perf_counter()
+            if m == "slsqp":
+                lm, obj = _slsqp_member(
+                    uisets, objective, l, v, sides, max_extents, seed=seed, deadline=deadline
+                )
+            else:
+                # Seeded simulated annealing over L (repro.core.anneal).
+                res = anneal_parallelepiped(
+                    objective, np.diag(sides), v,
+                    max_extents=max_extents, seed=seed, deadline=deadline,
+                )
+                lm, obj = (None, np.inf) if res is None else (res.l_matrix, float(res.objective))
+            outcomes[m] = (lm, obj, time.perf_counter() - t0)
 
     if "slsqp" in outcomes and outcomes["slsqp"][0] is None:
         # Graceful degradation (the pre-portfolio failure mode): a valid
@@ -741,7 +700,6 @@ def optimize_parallelepiped(
 def _round_tile(
     lm: np.ndarray,
     *,
-    uisets: list[UISet] | None = None,
     volume: float | None = None,
     tol: float = 0.5,
     objective: Theorem2Objective | None = None,
@@ -754,16 +712,12 @@ def _round_tile(
     floor/ceil corner for ``l <= 3`` plus the plain rounding and its
     diagonal bumps.  Candidates must be nonsingular and, when ``volume``
     is given, keep ``|det L|`` within ``tol·V`` of ``V``; among those the
-    Theorem-2 objective decides (entry distance to ``lm`` breaks ties,
-    and stands in for the objective when no classes are supplied).
-    ``objective`` is a compiled objective to score with; ``uisets``
-    compiles one.
+    compiled Theorem-2 ``objective`` decides (entry distance to ``lm``
+    breaks ties, and stands in for the objective when none is supplied).
     Raises :class:`OptimizationError` only when no neighbour satisfies
     the volume tolerance.
     """
     l = lm.shape[0]
-    if objective is None and uisets:
-        objective = Theorem2Objective(uisets, l)
     rounded = np.round(lm).astype(np.int64)
     candidates: list[np.ndarray] = [rounded]
     if l <= 3:

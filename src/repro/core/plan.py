@@ -21,11 +21,13 @@ caches a *solved plan*, built from each class's geometry
   sanity check and for display).
 
 :func:`instantiate_plan` then evaluates the stored closed forms for a
-concrete ``(extents, P)``: the same feasible processor-grid enumeration
-as :func:`~repro.core.optimize.optimize_rectangular`, scored in one
-vectorised sweep, with the same ``(cost, distance, grid)`` tie-break —
-so a plan hit reproduces the numeric optimiser's answer bit-for-bit on
-the classes it can express, at polynomial-evaluation cost.
+concrete ``(extents, P)`` as one vectorised footprint column per class
+and hands the columns to the grid search it shares with
+:func:`~repro.core.optimize.optimize_rectangular` (the same feasible
+grids, write-coherence penalty and ``(cost, distance, grid)``
+tie-break) — so a plan hit reproduces the numeric optimiser's answer
+bit-for-bit on the classes it can express, at polynomial-evaluation
+cost.
 
 Whenever the closed forms are inapplicable (a class that is neither
 Theorem-4 nor a product), the instantiation is numerically risky (huge
@@ -37,7 +39,6 @@ caller simply continues into the numeric grid search, exactly like
 
 from __future__ import annotations
 
-import math
 import threading
 
 import numpy as np
@@ -47,7 +48,7 @@ from ..lattice.points import _CacheMetrics
 from ..lattice.snf import solve_integer
 from ..obs.tracing import span as _span
 from .loopnest import IterationSpace
-from .optimize import RectOptResult, _candidate_tile, _continuous_lagrange, factorizations
+from .optimize import RectOptResult, _feasible_grids, _lagrange_seed, _select_grid
 from .structure import canonical_class_order, structure_key
 from .symbolic import RectFootprintPolynomial, class_polynomial_from_u
 from .tiles import RectangularTile
@@ -249,10 +250,12 @@ def instantiate_plan(
     """Evaluate a solved plan for concrete bounds and processor count.
 
     Returns ``(result, None)`` on success or ``(None, reason)`` when the
-    numeric optimiser must run instead.  The scoring replays
-    ``optimize_rectangular``'s grid search — same feasible set, same
-    per-class arithmetic (term order included), same
-    ``(cost, distance, grid)`` tie-break — as one vectorised sweep.
+    numeric optimiser must run instead.  Each class's closed form gives
+    its footprint on every feasible grid in one vectorised sweep, with
+    the same per-class arithmetic (term order included) as
+    ``optimize_rectangular``'s reference models; the grid search itself
+    — feasible grids, penalty, tie-break — is the one
+    ``optimize_rectangular`` runs.
     """
     if not isinstance(payload, dict) or payload.get("version") != SOLVER_VERSION:
         return None, "stale-payload"
@@ -271,23 +274,13 @@ def instantiate_plan(
     if float(volume_total) >= _EXACT_VOLUME_LIMIT:
         return None, "overflow"
     volume = float(volume_total) / float(processors)
-    a = np.asarray(payload["a"], dtype=float)
-    if not np.any(a):
-        a = np.ones(l)
-    cont = _continuous_lagrange(np.where(a > 0, a, 0.0), ext, volume)
-
-    feasible = [
-        grid
-        for grid in factorizations(int(processors), l)
-        if not any(p > n for p, n in zip(grid, ext.tolist()))
-    ]
-    if not feasible:
+    a, cont = _lagrange_seed(np.asarray(payload["a"], dtype=float), ext, volume)
+    grids, sides = _feasible_grids(processors, ext)
+    if not grids:
         return None, "no-feasible-grid"
-    grids = np.asarray(feasible, dtype=np.int64)
-    sides = -(-ext[None, :] // grids)  # ⌈N_i / p_i⌉ per candidate
     sf = sides.astype(float)
     prod = np.prod(sf, axis=1)
-    total = np.zeros(len(feasible), dtype=float)
+    columns = []
     for cls in payload["classes"]:
         u = cls.get("u")
         if u is not None:
@@ -304,54 +297,31 @@ def instantiate_plan(
             worst = sum(c * (int(ext[d]) - 1) for d, c in coeffs) + max(shifts)
             if worst > _LINE_RANGE_LIMIT:
                 return None, "line-range"
-            fp = np.array(
-                [
-                    _line_count(coeffs, shifts, sides[idx])
-                    for idx in range(len(feasible))
-                ],
-                dtype=float,
-            )
+            fp = np.array([_line_count(coeffs, shifts, row) for row in sides], dtype=float)
         else:
             union = cls["union"]
             dims = [int(i) for i in union["dims"]]
-            fp = np.zeros(len(feasible), dtype=float)
+            fp = np.zeros(len(grids), dtype=float)
             for w, coeff in union["terms"]:
-                term = np.full(len(feasible), float(coeff))
+                term = np.full(len(grids), float(coeff))
                 for i, wi in zip(dims, w):
                     term = term * np.maximum(sf[:, i] - float(wi), 0.0)
                 fp = fp + term
-        total = total + fp
-        if cls.get("penalized"):
-            mask = np.asarray(cls["kernel_mask"], dtype=bool)
-            m = np.prod(
-                np.where((grids > 1) & mask[None, :], grids, 1), axis=1
-            ).astype(float)
-            total = total + (m - 1.0) * fp
-
-    best_key: tuple[float, float, tuple[int, ...]] | None = None
-    best_idx = -1
-    for idx, grid in enumerate(feasible):
-        dist = sum(
-            abs(math.log(sd / cs))
-            for sd, cs in zip(sides[idx].tolist(), cont)
-            if cs > 0
-        )
-        key = (float(total[idx]), dist, grid)
-        if best_key is None or key < best_key:
-            best_key, best_idx = key, idx
+        mask = np.asarray(cls["kernel_mask"], dtype=bool) if cls.get("penalized") else None
+        columns.append((fp, mask))
+    best, cost = _select_grid(grids, sides, cont, columns)
 
     # Theorem-2 cross-check: the integer best cannot be wildly above the
     # continuous bound unless the payload is corrupt or stale.
     poly = RectFootprintPolynomial.from_payload(payload["cost_poly"])
     bound = max(poly.evaluate(cont), 1.0)
-    if best_key[0] > VALIDATE_FACTOR * bound:
+    if cost > VALIDATE_FACTOR * bound:
         return None, "cost-check"
-    tile: RectangularTile = _candidate_tile(ext, feasible[best_idx])
     return (
         RectOptResult(
-            tile=tile,
-            grid=tuple(int(p) for p in feasible[best_idx]),
-            predicted_cost=float(best_key[0]),
+            tile=RectangularTile(sides[best]),
+            grid=grids[best],
+            predicted_cost=cost,
             continuous_sides=cont,
             coefficients=a,
         ),

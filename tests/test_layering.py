@@ -5,6 +5,9 @@ service and the self-check parallelise across requests and cases.  A
 single request (optimizer, simulator, flow pipeline, lattice kernels,
 frontend, code generator) runs serially, so none of those packages may
 import a process or thread pool module.
+
+Within ``core/`` one module owns each mechanism: processor grids are
+enumerated and selected only by ``optimize.py``'s grid search.
 """
 
 from __future__ import annotations
@@ -56,3 +59,27 @@ def test_no_pool_imports(path):
     offending = sorted(n for n in _imported_modules(tree) if _is_pool_module(n))
     assert not offending, f"{path.name} imports {offending}"
 
+
+
+def _calls(tree: ast.AST, name: str) -> bool:
+    return any(
+        isinstance(node, ast.Call)
+        and (
+            (isinstance(node.func, ast.Name) and node.func.id == name)
+            or (isinstance(node.func, ast.Attribute) and node.func.attr == name)
+        )
+        for node in ast.walk(tree)
+    )
+
+
+def test_one_grid_search():
+    """Within ``core/``, only ``optimize.py`` enumerates processor grids:
+    the plan tier and the data-partition optimizer go through its shared
+    grid search instead of calling ``factorizations`` themselves."""
+    core = Path(repro.__file__).parent / "core"
+    callers = sorted(
+        path.name
+        for path in core.rglob("*.py")
+        if _calls(ast.parse(path.read_text(), filename=str(path)), "factorizations")
+    )
+    assert callers == ["optimize.py"]

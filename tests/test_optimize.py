@@ -36,6 +36,36 @@ class TestFactorizations:
         with pytest.raises(ValueError):
             list(factorizations(0, 2))
 
+    @pytest.mark.parametrize(
+        "p, extents, grids, sides",
+        [
+            # (3, 2) and (6, 1) would cut i past N=2.
+            (6, [2, 6], [(1, 6), (2, 3)], [[2, 1], [1, 2]]),
+            # Sides are ⌈N_i / p_i⌉.
+            (4, [5, 7], [(1, 4), (2, 2), (4, 1)], [[5, 2], [3, 4], [2, 7]]),
+            # No grid at all: (1, 7) and (7, 1) both exceed a 3x3 space.
+            (7, [3, 3], [], []),
+        ],
+    )
+    def test_feasible_grids(self, p, extents, grids, sides):
+        from repro.core.optimize import _feasible_grids
+
+        got_grids, got_sides = _feasible_grids(p, extents)
+        assert got_grids == grids
+        assert got_sides.dtype == np.int64
+        assert got_sides.tolist() == sides
+
+    def test_no_feasible_grid_raises(self):
+        from repro.core.affine import AffineRef
+
+        refs = [
+            AffineRef("B", np.eye(2, dtype=int), [0, 0]),
+            AffineRef("B", np.eye(2, dtype=int), [1, 0]),
+        ]
+        space = IterationSpace([1, 1], [3, 3])
+        with pytest.raises(OptimizationError, match="no feasible processor grid"):
+            optimize_rectangular(partition_references(refs), space, 7)
+
 
 class TestCoefficients:
     def test_example8(self, example8_nest):
@@ -493,24 +523,24 @@ class TestRoundTile:
         assert abs(np.linalg.det(tile.l_matrix.astype(float))) == pytest.approx(16.0)
 
     def test_prefers_candidate_minimising_objective(self):
-        """With uisets given, the chosen rounding minimises the Theorem-2
+        """With an objective given, the chosen rounding minimises the Theorem-2
         objective among volume-feasible candidates, not just the nearest."""
         from repro.core.affine import AffineRef
-        from repro.core.optimize import _round_tile, _theorem2_objective
+        from repro.core.cumulative import Theorem2Objective
+        from repro.core.optimize import _round_tile
 
         refs = [
             AffineRef("B", np.eye(2, dtype=int), [0, 0]),
             AffineRef("B", np.eye(2, dtype=int), [3, 0]),
         ]
         sets = partition_references(refs)
+        objective = Theorem2Objective(sets, 2)
         lm = np.array([[3.5, 0.0], [0.0, 4.5]])
-        tile = _round_tile(lm, uisets=sets, volume=abs(np.linalg.det(lm)))
-        chosen = _theorem2_objective(
-            sets, tile.l_matrix.astype(float).ravel(), 2
-        )
+        tile = _round_tile(lm, objective=objective, volume=abs(np.linalg.det(lm)))
+        chosen = objective(tile.l_matrix.astype(float).ravel())
         for other in ([3, 4], [4, 4], [4, 5]):
             cand = np.diag(np.array(other, dtype=float))
             det = abs(np.linalg.det(cand))
             if abs(det - 15.75) > 0.5 * 15.75:
                 continue
-            assert chosen <= _theorem2_objective(sets, cand.ravel(), 2) + 1e-9
+            assert chosen <= objective(cand.ravel()) + 1e-9
