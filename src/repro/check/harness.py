@@ -229,6 +229,31 @@ def _inject_engine():
         yield
 
 
+@contextmanager
+def _inject_residue():
+    """Serve the fast engine's owner-forwarded reads as clean reads.
+
+    The per-line residue resolver marks the first read miss after a
+    write as forwarded by the M owner (two extra messages, a downgrade
+    and a writeback); this clears that mark, so the fast engine books a
+    plain two-message read instead while the exact engine still
+    forwards.  The ``engine-parity`` oracle must flag the message and
+    directory-stat mismatch on every case with a write-shared residue.
+    """
+    import numpy as np
+
+    from ..sim import fast as _fast
+
+    orig = _fast._resolve_lines
+
+    def bad(line, proc, write, processors):
+        res = orig(line, proc, write, processors)
+        return res._replace(forward=np.zeros_like(res.forward))
+
+    with _patched(_fast, "_resolve_lines", bad):
+        yield
+
+
 FAULTS = {
     "spread": _inject_spread,
     "exact-count": _inject_exact_count,
@@ -236,6 +261,7 @@ FAULTS = {
     "anneal": _inject_anneal,
     "flow": _inject_flow,
     "engine": _inject_engine,
+    "residue": _inject_residue,
 }
 
 

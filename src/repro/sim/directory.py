@@ -90,6 +90,15 @@ class CoherenceStats:
         return f"CoherenceStats({inner})"
 
 
+def _column_sets(mask) -> list[set[int]]:
+    """The set of row indices of each column of a ``(P, N)`` mask."""
+    sets: list[set[int]] = [set() for _ in range(mask.shape[1])]
+    for p, row in enumerate(mask):
+        for i in np.flatnonzero(row).tolist():
+            sets[i].add(p)
+    return sets
+
+
 class Directory:
     """The directory controller shared by all home nodes.
 
@@ -227,10 +236,7 @@ class Directory:
             self.caches[sharer].invalidate(addr)
             self._invalidated_at.setdefault(addr, set()).add(sharer)
             self.stats.invalidations += 1
-        if upgrade:
-            msgs.append((-1, proc))
-        else:
-            msgs.append((-1, proc))
+        msgs.append((-1, proc))
         e.sharers = {proc}
         e.owner = proc
         self._fill(addr, proc, LineState.MODIFIED)
@@ -288,9 +294,10 @@ class Directory:
         entries and the fill history — exactly what the scalar protocol
         leaves behind — then empties the store.  Runs on the first use of
         any per-line view (:meth:`Cache.state`, ``in``, ``len``,
-        :meth:`check_invariants`, :meth:`Machine.access`); the fast
-        engine's own residue replay never needs it, since residue lines
-        are disjoint from the deferred ones.
+        :meth:`check_invariants`, :meth:`Machine.access`).  The fast
+        engine itself never needs it: it installs its write-shared
+        residue lines directly (:meth:`install_lines`), and those are
+        disjoint from the deferred ones.
         """
         records, self._deferred = self._deferred, []
         entries = self.entries
@@ -304,24 +311,43 @@ class Directory:
                     (a, DirectoryEntry(sharers={rec.proc}, owner=owner))
                     for a in addrs
                 )
+                self._ever_filled.update(addrs)
             else:
-                self._materialize_shared(addrs, rec.touch)
-            self._ever_filled.update(addrs)
+                self.install_lines(addrs, rec.touch)
 
-    def _materialize_shared(self, addrs: list, touch) -> None:
+    def install_lines(self, addrs: list, holders, owners=None, invalidated=None) -> None:
+        """Install resolved per-line end state (fast engine).
+
+        ``holders`` is a ``(P, N)`` boolean matrix: ``holders[p, i]``
+        marks processor ``p`` as holding line ``addrs[i]``.  ``owners[i]``
+        is the processor holding line ``i`` in M (then its only holder),
+        or -1 for S at every holder; ``None`` means all S.
+        ``invalidated`` (``(P, N)``, optional) marks the copies taken
+        down and not re-fetched since, so their next miss classifies as
+        a coherence miss.  Every line joins the fill history.  Counters
+        are the caller's job.
+        """
+        owned = (
+            np.full(len(addrs), -1, dtype=np.int64) if owners is None else owners
+        )
         for p, cache in enumerate(self.caches):
-            sel = np.flatnonzero(touch[p])
+            sel = np.flatnonzero(holders[p])
             if sel.size:
+                states = np.where(owned[sel] == p, LineState.MODIFIED, LineState.SHARED)
                 cache._lines.update(
-                    dict.fromkeys((addrs[i] for i in sel.tolist()), LineState.SHARED)
+                    zip((addrs[i] for i in sel.tolist()), states.tolist())
                 )
-        # Distinct sharer *sets* are few (tile-boundary patterns), so
-        # decode each toucher column pattern only once.
-        patterns, inv = np.unique(touch.T, axis=0, return_inverse=True)
-        sharer_sets = [np.flatnonzero(row).tolist() for row in patterns]
         entries = self.entries
-        for addr, g in zip(addrs, inv.reshape(-1).tolist()):
-            entries[addr] = DirectoryEntry(sharers=set(sharer_sets[g]), owner=None)
+        for addr, sharers, o in zip(addrs, _column_sets(holders), owned.tolist()):
+            entries[addr] = DirectoryEntry(
+                sharers=sharers, owner=None if o < 0 else o
+            )
+        if invalidated is not None:
+            lost = np.flatnonzero(invalidated.any(axis=0))
+            self._invalidated_at.update(
+                zip((addrs[i] for i in lost.tolist()), _column_sets(invalidated[:, lost]))
+            )
+        self._ever_filled.update(addrs)
 
     def is_empty(self) -> bool:
         """No line state at all: no entries, deferred records, fill

@@ -173,12 +173,15 @@ def simulate_nest(
 
     ``engine`` selects the execution strategy: ``'exact'`` drives every
     access through the scalar MSI protocol; ``'fast'`` resolves
-    provably-private lines in bulk (:mod:`repro.sim.fast`) and replays
-    only the shared residue exactly — identical results, order-of-
-    magnitude faster on private-heavy programs; ``'auto'`` (default)
-    uses the fast engine whenever its preconditions hold (fresh
-    infinite-cache coherent machine, no observer) and falls back to
-    exact otherwise.
+    provably-private and read-only lines in bulk and the write-shared
+    residue per line (:mod:`repro.sim.fast`) — identical results, an
+    order of magnitude faster; ``'auto'`` (default) uses the fast
+    engine whenever its preconditions hold (fresh infinite-cache
+    coherent machine, no observer) and falls back to exact otherwise.
+
+    ``check_invariants=True`` runs the protocol invariant checks after
+    every sweep on the exact engine, and once after the last sweep on
+    the fast engine (which has no per-sweep state to check).
     """
     if engine not in ("auto", "fast", "exact"):
         raise SimulationError(f"unknown engine {engine!r}")

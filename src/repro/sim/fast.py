@@ -33,25 +33,36 @@ construction) and an exact vectorised ownership count otherwise — then
   :meth:`~repro.sim.directory.Directory.bulk_install_shared`) — one
   record per (processor, array) or per read-only array, no per-line
   objects,
-* replays only the write-shared residue through the exact scalar
-  protocol, in the same global interleaved order the exact engine would
-  use.
+* resolves the write-shared residue per line (:func:`_resolve_lines`):
+  under the infinite-cache model a line's MSI history depends only on
+  the ordered (processor, read/write) events on that line, so the
+  residue's events are sorted by (line, the exact engine's global issue
+  order), split at each write into epochs, and every event's protocol
+  case — hit, read miss, owner-forwarded read, write miss, upgrade, and
+  the holders each write takes down — follows from group-bys.  Every
+  counter is a commutative total, booked with one bulk add; messages
+  are priced with the networks' ``send_bulk_vector`` rows.
 
 Analytic accesses never touch a residue line's cache or directory state
-(and unbounded caches have no capacity coupling), so removing them from
-the replayed stream leaves the residue lines' protocol histories — and
-therefore every counter — bit-identical to the exact engine.  For the
-same reason the replay never reads a deferred line, so the store stays
-arrays for the whole run: the sharer histogram is counted from the
-records, and the per-line caches and directory entries are built by
-:meth:`~repro.sim.directory.Directory.materialize` only when something
-asks for them (a cache query, an invariant check, a later
-:meth:`~repro.sim.machine.Machine.access`).  The
-differential-parity suite (``tests/test_sim_parity.py``) asserts exactly
-that over all of the paper's programs.
+(and unbounded caches have no capacity coupling), so splitting them off
+leaves the residue lines' protocol histories — and therefore every
+counter — bit-identical to the exact engine.  The engine never calls
+the per-access protocol.  The residue lines' end state (M at the owner
+or S at the last epoch's holders, plus their invalidation and fill
+history) is installed directly
+(:meth:`~repro.sim.directory.Directory.install_lines`); the analytic
+lines stay arrays for the whole run: the sharer histogram is counted
+from the records, and their per-line caches and directory entries are
+built by :meth:`~repro.sim.directory.Directory.materialize` only when
+something asks for them (a cache query, an invariant check, a later
+:meth:`~repro.sim.machine.Machine.access`).  The differential-parity
+suites (``tests/test_sim_parity.py``, ``tests/test_sim_residue.py``)
+assert exactly that over all of the paper's programs.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -245,10 +256,15 @@ def execute_fast(
     analytic = _analytically_private_arrays(nest, line_size)
     directory = machine.directory
 
-    # Per-(proc, array) first-touch digests of the bulk lines and the
-    # write-shared residue, built array by array.
+    # Per-(proc, array) first-touch digests of the bulk lines, and the
+    # write-shared residue as one ``(proc, ref, iteration rows, residue
+    # line ids)`` part per (proc, ref), built array by array.  Residue
+    # line ids are global across arrays; ``res_arrays`` holds each
+    # array's residue line coordinates in id order.
     summaries: list[tuple] = []
     residue: list[tuple] = []
+    res_arrays: list[tuple[str, np.ndarray]] = []
+    n_res_lines = 0
 
     for array in arrays:
         ref_idx = [r for r, s in enumerate(ref_structure) if s.array == array]
@@ -300,6 +316,12 @@ def execute_fast(
                 if ref_structure[r].is_write_like:
                     ever_written[ids_seg] = True
         bulk = (touch.sum(axis=0) == 1) | ~ever_written
+        res_local = np.flatnonzero(~bulk)
+        res_id = np.full(uniq_lines.shape[0], -1, dtype=np.int64)
+        if res_local.size:
+            res_id[res_local] = np.arange(n_res_lines, n_res_lines + res_local.size)
+            n_res_lines += res_local.size
+            res_arrays.append((array, uniq_lines[res_local]))
 
         for p in range(processors):
             ids_parts, wr_parts, order_parts = [], [], []
@@ -319,10 +341,7 @@ def execute_fast(
                     )
                 if not mask.all():
                     rows = np.flatnonzero(~mask)
-                    elem = streams[p][r].coords[rows]
-                    kind = ref_structure[r].kind
-                    for it, coord in zip(rows.tolist(), elem.tolist()):
-                        residue.append((it, p, r, array, tuple(coord), kind))
+                    residue.append((p, r, rows, res_id[ids_seg[rows]]))
             if ids_parts:
                 wr_pa = np.concatenate(wr_parts)
                 summary = _private_line_summary(
@@ -368,25 +387,245 @@ def execute_fast(
             sweeps=sweeps,
         )
 
-    # ---- write-shared residue: exact scalar protocol replay -----------
+    # ---- write-shared residue: per-line protocol resolution -----------
+    if residue:
+        line, proc, write = _residue_events(
+            residue, ref_structure, processors, sweeps=sweeps, interleave=interleave
+        )
+        res = _resolve_lines(line, proc, write, processors)
+        homes = np.concatenate(
+            [machine.address_map.homes_vector(a, c) for a, c in res_arrays]
+        )
+        _book_residue(machine, res, proc, write, homes[line])
+        addrs = [
+            (a, tuple(row)) for a, coords in res_arrays for row in coords.tolist()
+        ]
+        directory.install_lines(addrs, res.holders.T, res.final_owner, res.invalidated.T)
+        logger.debug(
+            "fast engine: %d residue events on %d lines resolved per line",
+            line.shape[0],
+            n_res_lines,
+        )
+    if check_invariants:
+        machine.check()
+
+
+# ----------------------------------------------------------------------
+# Write-shared residue: per-line MSI resolution
+
+
+def _residue_events(residue, ref_structure, processors, *, sweeps, interleave):
+    """The residue's events in ``(line, global time)`` order.
+
+    Global time is the exact engine's issue order: ``(iteration, proc,
+    ref)`` for round-robin, ``(proc, iteration, ref)`` for sequential,
+    repeated ``sweeps`` times with the sweep as the major key.  Returns
+    ``(line, proc, write)`` arrays, one entry per access.
+    """
+    sizes = [rows.size for _, _, rows, _ in residue]
+    proc = np.repeat([p for p, _, _, _ in residue], sizes)
+    ref = np.repeat([r for _, r, _, _ in residue], sizes)
+    write = np.repeat([ref_structure[r].is_write_like for _, r, _, _ in residue], sizes)
+    it = np.concatenate([rows for _, _, rows, _ in residue])
+    line = np.concatenate([ids for _, _, _, ids in residue])
+    n_refs = len(ref_structure)
     if interleave == "sequential":
-        residue.sort(key=lambda e: (e[1], e[0], e[2]))
+        key = (proc * (int(it.max()) + 1) + it) * n_refs + ref
     else:  # roundrobin: one iteration per processor per step
-        residue.sort(key=lambda e: (e[0], e[1], e[2]))
-    events = [(p, array, coords, kind) for _, p, _, array, coords, kind in residue]
-    logger.debug(
-        "fast engine: %d residue accesses (of %d) replayed exactly",
-        len(events),
-        sum(s.coords.shape[0] for st_ in streams.values() for s in st_),
+        key = (it * processors + proc) * n_refs + ref
+    if sweeps > 1:
+        period = int(key.max()) + 1
+        key = (np.arange(sweeps)[:, None] * period + key).reshape(-1)
+        line, proc, write = (np.tile(a, sweeps) for a in (line, proc, write))
+    order = np.lexsort((key, line))
+    return line[order], proc[order], write[order]
+
+
+class _Resolution(NamedTuple):
+    """Every residue event's protocol case, plus each line's end state.
+
+    Per event (in ``(line, time)`` order): ``hit``; ``upgrade`` (an S→M
+    write); ``first_touch`` (the processor's first access to the line,
+    so a miss there is cold, any later miss a coherence miss);
+    ``forward`` (a read miss the M owner serves); ``owner_m`` (a write
+    that takes the line from an owner still in M); ``owner`` (the owner
+    of a ``forward``/``owner_m`` event, else -1); ``taken`` (``(n, P)``:
+    the holders a non-hit write takes down).  Per line: ``final_owner``
+    (the M holder, or -1 for S), ``holders`` and ``invalidated``
+    (``(lines, P)``: the last epoch's holders, and the processors that
+    touched the line but no longer hold it — taken down and not
+    re-fetched since).
+    """
+
+    hit: np.ndarray
+    upgrade: np.ndarray
+    first_touch: np.ndarray
+    forward: np.ndarray
+    owner_m: np.ndarray
+    owner: np.ndarray
+    taken: np.ndarray
+    final_owner: np.ndarray
+    holders: np.ndarray
+    invalidated: np.ndarray
+
+
+def _first_occurrences(keys: np.ndarray) -> np.ndarray:
+    """Mask of the first occurrence of each distinct key."""
+    _, first = np.unique(keys, return_index=True)
+    out = np.zeros(keys.shape[0], dtype=bool)
+    out[first] = True
+    return out
+
+
+def _resolve_lines(line, proc, write, processors: int) -> _Resolution:
+    """Resolve every residue line's MSI history without a protocol loop.
+
+    Under the infinite-cache model a line's history depends only on its
+    own ordered events.  An *epoch* starts at each write and at the
+    line's first event; its *holders* are its distinct processors, and
+    its writer still holds M iff the epoch starts with a write and no
+    other processor joins it.  Then:
+
+    * a read hits iff its processor already appeared in the epoch;
+      otherwise it misses, and the epoch's first such miss after a
+      write is forwarded by the M owner;
+    * a write hits iff the previous epoch's owner is still M and is the
+      writer, upgrades iff the writer is among the previous epoch's
+      holders, and otherwise misses; a non-hit write takes down the
+      previous epoch's holders other than the writer.
+    """
+    n = line.shape[0]
+    line_start = np.r_[True, line[1:] != line[:-1]]
+    epoch_start = line_start | write
+    epoch = np.cumsum(epoch_start) - 1
+    starts = np.flatnonzero(epoch_start)
+    has_writer = write[starts]
+    writer = np.where(has_writer, proc[starts], -1)
+    present = np.zeros((starts.shape[0], processors), dtype=bool)
+    present[epoch, proc] = True
+    still_m = has_writer & (present.sum(axis=1) == 1)
+
+    first_in_epoch = _first_occurrences(epoch * processors + proc)
+    seen = np.cumsum(first_in_epoch)
+    rank = seen - seen[starts][epoch]  # 0 for the epoch's first processor
+    read = ~write
+    hit = read & ~first_in_epoch
+    forward = read & first_in_epoch & (rank == 1) & has_writer[epoch]
+
+    # Writes after an earlier epoch of the same line act on its state.
+    w = np.flatnonzero(write & ~line_start)
+    prev = epoch[w] - 1
+    hit[w] = still_m[prev] & (writer[prev] == proc[w])
+    upgrade = np.zeros(n, dtype=bool)
+    upgrade[w] = present[prev, proc[w]] & ~hit[w]
+    owner_m = np.zeros(n, dtype=bool)
+    owner_m[w] = still_m[prev] & ~hit[w]
+    taken = np.zeros((n, processors), dtype=bool)
+    taken[w] = present[prev]
+    taken[w, proc[w]] = False
+    owner = np.full(n, -1, dtype=np.int64)
+    owner[forward] = writer[epoch[forward]]
+    owner[w[owner_m[w]]] = writer[prev[owner_m[w]]]
+
+    last_epoch = epoch[np.r_[np.flatnonzero(line_start)[1:], n] - 1]
+    holders = present[last_epoch]
+    touched = np.zeros_like(holders)
+    touched[line, proc] = True
+    return _Resolution(
+        hit=hit,
+        upgrade=upgrade,
+        first_touch=_first_occurrences(line * processors + proc),
+        forward=forward,
+        owner_m=owner_m,
+        owner=owner,
+        taken=taken,
+        final_owner=np.where(still_m[last_epoch], writer[last_epoch], -1),
+        holders=holders,
+        invalidated=touched & ~holders,
     )
-    # ``_access``, not ``access``: residue lines are disjoint from the
-    # deferred bulk lines, so the replay never needs them materialised.
-    access = machine._access
-    for _sweep in range(sweeps):
-        for p, array, coords, kind in events:
-            access(p, array, coords, kind)
-        if check_invariants:
-            machine.check()
+
+
+def _book_residue(machine, res: _Resolution, proc, write, home) -> None:
+    """Book the resolved residue's counters, one bulk add per counter.
+
+    ``home`` is each event's home node.  Messages follow the protocol's
+    shapes relative to the home ``H`` (requester ``R``, owner ``O``,
+    taken-down holder ``s``): every directory request sends ``R→H``;
+    a clean read or any write is answered ``H→R``; a forwarded read adds
+    ``H→O, O→R, O→H`` instead of the answer; a write sends ``H→s`` to
+    each holder it takes down, which acks ``s→H`` — except an owner
+    still in M, which sends its data ``O→R``.  Pairs with ``src == dst``
+    are local and free.
+    """
+    p_count = machine.p
+    read = ~write
+    read_miss = read & ~res.hit
+    write_miss = write & ~res.hit & ~res.upgrade
+    miss = read_miss | write_miss
+    serviced = miss | res.upgrade
+
+    def per_proc(mask):
+        return np.bincount(proc[mask], minlength=p_count)
+
+    per_cache = {
+        "read_hits": per_proc(read & res.hit),
+        "read_misses": per_proc(read_miss),
+        "write_hits": per_proc(write & res.hit),
+        "write_misses": per_proc(write_miss),
+        "write_upgrades": per_proc(res.upgrade),
+        "invalidations_received": res.taken.sum(axis=0),
+    }
+    for name, counts in per_cache.items():
+        for p in np.flatnonzero(counts).tolist():
+            getattr(machine.caches[p].stats, name).inc(int(counts[p]))
+
+    directory = machine.directory
+    coherence = miss & ~res.first_touch
+    for kind, mask in (("cold", miss & res.first_touch), ("coherence", coherence)):
+        counts = per_proc(mask)
+        for p in np.flatnonzero(counts).tolist():
+            directory._count_miss_class(kind, p, int(counts[p]))
+    stats = directory.stats
+    n_forward = int(res.forward.sum())
+    stats.cold_fills += res.holders.shape[0]
+    stats.coherence_misses += int(coherence.sum())
+    stats.invalidations += int(res.taken.sum())
+    stats.downgrades += n_forward
+    stats.writebacks += n_forward + int(res.owner_m.sum())
+    holders = res.taken[write & ~res.hit].sum(axis=1)
+    for value, count in enumerate(np.bincount(holders).tolist()):
+        directory._sharers_at_write.observe_bulk(value, count)
+
+    local = serviced & (home == proc)
+    n_local = per_proc(local)
+    n_remote = per_proc(serviced & ~local)
+    cfg = machine.config
+    for p in np.flatnonzero(n_local + n_remote).tolist():
+        machine.local_miss_count[p] += int(n_local[p])
+        machine.remote_miss_count[p] += int(n_remote[p])
+        machine.memory_cost[p] += int(
+            n_local[p] * cfg.local_cost + n_remote[p] * cfg.remote_cost
+        )
+
+    reply = (read_miss & ~res.forward) | (write & serviced)
+    fwd, om = res.forward, res.owner_m
+    tw, ts = np.nonzero(res.taken)
+    ack = ~om[tw]
+    src = np.concatenate([
+        proc[serviced], home[reply], home[fwd], res.owner[fwd], res.owner[fwd],
+        res.owner[om], home[tw], ts[ack],
+    ])
+    dst = np.concatenate([
+        home[serviced], proc[reply], res.owner[fwd], proc[fwd], home[fwd],
+        proc[om], ts, home[tw][ack],
+    ])
+    remote = src != dst
+    nodes = max(p_count, int(home.max()) + 1)
+    pairs = np.bincount(
+        src[remote] * nodes + dst[remote], minlength=nodes * nodes
+    ).reshape(nodes, nodes)
+    for s in np.flatnonzero(pairs.any(axis=1)).tolist():
+        machine.network.send_bulk_vector(s, pairs[s])
 
 
 # ----------------------------------------------------------------------

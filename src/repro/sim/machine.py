@@ -161,17 +161,11 @@ class Machine:
         """
         if self.directory._deferred:
             self.directory.materialize()
-        hit = self._access(proc, array, coords, kind)
-        if self.observer is not None:
-            self.observer(proc, array, coords, kind, hit)
-        return hit
-
-    def _access(self, proc: int, array: str, coords: tuple[int, ...], kind: str) -> bool:
         if not 0 <= proc < self.p:
             raise SimulationError(f"no such processor {proc}")
         if kind not in ("read", "write", "sync"):
             raise SimulationError(f"unknown access kind {kind!r}")
-        coords = self.line_of(array, coords)
+        line = self.line_of(array, coords)
         if not self.config.cache_enabled:
             # Local-memory multicomputer (footnote 2): every access goes
             # to the home module; no replication, no coherence.
@@ -180,32 +174,33 @@ class Machine:
                 st.read_misses += 1
             else:
                 st.write_misses += 1
-            home = self.address_map.home(array, coords)
+            home = self.address_map.home(array, line)
             if home != proc:
                 self.network.send(proc, home)
                 self.network.send(home, proc)
             self._account_miss(proc, home)
-            return False
-        addr = (array, coords)
-        cache = self.caches[proc]
-        if kind == "read":
-            if cache.lookup_read(addr):
-                return True
-            home = self.address_map.home(array, coords)
-            msgs = self.directory.read(addr, proc)
-            self._account_messages(msgs, home)
-            self._account_miss(proc, home)
-            return False
-        if kind in ("write", "sync"):
-            outcome = cache.lookup_write(addr)
-            if outcome == "hit":
-                return True
-            home = self.address_map.home(array, coords)
-            msgs = self.directory.write(addr, proc, upgrade=(outcome == "upgrade"))
-            self._account_messages(msgs, home)
-            self._account_miss(proc, home)
-            return False
-        raise SimulationError(f"unknown access kind {kind!r}")
+            hit = False
+        else:
+            addr = (array, line)
+            cache = self.caches[proc]
+            if kind == "read":
+                hit = cache.lookup_read(addr)
+                if not hit:
+                    msgs = self.directory.read(addr, proc)
+            else:
+                outcome = cache.lookup_write(addr)
+                hit = outcome == "hit"
+                if not hit:
+                    msgs = self.directory.write(
+                        addr, proc, upgrade=(outcome == "upgrade")
+                    )
+            if not hit:
+                home = self.address_map.home(array, line)
+                self._account_messages(msgs, home)
+                self._account_miss(proc, home)
+        if self.observer is not None:
+            self.observer(proc, array, coords, kind, hit)
+        return hit
 
     # ------------------------------------------------------------------
     @property

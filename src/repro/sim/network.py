@@ -12,11 +12,14 @@ metric).
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
-import networkx as nx
 import numpy as np
 
 from ..obs.metrics import MetricsRegistry
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["MeshNetwork", "GraphNetwork", "best_mesh_shape"]
 
@@ -85,6 +88,10 @@ class GraphNetwork:
     """Arbitrary topology via networkx; shortest-path hop distances."""
 
     def __init__(self, graph: nx.Graph, *, registry: MetricsRegistry | None = None):
+        # Imported here: only this class needs networkx, and loading it
+        # costs every process that imports the simulator.
+        import networkx as nx
+
         if graph.number_of_nodes() == 0:
             raise ValueError("empty topology")
         if not nx.is_connected(graph):

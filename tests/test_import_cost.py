@@ -1,0 +1,43 @@
+"""Importing the package must not load networkx.
+
+Only :class:`repro.sim.network.GraphNetwork` uses networkx, so it imports
+the library when a graph network is built.  Every other process (the
+CLI, the server, a plain ``import repro``) skips its import time and
+memory.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import repro
+
+SRC = str(Path(repro.__file__).resolve().parents[1])
+
+
+def test_package_import_does_not_load_networkx():
+    code = (
+        "import sys\n"
+        "import repro, repro.serve.pipeline, repro.cli\n"
+        "assert 'networkx' not in sys.modules, 'networkx was imported'\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_graph_network_still_builds():
+    import networkx as nx
+
+    from repro.sim.network import GraphNetwork
+
+    net = GraphNetwork(nx.path_graph(3))
+    assert net.distance(0, 2) == 2
