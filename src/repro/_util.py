@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -29,9 +29,7 @@ __all__ = [
     "is_integer_array",
     "exact_solve",
     "exact_inverse",
-    "matmul_int",
     "minors_gcd",
-    "first_nonzero",
     "iter_box",
     "box_volume",
 ]
@@ -219,13 +217,6 @@ def exact_inverse(m) -> list[list[Fraction]]:
     return [row[n:] for row in aug]
 
 
-def matmul_int(a, b) -> np.ndarray:
-    """Integer matrix product with object-dtype fallback for huge entries."""
-    a = as_int_matrix(a, name="a")
-    b = as_int_matrix(b, name="b")
-    return a @ b
-
-
 def minors_gcd(m, order: int) -> int:
     """gcd of all ``order × order`` minors of an integer matrix.
 
@@ -247,14 +238,6 @@ def minors_gcd(m, order: int) -> int:
             if g == 1:
                 return 1
     return g
-
-
-def first_nonzero(v: Sequence[int]) -> int | None:
-    """Index of the first nonzero entry of ``v`` or ``None`` if all zero."""
-    for i, x in enumerate(v):
-        if x != 0:
-            return i
-    return None
 
 
 def iter_box(lo, hi):

@@ -46,7 +46,6 @@ __all__ = [
     "flow_spec_to_dict",
     "flow_spec_from_dict",
     "load_flow_corpus",
-    "save_flow_corpus",
 ]
 
 FLOW_CORPUS_SCHEMA = "repro.flow-corpus"
@@ -299,23 +298,6 @@ def load_flow_corpus(path) -> list[dict]:
     if doc.get("version") != FLOW_CORPUS_VERSION:
         raise ValueError(f"unsupported flow corpus version {doc.get('version')!r}")
     return list(doc.get("entries", []))
-
-
-def save_flow_corpus(path, entries: list[dict]) -> None:
-    import json
-
-    doc = {
-        "schema": FLOW_CORPUS_SCHEMA,
-        "version": FLOW_CORPUS_VERSION,
-        "entries": list(entries),
-    }
-    if hasattr(path, "write"):
-        json.dump(doc, path, indent=2)
-        path.write("\n")
-    else:
-        with open(path, "w") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
 
 
 # ----------------------------------------------------------------------

@@ -476,6 +476,19 @@ def _flow_failure_entry(spec, art, origin: str) -> dict:
     }
 
 
+#: Set in each pool child by :func:`_init_check_worker`; ``None`` in the
+#: driver, whose caches need no shipping.
+_shipper = None
+
+
+def _init_check_worker() -> None:
+    """Pool initializer: the entries a child inherits are the driver's."""
+    global _shipper
+    from ..lattice.memo import CacheShipper
+
+    _shipper = CacheShipper()
+
+
 def _run_task_batch(
     tasks: list[tuple],
     seed: int,
@@ -493,10 +506,11 @@ def _run_task_batch(
     (``workers=1``) or in a pool child — the driver never activates the
     fault itself, which would double-apply it under the fork start
     method.  Shrinking of failures also happens here, so failing cases
-    parallelise with the rest.
+    parallelise with the rest.  A pool child also returns what its
+    analytic caches learnt since its last batch (a
+    :class:`~repro.lattice.memo.CacheShipper` take); the driver process
+    returns an empty shipment.
     """
-    from ..lattice.points import DEFAULT_FOOTPRINT_TABLE, DEFAULT_LATTICE_CACHE
-
     if os.environ.get("REPRO_CHECK_KILL_WORKER"):
         import multiprocessing
 
@@ -544,14 +558,9 @@ def _run_task_batch(
                 else None
             )
             out.append((dict(art.tally.counts), entry, first))
-    # Ship the analytic-cache entries back so a --cache-dir driver can
+    # Ship the new analytic-cache entries back so a --cache-dir driver can
     # persist what the batch computed (child processes die with the pool).
-    return (
-        out,
-        DEFAULT_LATTICE_CACHE.export_entries(),
-        DEFAULT_FOOTPRINT_TABLE.export_entries(),
-        _plan.DEFAULT_PLAN_CACHE.export_entries(),
-    )
+    return out, (_shipper.take() if _shipper is not None else {})
 
 
 def run_check(
@@ -600,12 +609,12 @@ def run_check(
     tasks.extend(("generated", case_id) for case_id in range(cases))
 
     if workers == 1 or len(tasks) <= 1:
-        results, _, _, _ = _run_task_batch(tasks, seed, config, fault, mode)
+        results, _ = _run_task_batch(tasks, seed, config, fault, mode)
     else:
         from concurrent.futures import ProcessPoolExecutor
         from concurrent.futures.process import BrokenProcessPool
 
-        from ..lattice.points import DEFAULT_FOOTPRINT_TABLE, DEFAULT_LATTICE_CACHE
+        from ..lattice.memo import absorb_shipment
 
         # Small contiguous batches load-balance the uneven per-case cost
         # (a failing case also pays for shrinking); collecting futures in
@@ -614,19 +623,16 @@ def run_check(
         chunk = -(-len(tasks) // (nworkers * 4))
         batches = [tasks[i : i + chunk] for i in range(0, len(tasks), chunk)]
         results = []
-        with ProcessPoolExecutor(max_workers=nworkers) as pool:
+        with ProcessPoolExecutor(
+            max_workers=nworkers, initializer=_init_check_worker
+        ) as pool:
             futures = [
                 pool.submit(_run_task_batch, batch, seed, config, fault, mode)
                 for batch in batches
             ]
             for future in futures:
                 try:
-                    (
-                        batch_results,
-                        lattice_entries,
-                        table_entries,
-                        plan_entries,
-                    ) = future.result()
+                    batch_results, shipment = future.result()
                 except BrokenProcessPool as exc:
                     raise ReproError(
                         f"a check worker process died mid-batch (killed or "
@@ -639,9 +645,7 @@ def run_check(
                     # Keep what the children computed (for --cache-dir
                     # persistence); faulted runs are self-tests whose
                     # poisoned values must never reach a shared cache.
-                    DEFAULT_LATTICE_CACHE.absorb_entries(lattice_entries)
-                    DEFAULT_FOOTPRINT_TABLE.absorb_entries(table_entries)
-                    _plan.DEFAULT_PLAN_CACHE.absorb_entries(plan_entries)
+                    absorb_shipment(shipment)
 
     for (origin, payload), (counts, entry, first) in zip(tasks, results):
         for name, count in counts.items():

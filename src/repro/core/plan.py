@@ -39,12 +39,10 @@ caller simply continues into the numeric grid search, exactly like
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 
 from .._util import int_rank
-from ..lattice.points import _CacheMetrics
+from ..lattice.memo import MemoTable
 from ..lattice.snf import solve_integer
 from ..obs.tracing import span as _span
 from .loopnest import IterationSpace
@@ -329,26 +327,21 @@ def instantiate_plan(
     )
 
 
-class PlanCache:
-    """Structure-key → solved-plan store with hit/miss/fallback counters.
+class PlanCache(MemoTable):
+    """Structure-key → solved-plan store with fallback counters.
 
-    Same discipline as :class:`~repro.lattice.points.LatticeCountCache`:
-    plain-int counters per instance, optional registry mirrors for the
-    shared default, lock-protected mutation (the serve parent absorbs
-    worker deltas from request threads), solve-on-miss outside the lock.
-    Values are the pure-JSON payloads of :func:`solve_plan`, so entries
-    persist through :mod:`repro.lattice.persist` and travel across the
-    serve process pool unchanged.
+    Storage, locking and the hit/miss/load counters are
+    :class:`~repro.lattice.memo.MemoTable`'s; this class adds the
+    fallback count and its reasons.  Values are the pure-JSON payloads
+    of :func:`solve_plan`, so entries persist through
+    :mod:`repro.lattice.persist` and travel across process pools
+    unchanged.
     """
 
     def __init__(self, *, metrics_name: str | None = None):
-        self._table: dict = {}
-        self.hits = 0
-        self.misses = 0
-        self.loads = 0
+        super().__init__(metrics_name=metrics_name)
         self.fallbacks = 0
         self._fallback_reasons: dict[str, int] = {}
-        self._metrics = _CacheMetrics(metrics_name) if metrics_name else None
         self._fallback_counter = None
         if metrics_name:
             from ..obs.metrics import get_registry
@@ -356,114 +349,41 @@ class PlanCache:
             self._fallback_counter = get_registry().counter(
                 "plan.fallbacks", cache=metrics_name
             )
-        self._lock = threading.Lock()
 
-    def get_or_solve(self, key, solver):
-        """Cached payload for ``key``, solving (outside the lock) on miss."""
-        with self._lock:
-            cached = self._table.get(key)
-            if cached is not None:
-                self.hits += 1
-                if self._metrics:
-                    self._metrics.hits.inc()
-                return cached
-            self.misses += 1
-            if self._metrics:
-                self._metrics.misses.inc()
-        value = solver()
-        with self._lock:
-            self._table[key] = value
-        return value
+    @staticmethod
+    def value_ok(value) -> bool:
+        return isinstance(value, dict)
 
     def record_fallback(self, reason: str = "unknown") -> None:
-        with self._lock:
-            self.fallbacks += 1
-            self._fallback_reasons[reason] = self._fallback_reasons.get(reason, 0) + 1
-        if self._fallback_counter:
-            self._fallback_counter.inc()
+        self.absorb_stats({"fallbacks": 1, "fallback_reasons": {reason: 1}})
 
     def fallback_reasons(self) -> dict[str, int]:
         with self._lock:
             return dict(self._fallback_reasons)
 
-    # -- persistence hooks (see repro.lattice.persist) -------------------
-    def export_entries(self) -> list:
-        """``(key, payload)`` pairs in a stable order."""
-        with self._lock:
-            items = list(self._table.items())
-        return sorted(items, key=repr)
-
-    def absorb_entries(self, entries) -> int:
-        """Merge persisted/shipped plans; returns how many keys were new.
-
-        Non-dict payloads (a corrupt cache file) are skipped — the next
-        request for that structure simply re-solves.
-        """
-        added = 0
-        with self._lock:
-            for key, value in entries:
-                if not isinstance(value, dict):
-                    continue
-                if key not in self._table:
-                    self._table[key] = value
-                    added += 1
-            if added:
-                self.loads += added
-        if added and self._metrics:
-            self._metrics.loads.inc(added)
-        return added
-
-    # -- cross-process stats shipping (serve worker → parent) ------------
     def export_stats(self) -> dict:
-        """Counter snapshot, for delta-shipping across the process pool."""
+        stats = super().export_stats()
         with self._lock:
-            return {
-                "hits": self.hits,
-                "misses": self.misses,
-                "fallbacks": self.fallbacks,
-                "fallback_reasons": dict(self._fallback_reasons),
-            }
+            stats["fallbacks"] = self.fallbacks
+            stats["fallback_reasons"] = dict(self._fallback_reasons)
+        return stats
 
     def absorb_stats(self, delta: dict) -> None:
-        """Add a worker's counter delta (and mirror it into metrics)."""
-        hits = int(delta.get("hits", 0))
-        misses = int(delta.get("misses", 0))
+        super().absorb_stats(delta)
         fallbacks = int(delta.get("fallbacks", 0))
-        reasons = delta.get("fallback_reasons") or {}
         with self._lock:
-            self.hits += hits
-            self.misses += misses
             self.fallbacks += fallbacks
-            for reason, n in reasons.items():
+            for reason, n in (delta.get("fallback_reasons") or {}).items():
                 self._fallback_reasons[reason] = (
                     self._fallback_reasons.get(reason, 0) + int(n)
                 )
-        if self._metrics:
-            if hits:
-                self._metrics.hits.inc(hits)
-            if misses:
-                self._metrics.misses.inc(misses)
         if fallbacks and self._fallback_counter:
             self._fallback_counter.inc(fallbacks)
 
     def stats(self) -> dict:
-        """JSON-ready counter summary (run reports, ``/metrics``)."""
-        with self._lock:
-            return {
-                "entries": len(self._table),
-                "hits": self.hits,
-                "misses": self.misses,
-                "loads": self.loads,
-                "fallbacks": self.fallbacks,
-            }
-
-    def clear(self) -> None:
-        """Drop all solved plans (counters keep running)."""
-        with self._lock:
-            self._table.clear()
-
-    def __len__(self) -> int:
-        return len(self._table)
+        stats = super().stats()
+        stats["fallbacks"] = self.fallbacks
+        return stats
 
 
 #: Shared default plan cache (mirrored into the metrics registry, wired
@@ -488,7 +408,7 @@ def plan_optimize(
     """
     with _span("optimize.plan.lookup", aggregate=True):
         key = structure_key(uisets, space.depth)
-        payload = cache.get_or_solve(key, lambda: solve_plan(uisets, space.depth))
+        payload = cache.get_or_compute(key, lambda: solve_plan(uisets, space.depth))
     with _span("optimize.plan.instantiate", aggregate=True):
         result, reason = instantiate_plan(payload, space.extents, processors)
     if result is None:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from ..core.tiles import Tiling
 from ..obs.tracing import span
-from ..sim.executor import ProcessorStats, SimulationResult, _execute_exact
+from ..sim.executor import SimulationResult, _execute_exact, collect_result
 from ..sim.fast import collect_footprints
 from ..sim.machine import Machine, MachineConfig
 from ..sim.trace import assign_tiles_to_processors, reference_streams
@@ -216,43 +216,19 @@ def simulate_flow(
                 merged[p].extend(st)
         footprints, shared = collect_footprints(merged, processors)
 
-        per_proc = []
-        for p in range(processors):
-            st = machine.caches[p].stats
-            iterations = sum(
-                int(stmt_blocks[s.name][p].shape[0])
-                * min(rounds, sweeps * s.sweeps)
-                for s in graph.statements
-            )
-            per_proc.append(
-                ProcessorStats(
-                    processor=p,
-                    iterations=iterations,
-                    accesses=st.accesses,
-                    hits=st.hits,
-                    misses=st.misses,
-                    read_misses=int(st.read_misses),
-                    write_misses=int(st.write_misses),
-                    write_upgrades=int(st.write_upgrades),
-                    local_misses=int(machine.local_miss_count[p]),
-                    remote_misses=int(machine.remote_miss_count[p]),
-                    memory_cost=int(machine.memory_cost[p]),
-                    footprint=footprints[p],
+        result = collect_result(
+            machine,
+            [
+                sum(
+                    int(stmt_blocks[s.name][p].shape[0])
+                    * min(rounds, sweeps * s.sweeps)
+                    for s in graph.statements
                 )
-            )
-        d = machine.directory.stats
-        result = SimulationResult(
-            processors=tuple(per_proc),
+                for p in range(processors)
+            ],
+            footprints,
+            shared,
             sweeps=rounds,
-            cold_misses=int(d.cold_fills),
-            coherence_misses=int(d.coherence_misses),
-            capacity_misses=int(d.capacity_misses),
-            invalidations=int(d.invalidations),
-            network_messages=int(machine.network.messages),
-            network_hops=int(machine.network.hops),
-            shared_elements=shared,
-            machine=machine,
-            engine="exact",
         )
 
         transfers = measure_transfers(

@@ -15,6 +15,8 @@ rests on computations over integer lattices:
 * :mod:`repro.lattice.points` — exact integer-point counting: images of
   boxes under affine maps (the footprint oracle), parallelepiped lattice
   point counts via Pick's theorem in 2-D, boundary point counts.
+* :mod:`repro.lattice.memo` — the one memo store behind the analytic
+  caches, and the list of process-default caches.
 """
 
 from .hnf import hermite_normal_form, row_style_hnf
@@ -32,7 +34,6 @@ from .points import (
     DEFAULT_LATTICE_CACHE,
     FootprintTable,
     LatticeCountCache,
-    analytic_cache_stats,
     count_distinct_images,
     parallelepiped_lattice_points,
     parallelepiped_lattice_points_scalar,
@@ -41,6 +42,7 @@ from .points import (
     union_of_boxes_size,
     union_of_boxes_size_scalar,
 )
+from .memo import MemoTable, analytic_cache_stats
 from .persist import default_cache_dir, load_caches, save_caches
 
 __all__ = [
@@ -63,6 +65,7 @@ __all__ = [
     "union_of_boxes_size_scalar",
     "distinct_values_1d",
     "analytic_cache_stats",
+    "MemoTable",
     "FootprintTable",
     "DEFAULT_FOOTPRINT_TABLE",
     "LatticeCountCache",

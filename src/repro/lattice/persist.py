@@ -1,12 +1,12 @@
 """On-disk persistence for the analytic caches (warm start).
 
-:class:`~repro.lattice.points.LatticeCountCache` and
-:class:`~repro.lattice.points.FootprintTable` memoise exact enumeration
-counts under canonical keys — values that never change for a given key.
-That makes them safe to persist: repeated CLI runs and fuzz shards over
-the same programs keep recomputing identical counts from scratch, so the
-CLI (``--cache-dir``) and ``repro check`` load a versioned JSON snapshot
-at startup and merge the session's new entries back at exit.
+The footprint table, the lattice-count cache and the plan cache
+(:func:`~repro.lattice.memo.default_caches`) memoise values that never
+change for a given canonical key.  That makes them safe to persist:
+repeated CLI runs and fuzz shards over the same programs keep
+recomputing identical values from scratch, so the CLI (``--cache-dir``),
+``repro check`` and ``repro serve`` load a versioned JSON snapshot at
+startup and merge the session's new entries back at exit.
 
 File format (``analytic_cache.json`` in the cache directory)::
 
@@ -15,19 +15,21 @@ File format (``analytic_cache.json`` in the cache directory)::
                 "lattice_cache":   [[key, value], ...],
                 "plan_cache":      [[key, payload], ...]}}
 
-Keys are nested tuples of ints / strings / bytes; they are encoded
-recursively with tagged objects (``{"t": [...]}`` for tuples,
+Each section is one default cache, named as in
+:func:`~repro.lattice.memo.default_caches`; its values pass that cache's
+``value_ok`` check (numbers for the counts, JSON objects for plan
+payloads).  Keys are nested tuples of ints / strings / bytes; they are
+encoded recursively with tagged objects (``{"t": [...]}`` for tuples,
 ``{"b": "<hex>"}`` for bytes) so the JSON roundtrip is lossless.  A file
 with an unknown schema or version is ignored, never migrated: the cache
 is a pure accelerator and stale data must not poison results.
 
-Version 2 adds the ``plan_cache`` section (structure-keyed partition
-plans, whose values are JSON objects rather than numbers) and the
-forward-compatibility rule that makes such additions safe from now on:
-readers *skip* cache sections they do not recognise instead of erroring,
-and the merge-write preserves unrecognised sections verbatim so a newer
-writer's entries survive an older writer's save.  Version-1 files are
-still read (their sections are a subset of ours).
+Version 2 adds the ``plan_cache`` section and the forward-compatibility
+rule that makes such additions safe from now on: readers *skip* cache
+sections they do not recognise instead of erroring, and the merge-write
+preserves unrecognised sections verbatim so a newer writer's entries
+survive an older writer's save.  Version-1 files are still read (their
+sections are a subset of ours).
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from .points import DEFAULT_FOOTPRINT_TABLE, DEFAULT_LATTICE_CACHE
+from .memo import default_caches
 
 __all__ = [
     "CACHE_SCHEMA",
@@ -172,35 +174,23 @@ def decode_key(obj):
     raise ValueError(f"malformed cache key component: {obj!r}")
 
 
-def _cache_map(footprint_table, lattice_cache, plan_cache) -> dict:
-    from ..core.plan import DEFAULT_PLAN_CACHE
-
-    return {
-        "footprint_table": footprint_table
-        if footprint_table is not None
-        else DEFAULT_FOOTPRINT_TABLE,
-        "lattice_cache": lattice_cache if lattice_cache is not None else DEFAULT_LATTICE_CACHE,
-        "plan_cache": plan_cache if plan_cache is not None else DEFAULT_PLAN_CACHE,
-    }
+def _cache_map(overrides: dict) -> dict:
+    """Section name → cache: the defaults, with ``overrides`` by section."""
+    caches = {name: cache for name, (_, cache) in default_caches().items()}
+    unknown = set(overrides) - set(caches)
+    if unknown:
+        raise TypeError(f"unknown analytic cache(s): {sorted(unknown)}")
+    caches.update((k, v) for k, v in overrides.items() if v is not None)
+    return caches
 
 
-def _value_ok(name: str, value) -> bool:
-    """Per-section value shape: numbers for the count caches, JSON
-    objects for plan payloads, anything for sections we do not know
-    (they are preserved, not interpreted)."""
-    if name == "plan_cache":
-        return isinstance(value, dict)
-    if name in ("footprint_table", "lattice_cache"):
-        return not isinstance(value, bool) and isinstance(value, (int, float))
-    return True
-
-
-def _read_entries(path: Path) -> dict[str, list] | None:
+def _read_entries(path: Path, caches: dict) -> dict[str, list] | None:
     """Decoded ``{cache_name: [(key, value), ...]}`` from ``path``, or None.
 
-    Sections with malformed entries are skipped individually (and
-    therefore dropped from the next merge-write); unknown section
-    *names* are kept so newer writers' entries survive our saves.
+    Sections with a malformed key, or a value that fails its cache's
+    ``value_ok``, are skipped whole (and therefore dropped from the next
+    merge-write); unknown section *names* are kept uninterpreted so
+    newer writers' entries survive our saves.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -223,7 +213,7 @@ def _read_entries(path: Path) -> dict[str, list] | None:
         decoded = []
         try:
             for key, value in pairs:
-                if not _value_ok(name, value):
+                if name in caches and not caches[name].value_ok(value):
                     raise TypeError(f"bad cache value for {name!r}: {value!r}")
                 decoded.append((decode_key(key), value))
         except (TypeError, ValueError) as exc:
@@ -233,28 +223,28 @@ def _read_entries(path: Path) -> dict[str, list] | None:
     return out
 
 
-def load_caches(
-    cache_dir=None, *, footprint_table=None, lattice_cache=None, plan_cache=None
-) -> int:
+def load_caches(cache_dir=None, **caches) -> int:
     """Warm-start the analytic caches from ``cache_dir``.
 
     Returns the number of entries absorbed (also visible as the caches'
-    ``loads`` counters).  Missing or invalid files load nothing.
+    ``loads`` counters).  Missing or invalid files load nothing.  A
+    keyword named after a section (``footprint_table=``,
+    ``lattice_cache=``, ``plan_cache=``) puts that cache in place of the
+    process default; :func:`save_caches` and :func:`exchange_caches`
+    take the same keywords.
     """
     directory = Path(cache_dir) if cache_dir is not None else default_cache_dir()
-    entries = _read_entries(directory / CACHE_FILENAME)
+    caches = _cache_map(caches)
+    entries = _read_entries(directory / CACHE_FILENAME, caches)
     if not entries:
         return 0
-    caches = _cache_map(footprint_table, lattice_cache, plan_cache)
     loaded = 0
     for name, cache in caches.items():
         loaded += cache.absorb_entries(entries.get(name, []))
     return loaded
 
 
-def save_caches(
-    cache_dir=None, *, footprint_table=None, lattice_cache=None, plan_cache=None
-) -> int:
+def save_caches(cache_dir=None, **caches) -> int:
     """Persist the analytic caches into ``cache_dir`` (merge semantics).
 
     Entries already on disk are kept (union with the in-memory tables),
@@ -268,8 +258,8 @@ def save_caches(
     directory.mkdir(parents=True, exist_ok=True)
     path = directory / CACHE_FILENAME
     with _CacheLock(directory):
-        on_disk = _read_entries(path) or {}
-        caches = _cache_map(footprint_table, lattice_cache, plan_cache)
+        caches = _cache_map(caches)
+        on_disk = _read_entries(path, caches) or {}
         payload: dict[str, list] = {}
         written = 0
         for name, cache in caches.items():
@@ -308,9 +298,7 @@ def save_caches(
     return written
 
 
-def exchange_caches(
-    cache_dir=None, *, footprint_table=None, lattice_cache=None, plan_cache=None
-) -> tuple[int, int]:
+def exchange_caches(cache_dir=None, **caches) -> tuple[int, int]:
     """One cross-process cache-exchange cycle over ``cache_dir``.
 
     Snapshot this process's entries into the shared file (union-merge
@@ -322,16 +310,5 @@ def exchange_caches(
     recomputing from scratch.  Returns ``(written, absorbed)`` —
     entries written to disk and entries newly absorbed into memory.
     """
-    written = save_caches(
-        cache_dir,
-        footprint_table=footprint_table,
-        lattice_cache=lattice_cache,
-        plan_cache=plan_cache,
-    )
-    absorbed = load_caches(
-        cache_dir,
-        footprint_table=footprint_table,
-        lattice_cache=lattice_cache,
-        plan_cache=plan_cache,
-    )
-    return written, absorbed
+    written = save_caches(cache_dir, **caches)
+    return written, load_caches(cache_dir, **caches)

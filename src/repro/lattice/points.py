@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import threading
 from fractions import Fraction
 
 import numpy as np
@@ -52,6 +51,7 @@ from .._util import (
     vector_gcd,
 )
 from ..obs.tracing import span as _span
+from .memo import MemoTable, analytic_cache_stats
 
 __all__ = [
     "count_distinct_images",
@@ -510,27 +510,7 @@ def distinct_values_1d(coeffs, lo, hi) -> int:
     return int(np.unique(vals).size)
 
 
-class _CacheMetrics:
-    """Registry-backed mirrors of one named cache's hit/miss/load counts.
-
-    The cache instances keep plain-int fields (cheap, per-instance,
-    exactly the pre-existing semantics tests rely on); a named cache
-    additionally mirrors every event into the process metrics registry so
-    run reports and ``repro.obs`` consumers can see it.
-    """
-
-    __slots__ = ("hits", "misses", "loads")
-
-    def __init__(self, name: str):
-        from ..obs.metrics import get_registry
-
-        reg = get_registry()
-        self.hits = reg.counter("analytic.cache.hits", cache=name)
-        self.misses = reg.counter("analytic.cache.misses", cache=name)
-        self.loads = reg.counter("analytic.cache.loads", cache=name)
-
-
-class FootprintTable:
+class FootprintTable(MemoTable):
     """Section 3.8's "table lookup" for exact 1-D footprints.
 
     "For the case when l = 3 and d = 1, it seems difficult to express the
@@ -544,26 +524,9 @@ class FootprintTable:
     ``Σ c_k·i_k`` over a box depends only on the multiset of
     ``(|c_k|, extent_k)`` pairs with the gcd of the coefficients divided
     out (scaling by the gcd relabels values bijectively; sign flips and
-    reorderings are coordinate changes of the box).
-
-    ``metrics_name`` mirrors hit/miss/load counts into the process
-    metrics registry (used by the shared default instance); entries can
-    be persisted across runs via :mod:`repro.lattice.persist`.
-
-    Mutations are lock-protected so concurrent threads (the ``repro
-    serve`` process absorbs worker cache entries while handling
-    requests) cannot corrupt the table or lose counter updates; a miss
-    computes *outside* the lock, so at worst two threads redundantly
-    compute the same (identical) value.
+    reorderings are coordinate changes of the box).  Storage, locking and
+    counters are :class:`~repro.lattice.memo.MemoTable`'s.
     """
-
-    def __init__(self, *, metrics_name: str | None = None):
-        self._table: dict = {}
-        self.hits = 0
-        self.misses = 0
-        self.loads = 0
-        self._metrics = _CacheMetrics(metrics_name) if metrics_name else None
-        self._lock = threading.Lock()
 
     @staticmethod
     def canonical_key(coeffs, extents) -> tuple:
@@ -589,56 +552,22 @@ class FootprintTable:
         # structure does not depend on cache warmth.
         with _span("lattice.footprint_lookup", aggregate=True):
             key = self.canonical_key(coeffs, extents)
-            with self._lock:
-                cached = self._table.get(key)
-                if cached is not None:
-                    self.hits += 1
-                    if self._metrics:
-                        self._metrics.hits.inc()
-                    return cached
-                self.misses += 1
-                if self._metrics:
-                    self._metrics.misses.inc()
-            if not key:
-                value = 1
-            else:
+
+            def compute() -> int:
+                if not key:
+                    return 1
                 cs = [c for c, _ in key]
                 es = [e for _, e in key]
-                value = distinct_values_1d(cs, [0] * len(cs), es)
-            with self._lock:
-                self._table[key] = value
-            return value
+                return distinct_values_1d(cs, [0] * len(cs), es)
 
-    # -- persistence hooks (see repro.lattice.persist) -------------------
-    def export_entries(self) -> list:
-        """``(key, value)`` pairs in a stable order."""
-        with self._lock:
-            items = list(self._table.items())
-        return sorted(items, key=repr)
-
-    def absorb_entries(self, entries) -> int:
-        """Merge persisted entries; returns how many keys were new."""
-        added = 0
-        with self._lock:
-            for key, value in entries:
-                if key not in self._table:
-                    self._table[key] = value
-                    added += 1
-            if added:
-                self.loads += added
-        if added and self._metrics:
-            self._metrics.loads.inc(added)
-        return added
-
-    def __len__(self) -> int:
-        return len(self._table)
+            return self.get_or_compute(key, compute)
 
 
 #: Shared default table used by :func:`repro.core.footprint.footprint_size`.
 DEFAULT_FOOTPRINT_TABLE = FootprintTable(metrics_name="footprint_table")
 
 
-class LatticeCountCache:
+class LatticeCountCache(MemoTable):
     """Memoised exact lattice counts for the optimiser's hot loop.
 
     :func:`count_distinct_images` and
@@ -662,49 +591,13 @@ class LatticeCountCache:
     changes the image lattice geometry, so it is not an invariance here.
 
     On a miss the count is recomputed *from the canonical form itself*,
-    so a key collision can only map to the correct value.
-
-    ``metrics_name`` mirrors hit/miss/load counts into the process
-    metrics registry (used by the shared default instance); entries can
-    be persisted across runs via :mod:`repro.lattice.persist`.
-
-    Mutations are lock-protected (same discipline as
-    :class:`FootprintTable`): lookup/count under the lock, enumeration on
-    a miss outside it — concurrent misses may redundantly compute the
-    same deterministic value, never a wrong one.
+    so a key collision can only map to the correct value.  Storage,
+    locking and counters are :class:`~repro.lattice.memo.MemoTable`'s.
     """
 
-    def __init__(self, *, metrics_name: str | None = None):
-        self._table: dict = {}
-        self.hits = 0
-        self.misses = 0
-        self.loads = 0
-        self._metrics = _CacheMetrics(metrics_name) if metrics_name else None
-        self._lock = threading.Lock()
-
-    def _probe(self, key):
-        """Cached value (counting a hit) or ``None`` (counting a miss)."""
-        with self._lock:
-            cached = self._table.get(key)
-            if cached is not None:
-                self.hits += 1
-                if self._metrics:
-                    self._metrics.hits.inc()
-                return cached
-            self.misses += 1
-            if self._metrics:
-                self._metrics.misses.inc()
-            return None
-
-    def _store(self, key, value):
-        with self._lock:
-            self._table[key] = value
-        return value
-
-    # -- canonicalisation ------------------------------------------------
     @staticmethod
-    def _canonical_rows(g, extents=None) -> tuple:
-        """Canonical ``(row, extent)`` pairs (or bare rows when no extents)."""
+    def canonical_key(g, extents=None) -> tuple:
+        """Canonical ``(row, extent)`` pairs (extent 1 when none given)."""
         g = as_int_matrix(np.atleast_2d(g), name="G")
         if extents is None:
             ext_list = [1] * g.shape[0]
@@ -726,11 +619,6 @@ class LatticeCountCache:
         pairs.sort()
         return tuple(pairs)
 
-    @classmethod
-    def canonical_key(cls, g, extents) -> tuple:
-        """Public canonical key for a box-image count (testing hook)."""
-        return cls._canonical_rows(g, extents)
-
     # -- memoised oracles ------------------------------------------------
     def count_distinct_images(self, g, extents) -> int:
         """Memoised :func:`count_distinct_images` over ``[0, extents]``."""
@@ -738,109 +626,46 @@ class LatticeCountCache:
         # (and its ``calls`` count) is independent of cache warmth — the
         # serve/CLI differential check compares span trees byte-for-byte.
         with _span("lattice.count_images", aggregate=True):
-            key = ("img", self._canonical_rows(g, extents))
-            cached = self._probe(key)
-            if cached is not None:
-                return cached
-            pairs = key[1]
-            if pairs == ("empty",):
-                value = 0
-            elif not pairs:
-                value = 1
-            else:
+            pairs = self.canonical_key(g, extents)
+
+            def compute() -> int:
+                if pairs == ("empty",):
+                    return 0
+                if not pairs:
+                    return 1
                 rows = np.array([list(r) for r, _ in pairs], dtype=np.int64)
                 ext = np.array([e for _, e in pairs], dtype=np.int64)
-                value = count_distinct_images(rows, np.zeros_like(ext), ext)
-            return self._store(key, value)
+                return count_distinct_images(rows, np.zeros_like(ext), ext)
+
+            return super().get_or_compute(("img", pairs), compute)
 
     def parallelepiped_lattice_points(self, q) -> int:
         """Memoised :func:`parallelepiped_lattice_points` of ``S(Q)``."""
         with _span("lattice.ppd_points", aggregate=True):
-            key = ("ppd", self._canonical_rows(q))
-            cached = self._probe(key)
-            if cached is not None:
-                return cached
-            rows = key[1]
-            if not rows:
-                value = 1
-            else:
-                value = parallelepiped_lattice_points(
+            rows = self.canonical_key(q)
+
+            def compute() -> int:
+                if not rows:
+                    return 1
+                return parallelepiped_lattice_points(
                     np.array([list(r) for r, _ in rows], dtype=np.int64)
                 )
-            return self._store(key, value)
 
-    def get_or_compute(self, key, fn):
+            return super().get_or_compute(("ppd", rows), compute)
+
+    def get_or_compute(self, key, compute):
         """Generic memoisation under a caller-supplied hashable key.
 
-        ``fn`` must be deterministic for the key and must not return
+        ``compute`` must be deterministic for the key and must not return
         ``None`` (absence marker).  Used by the optimiser for exact
         cumulative-footprint evaluations whose invariances (class ``G``,
         translated offsets, tile sides) the caller canonicalises itself.
         """
         with _span("lattice.memo", aggregate=True):
-            cached = self._probe(key)
-            if cached is not None:
-                return cached
-            return self._store(key, fn())
-
-    # -- persistence hooks (see repro.lattice.persist) -------------------
-    def export_entries(self) -> list:
-        """``(key, value)`` pairs in a stable order."""
-        with self._lock:
-            items = list(self._table.items())
-        return sorted(items, key=repr)
-
-    def absorb_entries(self, entries) -> int:
-        """Merge persisted entries; returns how many keys were new."""
-        added = 0
-        with self._lock:
-            for key, value in entries:
-                if key not in self._table:
-                    self._table[key] = value
-                    added += 1
-            if added:
-                self.loads += added
-        if added and self._metrics:
-            self._metrics.loads.inc(added)
-        return added
-
-    def __len__(self) -> int:
-        return len(self._table)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._table.clear()
-            self.hits = 0
-            self.misses = 0
-            self.loads = 0
+            return super().get_or_compute(key, compute)
 
 
 #: Process-wide cache shared by the footprint call sites
 #: (:mod:`repro.core.footprint`); optimiser calls create private instances
 #: by default so their enumeration counts are reproducible per call.
 DEFAULT_LATTICE_CACHE = LatticeCountCache(metrics_name="lattice")
-
-
-def analytic_cache_stats() -> dict:
-    """Hit/miss/load/entry counts of the process-default analytic caches.
-
-    The dict is JSON-ready and lands in run reports (``caches`` section)
-    and check reports, making the previously invisible bare-int counters
-    observable.
-    """
-
-    def one(cache) -> dict:
-        return {
-            "entries": len(cache),
-            "hits": int(cache.hits),
-            "misses": int(cache.misses),
-            "loads": int(cache.loads),
-        }
-
-    from ..core.plan import DEFAULT_PLAN_CACHE
-
-    return {
-        "footprint_table": one(DEFAULT_FOOTPRINT_TABLE),
-        "lattice_cache": one(DEFAULT_LATTICE_CACHE),
-        "plan": DEFAULT_PLAN_CACHE.stats(),
-    }

@@ -7,9 +7,10 @@ for a short window (or until the batch is full) and ship to a
 ``ProcessPoolExecutor`` as *one* :func:`~repro.serve.pipeline.run_batch`
 call, amortising submit/pickle overhead and letting each worker reuse
 its warm analytic caches across the whole batch.  Cache entries the
-workers compute travel back with each result and are absorbed into the
-server's process-wide tables, so they survive worker recycling and reach
-``--cache-dir`` persistence at shutdown.
+workers compute, and their hit/miss counts, travel back with each result
+and are absorbed into the server's process-wide tables, so they survive
+worker recycling, show on ``/metrics`` and reach ``--cache-dir``
+persistence at shutdown.
 
 A worker that dies mid-batch (OOM kill, segfault) breaks the pool;
 the batcher converts that into per-request ``worker-died`` errors,
@@ -24,8 +25,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
-from ..core.plan import DEFAULT_PLAN_CACHE
-from ..lattice import DEFAULT_FOOTPRINT_TABLE, DEFAULT_LATTICE_CACHE
+from ..lattice.memo import absorb_shipment
 from ..obs import get_logger, get_registry
 from .pipeline import init_worker, prewarm_worker, run_batch
 from .protocol import PartitionRequest, ProtocolError
@@ -157,7 +157,7 @@ class MicroBatcher:
         self._metrics.counter("serve.batches").inc()
         self._metrics.histogram("serve.batch_size").observe(len(batch))
         try:
-            outcomes, lattice_entries, footprint_entries, plan_delta = await loop.run_in_executor(
+            outcomes, shipment = await loop.run_in_executor(
                 self._pool,
                 run_batch,
                 [(request, rid) for request, rid, _, _ in batch],
@@ -196,10 +196,7 @@ class MicroBatcher:
                         )
                     )
             return
-        DEFAULT_LATTICE_CACHE.absorb_entries(lattice_entries)
-        DEFAULT_FOOTPRINT_TABLE.absorb_entries(footprint_entries)
-        DEFAULT_PLAN_CACHE.absorb_entries(plan_delta.get("entries", []))
-        DEFAULT_PLAN_CACHE.absorb_stats(plan_delta.get("stats", {}))
+        absorb_shipment(shipment)
         now = time.perf_counter()
         for (_, _, submitted, future), (kind, payload, meta) in zip(batch, outcomes):
             if future.done():

@@ -12,9 +12,10 @@ The module is imported by the server's process-pool children
 (:mod:`repro.serve.batching` submits :func:`run_batch`), so everything
 here must be picklable by reference and safe to run serially in a
 long-lived worker: the tracer is reset per request (span lists must not
-accumulate across requests), and analytic-cache entries computed by the
-worker are shipped back *incrementally* so the parent can persist them
-and warm future workers without re-serialising the whole table on every
+accumulate across requests), and the analytic-cache entries and
+hit/miss counts the worker adds are shipped back *incrementally*
+(:class:`~repro.lattice.memo.CacheShipper`) so the parent can count,
+persist and re-share them without re-serialising whole tables on every
 batch.
 
 Each batch item carries the request id the server minted, and each
@@ -37,11 +38,8 @@ from ..core.partitioner import LoopPartitioner
 from ..core.plan import DEFAULT_PLAN_CACHE
 from ..exceptions import ReproError
 from ..lang import lower_nest, parse_program
-from ..lattice import (
-    DEFAULT_FOOTPRINT_TABLE,
-    DEFAULT_LATTICE_CACHE,
-    analytic_cache_stats,
-)
+from ..lattice import DEFAULT_LATTICE_CACHE, analytic_cache_stats
+from ..lattice.memo import CacheShipper
 from ..obs import build_report, get_tracer, span
 from ..sim import Machine, MachineConfig, simulate_nest
 from .protocol import PartitionRequest, ProtocolError
@@ -130,11 +128,10 @@ def execute_request(request: PartitionRequest) -> dict:
 # ----------------------------------------------------------------------
 # Process-pool plumbing (module-level so the pool can pickle by reference)
 
-#: Cache keys this worker already shipped to the parent; only the delta
-#: travels with each batch result.
-_shipped_lattice: set = set()
-_shipped_footprint: set = set()
-_shipped_plan: set = set()
+#: What this worker's analytic caches learnt since the last ship-back
+#: (set by :func:`init_worker`); only that delta travels with each batch
+#: result.
+_shipper: CacheShipper | None = None
 
 #: Whether this worker routes theorem-4 optimisation through the plan
 #: cache (set by :func:`init_worker` from the server's ``--plan-cache``).
@@ -144,10 +141,6 @@ _PLAN_ENABLED = False
 #: :func:`init_worker` from the server's ``--opt-budget``); ``None``
 #: keeps partition responses bit-reproducible.
 _OPT_BUDGET_S: float | None = None
-
-#: Plan-cache counter snapshot at the last ship-back, so each batch
-#: result carries only the delta accrued since.
-_plan_stats_base: dict = {}
 
 
 def init_worker(
@@ -159,8 +152,8 @@ def init_worker(
 
     Under the ``fork`` start method children inherit the parent's warm
     caches for free; under ``spawn`` they start cold, so the warm-start
-    snapshot is loaded explicitly.  Entries present at startup are marked
-    shipped — the parent already has them.  ``plan_cache`` turns on the
+    snapshot is loaded explicitly.  Entries and counts present at startup
+    are marked shipped — the parent already has them.  ``plan_cache`` turns on the
     structure-keyed plan tier for every request this worker runs;
     ``opt_budget_s`` caps each parallelepiped portfolio member's wall
     time for every request this worker runs.
@@ -173,7 +166,7 @@ def init_worker(
     SIGKILLed server nobody else would end it.  Called in-process (not
     in a pool worker) it only sets the module state.
     """
-    global _PLAN_ENABLED, _plan_stats_base, _OPT_BUDGET_S
+    global _PLAN_ENABLED, _OPT_BUDGET_S, _shipper
     _detach_from_server()
     _PLAN_ENABLED = bool(plan_cache)
     _OPT_BUDGET_S = opt_budget_s
@@ -189,10 +182,7 @@ def init_worker(
         from ..lattice.persist import load_caches
 
         load_caches(cache_dir)
-    _shipped_lattice.update(k for k, _ in DEFAULT_LATTICE_CACHE.export_entries())
-    _shipped_footprint.update(k for k, _ in DEFAULT_FOOTPRINT_TABLE.export_entries())
-    _shipped_plan.update(k for k, _ in DEFAULT_PLAN_CACHE.export_entries())
-    _plan_stats_base = DEFAULT_PLAN_CACHE.export_stats()
+    _shipper = CacheShipper()
 
 
 def _load_prctl():
@@ -232,32 +222,6 @@ def prewarm_worker() -> int:
     return os.getpid()
 
 
-def _plan_delta() -> dict:
-    """Fresh plan entries + counter deltas since the last ship-back."""
-    global _plan_stats_base
-    entries = _fresh_entries(DEFAULT_PLAN_CACHE, _shipped_plan)
-    now = DEFAULT_PLAN_CACHE.export_stats()
-    base = _plan_stats_base
-    stats = {
-        "hits": now["hits"] - base.get("hits", 0),
-        "misses": now["misses"] - base.get("misses", 0),
-        "fallbacks": now["fallbacks"] - base.get("fallbacks", 0),
-        "fallback_reasons": {
-            reason: n - base.get("fallback_reasons", {}).get(reason, 0)
-            for reason, n in now["fallback_reasons"].items()
-            if n - base.get("fallback_reasons", {}).get(reason, 0)
-        },
-    }
-    _plan_stats_base = now
-    return {"entries": entries, "stats": stats}
-
-
-def _fresh_entries(cache, shipped: set) -> list:
-    fresh = [(k, v) for k, v in cache.export_entries() if k not in shipped]
-    shipped.update(k for k, _ in fresh)
-    return fresh
-
-
 def _compute_meta(request_id: str | None, compute_s: float, ship_traces: bool) -> dict:
     """Per-request telemetry shipped back alongside the outcome.
 
@@ -282,19 +246,21 @@ def _compute_meta(request_id: str | None, compute_s: float, ship_traces: bool) -
 def run_batch(
     items: list[tuple[PartitionRequest, str | None]],
     ship_traces: bool = True,
-) -> tuple[list[tuple[str, dict, dict]], list, list, dict]:
+) -> tuple[list[tuple[str, dict, dict]], dict]:
     """Execute a micro-batch of requests in this worker process.
 
-    ``items`` pairs each request with the server-minted request id.
-    Returns ``(outcomes, new_lattice_entries, new_footprint_entries,
-    plan_delta)`` where each outcome is ``("ok", report, meta)`` or
-    ``("error", payload, meta)`` with ``payload`` in the protocol's
-    error shape plus a ``status`` the server strips before sending,
-    ``meta`` the telemetry of :func:`_compute_meta`, and ``plan_delta``
-    the plan cache's fresh entries and counter deltas
-    (``{"entries": [...], "stats": {...}}``).  Exceptions never escape:
-    one poisoned request must not take down its batch-mates (their
-    futures would all fail) or the worker.
+    ``items`` pairs each request with the server-minted request id; the
+    worker must have run :func:`init_worker`.  Returns
+    ``(outcomes, shipment)`` where each outcome is
+    ``("ok", report, meta)`` or ``("error", payload, meta)`` with
+    ``payload`` in the protocol's error shape plus a ``status`` the
+    server strips before sending, ``meta`` the telemetry of
+    :func:`_compute_meta`, and ``shipment`` the analytic caches' fresh
+    entries and counter deltas
+    (:meth:`~repro.lattice.memo.CacheShipper.take`), which the server
+    passes to :func:`~repro.lattice.memo.absorb_shipment`.  Exceptions
+    never escape: one poisoned request must not take down its
+    batch-mates (their futures would all fail) or the worker.
     """
     outcomes: list[tuple[str, dict, dict]] = []
     for request, request_id in items:
@@ -313,9 +279,4 @@ def run_batch(
             kind = "error"
         meta = _compute_meta(request_id, time.perf_counter() - t0, ship_traces)
         outcomes.append((kind, payload, meta))
-    return (
-        outcomes,
-        _fresh_entries(DEFAULT_LATTICE_CACHE, _shipped_lattice),
-        _fresh_entries(DEFAULT_FOOTPRINT_TABLE, _shipped_footprint),
-        _plan_delta(),
-    )
+    return outcomes, _shipper.take()

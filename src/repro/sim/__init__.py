@@ -11,8 +11,7 @@ analytical model of Section 2.2 / Figure 2:
 * distributed memory modules, one per node, with a configurable
   array-to-home mapping (data partitioning);
 * a 2-D mesh interconnect ("The nodes are configured in a 2-dimensional
-  mesh communication network") with hop-weighted traffic accounting,
-  plus arbitrary networkx topologies.
+  mesh communication network") with hop-weighted traffic accounting.
 
 The executor runs a partitioned loop nest on the machine and reports the
 event counts the paper's framework predicts: cold misses per tile
@@ -24,7 +23,7 @@ invalidations.
 from .cache import Cache, CacheStats
 from .directory import Directory, CoherenceStats
 from .memory import AddressMap, block_address_map, flat_address_map
-from .network import MeshNetwork, GraphNetwork
+from .network import MeshNetwork
 from .machine import Machine, MachineConfig
 from .trace import RefStream, reference_streams, tile_accesses, nest_trace
 from .executor import simulate_nest, SimulationResult, ProcessorStats
@@ -40,7 +39,6 @@ __all__ = [
     "block_address_map",
     "flat_address_map",
     "MeshNetwork",
-    "GraphNetwork",
     "Machine",
     "MachineConfig",
     "RefStream",

@@ -111,6 +111,57 @@ class SimulationResult:
         return sum(p.footprint.get(array, 0) for p in active) / len(active)
 
 
+def collect_result(
+    machine: Machine,
+    iterations,
+    footprints,
+    shared: dict[str, int],
+    *,
+    sweeps: int,
+    engine: str = "exact",
+    engine_fallback: str | None = None,
+) -> SimulationResult:
+    """Read ``machine``'s counters into a :class:`SimulationResult`.
+
+    ``iterations`` and ``footprints`` are per processor; the simulator
+    and the dataflow executor both finish through here.
+    """
+    per_proc = []
+    for p, its in enumerate(iterations):
+        st = machine.caches[p].stats
+        per_proc.append(
+            ProcessorStats(
+                processor=p,
+                iterations=its,
+                accesses=st.accesses,
+                hits=st.hits,
+                misses=st.misses,
+                read_misses=int(st.read_misses),
+                write_misses=int(st.write_misses),
+                write_upgrades=int(st.write_upgrades),
+                local_misses=int(machine.local_miss_count[p]),
+                remote_misses=int(machine.remote_miss_count[p]),
+                memory_cost=int(machine.memory_cost[p]),
+                footprint=footprints[p],
+            )
+        )
+    d = machine.directory.stats
+    return SimulationResult(
+        processors=tuple(per_proc),
+        sweeps=sweeps,
+        cold_misses=int(d.cold_fills),
+        coherence_misses=int(d.coherence_misses),
+        capacity_misses=int(d.capacity_misses),
+        invalidations=int(d.invalidations),
+        network_messages=int(machine.network.messages),
+        network_hops=int(machine.network.hops),
+        shared_elements=shared,
+        machine=machine,
+        engine=engine,
+        engine_fallback=engine_fallback,
+    )
+
+
 def _execute_exact(
     streams,
     machine: Machine,
@@ -264,38 +315,12 @@ def simulate_nest(
             )
 
     with span("sim.collect"):
-        per_proc = []
-        for p in range(processors):
-            st = machine.caches[p].stats
-            per_proc.append(
-                ProcessorStats(
-                    processor=p,
-                    iterations=int(blocks[p].shape[0]),
-                    accesses=st.accesses,
-                    hits=st.hits,
-                    misses=st.misses,
-                    read_misses=int(st.read_misses),
-                    write_misses=int(st.write_misses),
-                    write_upgrades=int(st.write_upgrades),
-                    local_misses=int(machine.local_miss_count[p]),
-                    remote_misses=int(machine.remote_miss_count[p]),
-                    memory_cost=int(machine.memory_cost[p]),
-                    footprint=footprints[p],
-                )
-            )
-
-    d = machine.directory.stats
-    return SimulationResult(
-        processors=tuple(per_proc),
-        sweeps=sweeps,
-        cold_misses=int(d.cold_fills),
-        coherence_misses=int(d.coherence_misses),
-        capacity_misses=int(d.capacity_misses),
-        invalidations=int(d.invalidations),
-        network_messages=int(machine.network.messages),
-        network_hops=int(machine.network.hops),
-        shared_elements=shared,
-        machine=machine,
-        engine="fast" if use_fast else "exact",
-        engine_fallback=fallback_reason,
-    )
+        return collect_result(
+            machine,
+            [int(blocks[p].shape[0]) for p in range(processors)],
+            footprints,
+            shared,
+            sweeps=sweeps,
+            engine="fast" if use_fast else "exact",
+            engine_fallback=fallback_reason,
+        )

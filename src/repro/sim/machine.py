@@ -22,7 +22,7 @@ from ..obs.metrics import MetricsRegistry
 from .cache import Cache
 from .directory import Directory
 from .memory import AddressMap, flat_address_map
-from .network import GraphNetwork, MeshNetwork
+from .network import MeshNetwork
 
 __all__ = ["Machine", "MachineConfig"]
 
@@ -67,7 +67,6 @@ class Machine:
         config: MachineConfig | int,
         *,
         address_map: AddressMap | None = None,
-        network=None,
         registry: MetricsRegistry | None = None,
     ):
         if isinstance(config, int):
@@ -85,7 +84,7 @@ class Machine:
         ]
         self.directory = Directory(self.caches, registry=self.metrics)
         self.address_map = address_map or flat_address_map(self.p)
-        self.network = network or MeshNetwork(
+        self.network = MeshNetwork(
             self.p, config.mesh_shape, registry=self.metrics
         )
         self.local_miss_count = [

@@ -16,20 +16,9 @@ home node; two stock policies are provided:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = ["AddressMap", "flat_address_map", "block_address_map"]
-
-
-@dataclass(frozen=True)
-class ArrayLayout:
-    """Shape plus home-assignment function for one array."""
-
-    name: str
-    shape: tuple[int, ...]
-    lower: tuple[int, ...]
 
 
 class AddressMap:

@@ -1,4 +1,4 @@
-"""Interconnect models: 2-D mesh (Alewife's topology) and general graphs.
+"""Interconnect model: the 2-D mesh of Alewife's topology.
 
 The paper's analysis prices every main-memory access equally ("the cost of
 the main memory access is the same no matter where in main memory the data
@@ -12,16 +12,12 @@ metric).
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..obs.metrics import MetricsRegistry
 
-if TYPE_CHECKING:
-    import networkx as nx
-
-__all__ = ["MeshNetwork", "GraphNetwork", "best_mesh_shape"]
+__all__ = ["MeshNetwork", "best_mesh_shape"]
 
 
 def best_mesh_shape(nodes: int) -> tuple[int, int]:
@@ -78,52 +74,6 @@ class MeshNetwork:
         dist = np.abs(rows - rs) + np.abs(cols - cs)
         self.messages += int(counts.sum())
         self.hops += int(counts @ dist)
-
-    def reset(self) -> None:
-        self.messages.reset()
-        self.hops.reset()
-
-
-class GraphNetwork:
-    """Arbitrary topology via networkx; shortest-path hop distances."""
-
-    def __init__(self, graph: nx.Graph, *, registry: MetricsRegistry | None = None):
-        # Imported here: only this class needs networkx, and loading it
-        # costs every process that imports the simulator.
-        import networkx as nx
-
-        if graph.number_of_nodes() == 0:
-            raise ValueError("empty topology")
-        if not nx.is_connected(graph):
-            raise ValueError("topology must be connected")
-        self.graph = graph
-        self.nodes = graph.number_of_nodes()
-        nodes_sorted = sorted(graph.nodes())
-        self._index = {n: i for i, n in enumerate(nodes_sorted)}
-        self._names = nodes_sorted
-        # Precompute all-pairs hop distances (small machines only).
-        self._dist = np.zeros((self.nodes, self.nodes), dtype=np.int64)
-        for src, lengths in nx.all_pairs_shortest_path_length(graph):
-            for dst, d in lengths.items():
-                self._dist[self._index[src], self._index[dst]] = d
-        registry = registry if registry is not None else MetricsRegistry()
-        self.messages = registry.counter("sim.network.messages")
-        self.hops = registry.counter("sim.network.hops")
-
-    def distance(self, a: int, b: int) -> int:
-        return int(self._dist[a, b])
-
-    def send(self, src: int, dst: int) -> int:
-        d = self.distance(src, dst)
-        self.messages += 1
-        self.hops += d
-        return d
-
-    def send_bulk_vector(self, src: int, counts) -> None:
-        """Account ``counts[dst]`` messages from ``src`` to every ``dst``."""
-        counts = np.asarray(counts, dtype=np.int64)
-        self.messages += int(counts.sum())
-        self.hops += int(counts @ self._dist[src, : counts.shape[0]])
 
     def reset(self) -> None:
         self.messages.reset()

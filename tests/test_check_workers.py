@@ -8,6 +8,10 @@ of ``--workers`` — the worker partitioning is a pure scheduling choice.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -81,6 +85,28 @@ class TestCheckCli:
         )
         assert rc == 0
         assert (cache_dir / "analytic_cache.json").exists()
+
+    def test_cli_cache_dir_same_entries_any_workers(self, tmp_path):
+        """Pool children ship what they computed: a ``--workers 2`` run
+        persists exactly the analytic-cache entries of ``--workers 1``.
+        Each run gets a fresh interpreter, whose default caches start
+        empty."""
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        env.pop("REPRO_CACHE_DIR", None)
+        written = {}
+        for workers in (1, 2):
+            cache_dir = tmp_path / f"workers{workers}"
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro", "check", "--cases", "10",
+                 "--seed", "0", "--workers", str(workers),
+                 "--cache-dir", str(cache_dir)],
+                capture_output=True, text=True, env=env, timeout=300,
+            )
+            assert proc.returncode == 0, proc.stdout + proc.stderr
+            doc = json.loads((cache_dir / "analytic_cache.json").read_text())
+            written[workers] = doc["caches"]
+        assert all(written[1][name] for name in written[1]), written[1]
+        assert written[2] == written[1]
 
     def test_cli_faulted_run_never_persists(self, tmp_path):
         cache_dir = tmp_path / "cache"

@@ -1,9 +1,7 @@
 """Importing the package must not load networkx.
 
-Only :class:`repro.sim.network.GraphNetwork` uses networkx, so it imports
-the library when a graph network is built.  Every other process (the
-CLI, the server, a plain ``import repro``) skips its import time and
-memory.
+The package does not depend on networkx.  No process (the CLI, the
+server, a plain ``import repro``) may pay its import time and memory.
 """
 
 from __future__ import annotations
@@ -32,12 +30,3 @@ def test_package_import_does_not_load_networkx():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
-
-
-def test_graph_network_still_builds():
-    import networkx as nx
-
-    from repro.sim.network import GraphNetwork
-
-    net = GraphNetwork(nx.path_graph(3))
-    assert net.distance(0, 2) == 2

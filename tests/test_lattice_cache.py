@@ -1,4 +1,5 @@
-"""LatticeCountCache: canonical-key invariances and optimiser wiring."""
+"""LatticeCountCache: canonical-key invariances, optimiser wiring and
+the worker ship-back of the default caches."""
 
 from __future__ import annotations
 
@@ -17,6 +18,7 @@ from repro.lattice.points import (
     count_distinct_images,
     parallelepiped_lattice_points,
 )
+from repro.lattice.memo import CacheShipper, absorb_shipment
 
 
 class TestCanonicalKey:
@@ -101,10 +103,13 @@ class TestMemoisedCounts:
         assert (cache.hits, cache.misses) == (1, 1)
 
     def test_clear(self):
+        """``clear`` drops the entries; the counters keep running."""
         cache = LatticeCountCache()
         cache.count_distinct_images([[1, 0]], [3])
         cache.clear()
-        assert (len(cache), cache.hits, cache.misses) == (0, 0, 0)
+        assert (len(cache), cache.hits, cache.misses) == (0, 0, 1)
+        cache.count_distinct_images([[1, 0]], [3])
+        assert (len(cache), cache.hits, cache.misses) == (1, 0, 2)
 
 
 class TestFootprintWiring:
@@ -171,3 +176,28 @@ class TestOptimizerWiring:
         assert base.tile.sides.tolist() == cached.tile.sides.tolist()
         assert base.grid == cached.grid
         assert base.predicted_cost == cached.predicted_cost
+
+
+class TestShipBack:
+    def test_ships_only_new_entries_and_counts(self):
+        shipper = CacheShipper()
+        key = ("test-ship-back", id(shipper))
+        assert DEFAULT_LATTICE_CACHE.get_or_compute(key, lambda: 5) == 5
+        first = shipper.take()
+        assert first["lattice_cache"] == {"entries": [(key, 5)], "stats": {"misses": 1}}
+        for section in ("footprint_table", "plan_cache"):
+            assert first[section] == {"entries": [], "stats": {}}
+        DEFAULT_LATTICE_CACHE.get_or_compute(key, lambda: 0)
+        second = shipper.take()
+        assert second["lattice_cache"] == {"entries": [], "stats": {"hits": 1}}
+
+    def test_absorb_adds_worker_counts(self):
+        shipper = CacheShipper()
+        key = ("test-absorb", id(shipper))
+        DEFAULT_LATTICE_CACHE.get_or_compute(key, lambda: 3)
+        shipment = shipper.take()
+        misses, loads = DEFAULT_LATTICE_CACHE.misses, DEFAULT_LATTICE_CACHE.loads
+        absorb_shipment(shipment)
+        # The entry is already here (same process), so only counts move.
+        assert DEFAULT_LATTICE_CACHE.misses == misses + 1
+        assert DEFAULT_LATTICE_CACHE.loads == loads

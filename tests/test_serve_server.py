@@ -365,6 +365,34 @@ class TestFlowFamilies:
         assert plan["fallbacks"] == 0, plan
 
 
+def test_metrics_count_worker_cache_traffic():
+    """The server's ``/metrics`` counts the analytic-cache hits and
+    misses its pool workers had, for every cache: what a request adds to
+    the worker's counters (its report's ``caches``) the server adds too.
+    ``B(i+j)`` has dependent rows, so the request queries both the
+    footprint table and the lattice-count cache."""
+    source = (
+        "Doall (i, 1, N)\n  Doall (j, 1, N)\n    A(i,j) = B(i+j)\n"
+        "  EndDoall\nEndDoall\n"
+    )
+    names = ("footprint_table", "lattice_cache", "plan")
+    with EmbeddedServer(ServeConfig(port=0, workers=1)) as emb:
+        with ServeClient("127.0.0.1", emb.port) as c:
+            before = c.partition(FAST_SOURCE, 3, label="warm-up")["caches"]
+            served_before = c.metrics()["caches"]
+            worker = c.partition(source, 4, bindings={"N": 9})["caches"]
+            served = c.metrics()["caches"]
+    for name in ("footprint_table", "lattice_cache"):
+        # Hits or misses, depending on what the worker inherited warm.
+        assert sum(worker[name][k] - before[name][k] for k in ("hits", "misses"))
+    for name in names:
+        for counter in ("hits", "misses"):
+            assert (
+                served[name][counter] - served_before[name][counter]
+                == worker[name][counter] - before[name][counter]
+            ), (name, counter, served, worker)
+
+
 @pytest.mark.parametrize("program,source", [
     ("doall", "Doall (i, 1, N)\n  A[i] = B[i]\nEndDoall\n"),
     ("flow", "Doall (i, 1, N)\n  T[i] = A[i]\nEndDoall\n"

@@ -1,9 +1,8 @@
 """Tests for the interconnect models."""
 
-import networkx as nx
 import pytest
 
-from repro.sim.network import GraphNetwork, MeshNetwork, best_mesh_shape
+from repro.sim.network import MeshNetwork, best_mesh_shape
 
 
 class TestBestMeshShape:
@@ -50,45 +49,10 @@ class TestMesh:
             MeshNetwork(0)
 
 
-class TestGraphNetwork:
-    def test_ring(self):
-        g = nx.cycle_graph(6)
-        net = GraphNetwork(g)
-        assert net.distance(0, 3) == 3
-        assert net.distance(0, 5) == 1
-
-    def test_send(self):
-        net = GraphNetwork(nx.path_graph(4))
-        net.send(0, 3)
-        assert net.hops == 3 and net.messages == 1
-
-    def test_disconnected_rejected(self):
-        g = nx.Graph()
-        g.add_nodes_from([0, 1])
-        with pytest.raises(ValueError):
-            GraphNetwork(g)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            GraphNetwork(nx.Graph())
-
-    def test_matches_mesh_on_grid_graph(self):
-        mesh = MeshNetwork(12, (3, 4))
-        g = nx.grid_2d_graph(3, 4)
-        mapping = {(r, c): r * 4 + c for r, c in g.nodes()}
-        net = GraphNetwork(nx.relabel_nodes(g, mapping))
-        for a in range(12):
-            for b in range(12):
-                assert net.distance(a, b) == mesh.distance(a, b)
-
-
 @pytest.mark.parametrize(
     "make",
-    [
-        lambda: MeshNetwork(6, (2, 3)),
-        lambda: GraphNetwork(nx.cycle_graph(6)),
-    ],
-    ids=["mesh", "graph"],
+    [lambda: MeshNetwork(6, (2, 3))],
+    ids=["mesh"],
 )
 def test_send_bulk_vector_matches_scalar_sends(make):
     counts = [0, 3, 1, 0, 5, 2]
