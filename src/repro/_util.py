@@ -5,8 +5,15 @@ The paper works entirely with integer vectors and matrices (Section 2.1:
 otherwise").  numpy's float linear algebra is unsafe for the exact lattice
 computations in Theorems 1-5, so this module centralises exact integer
 routines: validation/coercion, exact determinants by fraction-free Bareiss
-elimination, exact rank, gcds, and exact rational solves built on
-:class:`fractions.Fraction`.
+elimination, exact rank, gcds, and exact rational solves.
+
+Validation happens once: :func:`as_int_matrix` hands a read-only
+C-contiguous ``int64`` array (an :class:`~repro.core.affine.AffineRef`
+freezes its ``G`` and offset when it is built) back unchanged, and
+copies anything else.  Elimination runs on Python ints from
+``ndarray.tolist()``, with every derived row divided by the gcd of its
+entries, so nothing overflows and no :class:`fractions.Fraction` is
+formed until a rational solve returns its unknowns.
 """
 
 from __future__ import annotations
@@ -22,8 +29,11 @@ from .exceptions import NonIntegerMatrixError, SingularMatrixError
 __all__ = [
     "as_int_matrix",
     "as_int_vector",
+    "frozen_int_matrix",
     "int_det",
     "int_rank",
+    "eliminate",
+    "det_rows",
     "gcd_many",
     "vector_gcd",
     "is_integer_array",
@@ -50,12 +60,21 @@ def is_integer_array(a: np.ndarray, *, tol: float = 0.0) -> bool:
 def as_int_matrix(m, *, name: str = "matrix", ndim: int = 2) -> np.ndarray:
     """Coerce ``m`` to a C-contiguous ``int64`` array of dimension ``ndim``.
 
+    A read-only, C-contiguous ``int64`` array of the right dimension is
+    returned as is: it was validated when it was frozen.  Anything else
+    is validated and copied, so a caller may mutate the result without
+    touching its input.
+
     Raises
     ------
     NonIntegerMatrixError
         If any entry is not an integer (floats are accepted only when they
         are exactly integral).
     """
+    if type(m) is np.ndarray and m.dtype == np.int64 and m.ndim == ndim:
+        if not m.flags.writeable and m.flags.c_contiguous:
+            return m
+        return np.array(m, order="C")
     a = np.asarray(m)
     if a.ndim != ndim:
         raise NonIntegerMatrixError(f"{name} must be {ndim}-dimensional, got shape {a.shape}")
@@ -68,6 +87,13 @@ def as_int_matrix(m, *, name: str = "matrix", ndim: int = 2) -> np.ndarray:
     if not is_integer_array(a):
         raise NonIntegerMatrixError(f"{name} has non-integer entries: {a!r}")
     return np.ascontiguousarray(np.round(a).astype(np.int64))
+
+
+def frozen_int_matrix(m, *, name: str = "matrix", ndim: int = 2) -> np.ndarray:
+    """:func:`as_int_matrix`, made read-only: validated once, shareable."""
+    a = as_int_matrix(m, name=name, ndim=ndim)
+    a.setflags(write=False)
+    return a
 
 
 def as_int_vector(v, *, name: str = "vector") -> np.ndarray:
@@ -85,10 +111,14 @@ def int_det(m) -> int:
     n, ncols = a.shape
     if n != ncols:
         raise SingularMatrixError(f"determinant requires a square matrix, got {a.shape}")
+    return det_rows(a.tolist())
+
+
+def det_rows(rows: list[list[int]]) -> int:
+    """Bareiss determinant of a square list-of-lists of ints (consumed)."""
+    n = len(rows)
     if n == 0:
         return 1
-    # Work on a python-int list-of-lists: Bareiss stays exact.
-    rows = [[int(x) for x in row] for row in a]
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -109,28 +139,45 @@ def int_det(m) -> int:
     return sign * rows[n - 1][n - 1]
 
 
-def int_rank(m) -> int:
-    """Exact rank of an integer matrix (fraction-free Gaussian elimination)."""
-    a = as_int_matrix(m, name="rank argument")
-    rows = [[Fraction(int(x)) for x in row] for row in a]
-    nr = len(rows)
-    nc = a.shape[1]
-    rank = 0
-    col = 0
-    while rank < nr and col < nc:
-        pivot_row = next((r for r in range(rank, nr) if rows[r][col] != 0), None)
-        if pivot_row is None:
-            col += 1
+def eliminate(rows: list[list[int]], ncols: int, *, full: bool = False) -> list[tuple[int, int]]:
+    """Integer row elimination of ``rows`` (a list-of-lists, changed in place).
+
+    Brings the first ``ncols`` columns to row echelon form — to reduced
+    form, with zeros above each pivot too, when ``full`` — and returns
+    the ``(row, col)`` pivots.  Each derived row is ``p·row − f·pivot
+    row`` divided by the gcd of its entries, so the entries stay small
+    Python ints and are never rounded.  Columns past ``ncols`` (a
+    right-hand side) ride along.  The pivot columns are the greedy
+    left-to-right maximal independent set of the first ``ncols``
+    columns; their count is the rank.
+    """
+    nrows = len(rows)
+    pivots: list[tuple[int, int]] = []
+    row = 0
+    for col in range(ncols):
+        if row == nrows:
+            break
+        pr = next((r for r in range(row, nrows) if rows[r][col]), None)
+        if pr is None:
             continue
-        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        pivot = rows[rank][col]
-        for r in range(rank + 1, nr):
-            if rows[r][col] != 0:
-                factor = rows[r][col] / pivot
-                rows[r] = [rows[r][c] - factor * rows[rank][c] for c in range(nc)]
-        rank += 1
-        col += 1
-    return rank
+        rows[row], rows[pr] = rows[pr], rows[row]
+        prow = rows[row]
+        p = prow[col]
+        for r in range(0 if full else row + 1, nrows):
+            f = rows[r][col]
+            if f and r != row:
+                new = [p * x - f * y for x, y in zip(rows[r], prow)]
+                g = math.gcd(*new)
+                rows[r] = [x // g for x in new] if g > 1 else new
+        pivots.append((row, col))
+        row += 1
+    return pivots
+
+
+def int_rank(m) -> int:
+    """Exact rank of an integer matrix (integer row elimination)."""
+    a = as_int_matrix(m, name="rank argument")
+    return len(eliminate(a.tolist(), a.shape[1]))
 
 
 def gcd_many(values: Iterable[int]) -> int:
@@ -162,34 +209,16 @@ def exact_solve(a, b) -> list[Fraction] | None:
     m, n = a.shape
     if b.shape[0] != n:
         raise ValueError(f"shape mismatch: a is {a.shape}, b has length {b.shape[0]}")
-    # x·a = b  <=>  aᵀ·xᵀ = bᵀ: do rational Gaussian elimination on [aᵀ | b].
-    aug = [[Fraction(int(a[r][c])) for r in range(m)] + [Fraction(int(b[c]))] for c in range(n)]
-    nrows = n
-    ncols = m
-    pivots: list[tuple[int, int]] = []
-    row = 0
-    for col in range(ncols):
-        pr = next((r for r in range(row, nrows) if aug[r][col] != 0), None)
-        if pr is None:
-            continue
-        aug[row], aug[pr] = aug[pr], aug[row]
-        pv = aug[row][col]
-        aug[row] = [x / pv for x in aug[row]]
-        for r in range(nrows):
-            if r != row and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [aug[r][c] - f * aug[row][c] for c in range(ncols + 1)]
-        pivots.append((row, col))
-        row += 1
-        if row == nrows:
-            break
+    # x·a = b  <=>  aᵀ·xᵀ = bᵀ: reduce [aᵀ | b] on ints, divide at the end.
+    aug = [row + [rhs] for row, rhs in zip(a.T.tolist(), b.tolist())]
+    pivots = eliminate(aug, m, full=True)
     # Inconsistency: a zero row with nonzero rhs.
-    for r in range(row, nrows):
-        if all(aug[r][c] == 0 for c in range(ncols)) and aug[r][ncols] != 0:
+    for r in range(len(pivots), n):
+        if aug[r][m] != 0 and not any(aug[r][:m]):
             return None
-    x = [Fraction(0)] * ncols
+    x = [Fraction(0)] * m
     for r, c in pivots:
-        x[c] = aug[r][ncols]
+        x[c] = Fraction(aug[r][m], aug[r][c])
     return x
 
 
@@ -230,11 +259,11 @@ def minors_gcd(m, order: int) -> int:
     nr, nc = a.shape
     if order <= 0 or order > min(nr, nc):
         raise ValueError(f"minor order {order} out of range for shape {a.shape}")
+    full = a.tolist()
     g = 0
-    for rows in combinations(range(nr), order):
-        sub_rows = a[list(rows), :]
+    for rows in combinations(full, order):
         for cols in combinations(range(nc), order):
-            g = math.gcd(g, abs(int_det(sub_rows[:, list(cols)])))
+            g = math.gcd(g, abs(det_rows([[row[c] for c in cols] for row in rows])))
             if g == 1:
                 return 1
     return g
@@ -261,9 +290,14 @@ def box_volume(lo, hi) -> int:
     """Number of integer points of the box ``lo <= x <= hi`` (0 if empty)."""
     lo = as_int_vector(lo, name="lo")
     hi = as_int_vector(hi, name="hi")
-    if np.any(hi < lo):
-        return 0
-    return int(np.prod((hi - lo + 1).astype(object)))
+    if lo.shape != hi.shape:
+        raise ValueError("lo and hi must have the same length")
+    n = 1
+    for a, b in zip(lo.tolist(), hi.tolist()):
+        if b < a:
+            return 0
+        n *= b - a + 1
+    return n
 
 
 def box_points_array(lo, hi) -> np.ndarray:

@@ -254,6 +254,36 @@ def _inject_residue():
         yield
 
 
+@contextmanager
+def _inject_classify():
+    """Drop the solutions of the classifier's cached-SNF solves.
+
+    Every solve against a class's stored Smith normal form reports "no
+    integer solution" for a nonzero right-hand side, so references with
+    distinct offsets never join a class (and classes lose their sharing
+    directions).  The ``classification-exact`` oracle decides Definition
+    6 through the Hermite normal form instead and must flag the classes
+    that should have merged.  The plan cache is cleared on both sides so
+    plans solved on the wrong classes never leak out.
+    """
+    from ..core import classify as _classify
+
+    orig = _classify.solve_integer
+
+    def bad(a, b, snf=None):
+        x = orig(a, b, snf)
+        if snf is not None and any(int(v) for v in b):
+            return None
+        return x
+
+    _plan.DEFAULT_PLAN_CACHE.clear()
+    try:
+        with _patched(_classify, "solve_integer", bad):
+            yield
+    finally:
+        _plan.DEFAULT_PLAN_CACHE.clear()
+
+
 FAULTS = {
     "spread": _inject_spread,
     "exact-count": _inject_exact_count,
@@ -262,6 +292,7 @@ FAULTS = {
     "flow": _inject_flow,
     "engine": _inject_engine,
     "residue": _inject_residue,
+    "classify": _inject_classify,
 }
 
 

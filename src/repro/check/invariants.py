@@ -31,13 +31,16 @@ cumulative footprint.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
 from .._util import int_rank
 from ..core import cumulative as _cum
+from ..core.classify import uniformly_generated
 from ..core.footprint import footprint_size
 from ..core.tiles import RectangularTile
+from ..lattice.hnf import hermite_normal_form
 from ..lattice.snf import solve_integer
 
 __all__ = ["Violation", "Tally", "CaseArtifacts", "run_invariants"]
@@ -180,7 +183,15 @@ def check_parse_roundtrip(art: CaseArtifacts) -> None:
 
 
 def check_classification(art: CaseArtifacts) -> None:
-    """Classification is a partition of the accesses."""
+    """Classification is a partition of the accesses into exactly the
+    maximal uniformly intersecting classes.
+
+    ``classification-exact`` decides Definition 6 without the Smith
+    normal form the classifier uses: ``a_s − a_r`` must lie in the row
+    lattice of the shared ``G``, tested against its Hermite normal form.
+    Every member pair of a class must intersect uniformly, and no two
+    classes may be mergeable.
+    """
     art.tally.hit("classification-partition")
     classified = sum(s.size for s in art.uisets)
     if classified != len(art.nest.accesses):
@@ -188,6 +199,41 @@ def check_classification(art: CaseArtifacts) -> None:
             "classification-partition",
             f"{classified} classified refs != {len(art.nest.accesses)} accesses",
         )
+    art.tally.hit("classification-exact")
+    hnfs = [hermite_normal_form(s.g) for s in art.uisets]
+    for s, hnf in zip(art.uisets, hnfs):
+        for r, t in combinations(s.refs, 2):
+            if not (
+                uniformly_generated(r, t)
+                and _in_row_lattice(hnf, t.offset - r.offset)
+            ):
+                art.fail(
+                    "classification-exact",
+                    f"{r!r} and {t!r} share a class but do not intersect uniformly",
+                )
+    for (i, s), (j, t) in combinations(enumerate(art.uisets), 2):
+        r, q = s.refs[0], t.refs[0]
+        if uniformly_generated(r, q) and _in_row_lattice(hnfs[i], q.offset - r.offset):
+            art.fail(
+                "classification-exact",
+                f"classes {i} and {j} ({r!r}, {q!r}) intersect uniformly but were not merged",
+            )
+
+
+def _in_row_lattice(hnf, b) -> bool:
+    """Is ``b`` an integer combination of the rows of ``hnf``'s input?
+
+    Reduces ``b`` by the echelon rows of the Hermite normal form, pivot
+    by pivot: each pivot entry must divide what is left in its column.
+    """
+    h = hnf.h.tolist()
+    rest = [int(x) for x in b]
+    for row, col in hnf.pivots:
+        q, r = divmod(rest[col], h[row][col])
+        if r:
+            return False
+        rest = [x - q * y for x, y in zip(rest, h[row])]
+    return not any(rest)
 
 
 def check_theorem_chain(art: CaseArtifacts, *, eps: float = 1e-6) -> None:

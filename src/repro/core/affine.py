@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .._util import as_int_matrix, as_int_vector
+from .._util import as_int_vector, frozen_int_matrix
 from ..lattice.unimodular import (
     is_one_to_one,
     is_onto,
@@ -68,6 +68,9 @@ class AffineRef:
         row-vectors.
     offset:
         Length-``d`` integer offset vector ``a``.
+
+    ``g`` and ``offset`` are validated once, here, and stored read-only,
+    so the integer routines take them as they are.
     """
 
     array: str
@@ -75,8 +78,8 @@ class AffineRef:
     offset: np.ndarray
 
     def __init__(self, array: str, g, offset):
-        g = as_int_matrix(g, name="G")
-        offset = as_int_vector(offset, name="offset")
+        g = frozen_int_matrix(g, name="G")
+        offset = frozen_int_matrix(offset, name="offset", ndim=1)
         if offset.shape[0] != g.shape[1]:
             raise ValueError(
                 f"offset length {offset.shape[0]} != array dimension {g.shape[1]}"
@@ -201,6 +204,10 @@ class AffineRef:
 
     def __hash__(self) -> int:
         return hash((self.array, self.g.tobytes(), self.g.shape, self.offset.tobytes()))
+
+    def __reduce__(self):
+        # Rebuild through __init__ so a copy's arrays are read-only too.
+        return (AffineRef, (self.array, self.g, self.offset))
 
     def __eq__(self, other) -> bool:
         return (

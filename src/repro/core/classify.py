@@ -11,9 +11,11 @@
   little or not at all, so their traffic adds (Section 3.5).
 
 A :class:`UISet` also owns the facts that depend only on its ``G`` and
-offsets, never on a tile: the column reduction ``G′`` (Section 3.4.1),
-Theorem 4's spread coefficients ``u``, the integer kernel of ``G`` and
-the data-sharing directions.  Each is computed on first use and kept.
+offsets, never on a tile: the Smith normal form of ``G``, the column
+reduction ``G′`` (Section 3.4.1), Theorem 4's spread coefficients ``u``,
+the integer kernel of ``G`` and the data-sharing directions.  Each is
+computed on first use and kept; :func:`partition_references` hands each
+class the Smith form it tested its members against.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from itertools import combinations
 import numpy as np
 
 from .._util import exact_solve, int_rank
-from ..lattice.snf import integer_kernel_basis, solve_integer
+from ..lattice.snf import SNFResult, integer_kernel_basis, smith_normal_form, solve_integer
 from .affine import AccessKind, AffineRef, ArrayAccess
 from .spread import spread_vector
 
@@ -148,10 +150,10 @@ class UISet:
     def refs(self) -> tuple[AffineRef, ...]:
         return tuple(a.ref for a in self.accesses)
 
-    @property
+    @_cached
     def offsets(self) -> np.ndarray:
         """``(R, d)`` matrix of the members' offset vectors."""
-        return np.vstack([r.offset for r in self.refs])
+        return _frozen(np.vstack([r.offset for r in self.refs]))
 
     @property
     def size(self) -> int:
@@ -169,6 +171,11 @@ class UISet:
         """A canonical member (minimal offset lexicographically)."""
         order = np.lexsort(self.offsets.T[::-1])
         return self.refs[int(order[0])]
+
+    @_cached
+    def snf(self) -> SNFResult:
+        """Smith normal form of ``G``, shared by every solve against it."""
+        return smith_normal_form(self.g)
 
     @_cached
     def reduced(self) -> tuple[np.ndarray, np.ndarray]:
@@ -219,7 +226,7 @@ class UISet:
         rows = list(self.kernel)
         offs = self.offsets
         for r, s in combinations(range(self.size), 2):
-            x0 = solve_integer(self.g, offs[s] - offs[r])
+            x0 = solve_integer(self.g, offs[s] - offs[r], self.snf)
             if x0 is not None and np.any(x0):
                 rows.append(x0)
         if not rows:
@@ -254,20 +261,31 @@ def partition_references(
     """
     accs = [a if isinstance(a, ArrayAccess) else ArrayAccess(a) for a in accesses]
     classes: list[list[ArrayAccess]] = []
+    snfs: list[SNFResult | None] = []  # each class's SNF of G, once needed
+    combine = any if merge_policy == "transitive" else all
     for acc in accs:
-        placed = False
-        for cls in classes:
-            if merge_policy == "transitive":
-                hit = any(uniformly_intersecting(acc.ref, m.ref) for m in cls)
-            else:
-                hit = all(uniformly_intersecting(acc.ref, m.ref) for m in cls)
-            if hit:
+        ref = acc.ref
+        for k, cls in enumerate(classes):
+            # Every member shares the class's array and G, so one test of
+            # uniform generation and one SNF serve the whole class.
+            if not uniformly_generated(ref, cls[0].ref):
+                continue
+            if snfs[k] is None:
+                snfs[k] = smith_normal_form(ref.g)
+            if combine(
+                solve_integer(ref.g, m.ref.offset - ref.offset, snfs[k]) is not None
+                for m in cls
+            ):
                 cls.append(acc)
-                placed = True
                 break
-        if not placed:
+        else:
             classes.append([acc])
-    return [UISet(tuple(cls)) for cls in classes]
+            snfs.append(None)
+    sets = [UISet(tuple(cls)) for cls in classes]
+    for uiset, snf in zip(sets, snfs):
+        if snf is not None:
+            uiset.__dict__["snf"] = snf  # seed the cached member
+    return sets
 
 
 def as_uisets(accesses_or_sets) -> list[UISet]:

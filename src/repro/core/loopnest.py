@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .._util import as_int_vector, box_volume
+from .._util import as_int_vector, box_volume, frozen_int_matrix
 from .affine import AccessKind, AffineRef, ArrayAccess
 
 __all__ = ["Loop", "LoopNest", "IterationSpace"]
@@ -47,14 +47,18 @@ class IterationSpace:
     upper: np.ndarray
 
     def __init__(self, lower, upper):
-        lower = as_int_vector(lower, name="lower")
-        upper = as_int_vector(upper, name="upper")
+        lower = frozen_int_matrix(lower, name="lower", ndim=1)
+        upper = frozen_int_matrix(upper, name="upper", ndim=1)
         if lower.shape != upper.shape:
             raise ValueError("lower/upper must have equal length")
         if np.any(upper < lower):
             raise ValueError("empty iteration space")
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
+
+    def __reduce__(self):
+        # Rebuild through __init__ so a copy's bounds are read-only too.
+        return (IterationSpace, (self.lower, self.upper))
 
     @property
     def depth(self) -> int:

@@ -42,7 +42,10 @@ __all__ = ["parse_program", "Parser"]
 
 
 class Parser:
-    """Token-stream parser; see module docstring for the grammar."""
+    """Token-stream parser; see module docstring for the grammar.
+
+    ``tokens`` ends with the EOF token, as :func:`tokenize` returns it.
+    """
 
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
@@ -50,10 +53,13 @@ class Parser:
 
     # -- stream helpers ---------------------------------------------------
     def peek(self, ahead: int = 0) -> Token:
+        if not ahead:
+            # EOF is the last token and next() never moves past it.
+            return self.tokens[self.pos]
         return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
 
     def next(self) -> Token:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind is not TokenKind.EOF:
             self.pos += 1
         return tok

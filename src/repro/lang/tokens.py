@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = ["TokenKind", "Token", "KEYWORDS"]
 
@@ -39,9 +39,12 @@ KEYWORDS = {
 }
 
 
-@dataclass(frozen=True)
-class Token:
-    """A lexeme with 1-based source position."""
+class Token(NamedTuple):
+    """A lexeme with 1-based source position.
+
+    A named tuple: the lexer builds one per lexeme, and a tuple is the
+    cheapest immutable record to build.
+    """
 
     kind: TokenKind
     text: str

@@ -90,10 +90,14 @@ class MemoTable:
 
     # -- entries: persistence and worker ship-back -----------------------
     def export_entries(self) -> list:
-        """``(key, value)`` pairs in a stable order."""
+        """``(key, value)`` pairs in a stable order: sorted by ``repr(key)``.
+
+        Keys are unique, so their reprs alone fix the order; values (plan
+        payloads can be large) are never formatted.
+        """
         with self._lock:
             items = list(self._table.items())
-        return sorted(items, key=repr)
+        return sorted(items, key=lambda kv: repr(kv[0]))
 
     def entries_except(self, known) -> list:
         """``(key, value)`` pairs whose key is not in ``known``, unordered.

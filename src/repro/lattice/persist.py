@@ -244,6 +244,17 @@ def load_caches(cache_dir=None, **caches) -> int:
     return loaded
 
 
+def _encoded_pairs(items) -> list:
+    """``[encode_key(k), v]`` pairs sorted by the encoded key's repr.
+
+    This is the order of the pairs' own reprs without formatting any
+    value: keys are unique, and no key's repr is a prefix of another's
+    except an int's, whose pair repr goes on with ``,`` (below every
+    digit).
+    """
+    return sorted(([encode_key(k), v] for k, v in items), key=lambda p: repr(p[0]))
+
+
 def save_caches(cache_dir=None, **caches) -> int:
     """Persist the analytic caches into ``cache_dir`` (merge semantics).
 
@@ -268,18 +279,14 @@ def save_caches(cache_dir=None, **caches) -> int:
                 merged[key] = value
             for key, value in cache.export_entries():
                 merged[key] = value
-            payload[name] = sorted(
-                ([encode_key(k), v] for k, v in merged.items()), key=repr
-            )
+            payload[name] = _encoded_pairs(merged.items())
             written += len(merged)
         # Forward compatibility: sections written by a newer version are
         # carried through the merge untouched instead of being dropped.
         for name, pairs in on_disk.items():
             if name in payload:
                 continue
-            payload[name] = sorted(
-                ([encode_key(k), v] for k, v in pairs), key=repr
-            )
+            payload[name] = _encoded_pairs(pairs)
             written += len(pairs)
         doc = {"schema": CACHE_SCHEMA, "version": CACHE_VERSION, "caches": payload}
         fd, tmp = tempfile.mkstemp(

@@ -33,7 +33,8 @@ class SNFResult:
 
     ``d`` is (rectangular-)diagonal with nonnegative invariant factors
     ``d[0,0] | d[1,1] | ...``; trailing factors may be zero when the input
-    is rank-deficient.
+    is rank-deficient.  The three arrays are read-only, so one result can
+    serve every solve against the same matrix.
     """
 
     d: np.ndarray
@@ -50,6 +51,12 @@ class SNFResult:
         return sum(1 for f in self.invariant_factors if f != 0)
 
 
+def _frozen(rows: list[list[int]]) -> np.ndarray:
+    a = np.array(rows, dtype=np.int64)
+    a.setflags(write=False)
+    return a
+
+
 def smith_normal_form(a) -> SNFResult:
     """Compute the Smith normal form of an integer matrix.
 
@@ -64,7 +71,7 @@ def smith_normal_form(a) -> SNFResult:
     """
     a = as_int_matrix(a, name="SNF argument")
     m, n = a.shape
-    d = [[int(x) for x in row] for row in a]
+    d = a.tolist()
     u = [[int(i == j) for j in range(m)] for i in range(m)]
     v = [[int(i == j) for j in range(n)] for i in range(n)]
 
@@ -140,31 +147,33 @@ def smith_normal_form(a) -> SNFResult:
             continue
         k += 1
 
-    return SNFResult(
-        d=np.array(d, dtype=np.int64),
-        u=np.array(u, dtype=np.int64),
-        v=np.array(v, dtype=np.int64),
-    )
+    return SNFResult(d=_frozen(d), u=_frozen(u), v=_frozen(v))
 
 
-def solve_integer(a, b) -> np.ndarray | None:
+def solve_integer(a, b, snf: SNFResult | None = None) -> np.ndarray | None:
     """Find one integer solution ``x`` of ``x·A = b``, or ``None``.
 
     ``A`` is ``(m, n)``, ``b`` length ``n``, the returned ``x`` length
     ``m``.  Uses the Smith decomposition: with ``D = U·A·V``, ``x·A = b``
     iff ``y·D = b·V`` for ``y = x·U⁻¹``, which decouples per coordinate.
+    ``snf`` is ``smith_normal_form(A)`` when the caller already holds it
+    (a class solving many right-hand sides against one ``G``).
     """
     a = as_int_matrix(a, name="a")
     b = as_int_vector(b, name="b")
     m, n = a.shape
     if b.shape[0] != n:
         raise ValueError(f"shape mismatch: a is {a.shape}, b has length {b.shape[0]}")
-    snf = smith_normal_form(a)
-    c = [int(x) for x in (b.astype(object) @ snf.v.astype(object))]
+    if snf is None:
+        snf = smith_normal_form(a)
+    bl = b.tolist()
+    v = snf.v.tolist()
+    c = [sum(bk * vk[i] for bk, vk in zip(bl, v)) for i in range(n)]
+    d = snf.d
     y = [0] * m
     k = min(m, n)
     for i in range(n):
-        di = int(snf.d[i, i]) if i < k else 0
+        di = int(d[i, i]) if i < k else 0
         if di == 0:
             if c[i] != 0:
                 return None
@@ -173,8 +182,10 @@ def solve_integer(a, b) -> np.ndarray | None:
                 return None
             if i < m:
                 y[i] = c[i] // di
-    x = np.array(y, dtype=object) @ snf.u.astype(object)
-    return np.array([int(t) for t in x], dtype=np.int64)
+    u = snf.u.tolist()
+    return np.array(
+        [sum(yi * ui[j] for yi, ui in zip(y, u)) for j in range(m)], dtype=np.int64
+    )
 
 
 def lattice_index(a) -> int:

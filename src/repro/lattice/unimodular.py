@@ -20,7 +20,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .._util import as_int_matrix, int_det, int_rank, minors_gcd
+from .._util import as_int_matrix, det_rows, eliminate, int_det, int_rank, minors_gcd
 from ..exceptions import SingularMatrixError
 
 __all__ = [
@@ -70,16 +70,19 @@ def maximal_independent_columns(g) -> tuple[int, ...]:
 
     Greedy left-to-right selection (so e.g. for Example 7's
     ``[[1,2,1],[0,0,1]]`` it picks columns ``(0, 2)`` giving
-    ``[[1,1],[0,1]]``, the paper's choice).
+    ``[[1,1],[0,1]]``, the paper's choice): the pivot columns of one
+    row elimination.
     """
     g = as_int_matrix(g, name="G")
+    return tuple(c for _, c in eliminate(g.tolist(), g.shape[1]))
+
+
+def _square_selections(g: np.ndarray):
+    """``(cols, det)`` for every ``l``-column square submatrix of ``g``."""
     l, d = g.shape
-    chosen: list[int] = []
-    for c in range(d):
-        candidate = chosen + [c]
-        if int_rank(g[:, candidate]) == len(candidate):
-            chosen.append(c)
-    return tuple(chosen)
+    rows = g.tolist()
+    for cols in combinations(range(d), l):
+        yield cols, det_rows([[row[c] for c in cols] for row in rows])
 
 
 def select_unimodular_columns(g) -> tuple[int, ...] | None:
@@ -95,13 +98,9 @@ def select_unimodular_columns(g) -> tuple[int, ...] | None:
     square submatrix with ``l`` rows exists and ``None`` is returned.
     """
     g = as_int_matrix(g, name="G")
-    l, d = g.shape
-    if int_rank(g) < l:
+    if int_rank(g) < g.shape[0]:
         return None
-    for cols in combinations(range(d), l):
-        if abs(int_det(g[:, list(cols)])) == 1:
-            return cols
-    return None
+    return next((cols for cols, det in _square_selections(g) if abs(det) == 1), None)
 
 
 def nonsingular_column_selection(g) -> tuple[int, ...]:
@@ -113,18 +112,19 @@ def nonsingular_column_selection(g) -> tuple[int, ...]:
     injective; footprint needs the Theorem 5 / general-case treatment).
     """
     g = as_int_matrix(g, name="G")
-    l, d = g.shape
-    uni = select_unimodular_columns(g)
-    if uni is not None:
-        return uni
-    if int_rank(g) < l:
+    if int_rank(g) < g.shape[0]:
         raise SingularMatrixError(
             "G has dependent rows; no nonsingular column selection exists"
         )
-    for cols in combinations(range(d), l):
-        if int_det(g[:, list(cols)]) != 0:
+    nonsingular = None
+    for cols, det in _square_selections(g):
+        if abs(det) == 1:
             return cols
-    raise SingularMatrixError("no nonsingular column selection found")
+        if det != 0 and nonsingular is None:
+            nonsingular = cols
+    if nonsingular is None:  # pragma: no cover - full row rank has one
+        raise SingularMatrixError("no nonsingular column selection found")
+    return nonsingular
 
 
 __all__.append("nonsingular_column_selection")

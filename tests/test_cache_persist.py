@@ -243,3 +243,44 @@ EndDoall
         r2 = json.loads(report2.read_text())
         loads = sum(s["loads"] for s in r2["caches"].values())
         assert loads > 0, r2["caches"]
+
+
+def _fixed_content():
+    """Caches with keys whose reprs share prefixes (ints 1/12/120/-1,
+    strings 'a'/'ab', nested tuples, bytes) and dict plan payloads."""
+    from repro.core.plan import PlanCache
+
+    ft, lc, pc = FootprintTable(), LatticeCountCache(), PlanCache()
+    ft.absorb_entries([(((1, 2), (3, 4)), 6), (((1, 2), (3,)), 3), (((1,), (12,)), 13)])
+    lc.absorb_entries([
+        (120, 1.5), (12, 2), (1, 3), (-1, 4), ("ab", 5), ("a", 6),
+        (("k", b"\x01\x02", (3, 4)), 7.25), (("k", b"\x01", (3,)), 8),
+    ])
+    pc.absorb_entries([
+        (("plan", (2, 2), b"\xff"), {"grid": [4, 2], "cost": 1.0}),
+        (("plan", (2,), b"\xff"), {"grid": [8], "cost": 2.5, "note": "z"}),
+        (("plan", (12,), b""), {"grid": [1], "cost": 0.5}),
+    ])
+    return {"footprint_table": ft, "lattice_cache": lc, "plan_cache": pc}
+
+
+class TestStableBytes:
+    #: sha256 of the file the repr-of-pair sort wrote for _fixed_content().
+    DIGEST = "d592769201cf8edd8e1a15b6476d48254cdc41e1130bf51ac383101488c85442"
+
+    def test_file_bytes_are_unchanged(self, tmp_path):
+        """Sorting by the encoded key alone writes the same bytes as
+        sorting whole ``[key, value]`` pairs by their repr."""
+        import hashlib
+
+        save_caches(tmp_path, **_fixed_content())
+        raw = (tmp_path / CACHE_FILENAME).read_bytes()
+        doc = json.loads(raw)
+        for name, pairs in doc["caches"].items():
+            assert pairs == sorted(pairs, key=repr), name
+        assert hashlib.sha256(raw).hexdigest() == self.DIGEST
+
+    def test_export_order_is_the_pair_repr_order(self):
+        for cache in _fixed_content().values():
+            entries = cache.export_entries()
+            assert entries == sorted(entries, key=repr)

@@ -150,6 +150,52 @@ class TestFaultInjection:
         assert report["failed"] >= 1
         assert {f["invariant"] for f in report["failures"]} == {"engine-parity"}
 
+    def test_classify_fault_caught(self):
+        """Dropping the cached-SNF solutions splits classes that should
+        merge; ``classification-exact`` (Hermite form, no SNF) flags it."""
+        report = run_check(
+            cases=3,
+            seed=0,
+            fault="classify",
+            config=CheckConfig(shrink_budget=40),
+        )
+        assert report["failed"] >= 1
+        assert "classification-exact" in {f["invariant"] for f in report["failures"]}
+
+    def test_classification_exact_checks_both_directions(self):
+        """A class holding non-intersecting members and two classes that
+        should be one are both violations; the true partition is not."""
+        from repro.check.invariants import CaseArtifacts, check_classification
+        from repro.core.affine import AffineRef, ArrayAccess
+        from repro.core.classify import UISet, partition_references
+
+        def refs(*offsets, g=((2,),)):
+            return [ArrayAccess(AffineRef("A", g, [o])) for o in offsets]
+
+        def violations(uisets, accesses):
+            nest = type("Nest", (), {"accesses": accesses})()
+            art = CaseArtifacts(None, nest, uisets, None, None, None, None, None, None, None, None)
+            check_classification(art)
+            assert art.tally.counts["classification-exact"] == 1
+            return [v.detail for v in art.violations]
+
+        acc = refs(0, 1, 2)  # A[2i], A[2i+1], A[2i+2]
+        assert violations(partition_references(acc), acc) == []
+        joined = violations([UISet(tuple(acc[:2])), UISet((acc[2],))], acc)
+        assert any("do not intersect uniformly" in d for d in joined)
+        split = violations([UISet((acc[0],)), UISet((acc[1],)), UISet((acc[2],))], acc)
+        assert any("were not merged" in d for d in split)
+
+    def test_classify_fault_is_scoped(self):
+        from repro.core.affine import AffineRef
+        from repro.core.classify import partition_references
+
+        refs = [AffineRef("B", np.eye(2, dtype=int), [0, 0]),
+                AffineRef("B", np.eye(2, dtype=int), [2, 1])]
+        with inject_fault("classify"):
+            assert len(partition_references(refs)) == 2
+        assert len(partition_references(refs)) == 1
+
     def test_objective_check_does_not_trust_the_shared_objective(self, monkeypatch):
         """``pepiped-objective-consistent`` recomputes every claim with a
         freshly compiled objective: a portfolio whose shared compiled

@@ -190,8 +190,14 @@ class TestBackpressure:
             done = threading.Event()
 
             def occupy():
+                # method="auto" runs the parallelepiped portfolio, which
+                # takes seconds: the request is still in flight when the
+                # rejected one arrives, however fast the rectangular
+                # pass on a warm worker is.
                 with ServeClient("127.0.0.1", emb.port) as c:
-                    c.partition(SLOW_SOURCE, 8, bindings={"N": 20}, label="occupy")
+                    c.partition(
+                        SLOW_SOURCE, 8, bindings={"N": 20}, method="auto", label="occupy"
+                    )
                 done.set()
 
             t = threading.Thread(target=occupy)

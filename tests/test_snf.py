@@ -123,6 +123,24 @@ class TestSolveInteger:
         assert sol is not None
         assert np.array_equal(sol @ a, b)
 
+    @given(
+        st.integers(1, 4).flatmap(lambda r: st.integers(1, 4).flatmap(
+            lambda c: st.tuples(matrices(r, c), st.lists(st.integers(-8, 8), min_size=c, max_size=c))
+        ))
+    )
+    def test_precomputed_snf_gives_the_same_answer(self, case):
+        m, bs = case
+        a = np.array(m)
+        fresh = solve_integer(a, bs)
+        reused = solve_integer(a, bs, snf=smith_normal_form(a))
+        assert (fresh is None) == (reused is None)
+        if fresh is not None:
+            assert fresh.tolist() == reused.tolist()
+
+    def test_snf_result_is_read_only(self):
+        res = smith_normal_form([[2, 4], [6, 8]])
+        assert not any(x.flags.writeable for x in (res.d, res.u, res.v))
+
     @given(matrices(2, 2), st.lists(st.integers(-8, 8), min_size=2, max_size=2))
     def test_sound(self, m, bs):
         """Whatever the solver returns must actually solve the system."""

@@ -24,6 +24,7 @@ from repro._util import (
     vector_gcd,
 )
 from repro.exceptions import NonIntegerMatrixError, SingularMatrixError
+from repro.lattice.unimodular import maximal_independent_columns
 
 
 def square(draw_lo=-6, hi=6, n=3):
@@ -229,3 +230,184 @@ class TestBoxes:
         lo = np.array(lo)
         hi = lo + np.array(ext)
         assert box_volume(lo, hi) == box_points_array(lo, hi).shape[0]
+
+
+# ----------------------------------------------------------------------
+# Differential tests: the integer eliminations against Fraction oracles.
+
+
+def fraction_rank(m) -> int:
+    """Rank by Gaussian elimination over ``Fraction`` (the former
+    ``int_rank``), kept as an independent oracle."""
+    a = np.asarray(m)
+    rows = [[Fraction(int(x)) for x in row] for row in a]
+    nr, nc = a.shape
+    rank = 0
+    col = 0
+    while rank < nr and col < nc:
+        pivot_row = next((r for r in range(rank, nr) if rows[r][col] != 0), None)
+        if pivot_row is None:
+            col += 1
+            continue
+        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
+        pivot = rows[rank][col]
+        for r in range(rank + 1, nr):
+            if rows[r][col] != 0:
+                factor = rows[r][col] / pivot
+                rows[r] = [rows[r][c] - factor * rows[rank][c] for c in range(nc)]
+        rank += 1
+        col += 1
+    return rank
+
+
+def fraction_solve(a, b):
+    """``x·a = b`` by Gauss-Jordan over ``Fraction`` (the former
+    ``exact_solve``): free variables 0, ``None`` when inconsistent."""
+    a = np.asarray(a)
+    m, n = a.shape
+    aug = [[Fraction(int(a[r][c])) for r in range(m)] + [Fraction(int(b[c]))] for c in range(n)]
+    pivots = []
+    row = 0
+    for col in range(m):
+        pr = next((r for r in range(row, n) if aug[r][col] != 0), None)
+        if pr is None:
+            continue
+        aug[row], aug[pr] = aug[pr], aug[row]
+        pv = aug[row][col]
+        aug[row] = [x / pv for x in aug[row]]
+        for r in range(n):
+            if r != row and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [aug[r][c] - f * aug[row][c] for c in range(m + 1)]
+        pivots.append((row, col))
+        row += 1
+        if row == n:
+            break
+    for r in range(row, n):
+        if all(aug[r][c] == 0 for c in range(m)) and aug[r][m] != 0:
+            return None
+    x = [Fraction(0)] * m
+    for r, c in pivots:
+        x[c] = aug[r][m]
+    return x
+
+
+def greedy_columns(m) -> tuple:
+    """Left-to-right independent columns, each tested by the oracle rank."""
+    a = np.asarray(m)
+    chosen: list[int] = []
+    for c in range(a.shape[1]):
+        if fraction_rank(a[:, chosen + [c]]) == len(chosen) + 1:
+            chosen.append(c)
+    return tuple(chosen)
+
+
+BIG = 2**40
+
+
+@st.composite
+def int_matrices(draw, max_dim=4):
+    """Matrices up to ``max_dim``×``max_dim``, 0-row and 0-column shapes
+    included: small entries, entries within 16 of ±2**40, or a rank-
+    deficient product ``B·C`` of a thin inner dimension."""
+    r = draw(st.integers(0, max_dim))
+    c = draw(st.integers(0, max_dim))
+    kind = draw(st.sampled_from(["small", "big", "deficient"]))
+    if kind == "small":
+        entries = st.integers(-6, 6)
+    elif kind == "big":
+        entries = st.one_of(st.integers(BIG - 16, BIG + 16), st.integers(-BIG - 16, -BIG + 16), st.integers(-2, 2))
+    else:
+        k = draw(st.integers(0, max(0, min(r, c) - 1)))
+        b = np.array(draw(st.lists(st.lists(st.integers(-4, 4), min_size=k, max_size=k), min_size=r, max_size=r)), dtype=np.int64).reshape(r, k)
+        cm = np.array(draw(st.lists(st.lists(st.integers(-4, 4), min_size=c, max_size=c), min_size=k, max_size=k)), dtype=np.int64).reshape(k, c)
+        return b @ cm
+    rows = draw(st.lists(st.lists(entries, min_size=c, max_size=c), min_size=r, max_size=r))
+    return np.array(rows, dtype=np.int64).reshape(r, c)
+
+
+class TestFractionFreeElimination:
+    @given(int_matrices())
+    def test_rank_matches_fraction_oracle(self, m):
+        assert int_rank(m) == fraction_rank(m)
+
+    @given(int_matrices())
+    def test_independent_columns_are_the_greedy_selection(self, m):
+        assert maximal_independent_columns(m) == greedy_columns(m)
+
+    @given(int_matrices(), st.data())
+    def test_exact_solve_matches_fraction_oracle(self, m, data):
+        r, c = m.shape
+        if data.draw(st.booleans()):
+            x = np.array(data.draw(st.lists(st.integers(-3, 3), min_size=r, max_size=r)), dtype=object)
+            b = [int(v) for v in (x @ m.astype(object))] if r else [0] * c
+        else:
+            b = data.draw(st.lists(st.integers(-BIG, BIG), min_size=c, max_size=c))
+        b = np.array(b, dtype=np.int64).reshape(c)
+        assert exact_solve(m, b) == fraction_solve(m, b)
+
+    def test_zero_shapes(self):
+        for shape in [(0, 0), (0, 3), (3, 0)]:
+            m = np.zeros(shape, dtype=np.int64)
+            assert int_rank(m) == 0
+            assert maximal_independent_columns(m) == ()
+        assert exact_solve(np.zeros((0, 2), dtype=np.int64), [0, 0]) == []
+        assert exact_solve(np.zeros((0, 2), dtype=np.int64), [0, 1]) is None
+        assert exact_solve(np.zeros((2, 0), dtype=np.int64), np.zeros(0, dtype=np.int64)) == [0, 0]
+
+    def test_big_entries_stay_exact(self):
+        m = np.array([[BIG, BIG + 1], [BIG + 1, BIG + 2], [1, 1]], dtype=np.int64)
+        assert int_rank(m) == 2 == fraction_rank(m)
+        sol = exact_solve(m[:2], [1, 0])
+        assert sol == fraction_solve(m[:2], [1, 0])
+        assert all(isinstance(x, Fraction) for x in sol)
+
+
+class TestValidateOnce:
+    def test_frozen_int64_is_returned_as_is(self):
+        a = np.array([[1, 2], [3, 4]], dtype=np.int64)
+        a.setflags(write=False)
+        assert as_int_matrix(a) is a
+
+    def test_writable_input_is_copied(self):
+        a = np.array([[1, 2], [3, 4]], dtype=np.int64)
+        m = as_int_matrix(a)
+        assert m is not a and not np.shares_memory(m, a)
+        m[0, 0] = 99
+        assert a[0, 0] == 1
+        v = np.array([5, 6], dtype=np.int64)
+        assert not np.shares_memory(as_int_vector(v), v)
+
+    def test_non_contiguous_frozen_input_is_copied(self):
+        a = np.arange(6, dtype=np.int64).reshape(2, 3)
+        a.setflags(write=False)
+        m = as_int_matrix(a.T)
+        assert m.flags.c_contiguous and m.flags.writeable
+        assert m.tolist() == a.T.tolist()
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint8, np.float64, object])
+    def test_other_dtypes_are_copied(self, dtype):
+        a = np.array([[1, 2], [3, 4]], dtype=dtype)
+        m = as_int_matrix(a)
+        assert m.dtype == np.int64 and not np.shares_memory(m, a)
+
+    def test_rejects_non_integral_floats(self):
+        with pytest.raises(NonIntegerMatrixError):
+            as_int_matrix(np.array([[1.0, 2.5]]))
+        with pytest.raises(NonIntegerMatrixError):
+            as_int_vector(np.array([np.nan]))
+
+    def test_rejects_non_int_objects(self):
+        for bad in ([[Fraction(1, 2)]], [[1, "2"]], [[1.0]]):
+            with pytest.raises(NonIntegerMatrixError):
+                as_int_matrix(np.array(bad, dtype=object))
+
+    def test_affine_ref_freezes_its_arrays(self):
+        from repro.core.affine import AffineRef
+
+        g = np.array([[1, 0], [0, 1]], dtype=np.int64)
+        ref = AffineRef("A", g, [0, 1])
+        assert not ref.g.flags.writeable and not ref.offset.flags.writeable
+        g[0, 0] = 7  # the caller's array is not the reference's
+        assert ref.g[0, 0] == 1
+        assert as_int_matrix(ref.g) is ref.g
