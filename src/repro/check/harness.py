@@ -284,6 +284,37 @@ def _inject_classify():
         _plan.DEFAULT_PLAN_CACHE.clear()
 
 
+@contextmanager
+def _inject_sumset():
+    """Drop the last row step of the sumset footprint count.
+
+    Every rectangular-tile image of a class whose reduced ``G`` has
+    dependent rows then misses one Minkowski summand and undercounts.
+    The ``whole-space-footprint`` oracle compares the count with the
+    distinct elements the simulator's streams touch and must flag it.
+    The process-wide footprint, lattice-count and plan caches are
+    cleared on both sides so faulted counts never leak out.
+    """
+    from ..lattice import points as _points
+
+    orig = _points._sumset_steps
+
+    def bad(rows, sides):
+        return orig(rows, sides)[:-1]
+
+    def clear():
+        _points.DEFAULT_FOOTPRINT_TABLE.clear()
+        _points.DEFAULT_LATTICE_CACHE.clear()
+        _plan.DEFAULT_PLAN_CACHE.clear()
+
+    clear()
+    try:
+        with _patched(_points, "_sumset_steps", bad):
+            yield
+    finally:
+        clear()
+
+
 FAULTS = {
     "spread": _inject_spread,
     "exact-count": _inject_exact_count,
@@ -293,6 +324,7 @@ FAULTS = {
     "engine": _inject_engine,
     "residue": _inject_residue,
     "classify": _inject_classify,
+    "sumset": _inject_sumset,
 }
 
 

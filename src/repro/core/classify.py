@@ -214,7 +214,7 @@ class UISet:
     @_cached
     def kernel(self) -> np.ndarray:
         """Integer kernel basis of ``G`` (rows): the self-reuse directions."""
-        return _frozen(integer_kernel_basis(self.g))
+        return _frozen(integer_kernel_basis(self.g, self.snf))
 
     @_cached
     def sharing(self) -> np.ndarray:

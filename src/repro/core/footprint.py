@@ -10,14 +10,18 @@ partitioning cost model needs.  This module provides:
 * :func:`footprint_size` — the best exact/closed form the paper's theory
   licenses for the given ``(G, tile)``:
 
-  ======================  =========================================
-  condition               method
-  ======================  =========================================
-  rows of G independent   Theorem 5: footprint = tile point count
-  rect tile, d = 1        Section 3.8 closed forms / enumeration
-  G unimodular            Theorem 1: integer points of S(LG)
-  otherwise               exact enumeration
-  ======================  =========================================
+  ==========================  =========================================
+  condition                   method
+  ==========================  =========================================
+  rows of G independent       Theorem 5: footprint = tile point count
+  rect tile, d = 1 or rank 1  Section 3.8 closed forms / sumset count
+  rect tile, otherwise        sumset count (Minkowski sum of segments)
+  parallelepiped tile         exact enumeration
+  ==========================  =========================================
+
+The sumset count (:func:`~repro.lattice.points.box_image_union_size`)
+never enumerates the tile: a rectangular tile's image is the Minkowski
+sum of the segments ``{k·g_i : 0 ≤ k < s_i}``.
 
 Zero columns are always dropped first (Example 1), and dependent columns
 reduced per Section 3.4.1 / Example 7.
@@ -74,7 +78,7 @@ def footprint_det_size(ref: AffineRef, tile: ParallelepipedTile) -> float:
         # rank(G) < l: the parallelepiped is degenerate in data space; its
         # d′-volume is not a footprint estimate the paper defines.  Fall
         # back to the exact count.
-        return float(footprint_size_exact(ref, tile))
+        return float(footprint_size(ref, tile))
     return float(abs(int_det(lg)))
 
 
@@ -101,7 +105,7 @@ def footprint_size(ref: AffineRef, tile: ParallelepipedTile) -> int:
         g = r.g
         if g.shape[1] == 1:
             # 1-D array case (Section 3.8): exact closed forms for l<=2 and
-            # large boxes, memoised enumeration (the paper's "table
+            # large boxes, the memoised sumset count (the paper's "table
             # lookup") otherwise.
             from ..lattice.points import DEFAULT_FOOTPRINT_TABLE
 

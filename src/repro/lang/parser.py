@@ -200,55 +200,72 @@ class Parser:
         return RefNode(name_tok.text, tuple(subs), sync, name_tok.line, name_tok.column)
 
     # -- affine expressions ------------------------------------------------
+    # A subscript is accumulated as a ``(coefficients, constant)`` pair
+    # and becomes one AffineExpr at the end of :meth:`parse_affine`.
     def parse_affine(self) -> AffineExpr:
-        expr = self.parse_affine_term()
-        while self.peek().kind in (TokenKind.PLUS, TokenKind.MINUS):
-            op = self.next()
-            rhs = self.parse_affine_term()
-            expr = expr + rhs if op.kind is TokenKind.PLUS else expr - rhs
-        return expr
+        coeffs, const = self._affine_sum()
+        return _affine_expr(coeffs, const)
 
-    def parse_affine_term(self) -> AffineExpr:
-        expr = self.parse_affine_atom()
+    def _affine_sum(self) -> tuple[dict[str, int], int]:
+        coeffs, const = self._affine_term()
+        while self.peek().kind in (TokenKind.PLUS, TokenKind.MINUS):
+            sign = 1 if self.next().kind is TokenKind.PLUS else -1
+            rhs, rconst = self._affine_term()
+            for v, c in rhs.items():
+                coeffs[v] = coeffs.get(v, 0) + sign * c
+            const += sign * rconst
+        return coeffs, const
+
+    def _affine_term(self) -> tuple[dict[str, int], int]:
+        coeffs, const = self._affine_atom()
         while True:
             tok = self.peek()
             if tok.kind is TokenKind.STAR:
                 self.next()
-                rhs = self.parse_affine_atom()
-                expr = expr.multiply(rhs)
-            elif tok.kind is TokenKind.IDENT and self._implicit_product_ok(expr):
+                rhs, rconst = self._affine_atom()
+                if not any(rhs.values()):
+                    coeffs = {v: c * rconst for v, c in coeffs.items()}
+                    const *= rconst
+                elif not any(coeffs.values()):
+                    coeffs = {v: c * const for v, c in rhs.items()}
+                    const *= rconst
+                else:
+                    # Raised by the product itself, with its message.
+                    _affine_expr(coeffs, const).multiply(_affine_expr(rhs, rconst))
+            elif tok.kind is TokenKind.IDENT and not any(coeffs.values()):
                 # implicit product "2i" / "2 i": constant followed by ident
                 self.next()
-                expr = expr.multiply(AffineExpr.variable(tok.text))
+                coeffs, const = {tok.text: const}, 0
             else:
-                return expr
+                return coeffs, const
 
-    @staticmethod
-    def _implicit_product_ok(expr: AffineExpr) -> bool:
-        return expr.is_constant()
-
-    def parse_affine_atom(self) -> AffineExpr:
+    def _affine_atom(self) -> tuple[dict[str, int], int]:
         tok = self.peek()
         if tok.kind is TokenKind.INT:
             self.next()
-            return AffineExpr.constant(tok.value)
+            return {}, int(tok.value)
         if tok.kind is TokenKind.IDENT:
             self.next()
-            return AffineExpr.variable(tok.text)
+            return {tok.text: 1}, 0
         if tok.kind is TokenKind.MINUS:
             self.next()
-            return -self.parse_affine_atom()
+            coeffs, const = self._affine_atom()
+            return {v: -c for v, c in coeffs.items()}, -const
         if tok.kind is TokenKind.PLUS:
             self.next()
-            return self.parse_affine_atom()
+            return self._affine_atom()
         if tok.kind is TokenKind.LPAREN:
             self.next()
-            inner = self.parse_affine()
+            inner = self._affine_sum()
             self.expect(TokenKind.RPAREN)
             return inner
         raise ParseError(
             f"expected affine expression, found {tok.text!r}", tok.line, tok.column
         )
+
+
+def _affine_expr(coeffs: dict[str, int], const: int) -> AffineExpr:
+    return AffineExpr(tuple(sorted((v, c) for v, c in coeffs.items() if c)), const)
 
 
 def parse_program(source: str) -> Program:

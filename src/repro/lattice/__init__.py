@@ -34,6 +34,7 @@ from .points import (
     DEFAULT_LATTICE_CACHE,
     FootprintTable,
     LatticeCountCache,
+    box_image_union_size,
     count_distinct_images,
     parallelepiped_lattice_points,
     parallelepiped_lattice_points_scalar,
@@ -57,6 +58,7 @@ __all__ = [
     "select_unimodular_columns",
     "Lattice",
     "BoundedLattice",
+    "box_image_union_size",
     "count_distinct_images",
     "parallelepiped_lattice_points",
     "parallelepiped_lattice_points_scalar",

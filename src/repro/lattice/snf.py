@@ -207,7 +207,7 @@ def lattice_index(a) -> int:
     return prod
 
 
-def integer_kernel_basis(a) -> np.ndarray:
+def integer_kernel_basis(a, snf: SNFResult | None = None) -> np.ndarray:
     """Basis of the left integer kernel ``{x ∈ Z^m : x·A = 0}``.
 
     With ``D = U·A·V``, ``x·A = 0`` iff ``y·D = 0`` for ``y = x·U⁻¹``,
@@ -221,10 +221,14 @@ def integer_kernel_basis(a) -> np.ndarray:
     directions along which a reference re-touches the *same* array element
     — the self-reuse directions a communication-free partition must not
     cut (cf. Section 3.6's coherence discussion and the R&S comparison).
+
+    ``snf`` is ``smith_normal_form(A)`` when the caller already holds it
+    (a class whose solves share one decomposition).
     """
     a = as_int_matrix(a, name="kernel argument")
     m, n = a.shape
-    snf = smith_normal_form(a)
+    if snf is None:
+        snf = smith_normal_form(a)
     k = min(m, n)
     rows = [i for i in range(m) if i >= k or snf.d[i, i] == 0]
     if not rows:

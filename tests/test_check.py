@@ -162,6 +162,28 @@ class TestFaultInjection:
         assert report["failed"] >= 1
         assert "classification-exact" in {f["invariant"] for f in report["failures"]}
 
+    def test_sumset_fault_caught(self):
+        """Dropping one Minkowski summand undercounts dependent-row
+        footprints; ``whole-space-footprint`` (the simulator's streams)
+        flags it."""
+        report = run_check(
+            cases=1,
+            seed=0,
+            fault="sumset",
+            config=CheckConfig(shrink_budget=20),
+        )
+        assert report["failed"] == 1
+        caught = {v["invariant"] for v in report["failures"][0]["all_violations"]}
+        assert "whole-space-footprint" in caught
+
+    def test_sumset_fault_is_scoped(self):
+        from repro.lattice.points import DEFAULT_LATTICE_CACHE
+
+        g, ext = [[1, 0], [0, 1], [0, 0]], [3, 3, 3]
+        with inject_fault("sumset"):
+            assert DEFAULT_LATTICE_CACHE.count_distinct_images(g, ext) == 4
+        assert DEFAULT_LATTICE_CACHE.count_distinct_images(g, ext) == 16
+
     def test_classification_exact_checks_both_directions(self):
         """A class holding non-intersecting members and two classes that
         should be one are both violations; the true partition is not."""

@@ -244,10 +244,10 @@ class TestClassGeometry:
         entered, release = threading.Event(), threading.Event()
         real = classify.integer_kernel_basis
 
-        def blocking(g):
+        def blocking(g, snf=None):
             entered.set()
             release.wait(10)
-            return real(g)
+            return real(g, snf)
 
         monkeypatch.setattr(classify, "integer_kernel_basis", blocking)
         s = self._stencil()

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro._util import box_points_array, int_det
 from repro.lattice.points import (
+    box_image_union_size,
     count_distinct_images,
     distinct_values_1d,
     enumerate_footprint,
@@ -35,6 +36,96 @@ class TestDistinctImages:
 
     def test_empty_box(self):
         assert count_distinct_images([[1]], [2], [1]) == 0
+
+
+def _enumerated_union(g, offsets, sides) -> int:
+    """The oracle: enumerate the box, map it, unique over all translates."""
+    g = np.array(g, dtype=np.int64)
+    pts = box_points_array([0] * len(sides), [s - 1 for s in sides]) @ g
+    imgs = np.vstack([pts + np.array(o, dtype=np.int64) for o in offsets])
+    return int(np.unique(imgs, axis=0).shape[0])
+
+
+@st.composite
+def _sumset_inputs(draw):
+    """``(G, offsets, sides)`` with ``l, d′ ≤ 3`` and entries in [-4, 4].
+
+    Rows are fresh, zero, a copy of an earlier row or a multiple of one,
+    so dependent, repeated and zero rows all occur besides independent
+    ones.
+    """
+    l = draw(st.integers(1, 3))
+    d = draw(st.integers(1, 3))
+    entry = st.integers(-4, 4)
+    rows = []
+    for _ in range(l):
+        kind = draw(st.sampled_from(["fresh", "zero", "copy", "multiple"]))
+        if kind == "zero":
+            rows.append([0] * d)
+        elif kind in ("copy", "multiple") and rows:
+            base = draw(st.sampled_from(rows))
+            k = 1 if kind == "copy" else draw(st.sampled_from([-2, -1, 2]))
+            rows.append([max(-4, min(4, k * x)) for x in base])
+        else:
+            rows.append(draw(st.lists(entry, min_size=d, max_size=d)))
+    offsets = draw(
+        st.lists(st.lists(st.integers(-6, 6), min_size=d, max_size=d), min_size=1, max_size=4)
+    )
+    sides = draw(st.lists(st.integers(1, 6), min_size=l, max_size=l))
+    return rows, offsets, sides
+
+
+class TestBoxImageUnionSize:
+    @given(_sumset_inputs())
+    def test_matches_enumeration(self, args):
+        g, offsets, sides = args
+        assert box_image_union_size(g, offsets, sides) == _enumerated_union(g, offsets, sides)
+
+    def test_cij_three_translates_on_a_100_cube(self):
+        # C[i,j], C[i+1,j], C[i,j+1] in a 3-deep nest: the k row is zero.
+        g = [[1, 0], [0, 1], [0, 0]]
+        offsets = [[0, 0], [1, 0], [0, 1]]
+        assert box_image_union_size(g, offsets, [100, 100, 100]) == 10_200
+
+    def test_cij_through_the_cumulative_footprint(self):
+        from repro.core.affine import AffineRef
+        from repro.core.classify import partition_references
+        from repro.core.cumulative import cumulative_footprint_size_exact
+        from repro.core.tiles import RectangularTile
+
+        g = [[1, 0], [0, 1], [0, 0]]
+        refs = [AffineRef("C", g, o) for o in ([0, 0], [1, 0], [0, 1])]
+        (s,) = partition_references(refs)
+        assert s.u is None
+        tile = RectangularTile([100, 100, 100])
+        assert cumulative_footprint_size_exact(s, tile) == 10_200
+
+    def test_beyond_the_enumeration_cap(self):
+        # 400**3 = 64M iterations: more than box_points_array enumerates.
+        g = [[1, 0], [0, 1], [0, 0]]
+        with pytest.raises(ValueError, match="too large"):
+            box_points_array([0, 0, 0], [399, 399, 399])
+        assert box_image_union_size(g, [[0, 0], [1, 1]], [400, 400, 400]) == 2 * 160_000 - 399**2
+        assert count_distinct_images(g, [0, 0, 0], [399, 399, 399]) == 160_000
+        # 300**3 = 27M: above the former 20M cap of the 1-D count.
+        assert distinct_values_1d([1, 2, 3], [0, 0, 0], [299, 299, 299]) == 6 * 299 + 1
+
+    def test_code_radix_covers_negative_offsets(self):
+        # The radix must bound |coordinate|, not the largest coordinate:
+        # (-3, 1) and (0, 0) would share a code under radix 3.
+        assert box_image_union_size([[1, 0]], [[-3, 1], [0, 0]], [2]) == 4
+
+    def test_empty_and_degenerate(self):
+        assert box_image_union_size([[1]], [[0]], [0]) == 0
+        assert box_image_union_size([[1]], np.empty((0, 1), dtype=np.int64), [3]) == 0
+        assert box_image_union_size([[0, 0]], [[5, 5]], [7]) == 1
+        assert box_image_union_size([[1, 1]], [[0, 0], [0, 0]], [4]) == 4
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ValueError):
+            box_image_union_size([[1, 0]], [[0, 0]], [2, 2])
+        with pytest.raises(ValueError):
+            box_image_union_size([[1, 0]], [[0]], [2])
 
 
 class TestParallelepiped:

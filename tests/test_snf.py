@@ -187,6 +187,12 @@ class TestIntegerKernel:
         assert abs(int_det(k)) == 1
 
     @given(matrices(3, 2))
+    def test_precomputed_snf_gives_the_same_kernel(self, m):
+        a = np.array(m)
+        reused = integer_kernel_basis(a, smith_normal_form(a))
+        assert reused.tolist() == integer_kernel_basis(a).tolist()
+
+    @given(matrices(3, 2))
     def test_kernel_annihilates(self, m):
         a = np.array(m)
         k = integer_kernel_basis(a)
