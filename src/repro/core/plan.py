@@ -377,7 +377,7 @@ class PlanCache(MemoTable):
                 self._fallback_reasons[reason] = (
                     self._fallback_reasons.get(reason, 0) + int(n)
                 )
-        if fallbacks and self._fallback_counter:
+        if fallbacks and self._fallback_counter is not None:
             self._fallback_counter.inc(fallbacks)
 
     def stats(self) -> dict:

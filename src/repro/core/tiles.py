@@ -159,15 +159,14 @@ class RectangularTile(ParallelepipedTile):
         if np.any(sides < 1):
             raise ValueError(f"tile sides must be >= 1, got {sides}")
         super().__init__(np.diag(sides))
-
-    @property
-    def sides(self) -> np.ndarray:
-        return np.diag(self.l_matrix)
-
-    @property
-    def extents(self) -> np.ndarray:
-        """``λ = sides − 1`` (inclusive per-dimension iteration bound)."""
-        return self.sides - 1
+        # Read once, read-only: ``np.diag`` of a matrix is a read-only
+        # view, and ``extents`` is ``λ = sides − 1`` (the inclusive
+        # per-dimension iteration bound).
+        sides = np.diag(self.l_matrix)
+        extents = sides - 1
+        extents.setflags(write=False)
+        object.__setattr__(self, "sides", sides)
+        object.__setattr__(self, "extents", extents)
 
     @property
     def iterations(self) -> int:
@@ -187,6 +186,10 @@ class RectangularTile(ParallelepipedTile):
         """
         hi = self.sides if closed else self.extents
         return box_points_array(np.zeros_like(hi), hi)
+
+    def __reduce__(self):
+        # Rebuilt through ``__init__``, so a copy's arrays are read-only too.
+        return RectangularTile, (self.sides.tolist(),)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"RectangularTile(sides={self.sides.tolist()})"

@@ -60,12 +60,12 @@ class FlowSimulation:
 def _machine_totals(machine: Machine) -> dict[str, int]:
     d = machine.directory.stats
     return {
-        "accesses": sum(int(c.stats.accesses) for c in machine.caches),
-        "misses": sum(int(c.stats.misses) for c in machine.caches),
-        "cold": int(d.cold_fills),
-        "coherence": int(d.coherence_misses),
-        "invalidations": int(d.invalidations),
-        "messages": int(machine.network.messages),
+        "accesses": sum(c.stats.accesses for c in machine.caches),
+        "misses": sum(c.stats.misses for c in machine.caches),
+        "cold": d.cold_fills,
+        "coherence": d.coherence_misses,
+        "invalidations": d.invalidations,
+        "messages": machine.network.messages,
     }
 
 

@@ -437,12 +437,17 @@ def parallelogram_boundary_points(q) -> int:
 
 
 def _union_axes(offsets: np.ndarray, extents: np.ndarray):
-    """Coordinate compression: per-axis cell starts and widths."""
+    """Coordinate compression: per-axis cell starts and widths.
+
+    The cuts are sorted from a set of Python ints: the first
+    ``np.unique`` call in a process imports ``numpy.ma``.
+    """
     starts = []
     widths = []
-    for k in range(offsets.shape[1]):
-        cuts = np.unique(
-            np.concatenate([offsets[:, k], offsets[:, k] + extents[k] + 1])
+    for k, extent in enumerate(extents.tolist()):
+        column = offsets[:, k].tolist()
+        cuts = np.array(
+            sorted({*column, *(o + extent + 1 for o in column)}), dtype=np.int64
         )
         starts.append(cuts[:-1])
         widths.append(np.diff(cuts))

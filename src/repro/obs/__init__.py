@@ -7,10 +7,8 @@ Everything the repository measures flows through this package:
   pipeline phase (lowering, classification, optimization, codegen,
   simulation);
 * :mod:`repro.obs.metrics` — a registry of named counters / gauges /
-  histograms the machine simulator publishes into; the public stats
-  dataclasses (:class:`~repro.sim.cache.CacheStats`,
-  :class:`~repro.sim.directory.CoherenceStats`) are *views* over it, so
-  every pre-existing caller keeps working;
+  histograms; the simulated machine publishes its plain-int counts into
+  a private one when ``machine.metrics`` is read;
 * :mod:`repro.obs.report` — a versioned, machine-readable JSON run report
   joining the paper's analytic prediction (:class:`~repro.core.cost.
   TrafficEstimate`) with the measured simulator counts, including

@@ -1,31 +1,29 @@
-"""Named counters, gauges and histograms for the simulator (and beyond).
+"""Named counters, gauges and histograms.
 
 A :class:`MetricsRegistry` is a flat namespace of instruments keyed by
-``(name, labels)``; the simulator's components (:mod:`repro.sim.cache`,
-``directory``, ``network``, ``machine``) create their counters here, and
-the pre-existing stats dataclasses (:class:`~repro.sim.cache.CacheStats`,
-:class:`~repro.sim.directory.CoherenceStats`) are thin *views* over the
-same instruments.
+``(name, labels)``.  Pipeline and serving code count into the
+process-local default registry (:func:`get_registry`) through
+:meth:`Counter.inc`, :meth:`Histogram.observe` and friends.
 
-To keep every existing caller working (``stats.read_misses += 1``,
-``assert stats.read_misses == 3``, ``a.read_hits + a.read_misses``),
-:class:`Counter` implements the integer protocol: it compares, adds,
-formats and converts like the int it wraps, and ``+=`` mutates in place.
+The simulator counts differently.  Its caches, directory, network and
+machine keep their counts as plain ints, owned by the component that
+increments them, and each :class:`~repro.sim.machine.Machine` has a
+private registry (``machine.metrics``) so concurrent simulations in one
+process never mix counts.  Reading ``machine.metrics`` fills that
+registry from the ints in one :meth:`MetricsRegistry.publish` call;
+the ``sim.*`` names live in one function of :mod:`repro.sim.machine`.
 
-Scoping: each :class:`~repro.sim.machine.Machine` owns a private registry
-(``machine.metrics``) so concurrent simulations in one process never mix
-counts; :func:`get_registry` returns the process-local default registry
-used for pipeline-level metrics.
-
-Thread safety: instrument *mutations* (``inc``, ``+=``, ``observe``,
-``set``, ``reset``) and registry operations (get-or-create, snapshot)
+Thread safety: instrument *mutations* (``inc``, ``observe``, ``set``,
+``reset``) and registry operations (get-or-create, publish, snapshot)
 are serialised under one module lock, so concurrent requests in the
 ``repro serve`` process cannot lose updates — a bare ``self._value += n``
 is a read-modify-write that the interpreter may interleave between
 threads.  A single shared lock keeps per-instrument memory at zero and
 cannot deadlock (no instrument calls another while holding it); reads of
 a single value stay lock-free, which is safe because an ``int`` load is
-atomic and these are monitoring quantities.
+atomic and these are monitoring quantities.  The simulator's ints take
+no lock: a machine is driven by one thread, and the service and
+``repro check`` simulate in worker processes.
 """
 
 from __future__ import annotations
@@ -48,27 +46,16 @@ __all__ = [
 _LOCK = threading.Lock()
 
 
-def _as_number(other):
-    if isinstance(other, (Counter, Gauge)):
-        return other.value
-    return other
-
-
 class Counter:
-    """A monotonically *usable* integer metric (int-like; see module doc).
-
-    Counters normally only go up; ``reset()`` and ``__isub__`` exist for
-    the simulator's between-run resets.
-    """
+    """An integer metric that normally only goes up (``reset()`` zeroes it)."""
 
     __slots__ = ("name", "labels", "_value")
 
-    def __init__(self, name: str, labels: tuple = (), initial: int = 0):
+    def __init__(self, name: str, labels: tuple = ()):
         self.name = name
         self.labels = labels
-        self._value = int(initial)
+        self._value = 0
 
-    # -- metric interface ------------------------------------------------
     @property
     def value(self) -> int:
         return self._value
@@ -81,82 +68,9 @@ class Counter:
         with _LOCK:
             self._value = 0
 
-    # -- int protocol (keeps stats-dataclass callers unchanged) ----------
-    def __int__(self) -> int:
-        return self._value
-
-    __index__ = __int__
-
-    def __float__(self) -> float:
-        return float(self._value)
-
-    def __bool__(self) -> bool:
-        return bool(self._value)
-
-    def __eq__(self, other) -> bool:
-        return self._value == _as_number(other)
-
-    def __ne__(self, other) -> bool:
-        return self._value != _as_number(other)
-
-    def __lt__(self, other):
-        return self._value < _as_number(other)
-
-    def __le__(self, other):
-        return self._value <= _as_number(other)
-
-    def __gt__(self, other):
-        return self._value > _as_number(other)
-
-    def __ge__(self, other):
-        return self._value >= _as_number(other)
-
-    def __add__(self, other):
-        return self._value + _as_number(other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._value - _as_number(other)
-
-    def __rsub__(self, other):
-        return _as_number(other) - self._value
-
-    def __mul__(self, other):
-        return self._value * _as_number(other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return self._value / _as_number(other)
-
-    def __rtruediv__(self, other):
-        return _as_number(other) / self._value
-
-    def __neg__(self):
-        return -self._value
-
-    def __iadd__(self, n):
-        with _LOCK:
-            self._value += _as_number(n)
-        return self
-
-    def __isub__(self, n):
-        with _LOCK:
-            self._value -= _as_number(n)
-        return self
-
-    __hash__ = object.__hash__  # identity: counters are mutable
-
-    def __format__(self, spec: str) -> str:
-        return format(self._value, spec)
-
     def __repr__(self) -> str:
         lbl = f", {dict(self.labels)}" if self.labels else ""
         return f"Counter({self.name}={self._value}{lbl})"
-
-    def __str__(self) -> str:
-        return str(self._value)
 
 
 class Gauge:
@@ -204,21 +118,6 @@ class Histogram:
             self.bins[v] = self.bins.get(v, 0) + 1
             self.count += 1
             self.total += v
-
-    def observe_bulk(self, value, n: int) -> None:
-        """Record ``n`` observations of the same ``value`` at once.
-
-        Equivalent to ``n`` calls to :meth:`observe`; used by bulk
-        accounting paths (e.g. the fast simulator engine) where looping
-        per observation would dominate.
-        """
-        if n <= 0:
-            return
-        v = int(value)
-        with _LOCK:
-            self.bins[v] = self.bins.get(v, 0) + n
-            self.count += n
-            self.total += v * n
 
     @property
     def mean(self) -> float:
@@ -388,6 +287,31 @@ class MetricsRegistry:
 
     def latency_histogram(self, name: str, **labels) -> LatencyHistogram:
         return self._get(LatencyHistogram, name, labels)
+
+    def publish(self, rows) -> None:
+        """Overwrite instruments from ``(name, labels, value)`` rows.
+
+        For owners that count in plain ints (a simulated machine): an int
+        ``value`` sets a counter, a ``{value: count}`` dict a histogram's
+        bins.  ``labels`` is a sorted tuple of ``(key, value)`` pairs, as
+        in :attr:`Counter.labels`.  Missing instruments are created in
+        row order.
+        """
+        metrics = self._metrics
+        with _LOCK:
+            for name, labels, value in rows:
+                key = (name, labels)
+                m = metrics.get(key)
+                if isinstance(value, dict):
+                    if m is None:
+                        m = metrics[key] = Histogram(name, labels)
+                    m.bins = dict(value)
+                    m.count = sum(value.values())
+                    m.total = sum(v * n for v, n in value.items())
+                else:
+                    if m is None:
+                        m = metrics[key] = Counter(name, labels)
+                    m._value = value
 
     def _items(self) -> list:
         """A consistent point-in-time copy of the instrument map."""

@@ -13,9 +13,8 @@ address is any hashable, in practice ``(array_name, flat_index)``.
 from __future__ import annotations
 
 from collections import OrderedDict
+from dataclasses import dataclass
 import enum
-
-from ..obs.metrics import MetricsRegistry
 
 __all__ = ["LineState", "Cache", "CacheStats"]
 
@@ -27,36 +26,26 @@ class LineState(enum.Enum):
     MODIFIED = "M"
 
 
+@dataclass(slots=True)
 class CacheStats:
-    """Hit/miss/eviction counters for one cache.
+    """Hit/miss/eviction counts for one cache, as plain ints.
 
-    Each field is an int-like :class:`~repro.obs.metrics.Counter`
-    published in a metrics registry (the owning machine's, or a private
-    one for standalone caches) — reads, comparisons and ``+=`` behave
-    exactly as the former plain-int dataclass did.
+    The cache increments them; a :class:`~repro.sim.machine.Machine`
+    publishes them as ``sim.cache.*`` metrics when its registry is read.
     """
 
-    FIELDS = (
-        "read_hits",
-        "read_misses",
-        "write_hits",
-        "write_misses",
-        "write_upgrades",
-        "evictions",
-        "invalidations_received",
-        "probe_invalidations",
-    )
-
-    __slots__ = FIELDS
-
-    def __init__(self, *, registry: MetricsRegistry | None = None, **labels):
-        registry = registry if registry is not None else MetricsRegistry()
-        for name in self.FIELDS:
-            setattr(self, name, registry.counter(f"sim.cache.{name}", **labels))
+    read_hits: int = 0
+    read_misses: int = 0
+    write_hits: int = 0
+    write_misses: int = 0
+    write_upgrades: int = 0
+    evictions: int = 0
+    invalidations_received: int = 0
+    probe_invalidations: int = 0
 
     @property
     def accesses(self) -> int:
-        return int(
+        return (
             self.read_hits
             + self.read_misses
             + self.write_hits
@@ -67,22 +56,11 @@ class CacheStats:
     @property
     def misses(self) -> int:
         """All memory-visible events: misses plus S→M upgrades."""
-        return int(self.read_misses + self.write_misses + self.write_upgrades)
+        return self.read_misses + self.write_misses + self.write_upgrades
 
     @property
     def hits(self) -> int:
-        return int(self.read_hits + self.write_hits)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CacheStats):
-            return NotImplemented
-        return all(
-            int(getattr(self, f)) == int(getattr(other, f)) for f in self.FIELDS
-        )
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{f}={int(getattr(self, f))}" for f in self.FIELDS)
-        return f"CacheStats({inner})"
+        return self.read_hits + self.write_hits
 
 
 class Cache:
@@ -93,20 +71,14 @@ class Cache:
     machine can account traffic.
     """
 
-    def __init__(
-        self,
-        capacity: int | None = None,
-        *,
-        registry: MetricsRegistry | None = None,
-        **labels,
-    ):
+    def __init__(self, capacity: int | None = None):
         if capacity is not None and capacity < 1:
             raise ValueError(f"cache capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         # LRU recency bookkeeping only matters when evictions can happen;
         # unbounded caches use a plain dict (faster lookups and updates).
         self._lines: dict = OrderedDict() if capacity is not None else {}
-        self.stats = CacheStats(registry=registry, **labels)
+        self.stats = CacheStats()
         # The directory driving this cache (set by it); its deferred bulk
         # lines are materialised before any per-line query below.
         self._directory = None

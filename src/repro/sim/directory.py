@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..exceptions import SimulationError
-from ..obs.metrics import MetricsRegistry
 from .cache import Cache, LineState
 
 __all__ = ["Directory", "CoherenceStats", "DirectoryEntry"]
@@ -54,40 +53,32 @@ class _BulkRecord:
     modified: bool = False
 
 
+@dataclass(slots=True)
 class CoherenceStats:
-    """Machine-wide protocol event counters.
+    """Machine-wide protocol event counts, as plain ints.
 
-    A view over int-like registry counters (see
-    :mod:`repro.obs.metrics`); field semantics are unchanged from the
-    former plain-int dataclass.
+    The directory increments them; a :class:`~repro.sim.machine.Machine`
+    publishes them as ``sim.directory.*`` metrics when its registry is
+    read.
     """
 
-    FIELDS = (
-        "cold_fills",        # first-ever fetch of an address
-        "coherence_misses",  # miss on a previously-invalidated line
-        "capacity_misses",   # miss on a line lost to LRU eviction
-        "invalidations",     # individual invalidation messages
-        "downgrades",        # M -> S interventions
-        "writebacks",        # dirty data returned to home
-    )
+    cold_fills: int = 0        # first-ever fetch of an address
+    coherence_misses: int = 0  # miss on a previously-invalidated line
+    capacity_misses: int = 0   # miss on a line lost to LRU eviction
+    invalidations: int = 0     # individual invalidation messages
+    downgrades: int = 0        # M -> S interventions
+    writebacks: int = 0        # dirty data returned to home
 
-    __slots__ = FIELDS
 
-    def __init__(self, *, registry: MetricsRegistry | None = None, **labels):
-        registry = registry if registry is not None else MetricsRegistry()
-        for name in self.FIELDS:
-            setattr(self, name, registry.counter(f"sim.directory.{name}", **labels))
+@dataclass(slots=True)
+class _Bins:
+    """Exact distribution of a small integer quantity: value → count."""
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CoherenceStats):
-            return NotImplemented
-        return all(
-            int(getattr(self, f)) == int(getattr(other, f)) for f in self.FIELDS
-        )
+    bins: dict[int, int] = field(default_factory=dict)
 
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{f}={int(getattr(self, f))}" for f in self.FIELDS)
-        return f"CoherenceStats({inner})"
+    def observe(self, value: int, n: int = 1) -> None:
+        if n:  # a bin holds at least one observation
+            self.bins[value] = self.bins.get(value, 0) + n
 
 
 def _column_sets(mask) -> list[set[int]]:
@@ -107,16 +98,13 @@ class Directory:
     equivalent to per-node directories since addresses have unique homes.
     """
 
-    def __init__(self, caches: list[Cache], *, registry: MetricsRegistry | None = None):
+    def __init__(self, caches: list[Cache]):
         self.caches = caches
         self.entries: dict = {}
-        self.metrics = registry if registry is not None else MetricsRegistry()
-        self.stats = CoherenceStats(registry=self.metrics)
+        self.stats = CoherenceStats()
         # Sharer count seen by each serviced write (how many other copies
         # the protocol had to take down) — the coherence-cost distribution.
-        self._sharers_at_write = self.metrics.histogram(
-            "sim.directory.sharers_at_write"
-        )
+        self._sharers_at_write = _Bins()
         # Per-processor cause tracking: addr -> set of procs whose copy was
         # invalidated (to classify the next miss as a coherence miss).
         self._invalidated_at: dict = {}
@@ -125,17 +113,15 @@ class Directory:
         # Analytic lines the fast engine resolved in bulk, kept as arrays
         # until a per-line view needs them (see :meth:`materialize`).
         self._deferred: list[_BulkRecord] = []
-        self._miss_class: dict = {}
+        # ``(kind, proc)`` → misses of that cause (cold, coherence,
+        # replacement); a key exists once counted, even by zero.
+        self.miss_classes: dict[tuple[str, int], int] = {}
         for c in caches:
             c._directory = self
 
     def _count_miss_class(self, kind: str, proc: int, n: int = 1) -> None:
-        counter = self._miss_class.get((kind, proc))
-        if counter is None:
-            counter = self._miss_class[(kind, proc)] = self.metrics.counter(
-                "sim.directory.miss_class", kind=kind, proc=proc
-            )
-        counter.inc(n)
+        key = (kind, proc)
+        self.miss_classes[key] = self.miss_classes.get(key, 0) + n
 
     def _entry(self, addr) -> DirectoryEntry:
         e = self.entries.get(addr)

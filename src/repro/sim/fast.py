@@ -231,7 +231,7 @@ def _bulk_account(machine, proc, array, n_lines, first_read, upgrade_mask,
     st.write_hits += writes_total * sweeps - first_write - upgrades
     if n_lines:
         machine.directory._count_miss_class("cold", proc, n_lines)
-    machine.directory._sharers_at_write.observe_bulk(0, int(written.sum()))
+    machine.directory._sharers_at_write.observe(0, int(written.sum()))
     homes = machine.address_map.homes_vector(array, coords_lines)
     events = 1 + upgrade_mask.astype(np.int64)
     machine.account_bulk_misses(proc, homes, events)
@@ -577,7 +577,8 @@ def _book_residue(machine, res: _Resolution, proc, write, home) -> None:
     }
     for name, counts in per_cache.items():
         for p in np.flatnonzero(counts).tolist():
-            getattr(machine.caches[p].stats, name).inc(int(counts[p]))
+            st = machine.caches[p].stats
+            setattr(st, name, getattr(st, name) + int(counts[p]))
 
     directory = machine.directory
     coherence = miss & ~res.first_touch
@@ -594,7 +595,7 @@ def _book_residue(machine, res: _Resolution, proc, write, home) -> None:
     stats.writebacks += n_forward + int(res.owner_m.sum())
     holders = res.taken[write & ~res.hit].sum(axis=1)
     for value, count in enumerate(np.bincount(holders).tolist()):
-        directory._sharers_at_write.observe_bulk(value, count)
+        directory._sharers_at_write.observe(value, count)
 
     local = serviced & (home == proc)
     n_local = per_proc(local)

@@ -13,14 +13,14 @@ write path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from ..exceptions import SimulationError
 from ..obs.metrics import MetricsRegistry
-from .cache import Cache
-from .directory import Directory
+from .cache import Cache, CacheStats
+from .directory import CoherenceStats, Directory
 from .memory import AddressMap, flat_address_map
 from .network import MeshNetwork
 
@@ -60,14 +60,19 @@ class MachineConfig:
 
 
 class Machine:
-    """A ``P``-processor cache-coherent shared-memory machine."""
+    """A ``P``-processor cache-coherent shared-memory machine.
+
+    Every count is a plain int owned by the component that increments
+    it: ``caches[p].stats``, ``directory.stats`` and its miss classes,
+    ``network.messages`` / ``hops``, and the per-processor lists below.
+    :attr:`metrics` publishes them under their ``sim.*`` names.
+    """
 
     def __init__(
         self,
         config: MachineConfig | int,
         *,
         address_map: AddressMap | None = None,
-        registry: MetricsRegistry | None = None,
     ):
         if isinstance(config, int):
             config = MachineConfig(processors=config)
@@ -75,33 +80,30 @@ class Machine:
             raise SimulationError("need at least one processor")
         self.config = config
         self.p = config.processors
-        # Every component publishes into this machine's registry; machines
-        # own their registries so concurrent simulations never mix counts.
-        self.metrics = registry if registry is not None else MetricsRegistry()
-        self.caches = [
-            Cache(config.cache_capacity, registry=self.metrics, proc=i)
-            for i in range(self.p)
-        ]
-        self.directory = Directory(self.caches, registry=self.metrics)
+        self.caches = [Cache(config.cache_capacity) for _ in range(self.p)]
+        self.directory = Directory(self.caches)
         self.address_map = address_map or flat_address_map(self.p)
-        self.network = MeshNetwork(
-            self.p, config.mesh_shape, registry=self.metrics
-        )
-        self.local_miss_count = [
-            self.metrics.counter("sim.machine.local_misses", proc=i)
-            for i in range(self.p)
-        ]
-        self.remote_miss_count = [
-            self.metrics.counter("sim.machine.remote_misses", proc=i)
-            for i in range(self.p)
-        ]
-        self.memory_cost = [
-            self.metrics.counter("sim.machine.memory_cost", proc=i)
-            for i in range(self.p)
-        ]
+        self.network = MeshNetwork(self.p, config.mesh_shape)
+        self.local_miss_count = [0] * self.p
+        self.remote_miss_count = [0] * self.p
+        self.memory_cost = [0] * self.p
+        # Why ``engine='auto'`` fell back to the exact engine: reason → runs.
+        self.engine_fallbacks: dict[str, int] = {}
         # Optional per-access observer ``(proc, array, coords, kind, hit)``
         # — e.g. :class:`repro.obs.export.EventTraceWriter`.
         self.observer = None
+        # A private registry, so concurrent simulations never mix counts.
+        self._registry = MetricsRegistry()
+
+    @property
+    def metrics(self) -> MetricsRegistry:
+        """This machine's registry, filled from the counters on each read.
+
+        Hold the machine, not the registry: a registry read earlier does
+        not see later simulation.
+        """
+        _publish_metrics(self)
+        return self._registry
 
     # ------------------------------------------------------------------
     def _account_messages(self, msgs, home: int) -> None:
@@ -217,3 +219,45 @@ class Machine:
     def check(self) -> None:
         """Run protocol invariant checks (tests call this liberally)."""
         self.directory.check_invariants()
+
+
+def _publish_metrics(machine: Machine) -> None:
+    """Copy every simulator counter into ``machine``'s registry.
+
+    The one place that names the ``sim.*`` metrics.  Rows come in the
+    order the names first appear in the registry: per cache, directory,
+    network, per processor, then engine fallbacks and miss classes in the
+    order they were first counted.
+    """
+    per_cache = [(f"sim.cache.{f.name}", f.name) for f in fields(CacheStats)]
+    rows = []
+    for p, cache in enumerate(machine.caches):
+        labels, st = (("proc", p),), cache.stats
+        rows += [(name, labels, getattr(st, attr)) for name, attr in per_cache]
+    directory = machine.directory
+    rows += [
+        (f"sim.directory.{f.name}", (), getattr(directory.stats, f.name))
+        for f in fields(CoherenceStats)
+    ]
+    rows += [
+        ("sim.directory.sharers_at_write", (), directory._sharers_at_write.bins),
+        ("sim.network.messages", (), machine.network.messages),
+        ("sim.network.hops", (), machine.network.hops),
+    ]
+    for name, counts in (
+        ("local_misses", machine.local_miss_count),
+        ("remote_misses", machine.remote_miss_count),
+        ("memory_cost", machine.memory_cost),
+    ):
+        rows += [
+            (f"sim.machine.{name}", (("proc", p),), n) for p, n in enumerate(counts)
+        ]
+    rows += [
+        ("sim.engine.fallback", (("reason", reason),), n)
+        for reason, n in machine.engine_fallbacks.items()
+    ]
+    rows += [
+        ("sim.directory.miss_class", (("kind", kind), ("proc", p)), n)
+        for (kind, p), n in directory.miss_classes.items()
+    ]
+    machine._registry.publish(rows)

@@ -15,8 +15,6 @@ import math
 
 import numpy as np
 
-from ..obs.metrics import MetricsRegistry
-
 __all__ = ["MeshNetwork", "best_mesh_shape"]
 
 
@@ -32,22 +30,15 @@ def best_mesh_shape(nodes: int) -> tuple[int, int]:
 class MeshNetwork:
     """2-D mesh with dimension-ordered (Manhattan) routing."""
 
-    def __init__(
-        self,
-        nodes: int,
-        shape: tuple[int, int] | None = None,
-        *,
-        registry: MetricsRegistry | None = None,
-    ):
+    def __init__(self, nodes: int, shape: tuple[int, int] | None = None):
         if nodes < 1:
             raise ValueError("need at least one node")
         self.nodes = nodes
         self.shape = shape or best_mesh_shape(nodes)
         if self.shape[0] * self.shape[1] < nodes:
             raise ValueError(f"mesh {self.shape} too small for {nodes} nodes")
-        registry = registry if registry is not None else MetricsRegistry()
-        self.messages = registry.counter("sim.network.messages")
-        self.hops = registry.counter("sim.network.hops")
+        self.messages = 0
+        self.hops = 0
 
     def coords(self, node: int) -> tuple[int, int]:
         return divmod(node, self.shape[1])
@@ -76,5 +67,5 @@ class MeshNetwork:
         self.hops += int(counts @ dist)
 
     def reset(self) -> None:
-        self.messages.reset()
-        self.hops.reset()
+        self.messages = 0
+        self.hops = 0

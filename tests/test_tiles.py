@@ -96,6 +96,17 @@ class TestRectangularTile:
         assert t.iterations == 20  # Proposition 3
         assert t.volume == 20
 
+    def test_sides_and_extents_built_once_read_only(self):
+        import pickle
+
+        t = RectangularTile([4, 5])
+        assert t.sides is t.sides and t.extents is t.extents
+        for tile in (t, pickle.loads(pickle.dumps(t))):
+            assert tile.sides.tolist() == [4, 5]
+            assert tile.extents.tolist() == [3, 4]
+            assert not tile.sides.flags.writeable
+            assert not tile.extents.flags.writeable
+
     def test_bad_sides(self):
         with pytest.raises(ValueError):
             RectangularTile([0, 3])
