@@ -102,19 +102,13 @@ def partition_section(result) -> dict:
 
 
 def _per_processor_breakdown(sim) -> dict[int, dict[str, int]]:
-    """cold/coherence/replacement per processor, from the machine registry."""
+    """cold/coherence/replacement per processor, from the machine's directory."""
     out: dict[int, dict[str, int]] = {}
-    machine = getattr(sim, "machine", None)
-    registry = getattr(machine, "metrics", None)
-    if registry is None:
+    directory = getattr(getattr(sim, "machine", None), "directory", None)
+    if directory is None:
         return out
-    for m in registry:
-        if getattr(m, "name", "") == "sim.directory.miss_class":
-            labels = dict(m.labels)
-            proc, kind = labels.get("proc"), labels.get("kind")
-            if proc is None or kind is None:
-                continue
-            out.setdefault(int(proc), {})[kind] = int(m.value)
+    for (kind, proc), n in directory.miss_classes.items():
+        out.setdefault(proc, {})[kind] = n
     return out
 
 
