@@ -9,9 +9,9 @@ objectives and per-member latency:
   the rectangular baseline (the merge keeps the cheapest *feasible*
   candidate, rectangular diagonal included);
 * on at least one paper program where SLSQP falls back — the pinned
-  witness is Example 3's ``B[i,j] + B[i+1,j+3]`` nest at N=36, P=500,
-  where SLSQP's continuous optimum (objective 5.400) beats the
-  rectangular diagonal (10.776) but has no feasible integer rounding,
+  witness is Example 3's ``B[i,j] + B[i+1,j+3]`` nest at N=36, P=400,
+  where SLSQP's continuous optimum (objective 6.750) beats the
+  rectangular diagonal (12.715) but has no feasible integer rounding,
   so SLSQP-alone returns the diagonal — the anneal member (and hence
   the portfolio) must win with a *strictly lower* objective than
   SLSQP-alone delivers;
@@ -33,8 +33,11 @@ from .paper_programs import example3, example6, example8, example9, example10, f
 from .reporting import write_bench_report
 
 #: (label, nest factory args, processors).  The last entry is the pinned
-#: SLSQP-fallback witness: for Example 3 at N=36, P=500 the continuous
-#: SLSQP optimum cannot be rounded to a feasible integer tile.
+#: SLSQP-fallback witness: for Example 3 at N=36, P=400 the continuous
+#: SLSQP optimum cannot be rounded to a feasible integer tile.  (At
+#: P=500, the earlier witness, whether SLSQP with exact gradients stops
+#: at a roundable optimum depends on the last bits of the gradient;
+#: P ∈ {200, 256, 300, 400} stay unroundable.)
 PROGRAMS = [
     ("example3", lambda: example3(36), 16),
     ("example6", lambda: example6(), 25),
@@ -42,10 +45,10 @@ PROGRAMS = [
     ("example9", lambda: example9(36), 16),
     ("example10", lambda: example10(36), 16),
     ("figure9", lambda: figure9(8), 8),
-    ("example3_p500", lambda: example3(36), 500),
+    ("example3_p400", lambda: example3(36), 400),
 ]
 
-FALLBACK_WITNESS = "example3_p500"
+FALLBACK_WITNESS = "example3_p400"
 
 
 def _run_variant(uisets, nest, processors, members=None):

@@ -18,8 +18,9 @@ Three solvers:
   (:mod:`repro.core.datapart`); only the footprint columns differ.
 * :func:`optimize_parallelepiped` — general hyperparallelepiped tiles via
   constrained numerical minimisation of the Theorem 2 objective
-  (scipy SLSQP, multiple deterministic starts).  This is the path that
-  finds the skewed tiles of Examples 3/6.
+  (scipy SLSQP, multiple deterministic starts, exact Jacobians of the
+  objective and the volume constraint).  This is the path that finds
+  the skewed tiles of Examples 3/6.
 * :func:`communication_free_partition` — detects when hyperplane
   directions exist that incur *zero* traffic (the Ramanujam & Sadayappan
   case the framework subsumes): integer vectors orthogonal to every
@@ -35,6 +36,7 @@ from itertools import product
 
 import numpy as np
 
+from .._util import int_det
 from ..exceptions import OptimizationError
 from ..lattice.points import LatticeCountCache
 from ..lattice.snf import integer_kernel_basis
@@ -45,6 +47,7 @@ from .anneal import anneal_parallelepiped
 from .classify import UISet, as_uisets
 from .cumulative import (
     Theorem2Objective,
+    cofactors,
     cumulative_footprint_rect,
     cumulative_footprint_size_exact,
 )
@@ -466,6 +469,20 @@ def _slsqp_starts(
     return starts
 
 
+def _volume_constraint(l: int, v: float):
+    """SLSQP's load-balance constraint ``det L = V`` on the flattened
+    ``L``, with its exact Jacobian: by Jacobi's formula ``∂ det L / ∂L``
+    is the cofactor matrix ``adj(L)ᵀ``."""
+    from scipy.optimize import NonlinearConstraint
+
+    return NonlinearConstraint(
+        lambda x: np.linalg.det(x.reshape(l, l)),
+        v,
+        v,
+        jac=lambda x: cofactors(x.reshape(l, l)).reshape(1, l * l),
+    )
+
+
 def _slsqp_member(
     uisets: list[UISet],
     objective: Theorem2Objective,
@@ -486,7 +503,7 @@ def _slsqp_member(
     so results under a budget are a deterministic *prefix* of the
     budget-less run.
     """
-    from scipy.optimize import NonlinearConstraint, minimize
+    from scipy.optimize import minimize
 
     var_bounds = [
         (-float(max_extents[j]), float(max_extents[j]))
@@ -494,9 +511,7 @@ def _slsqp_member(
         for j in range(l)
     ]
     starts = _slsqp_starts(uisets, l, v, sides, seed=seed)
-    det_con = NonlinearConstraint(
-        lambda x: np.linalg.det(x.reshape(l, l)), v, v
-    )
+    det_con = _volume_constraint(l, v)
     best_x = None
     best_f = np.inf
     with _span("optimize.parallelepiped.minimize", starts=len(starts)):
@@ -512,6 +527,9 @@ def _slsqp_member(
                     objective,
                     np.clip(s0.ravel(), [b[0] for b in var_bounds], [b[1] for b in var_bounds]),
                     method="SLSQP",
+                    # Exact gradient (Jacobi's formula), not finite
+                    # differences; the value stays the batched determinant.
+                    jac=objective.gradient,
                     constraints=[det_con],
                     bounds=var_bounds,
                     options={"maxiter": 300, "ftol": 1e-9},
@@ -711,7 +729,8 @@ def _round_tile(
     up.  Instead, search the integer neighbourhood of ``lm``: every
     floor/ceil corner for ``l <= 3`` plus the plain rounding and its
     diagonal bumps.  Candidates must be nonsingular and, when ``volume``
-    is given, keep ``|det L|`` within ``tol·V`` of ``V``; among those the
+    is given, keep ``|det L|`` (the exact integer determinant) within
+    ``tol·V`` of ``V``; among those the
     compiled Theorem-2 ``objective`` decides (entry distance to ``lm``
     breaks ties, and stands in for the objective when none is supplied).
     Raises :class:`OptimizationError` only when no neighbour satisfies
@@ -740,8 +759,8 @@ def _round_tile(
         if key in seen:
             continue
         seen.add(key)
-        det = abs(float(np.linalg.det(cand.astype(float))))
-        if det < 0.5:
+        det = abs(int_det(cand))
+        if det == 0:
             continue
         if volume is not None and abs(det - volume) > tol * volume:
             continue

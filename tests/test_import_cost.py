@@ -1,7 +1,9 @@
-"""Importing the package must not load networkx.
+"""Importing the package must not load networkx or ``scipy.optimize``.
 
 The package does not depend on networkx.  No process (the CLI, the
 server, a plain ``import repro``) may pay its import time and memory.
+``scipy.optimize`` (about 0.5 s to import) is needed only by the SLSQP
+portfolio member, which imports it on first use.
 """
 
 from __future__ import annotations
@@ -16,12 +18,9 @@ import repro
 SRC = str(Path(repro.__file__).resolve().parents[1])
 
 
-def test_package_import_does_not_load_networkx():
-    code = (
-        "import sys\n"
-        "import repro, repro.serve.pipeline, repro.cli\n"
-        "assert 'networkx' not in sys.modules, 'networkx was imported'\n"
-    )
+def _run_fresh(code: str) -> None:
+    """Run ``code`` in a fresh interpreter that imports ``repro`` from
+    ``SRC``; fail with its stderr if it exits nonzero."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (SRC, env.get("PYTHONPATH")) if p
@@ -30,6 +29,24 @@ def test_package_import_does_not_load_networkx():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_package_import_does_not_load_networkx():
+    code = (
+        "import sys\n"
+        "import repro, repro.serve.pipeline, repro.cli\n"
+        "assert 'networkx' not in sys.modules, 'networkx was imported'\n"
+    )
+    _run_fresh(code)
+
+
+def test_package_import_does_not_load_scipy_optimize():
+    code = (
+        "import sys\n"
+        "import repro, repro.serve.pipeline, repro.cli\n"
+        "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize was imported'\n"
+    )
+    _run_fresh(code)
 
 
 def test_rectangular_partition_does_not_load_numpy_ma():
@@ -44,11 +61,4 @@ def test_rectangular_partition_does_not_load_numpy_ma():
         "LoopPartitioner(nest, 4).partition(method='rectangular')\n"
         "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n"
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (SRC, env.get("PYTHONPATH")) if p
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True
-    )
-    assert proc.returncode == 0, proc.stderr
+    _run_fresh(code)

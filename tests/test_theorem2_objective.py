@@ -1,4 +1,5 @@
-"""The compiled Theorem-2 objective against the formula written out literally."""
+"""The compiled Theorem-2 objective against the formula written out
+literally, and its analytic gradient against central differences."""
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from repro.check.corpus import load_corpus, spec_from_dict
 from repro.check.generator import generate_case
 from repro.core.affine import AffineRef
 from repro.core.classify import partition_references
-from repro.core.cumulative import Theorem2Objective
+from repro.core.cumulative import Theorem2Objective, cofactors
+from repro.core.optimize import _volume_constraint
 from repro.exceptions import SingularMatrixError
 
 CORPUS = "tests/data/check_corpus.json"
@@ -92,3 +94,82 @@ def test_rank_deficient_class_raises_at_construction():
 def test_no_classes_scores_zero():
     assert Theorem2Objective([], 2)(np.eye(2).ravel()) == 0.0
 
+
+def central_differences(f, x, h):
+    """``∂f/∂x_j ≈ (f(x + h·e_j) − f(x − h·e_j)) / 2h`` for every ``j``."""
+    steps = h * np.eye(x.size)
+    return np.array([(f(x + e) - f(x - e)) / (2.0 * h) for e in steps])
+
+
+def assert_gradient_matches(objective, depth, seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(5):
+        scale = rng.uniform(0.5, 10.0)
+        x = rng.normal(scale=scale, size=depth * depth)
+        # Each |det| is piecewise linear in one entry of L, so central
+        # differences are exact up to rounding away from a kink.
+        np.testing.assert_allclose(
+            objective.gradient(x),
+            central_differences(objective, x, 1e-6 * scale),
+            rtol=1e-5,
+            atol=1e-6 * max(1.0, objective(x)),
+        )
+
+
+GRADIENT_CASES = [c for c in CASES if c[1] <= 3]
+
+
+@pytest.mark.parametrize(
+    "case_id,depth,sets", GRADIENT_CASES, ids=[c[0] for c in GRADIENT_CASES]
+)
+def test_gradient_matches_central_differences(case_id, depth, sets):
+    try:
+        objective = Theorem2Objective(sets, depth)
+    except SingularMatrixError:
+        return
+    assert_gradient_matches(objective, depth, list(case_id.encode()))
+
+
+def test_gradient_depth4_with_zero_spread_class():
+    # B's pair spreads along the skewed G; A is a lone reference, so its
+    # â = 0 and every replaced matrix of its class is singular.
+    g_skew = np.array([[1, 0, 0, 0], [1, 1, 0, 0], [0, 0, 1, 0], [0, 2, 1, 1]])
+    sets = partition_references([
+        AffineRef("B", g_skew, np.array([0, 0, 0, 0])),
+        AffineRef("B", g_skew, np.array([1, -2, 0, 3])),
+        AffineRef("A", np.eye(4, dtype=np.int64), np.array([0, 0, 0, 0])),
+    ])
+    objective = Theorem2Objective(sets, 4)
+    x = np.random.default_rng(4).normal(size=16)
+    singular = np.linalg.det(objective._stack(x)) == 0.0
+    assert singular.sum() == 4 and singular[:, 1:].any(axis=1).sum() == 1
+    assert_gradient_matches(objective, 4, 4)
+
+
+def test_gradient_zero_spread_class_at_every_depth():
+    for depth in (1, 2, 3):
+        sets = partition_references([
+            AffineRef("A", np.eye(depth, dtype=np.int64), np.zeros(depth, dtype=np.int64)),
+        ])
+        objective = Theorem2Objective(sets, depth)
+        x = np.random.default_rng(depth).normal(size=depth * depth)
+        # |det L| alone: the replaced matrices contribute neither value
+        # nor gradient.
+        expected = np.sign(np.linalg.det(x.reshape(depth, depth))) * cofactors(
+            x.reshape(depth, depth)
+        )
+        np.testing.assert_allclose(objective.gradient(x), expected.ravel())
+        assert_gradient_matches(objective, depth, depth)
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 4, 5])
+def test_volume_constraint_jacobian_is_det_times_inverse_transpose(depth):
+    rng = np.random.default_rng(depth)
+    con = _volume_constraint(depth, 10.0)
+    for _ in range(10):
+        lm = rng.normal(scale=3.0, size=(depth, depth))
+        expected = np.linalg.det(lm) * np.linalg.inv(lm).T
+        np.testing.assert_allclose(
+            con.jac(lm.ravel()), expected.reshape(1, -1), rtol=1e-9, atol=1e-12
+        )
+        assert con.fun(lm.ravel()) == np.linalg.det(lm)
