@@ -35,7 +35,7 @@ from ..obs.log import configure_logging, get_logger
 from ..obs.report import build_check_report, dump_report
 from ..obs.tracing import span
 from ..sim import Machine, MachineConfig, simulate_nest
-from ..sim.trace import assign_tiles_to_processors, reference_streams
+from ..sim.trace import deal_tiles, reference_streams, split_streams
 from .corpus import load_corpus, spec_from_dict, spec_to_dict
 from .generator import CaseSpec, generate_case
 from .invariants import CaseArtifacts, Tally, run_invariants
@@ -255,6 +255,31 @@ def _inject_residue():
 
 
 @contextmanager
+def _inject_footprint():
+    """Count one extra element in the origin processor's footprint.
+
+    Both simulator engines measure footprints through the one
+    :func:`~repro.sim.fast.collect_footprints`, so ``engine-parity``
+    cannot see a wrong count.  This adds one element to processor 0's
+    count of its first array; ``origin-tile-footprint-exact`` (the
+    origin processor's full tile against the exact per-tile cumulative
+    footprint) and ``footprint-upper`` must flag it.
+    """
+    from ..sim import executor as _executor
+
+    orig = _executor.collect_footprints
+
+    def bad(*args, **kwargs):
+        footprints, shared = orig(*args, **kwargs)
+        if footprints and footprints[0]:
+            footprints[0][min(footprints[0])] += 1
+        return footprints, shared
+
+    with _patched(_executor, "collect_footprints", bad):
+        yield
+
+
+@contextmanager
 def _inject_classify():
     """Drop the solutions of the classifier's cached-SNF solves.
 
@@ -323,6 +348,7 @@ FAULTS = {
     "flow": _inject_flow,
     "engine": _inject_engine,
     "residue": _inject_residue,
+    "footprint": _inject_footprint,
     "classify": _inject_classify,
     "sumset": _inject_sumset,
 }
@@ -439,11 +465,10 @@ def run_case(spec: CaseSpec, config: CheckConfig | None = None) -> CaseArtifacts
 
         from ..core.tiles import Tiling
 
-        tiling = Tiling(art.nest.space, art.result.tile)
-        blocks = assign_tiles_to_processors(tiling, spec.processors)
-        art.streams = {
-            p: reference_streams(art.nest, its) for p, its in blocks.items()
-        }
+        deal = deal_tiles(Tiling(art.nest.space, art.result.tile), spec.processors)
+        art.streams = split_streams(
+            reference_streams(art.nest, deal.iterations), deal.offsets
+        )
 
         def machine() -> Machine:
             return Machine(

@@ -16,6 +16,7 @@ General parallelepiped tiles fall back to explicit iteration lists from
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -54,8 +55,8 @@ class TileSchedule:
 
     For rectangular tiles with an explicit ``grid``, processors are
     numbered row-major over the grid and bounds are closed-form; otherwise
-    tiles are dealt lexicographically (matching
-    :func:`repro.sim.trace.assign_tiles_to_processors`).
+    tiles are dealt lexicographically by :func:`repro.sim.trace.deal_tiles`
+    (the simulator's dealing), once per schedule.
     """
 
     space: IterationSpace
@@ -105,40 +106,43 @@ class TileSchedule:
             self.space, self.tile.sides, self.grid, self.grid_coord(proc)
         )
 
+    @property
+    def _closed_form(self) -> bool:
+        return self.grid is not None and isinstance(self.tile, RectangularTile)
+
+    @cached_property
+    def _dealing(self):
+        from ..sim.trace import deal_tiles
+
+        return deal_tiles(Tiling(self.space, self.tile), self.processors)
+
     def iterations(self, proc: int) -> np.ndarray:
         """Explicit ``(N, l)`` iteration array for one processor."""
-        if self.grid is not None and isinstance(self.tile, RectangularTile):
+        if self._closed_form:
             b = self.bounds(proc)
             if b is None:
                 return np.empty((0, self.space.depth), dtype=np.int64)
             from .._util import box_points_array
 
             return box_points_array([x for x, _ in b], [y for _, y in b])
-        from ..sim.trace import assign_tiles_to_processors
-
-        tiling = Tiling(self.space, self.tile)
-        return assign_tiles_to_processors(tiling, self.processors)[proc]
+        return self._dealing.block(proc)
 
     def iteration_counts(self) -> list[int]:
         """Iterations per processor (load-balance check)."""
-        return [int(self.iterations(p).shape[0]) for p in range(self.processors)]
+        if self._closed_form:
+            return [int(self.iterations(p).shape[0]) for p in range(self.processors)]
+        return self._dealing.counts()
 
     def owner_of(self, iteration) -> int:
         """Which processor runs a given iteration."""
         it = np.asarray(iteration, dtype=np.int64)
-        if self.grid is not None and isinstance(self.tile, RectangularTile):
+        if self._closed_form:
             coord = (it - self.space.lower) // self.tile.sides
             coord = np.minimum(coord, np.asarray(self.grid) - 1)
             return self.proc_of_coord(coord)
-        from .._util import box_points_array
-
-        tiling = Tiling(self.space, self.tile)
-        all_idx = tiling.tile_indices(
-            box_points_array(self.space.lower, self.space.upper)
+        return self._dealing.owner(
+            Tiling(self.space, self.tile).tile_indices(it[None, :])[0]
         )
-        keys = sorted({tuple(int(x) for x in row) for row in all_idx})
-        key = tuple(int(x) for x in tiling.tile_indices(it[None, :])[0])
-        return keys.index(key) % self.processors
 
 
 def subdivide_for_cache(uisets_or_accesses, tile: RectangularTile, capacity: int) -> RectangularTile:

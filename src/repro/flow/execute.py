@@ -27,7 +27,7 @@ from ..obs.tracing import span
 from ..sim.executor import SimulationResult, _execute_exact, collect_result
 from ..sim.fast import collect_footprints
 from ..sim.machine import Machine, MachineConfig
-from ..sim.trace import assign_tiles_to_processors, reference_streams
+from ..sim.trace import deal_tiles, reference_streams, split_streams
 from .copartition import FlowPartition
 from .graph import DataflowGraph
 
@@ -163,16 +163,19 @@ def simulate_flow(
     """
     parts = partition.by_name()
     with span("flow.trace", statements=len(graph.statements)):
+        # Per statement: its whole-dealing streams and their row offsets,
+        # the per-processor slices the machine replays, and iterations
+        # per processor.
+        stmt_batches: dict[str, tuple] = {}
         stmt_streams: dict[str, dict[int, list]] = {}
-        stmt_blocks: dict[str, dict] = {}
+        stmt_counts: dict[str, list[int]] = {}
         for stmt in graph.statements:
             sp = parts[stmt.name]
-            tiling = Tiling(stmt.nest.space, sp.result.tile)
-            blocks = assign_tiles_to_processors(tiling, processors)
-            stmt_blocks[stmt.name] = blocks
-            stmt_streams[stmt.name] = {
-                p: reference_streams(stmt.nest, its) for p, its in blocks.items()
-            }
+            deal = deal_tiles(Tiling(stmt.nest.space, sp.result.tile), processors)
+            batch = reference_streams(stmt.nest, deal.iterations)
+            stmt_batches[stmt.name] = (batch, deal.offsets)
+            stmt_streams[stmt.name] = split_streams(batch, deal.offsets)
+            stmt_counts[stmt.name] = deal.counts()
 
     machine = Machine(
         MachineConfig(processors=processors, line_size=line_size)
@@ -210,18 +213,15 @@ def simulate_flow(
                 )
 
     with span("flow.collect"):
-        merged: dict[int, list] = {p: [] for p in range(processors)}
-        for stmt in graph.statements:
-            for p, st in stmt_streams[stmt.name].items():
-                merged[p].extend(st)
-        footprints, shared = collect_footprints(merged, processors)
+        footprints, shared = collect_footprints(
+            [stmt_batches[s.name] for s in graph.statements], processors
+        )
 
         result = collect_result(
             machine,
             [
                 sum(
-                    int(stmt_blocks[s.name][p].shape[0])
-                    * min(rounds, sweeps * s.sweeps)
+                    stmt_counts[s.name][p] * min(rounds, sweeps * s.sweeps)
                     for s in graph.statements
                 )
                 for p in range(processors)

@@ -35,6 +35,7 @@ import numpy as np
 from ..core.tiles import Tiling
 from ..exceptions import PartitionError
 from ..obs.tracing import span
+from ..sim.trace import deal_tiles
 from .copartition import FlowPartition
 from .graph import DataflowGraph
 
@@ -98,19 +99,16 @@ def build_schedule(
 
         for stmt in graph.statements:
             sp = parts[stmt.name]
-            tiling = Tiling(stmt.nest.space, sp.result.tile)
-            assignments = tiling.assignments()
-            keys = sorted(assignments)
-            proc_of = {key: k % processors for k, key in enumerate(keys)}
+            tiles = list(
+                deal_tiles(Tiling(stmt.nest.space, sp.result.tile), processors).tiles()
+            )
             reads = [a for a in stmt.nest.accesses if not a.kind.is_write_like]
             writes = [a for a in stmt.nest.accesses if a.kind.is_write_like]
 
             # Consumer side first: reads see only *earlier* statements'
             # writes (an intra-statement write never feeds its own reads
             # through the schedule — Doall iterations are independent).
-            for key in keys:
-                its = assignments[key]
-                p = proc_of[key]
+            for key, p, its in tiles:
                 rlines: set = set()
                 for a in reads:
                     rlines |= _line_keys(
@@ -129,9 +127,7 @@ def build_schedule(
 
             # Producer side: sorted tile-key order makes the last-writer
             # attribution deterministic when tiles write-share a line.
-            for key in keys:
-                its = assignments[key]
-                p = proc_of[key]
+            for key, p, its in tiles:
                 for a in writes:
                     for ln in _line_keys(
                         a.ref.array, a.ref.map_points(its), line_size
@@ -142,7 +138,7 @@ def build_schedule(
             meta = {
                 "name": stmt.name,
                 "iterations": int(stmt.nest.space.volume),
-                "tiles": len(keys),
+                "tiles": len(tiles),
                 "l_matrix": sp.result.tile.l_matrix.tolist(),
             }
             if getattr(sp.result.tile, "sides", None) is not None:

@@ -44,12 +44,13 @@ class DirectoryEntry:
 class _BulkRecord:
     """One deferred bulk install: ``coords`` is the ``(N, d)`` line array;
     a read-only record carries its ``(P, N)`` toucher matrix ``touch``, a
-    private one its sole toucher ``proc`` and whether it ends ``modified``."""
+    private one each line's sole toucher ``owner`` (``(N,)``) and whether
+    its lines end ``modified``."""
 
     array: str
     coords: np.ndarray
     touch: np.ndarray | None
-    proc: int = -1
+    owner: np.ndarray | None = None
     modified: bool = False
 
 
@@ -234,27 +235,28 @@ class Directory:
         self._ever_filled.add(addr)
 
     def bulk_install(
-        self, proc: int, array: str, line_coords, *, modified: bool
+        self, array: str, line_coords, owner, *, modified: bool
     ) -> None:
-        """Record lines proven private to ``proc`` (fast engine).
+        """Record lines proven private to one processor each (fast engine).
 
         ``line_coords`` is an ``(N, d)`` integer array of line
-        coordinates.  ``modified=True`` means every line ends in M with
-        ``proc`` as owner (the state the exact protocol ends in after the
-        line's last write — a written analytic line is by construction
-        private to one processor), ``False`` in S with ``proc`` the sole
-        sharer.  Nothing per line is built here: the array is appended to
-        the deferred store, which :meth:`sharer_histogram` counts
-        directly and :meth:`materialize` turns into directory entries,
-        cached lines and fill history on the first per-line query.
-        Event counters are *not* touched — the caller accounts misses,
+        coordinates and ``owner[i]`` the sole toucher of line ``i``.
+        ``modified=True`` means every line ends in M at its owner (the
+        state the exact protocol ends in after the line's last write — a
+        written analytic line is by construction private to one
+        processor), ``False`` in S with the owner the sole sharer.
+        Nothing per line is built here: the arrays are appended to the
+        deferred store, which :meth:`sharer_histogram` counts directly
+        and :meth:`materialize` turns into directory entries, cached
+        lines and fill history on the first per-line query.  Event
+        counters are *not* touched — the caller accounts misses,
         upgrades and messages in bulk.
         """
-        if self.caches[proc].capacity is not None:
+        if any(c.capacity is not None for c in self.caches):
             raise SimulationError("bulk install requires an unbounded cache")
         if len(line_coords):
             self._deferred.append(
-                _BulkRecord(array, line_coords, None, proc, modified)
+                _BulkRecord(array, line_coords, None, owner, modified)
             )
 
     def bulk_install_shared(self, array: str, line_coords, touch) -> None:
@@ -291,11 +293,13 @@ class Directory:
             addrs = [(rec.array, tuple(row)) for row in rec.coords.tolist()]
             if rec.touch is None:
                 state = LineState.MODIFIED if rec.modified else LineState.SHARED
-                owner = rec.proc if rec.modified else None
-                self.caches[rec.proc]._lines.update(dict.fromkeys(addrs, state))
+                owners = rec.owner.tolist()
+                lines = [c._lines for c in self.caches]
+                for a, p in zip(addrs, owners):
+                    lines[p][a] = state
                 entries.update(
-                    (a, DirectoryEntry(sharers={rec.proc}, owner=owner))
-                    for a in addrs
+                    (a, DirectoryEntry(sharers={p}, owner=p if rec.modified else None))
+                    for a, p in zip(addrs, owners)
                 )
                 self._ever_filled.update(addrs)
             else:

@@ -29,10 +29,10 @@ from ..core.tiles import ParallelepipedTile, Tiling
 from ..exceptions import SimulationError
 from ..obs.log import get_logger
 from ..obs.tracing import span
-from .fast import collect_footprints, execute_fast, fast_path_blockers
+from .fast import collect_footprints, execute_fast, fast_path_blockers, injective_arrays
 from .machine import Machine, MachineConfig
 from .memory import AddressMap
-from .trace import assign_tiles_to_processors, reference_streams
+from .trace import deal_tiles, reference_streams, split_streams
 
 __all__ = ["ProcessorStats", "SimulationResult", "simulate_nest"]
 
@@ -261,12 +261,15 @@ def simulate_nest(
         machine.observer = observer
 
     with span("sim.trace", processors=processors):
-        tiling = Tiling(nest.space, tile)
-        blocks = assign_tiles_to_processors(tiling, processors)
-        streams = {p: reference_streams(nest, its) for p, its in blocks.items()}
+        deal = deal_tiles(Tiling(nest.space, tile), processors)
+        # One map per reference over every processor's rows.
+        streams = reference_streams(nest, deal.iterations)
 
         # Footprints and sharing measured from the streams themselves.
-        footprints, shared = collect_footprints(streams, processors)
+        injective = injective_arrays(nest)
+        footprints, shared = collect_footprints(
+            [(streams, deal.offsets)], processors, injective=injective
+        )
 
     blockers = fast_path_blockers(machine, observer)
     if engine == "fast" and blockers:
@@ -289,7 +292,7 @@ def simulate_nest(
 
     logger.debug(
         "simulating %d iterations on P=%d (%d sweeps, %s interleave, %s engine)",
-        sum(b.shape[0] for b in blocks.values()),
+        deal.iterations.shape[0],
         processors,
         sweeps,
         interleave,
@@ -298,16 +301,17 @@ def simulate_nest(
     with span("sim.execute", sweeps=sweeps, interleave=interleave):
         if use_fast:
             execute_fast(
-                nest,
                 streams,
+                deal.offsets,
                 machine,
+                injective=injective,
                 sweeps=sweeps,
                 interleave=interleave,
                 check_invariants=check_invariants,
             )
         else:
             _execute_exact(
-                streams,
+                split_streams(streams, deal.offsets),
                 machine,
                 processors,
                 sweeps=sweeps,
@@ -318,7 +322,7 @@ def simulate_nest(
     with span("sim.collect"):
         return collect_result(
             machine,
-            [int(blocks[p].shape[0]) for p in range(processors)],
+            deal.counts(),
             footprints,
             shared,
             sweeps=sweeps,

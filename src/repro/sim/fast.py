@@ -16,24 +16,32 @@ protocol history, independent of interleaving —
 
 A *globally read-only* line is just as deterministic, however many
 processors share it: each toucher pays one cold read miss and then hits;
-nothing ever invalidates anything.  So the engine precomputes each
-processor's access stream as numpy address arrays
-(:func:`repro.sim.trace.reference_streams`), classifies lines into
-*analytically resolvable* (private to one processor, or never written)
-vs *write-shared* — with an analytic shortcut from the lattice layer (a
-single-reference class whose ``G`` has trivial integer kernel maps
-iterations to elements injectively, Lemma 1 / the Theorem 3 intersection
-machinery with no nonzero solution, so every line is private by
-construction) and an exact vectorised ownership count otherwise — then
+nothing ever invalidates anything.  So the engine takes every
+processor's access streams as one batch of numpy address arrays — the
+whole dealing mapped once per reference
+(:func:`repro.sim.trace.reference_streams`), processor ``p``'s rows at
+``offsets[p]:offsets[p + 1]`` — and does its work once per array, never
+once per processor:
 
-* resolves all analytic lines in bulk with vectorised first-touch
-  accounting,
-* records their end state as arrays in the directory's deferred store
-  (:meth:`~repro.sim.directory.Directory.bulk_install`,
-  :meth:`~repro.sim.directory.Directory.bulk_install_shared`) — one
-  record per (processor, array) or per read-only array, no per-line
-  objects,
-* resolves the write-shared residue per line (:func:`_resolve_lines`):
+* one sort per array orders its accesses by (line, processor, program
+  order); the run heads give each (processor, line) pair's first
+  access and each line's toucher count, which classify lines into
+  *analytically resolvable* (private to one processor, or never
+  written) vs *write-shared* — with an analytic shortcut from the
+  lattice layer (a single-reference class whose ``G`` has trivial
+  integer kernel maps iterations to elements injectively, Lemma 1 / the
+  Theorem 3 intersection machinery with no nonzero solution, so every
+  line is private by construction and needs no sort at all);
+* the analytic lines' first-touch deltas are booked for all processors
+  at once: one ``bincount`` over processors per counter, one home
+  lookup per array, and one priced (processor × home) fetch matrix
+  (:meth:`~repro.sim.machine.Machine.account_bulk_misses`);
+* their end state is recorded as arrays in the directory's deferred
+  store (:meth:`~repro.sim.directory.Directory.bulk_install` with an
+  owner per line, :meth:`~repro.sim.directory.Directory.bulk_install_shared`
+  with a toucher matrix) — one record of each kind per array, no
+  per-line objects;
+* the write-shared residue is resolved per line (:func:`_resolve_lines`):
   under the infinite-cache model a line's MSI history depends only on
   the ordered (processor, read/write) events on that line, so the
   residue's events are sorted by (line, the exact engine's global issue
@@ -41,7 +49,8 @@ construction) and an exact vectorised ownership count otherwise — then
   case — hit, read miss, owner-forwarded read, write miss, upgrade, and
   the holders each write takes down — follows from group-bys.  Every
   counter is a commutative total, booked with one bulk add; messages
-  are priced with the networks' ``send_bulk_vector`` rows.
+  are priced as one node × node matrix
+  (:meth:`~repro.sim.network.MeshNetwork.send_bulk`).
 
 Analytic accesses never touch a residue line's cache or directory state
 (and unbounded caches have no capacity coupling), so splitting them off
@@ -56,8 +65,9 @@ from the records, and their per-line caches and directory entries are
 built by :meth:`~repro.sim.directory.Directory.materialize` only when
 something asks for them (a cache query, an invariant check, a later
 :meth:`~repro.sim.machine.Machine.access`).  The differential-parity
-suites (``tests/test_sim_parity.py``, ``tests/test_sim_residue.py``)
-assert exactly that over all of the paper's programs.
+suites (``tests/test_sim_parity.py``, ``tests/test_sim_residue.py``,
+``tests/test_sim_dealing.py``) assert exactly that over all of the
+paper's programs and at up to 64 processors.
 """
 
 from __future__ import annotations
@@ -66,6 +76,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .._util import row_codes, run_heads, sort_by_key
 from ..core.classify import partition_references
 from ..core.loopnest import LoopNest
 from ..obs.log import get_logger
@@ -77,6 +88,7 @@ __all__ = [
     "supports_fast_path",
     "execute_fast",
     "collect_footprints",
+    "injective_arrays",
 ]
 
 logger = get_logger("sim.fast")
@@ -127,270 +139,254 @@ def _line_coords(coords: np.ndarray, line_size: int) -> np.ndarray:
     return lc
 
 
-def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.unique(rows, axis=0, return_inverse=True)``, but fast.
-
-    Encodes each row as one integer key (row-major position inside the
-    data's bounding box) and uniques the 1-D keys — several times faster
-    than the void-dtype lexicographic sort ``axis=0`` performs.  Falls
-    back to ``axis=0`` when the bounding box is too large to index in 62
-    bits (never the case for the paper's programs).
-    """
-    n, d = rows.shape
-    if n == 0:
-        return rows, np.empty(0, dtype=np.int64)
-    if d == 1:
-        uniq, inv = np.unique(rows[:, 0], return_inverse=True)
-        return uniq.reshape(-1, 1), inv.reshape(-1)
-    lo = rows.min(axis=0)
-    spans = rows.max(axis=0) - lo + 1
-    box = 1
-    for s in spans.tolist():
-        box *= int(s)
-    if box < 2**62:
-        strides = np.empty(d, dtype=np.int64)
-        strides[-1] = 1
-        for k in range(d - 2, -1, -1):
-            strides[k] = strides[k + 1] * int(spans[k + 1])
-        keys = (rows - lo) @ strides
-        _, first, inv = np.unique(keys, return_index=True, return_inverse=True)
-        return rows[first], inv.reshape(-1)
-    uniq, inv = np.unique(rows, axis=0, return_inverse=True)
-    return uniq, inv.reshape(-1)
+def _per_processor(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Sum a per-row quantity over each processor's rows (``offsets``
+    delimit the processor-major row blocks, empty ones included)."""
+    total = np.zeros(values.shape[0] + 1, dtype=np.int64)
+    np.cumsum(values, out=total[1:])
+    return total[offsets[1:]] - total[offsets[:-1]]
 
 
-def _analytically_private_arrays(nest: LoopNest, line_size: int) -> set[str]:
-    """Arrays whose every line is private under *any* disjoint partition.
+def injective_arrays(nest: LoopNest) -> set[str]:
+    """Arrays whose every element is touched by exactly one iteration.
 
     A single-member reference class whose ``G`` has a trivial integer
     kernel is one-to-one (Lemma 1): each element is touched by exactly
     one iteration, and iterations are partitioned disjointly over
     processors — equivalently, the Theorem 3 intersection test admits no
-    nonzero iteration-difference, so no element is ever shared.  With
-    unit lines the element/line distinction vanishes, so every line is
-    private *and touched exactly once*: the whole per-line bookkeeping
-    (uniquing, ownership counting, first-touch grouping) collapses.
+    nonzero iteration-difference, so no element is ever shared.  A
+    processor's footprint of such an array is its stream length; with
+    unit lines every line is private *and touched exactly once*, so the
+    engine's per-line bookkeeping (uniquing, ownership counting,
+    first-touch grouping) collapses too.
     """
-    if line_size != 1:
-        return set()
     by_array: dict[str, list] = {}
     for s in partition_references(nest.accesses):
         by_array.setdefault(s.array, []).append(s)
-    out = set()
-    for array, classes in by_array.items():
-        if (
-            len(classes) == 1
-            and classes[0].size == 1
-            and classes[0].kernel.shape[0] == 0
-        ):
-            out.add(array)
-    return out
-
-
-def _private_line_summary(ids, wr, order):
-    """Per-line first-touch digest of one processor's bulk accesses.
-
-    Returns ``(line_ids, first_is_write, has_write)`` — the unique line
-    ids (ascending), whether each line's earliest access (by ``order``)
-    is write-like, and whether the line is ever written by this
-    processor.
-    """
-    perm = np.lexsort((order, ids))
-    sid = ids[perm]
-    swr = wr[perm]
-    new_group = np.r_[True, sid[1:] != sid[:-1]]
-    starts = np.flatnonzero(new_group)
-    line_ids = sid[starts]
-    first_wr = swr[starts]
-    group_idx = np.cumsum(new_group) - 1
-    writes_per_line = np.bincount(group_idx, weights=swr)
-    return line_ids, first_wr, writes_per_line > 0
+    return {
+        array
+        for array, classes in by_array.items()
+        if len(classes) == 1 and classes[0].size == 1 and classes[0].kernel.shape[0] == 0
+    }
 
 
 # ----------------------------------------------------------------------
 # The engine
 
 
-def _bulk_account(machine, proc, array, n_lines, first_read, upgrade_mask,
-                  reads_total, writes_total, written, coords_lines, sweeps):
-    """Apply one processor's analytic first-touch deltas for one array.
+class _BulkLines(NamedTuple):
+    """One array's analytic ``(processor, line)`` pairs, all processors.
 
-    ``upgrade_mask`` marks lines whose first access is a read and that
-    are later written (one S→M upgrade — a second protocol event —
-    each), ``written`` the per-line has-any-write mask (one sharers-at-
-    write observation each), ``coords_lines`` the ``(n_lines, d)`` line
-    coordinates in the same order.
+    Per pair: the toucher ``procs``, the ``lines`` coordinates, whether
+    its first access is a read (``first_read``) and whether it is a read
+    later written (``upgrade``, one S→M upgrade — a second protocol
+    event).  Per processor: ``reads``/``writes``, its accesses to these
+    lines.  ``written``: pairs with any write (one sharers-at-write
+    observation each).
     """
-    first_write = n_lines - first_read
-    upgrades = int(upgrade_mask.sum())
-    st = machine.caches[proc].stats
-    st.read_misses += first_read
-    st.write_misses += first_write
-    st.write_upgrades += upgrades
-    st.read_hits += reads_total * sweeps - first_read
-    st.write_hits += writes_total * sweeps - first_write - upgrades
-    if n_lines:
-        machine.directory._count_miss_class("cold", proc, n_lines)
-    machine.directory._sharers_at_write.observe(0, int(written.sum()))
-    homes = machine.address_map.homes_vector(array, coords_lines)
-    events = 1 + upgrade_mask.astype(np.int64)
-    machine.account_bulk_misses(proc, homes, events)
+
+    array: str
+    procs: np.ndarray
+    lines: np.ndarray
+    first_read: np.ndarray
+    upgrade: np.ndarray
+    reads: np.ndarray
+    writes: np.ndarray
+    written: int
+
+
+def _book_bulk(machine: Machine, bulk: _BulkLines, sweeps: int) -> None:
+    """Apply one array's analytic first-touch deltas, every processor at
+    once: one ``bincount`` per counter, one home lookup, one priced
+    ``(processor × home)`` fetch matrix."""
+    p_count = machine.p
+    n_lines = np.bincount(bulk.procs, minlength=p_count).tolist()
+    first_read = np.bincount(bulk.procs[bulk.first_read], minlength=p_count).tolist()
+    upgrades = np.bincount(bulk.procs[bulk.upgrade], minlength=p_count).tolist()
+    reads, writes = bulk.reads.tolist(), bulk.writes.tolist()
+    directory = machine.directory
+    for p, n in enumerate(n_lines):
+        if not n:
+            continue
+        first_write = n - first_read[p]
+        st = machine.caches[p].stats
+        st.read_misses += first_read[p]
+        st.write_misses += first_write
+        st.write_upgrades += upgrades[p]
+        st.read_hits += reads[p] * sweeps - first_read[p]
+        st.write_hits += writes[p] * sweeps - first_write - upgrades[p]
+        directory._count_miss_class("cold", p, n)
+    directory._sharers_at_write.observe(0, bulk.written)
+    homes = machine.address_map.homes_vector(bulk.array, bulk.lines)
+    nodes = max(p_count, int(homes.max()) + 1)
+    pair = bulk.procs * nodes + homes
+    fetches = np.bincount(pair, minlength=p_count * nodes) + np.bincount(
+        pair[bulk.upgrade], minlength=p_count * nodes
+    )
+    machine.account_bulk_misses(fetches.reshape(p_count, nodes))
 
 
 def execute_fast(
-    nest: LoopNest,
-    streams: dict[int, list[RefStream]],
+    streams: list[RefStream],
+    offsets: np.ndarray,
     machine: Machine,
     *,
+    injective,
     sweeps: int,
     interleave: str,
     check_invariants: bool = False,
 ) -> None:
     """Run the batched engine; mutates ``machine`` exactly as the scalar
-    loop would (see module docstring for the argument why)."""
+    loop would (see module docstring for the argument why).
+
+    ``streams`` cover every processor's iterations, laid out processor-
+    major: processor ``p``'s rows are ``offsets[p]:offsets[p + 1]``
+    (a :class:`~repro.sim.trace.Dealing`'s layout).  ``injective`` names
+    the nest's :func:`injective_arrays`.
+    """
     processors = machine.p
     line_size = machine.config.line_size
-    ref_structure = streams[0]
-    n_refs = len(ref_structure)
-    arrays = sorted({s.array for s in ref_structure})
-    analytic = _analytically_private_arrays(nest, line_size)
+    offsets = np.asarray(offsets, dtype=np.int64)
+    n_rows = int(offsets[-1])
+    owner = np.repeat(np.arange(processors, dtype=np.int64), np.diff(offsets))
+    arrays = sorted({s.array for s in streams}) if n_rows else []
+    analytic = injective if line_size == 1 else set()
     directory = machine.directory
 
-    # Per-(proc, array) first-touch digests of the bulk lines, and the
-    # write-shared residue as one ``(proc, ref, iteration rows, residue
-    # line ids)`` part per (proc, ref), built array by array.  Residue
-    # line ids are global across arrays; ``res_arrays`` holds each
-    # array's residue line coordinates in id order.
-    summaries: list[tuple] = []
-    residue: list[tuple] = []
+    # Analytic arrays are booked as the loop meets them, the other
+    # arrays' bulk lines after it (the order the miss classes first
+    # appear in).  The write-shared residue is one ``(iteration rows,
+    # references, residue line ids)`` part per array; residue line ids
+    # are global across arrays, and ``res_arrays`` holds each array's
+    # residue line coordinates in id order.
+    deferred: list[_BulkLines] = []
+    residue: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     res_arrays: list[tuple[str, np.ndarray]] = []
     n_res_lines = 0
 
     for array in arrays:
-        ref_idx = [r for r, s in enumerate(ref_structure) if s.array == array]
+        refs = np.array([r for r, s in enumerate(streams) if s.array == array])
+        wcols = np.array([streams[r].is_write_like for r in refs.tolist()])
 
         if array in analytic:
             # Touched-once-by-construction: no uniquing or grouping needed.
-            r = ref_idx[0]
-            wr = ref_structure[r].is_write_like
-            for p in range(processors):
-                coords = streams[p][r].coords
-                n = int(coords.shape[0])
-                if n == 0:
-                    continue
-                directory.stats.cold_fills += n
-                _bulk_account(
-                    machine, p, array,
-                    n_lines=n,
-                    first_read=0 if wr else n,
-                    upgrade_mask=np.zeros(n, dtype=bool),
-                    reads_total=0 if wr else n,
-                    writes_total=n if wr else 0,
-                    written=np.full(n, wr, dtype=bool),
-                    coords_lines=coords,
-                    sweeps=sweeps,
-                )
-                directory.bulk_install(p, array, coords, modified=wr)
+            coords = streams[refs[0]].coords
+            wr = bool(wcols[0])
+            counts = np.diff(offsets)
+            none = np.zeros(processors, dtype=np.int64)
+            directory.stats.cold_fills += n_rows
+            _book_bulk(
+                machine,
+                _BulkLines(
+                    array,
+                    procs=owner,
+                    lines=coords,
+                    first_read=np.full(n_rows, not wr),
+                    upgrade=np.zeros(n_rows, dtype=bool),
+                    reads=none if wr else counts,
+                    writes=counts if wr else none,
+                    written=n_rows if wr else 0,
+                ),
+                sweeps,
+            )
+            directory.bulk_install(array, coords, owner, modified=wr)
             continue
 
-        # Global line ids for this array across all processors.
-        segments = []  # (proc, r, line-coord rows)
-        for p in range(processors):
-            for r in ref_idx:
-                segments.append((p, r, _line_coords(streams[p][r].coords, line_size)))
-        all_lines = np.vstack([seg[2] for seg in segments])
-        if all_lines.shape[0] == 0:
-            continue
-        uniq_lines, inv = _unique_rows(all_lines)
-        # Split the inverse mapping back into per-(proc, ref) id segments.
-        splits = np.cumsum([seg[2].shape[0] for seg in segments])[:-1]
-        seg_ids = dict(zip([(p, r) for p, r, _ in segments], np.split(inv, splits)))
-
+        # Access ``a`` is iteration row ``a // k`` × the array's ``a % k``-th
+        # reference: row-major order is each processor's program order.
+        k = refs.shape[0]
+        n_acc = n_rows * k
+        lines = np.stack(
+            [_line_coords(streams[r].coords, line_size) for r in refs.tolist()], axis=1
+        ).reshape(n_acc, -1)
+        write = np.tile(wcols, n_rows)
+        codes, _ = row_codes(lines, processors * n_acc)
+        # One sort orders every access by (line, processor, program
+        # order): the head of each (line, processor) run is that pair's
+        # first access, the head of each line run the line's first pair.
+        acc, key = sort_by_key(codes * processors + np.repeat(owner, k))
+        pair_head = run_heads(key)
+        line_head = run_heads(key // processors)
+        pair_first = acc[pair_head]
+        pair_proc = key[pair_head] % processors
+        pair_line = np.cumsum(line_head[pair_head]) - 1
+        n_lines = int(pair_line[-1]) + 1
+        uniq_lines = lines[acc[line_head]]
+        acc_pair = np.empty(n_acc, dtype=np.int64)
+        acc_pair[acc] = np.cumsum(pair_head) - 1
+        pair_written = np.zeros(pair_first.shape[0], dtype=bool)
+        pair_written[acc_pair[write]] = True
+        ever_written = np.zeros(n_lines, dtype=bool)
+        ever_written[pair_line[pair_written]] = True
         # A line is analytically resolvable when touched by a single
         # processor (any mix of reads/writes) or by nobody's writes.
-        touch = np.zeros((processors, uniq_lines.shape[0]), dtype=bool)
-        ever_written = np.zeros(uniq_lines.shape[0], dtype=bool)
-        for (p, r), ids_seg in seg_ids.items():
-            if ids_seg.size:
-                touch[p, ids_seg] = True
-                if ref_structure[r].is_write_like:
-                    ever_written[ids_seg] = True
-        bulk = (touch.sum(axis=0) == 1) | ~ever_written
+        bulk = (np.bincount(pair_line, minlength=n_lines) == 1) | ~ever_written
+        acc_line = pair_line[acc_pair]
+
         res_local = np.flatnonzero(~bulk)
-        res_id = np.full(uniq_lines.shape[0], -1, dtype=np.int64)
         if res_local.size:
+            res_id = np.full(n_lines, -1, dtype=np.int64)
             res_id[res_local] = np.arange(n_res_lines, n_res_lines + res_local.size)
             n_res_lines += res_local.size
             res_arrays.append((array, uniq_lines[res_local]))
+            res_acc = np.flatnonzero(~bulk[acc_line])
+            residue.append(
+                (res_acc // k, refs[res_acc % k], res_id[acc_line[res_acc]])
+            )
 
-        for p in range(processors):
-            ids_parts, wr_parts, order_parts = [], [], []
-            for r in ref_idx:
-                ids_seg = seg_ids[(p, r)]
-                if ids_seg.size == 0:
-                    continue
-                mask = bulk[ids_seg]
-                wr_flag = ref_structure[r].is_write_like
-                if mask.any():
-                    ids_parts.append(ids_seg[mask])
-                    wr_parts.append(np.full(int(mask.sum()), wr_flag, dtype=bool))
-                    # Global program order of (iteration n, reference r)
-                    # within the processor: n * n_refs + r.
-                    order_parts.append(
-                        np.flatnonzero(mask).astype(np.int64) * n_refs + r
-                    )
-                if not mask.all():
-                    rows = np.flatnonzero(~mask)
-                    residue.append((p, r, rows, res_id[ids_seg[rows]]))
-            if ids_parts:
-                wr_pa = np.concatenate(wr_parts)
-                summary = _private_line_summary(
-                    np.concatenate(ids_parts), wr_pa, np.concatenate(order_parts)
+        # Bulk accesses per processor and kind, and the first-touch
+        # digest of every bulk (processor, line) pair.
+        pb = bulk[pair_line]
+        if pb.any():
+            in_bulk = bulk[acc_line].reshape(n_rows, k)
+            first_write = write[pair_first[pb]]
+            deferred.append(
+                _BulkLines(
+                    array,
+                    procs=pair_proc[pb],
+                    lines=uniq_lines[pair_line[pb]],
+                    first_read=~first_write,
+                    upgrade=~first_write & pair_written[pb],
+                    reads=_per_processor(in_bulk[:, ~wcols].sum(axis=1), offsets),
+                    writes=_per_processor(in_bulk[:, wcols].sum(axis=1), offsets),
+                    written=int(pair_written[pb].sum()),
                 )
-                summaries.append(
-                    (p, array, uniq_lines, int((~wr_pa).sum()), int(wr_pa.sum()), summary)
-                )
+            )
 
         # Machine-wide cold fills: one per bulk line, however many
         # processors each is shared by (first fetch by *anyone*).
         directory.stats.cold_fills += int(bulk.sum())
 
         # Record the analytic lines' end state.  A written bulk line is
-        # private: its sole toucher ends with it in M.  A read-only bulk
-        # line ends in S at every toucher.
-        bulk_idx = np.flatnonzero(bulk)
-        if bulk_idx.size:
-            rows_bulk = uniq_lines[bulk_idx]
-            wr_bulk = ever_written[bulk_idx]
-            tb = touch[:, bulk_idx]
-            for p in range(processors):
-                sel = tb[p] & wr_bulk
-                if sel.any():
-                    directory.bulk_install(p, array, rows_bulk[sel], modified=True)
-            ro = ~wr_bulk
-            if ro.any():
-                directory.bulk_install_shared(array, rows_bulk[ro], tb[:, ro])
+        # private: its sole toucher ends with it in M (recorded in
+        # (processor, line) order).  A read-only bulk line ends in S at
+        # every toucher.
+        priv = np.flatnonzero(pb & ever_written[pair_line])
+        if priv.size:
+            priv = priv[np.argsort(pair_proc[priv], kind="stable")]
+            directory.bulk_install(
+                array, uniq_lines[pair_line[priv]], pair_proc[priv], modified=True
+            )
+        ro = np.flatnonzero(~ever_written)
+        if ro.size:
+            column = np.full(n_lines, -1, dtype=np.int64)
+            column[ro] = np.arange(ro.size)
+            ro_pairs = ~ever_written[pair_line]
+            touch = np.zeros((processors, ro.size), dtype=bool)
+            touch[pair_proc[ro_pairs], column[pair_line[ro_pairs]]] = True
+            directory.bulk_install_shared(array, uniq_lines[ro], touch)
 
     # ---- bulk phase: vectorised first-touch accounting ----------------
-    for p, array, uniq_lines, reads_total, writes_total, summary in summaries:
-        line_ids, first_wr, has_write = summary
-        n_lines = int(line_ids.shape[0])
-        _bulk_account(
-            machine, p, array,
-            n_lines=n_lines,
-            first_read=n_lines - int(first_wr.sum()),
-            upgrade_mask=~first_wr & has_write,
-            reads_total=reads_total,
-            writes_total=writes_total,
-            written=has_write,
-            coords_lines=uniq_lines[line_ids],
-            sweeps=sweeps,
-        )
+    for bulk_lines in deferred:
+        _book_bulk(machine, bulk_lines, sweeps)
 
     # ---- write-shared residue: per-line protocol resolution -----------
     if residue:
+        row, ref, line = (np.concatenate(part) for part in zip(*residue))
         line, proc, write = _residue_events(
-            residue, ref_structure, processors, sweeps=sweeps, interleave=interleave
+            row, ref, line, owner, offsets,
+            [s.is_write_like for s in streams],
+            sweeps=sweeps, interleave=interleave,
         )
         res = _resolve_lines(line, proc, write, processors)
         homes = np.concatenate(
@@ -414,25 +410,24 @@ def execute_fast(
 # Write-shared residue: per-line MSI resolution
 
 
-def _residue_events(residue, ref_structure, processors, *, sweeps, interleave):
+def _residue_events(row, ref, line, owner, offsets, is_write, *, sweeps, interleave):
     """The residue's events in ``(line, global time)`` order.
 
-    Global time is the exact engine's issue order: ``(iteration, proc,
-    ref)`` for round-robin, ``(proc, iteration, ref)`` for sequential,
-    repeated ``sweeps`` times with the sweep as the major key.  Returns
-    ``(line, proc, write)`` arrays, one entry per access.
+    ``row`` is each access's iteration row in the processor-major
+    layout, ``ref`` its reference, ``line`` its residue line id.  Global
+    time is the exact engine's issue order: ``(iteration, proc, ref)``
+    for round-robin, ``(proc, iteration, ref)`` — row order — for
+    sequential, repeated ``sweeps`` times with the sweep as the major
+    key.  Returns ``(line, proc, write)`` arrays, one entry per access.
     """
-    sizes = [rows.size for _, _, rows, _ in residue]
-    proc = np.repeat([p for p, _, _, _ in residue], sizes)
-    ref = np.repeat([r for _, r, _, _ in residue], sizes)
-    write = np.repeat([ref_structure[r].is_write_like for _, r, _, _ in residue], sizes)
-    it = np.concatenate([rows for _, _, rows, _ in residue])
-    line = np.concatenate([ids for _, _, _, ids in residue])
-    n_refs = len(ref_structure)
+    proc = owner[row]
+    write = np.asarray(is_write)[ref]
+    n_refs = len(is_write)
     if interleave == "sequential":
-        key = (proc * (int(it.max()) + 1) + it) * n_refs + ref
+        key = row * n_refs + ref
     else:  # roundrobin: one iteration per processor per step
-        key = (it * processors + proc) * n_refs + ref
+        processors = offsets.shape[0] - 1
+        key = ((row - offsets[proc]) * processors + proc) * n_refs + ref
     if sweeps > 1:
         period = int(key.max()) + 1
         key = (np.arange(sweeps)[:, None] * period + key).reshape(-1)
@@ -625,8 +620,7 @@ def _book_residue(machine, res: _Resolution, proc, write, home) -> None:
     pairs = np.bincount(
         src[remote] * nodes + dst[remote], minlength=nodes * nodes
     ).reshape(nodes, nodes)
-    for s in np.flatnonzero(pairs.any(axis=1)).tolist():
-        machine.network.send_bulk_vector(s, pairs[s])
+    machine.network.send_bulk(pairs)
 
 
 # ----------------------------------------------------------------------
@@ -634,42 +628,54 @@ def _book_residue(machine, res: _Resolution, proc, write, home) -> None:
 
 
 def collect_footprints(
-    streams: dict[int, list[RefStream]], processors: int
+    batches, processors: int, *, injective=frozenset()
 ) -> tuple[list[dict[str, int]], dict[str, int]]:
     """Per-processor element footprints and cross-processor sharing.
 
-    Replaces the exact engine's per-event ``set`` accumulation with
-    vectorised row uniquing over the batched coordinate arrays;
-    identical counts (element granularity, like the spread-dilation
-    terms it validates).  Returns ``(footprints, shared)`` with
+    ``batches`` is a sequence of ``(streams, offsets)`` pairs, each a
+    list of :class:`~repro.sim.trace.RefStream` over every processor's
+    rows laid out processor-major by ``offsets`` (a simulated nest is one
+    batch, a dataflow program one per statement).  Replaces the exact
+    engine's per-event ``set`` accumulation with one sort of (element,
+    processor) keys per array; identical counts (element granularity,
+    like the spread-dilation terms it validates).  An array in
+    ``injective`` (:func:`injective_arrays`) with a single stream takes
+    its counts from the stream's per-processor lengths and shares
+    nothing.  Returns ``(footprints, shared)`` with
     ``footprints[p][array]`` the number of distinct elements ``p``
     touches and ``shared[array]`` the number of elements touched by more
     than one processor.
     """
     footprints: list[dict[str, int]] = [dict() for _ in range(processors)]
     shared: dict[str, int] = {}
-    arrays = sorted({s.array for st in streams.values() for s in st})
+    arrays = sorted({s.array for streams, _ in batches for s in streams})
     for array in arrays:
-        # One unique pass over (proc, coords) rows gives every processor's
-        # distinct-element count; a second over the deduped coords alone
-        # gives the multiply-touched elements.
-        stacks = []
-        for p in range(processors):
-            parts = [
-                s.coords for s in streams[p] if s.array == array and s.coords.size
-            ]
-            if parts:
-                c = np.vstack(parts)
-                stacks.append(
-                    np.column_stack([np.full(c.shape[0], p, dtype=np.int64), c])
-                )
-        if not stacks:
+        parts = [
+            (s.coords, offsets)
+            for streams, offsets in batches
+            for s in streams
+            if s.array == array and s.coords.size
+        ]
+        if not parts:
             continue
-        tagged, _ = _unique_rows(np.vstack(stacks))
-        per_proc = np.bincount(tagged[:, 0], minlength=processors)
-        for p in range(processors):
-            if per_proc[p]:
-                footprints[p][array] = int(per_proc[p])
-        _, inv = _unique_rows(tagged[:, 1:])
-        shared[array] = int((np.bincount(inv) > 1).sum())
+        if array in injective and len(parts) == 1:
+            per_proc = np.diff(parts[0][1])
+            shared[array] = 0
+        else:
+            rows = np.vstack([c for c, _ in parts])
+            procs = np.concatenate([
+                np.repeat(np.arange(processors, dtype=np.int64), np.diff(o))
+                for _, o in parts
+            ])
+            codes, _ = row_codes(rows, processors)
+            # Distinct (element, processor) pairs, element-major: an
+            # element is shared when it has two or more.
+            pairs = np.sort(codes * processors + procs)
+            pairs = pairs[run_heads(pairs)]
+            per_proc = np.bincount(pairs % processors, minlength=processors)
+            head = run_heads(pairs // processors)
+            shared[array] = int(np.count_nonzero(head[:-1] & ~head[1:]))
+        for p, n in enumerate(per_proc.tolist()):
+            if n:
+                footprints[p][array] = n
     return footprints, shared

@@ -121,28 +121,28 @@ class Machine:
             self.remote_miss_count[proc] += 1
             self.memory_cost[proc] += self.config.remote_cost
 
-    def account_bulk_misses(self, proc: int, homes, events) -> None:
+    def account_bulk_misses(self, fetches) -> None:
         """Vectorised miss + network accounting for the fast engine.
 
-        ``homes[i]`` is the home node of the ``i``-th line, ``events[i]``
-        how many directory fetches that line cost (1, or 2 with an S→M
-        upgrade).  Each event prices exactly as one clean two-message
+        ``fetches[p, h]`` is how many directory fetches processor ``p``
+        made of lines homed at node ``h`` (one per line, plus one per
+        S→M upgrade).  Each fetch prices exactly as one clean two-message
         round trip in :meth:`access` — the only protocol shape a private
         line can produce.
         """
-        per_home = np.bincount(
-            homes, weights=events, minlength=self.p
-        ).astype(np.int64)
-        n_local = int(per_home[proc])
-        n_remote = int(per_home.sum()) - n_local
-        if n_local:
-            self.local_miss_count[proc] += n_local
-            self.memory_cost[proc] += n_local * self.config.local_cost
-        if n_remote:
-            self.remote_miss_count[proc] += n_remote
-            self.memory_cost[proc] += n_remote * self.config.remote_cost
-            per_home[proc] = 0
-            self.network.send_bulk_vector(proc, 2 * per_home)
+        fetches = np.asarray(fetches, dtype=np.int64)
+        diag = np.arange(self.p)
+        n_local = fetches[diag, diag]
+        n_remote = fetches.sum(axis=1) - n_local
+        cfg = self.config
+        for p in np.flatnonzero(n_local + n_remote).tolist():
+            local, remote = int(n_local[p]), int(n_remote[p])
+            self.local_miss_count[p] += local
+            self.remote_miss_count[p] += remote
+            self.memory_cost[p] += local * cfg.local_cost + remote * cfg.remote_cost
+        remote_fetches = fetches.copy()
+        remote_fetches[diag, diag] = 0
+        self.network.send_bulk(2 * remote_fetches)
 
     def line_of(self, array: str, coords: tuple[int, ...]) -> tuple[int, ...]:
         """Coherence-unit coordinates: last dimension divided by line size."""

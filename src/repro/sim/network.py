@@ -56,15 +56,15 @@ class MeshNetwork:
         self.hops += d
         return d
 
-    def send_bulk_vector(self, src: int, counts) -> None:
-        """Account ``counts[dst]`` messages from ``src`` to every ``dst``."""
+    def send_bulk(self, counts) -> None:
+        """Account ``counts[src, dst]`` messages for every node pair."""
         counts = np.asarray(counts, dtype=np.int64)
         w = self.shape[1]
-        rows, cols = np.divmod(np.arange(counts.shape[0]), w)
-        rs, cs = divmod(src, w)
-        dist = np.abs(rows - rs) + np.abs(cols - cs)
+        src_r, src_c = np.divmod(np.arange(counts.shape[0]), w)
+        dst_r, dst_c = np.divmod(np.arange(counts.shape[1]), w)
+        dist = np.abs(src_r[:, None] - dst_r) + np.abs(src_c[:, None] - dst_c)
         self.messages += int(counts.sum())
-        self.hops += int(counts @ dist)
+        self.hops += int((counts * dist).sum())
 
     def reset(self) -> None:
         self.messages = 0

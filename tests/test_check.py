@@ -150,6 +150,21 @@ class TestFaultInjection:
         assert report["failed"] >= 1
         assert {f["invariant"] for f in report["failures"]} == {"engine-parity"}
 
+    def test_footprint_fault_caught(self):
+        """One extra element in the origin processor's footprint (shared
+        by both engines, so parity cannot see it) is caught by the
+        footprint oracles."""
+        report = run_check(
+            cases=2,
+            seed=0,
+            fault="footprint",
+            config=CheckConfig(shrink_budget=20),
+        )
+        assert report["failed"] >= 1
+        caught = {v["invariant"] for v in report["failures"][0]["all_violations"]}
+        assert caught & {"origin-tile-footprint-exact", "footprint-upper"}
+        assert "engine-parity" not in caught
+
     def test_classify_fault_caught(self):
         """Dropping the cached-SNF solutions splits classes that should
         merge; ``classification-exact`` (Hermite form, no SNF) flags it."""

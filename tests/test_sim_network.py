@@ -1,5 +1,6 @@
 """Tests for the interconnect models."""
 
+import numpy as np
 import pytest
 
 from repro.sim.network import MeshNetwork, best_mesh_shape
@@ -54,12 +55,16 @@ class TestMesh:
     [lambda: MeshNetwork(6, (2, 3))],
     ids=["mesh"],
 )
-def test_send_bulk_vector_matches_scalar_sends(make):
-    counts = [0, 3, 1, 0, 5, 2]
+def test_send_bulk_matches_scalar_sends(make):
+    counts = [[0, 3, 1, 0, 5, 2], [1, 0, 0, 4, 0, 0]]
+    srcs = [4, 1]
+    matrix = np.zeros((6, 6), dtype=np.int64)
+    matrix[srcs] = counts
     bulk, scalar = make(), make()
-    bulk.send_bulk_vector(4, counts)
-    for dst, n in enumerate(counts):
-        for _ in range(n):
-            scalar.send(4, dst)
-    assert int(bulk.messages) == int(scalar.messages) == sum(counts)
+    bulk.send_bulk(matrix)
+    for src, row in zip(srcs, counts):
+        for dst, n in enumerate(row):
+            for _ in range(n):
+                scalar.send(src, dst)
+    assert int(bulk.messages) == int(scalar.messages) == sum(map(sum, counts))
     assert int(bulk.hops) == int(scalar.hops)

@@ -191,7 +191,7 @@ class TestDeferredStore:
         rec = next(x for x in m.directory._deferred if x.touch is None)
         coords = tuple(rec.coords[0].tolist())
         kind = "write" if rec.modified else "read"
-        assert m.access(rec.proc, rec.array, coords, kind)
+        assert m.access(int(rec.owner[0]), rec.array, coords, kind)
         assert not m.directory._deferred
 
     def test_per_line_views_materialize(self):

@@ -21,6 +21,9 @@ from repro._util import (
     is_integer_array,
     iter_box,
     minors_gcd,
+    row_codes,
+    run_heads,
+    sort_by_key,
     vector_gcd,
 )
 from repro.exceptions import NonIntegerMatrixError, SingularMatrixError
@@ -411,3 +414,39 @@ class TestValidateOnce:
         g[0, 0] = 7  # the caller's array is not the reference's
         assert ref.g[0, 0] == 1
         assert as_int_matrix(ref.g) is ref.g
+
+
+class TestPointArrayKeys:
+    """Order-preserving 1-D keys for point arrays."""
+
+    @pytest.mark.parametrize("scale", [1, 2**60])
+    def test_row_codes_sort_like_rows(self, scale):
+        """Bounding-box codes, and distinct-row ranks when the box times
+        ``scale`` would overflow."""
+        rng = np.random.default_rng(1)
+        rows = rng.integers(-3, 4, (60, 2))
+        codes, n = row_codes(rows, scale)
+        distinct = np.unique(rows, axis=0).shape[0]
+        assert n == (49 if scale == 1 else distinct)
+        assert codes.min() >= 0 and codes.max() < n
+        order = np.lexsort(rows.T[::-1])
+        assert np.all(np.diff(codes[order]) >= 0)
+        same = (rows[:, None, :] == rows[None, :, :]).all(axis=2)
+        np.testing.assert_array_equal(codes[:, None] == codes[None, :], same)
+
+    def test_row_codes_empty_and_zero_width(self):
+        assert row_codes(np.empty((0, 2), dtype=np.int64))[0].shape == (0,)
+        codes, n = row_codes(np.empty((3, 0), dtype=np.int64))
+        assert codes.tolist() == [0, 0, 0] and n == 1
+
+    def test_sort_by_key_is_a_stable_argsort(self):
+        keys = np.random.default_rng(2).integers(0, 5, 100)
+        positions, sorted_keys = sort_by_key(keys)
+        np.testing.assert_array_equal(positions, np.argsort(keys, kind="stable"))
+        np.testing.assert_array_equal(sorted_keys, np.sort(keys))
+
+    def test_run_heads(self):
+        assert run_heads(np.array([1, 1, 2, 5, 5, 5])).tolist() == [
+            True, False, True, True, False, False,
+        ]
+        assert run_heads(np.empty(0, dtype=np.int64)).shape == (0,)
