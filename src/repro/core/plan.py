@@ -338,17 +338,10 @@ class PlanCache(MemoTable):
     unchanged.
     """
 
-    def __init__(self, *, metrics_name: str | None = None):
-        super().__init__(metrics_name=metrics_name)
+    def __init__(self):
+        super().__init__()
         self.fallbacks = 0
         self._fallback_reasons: dict[str, int] = {}
-        self._fallback_counter = None
-        if metrics_name:
-            from ..obs.metrics import get_registry
-
-            self._fallback_counter = get_registry().counter(
-                "plan.fallbacks", cache=metrics_name
-            )
 
     @staticmethod
     def value_ok(value) -> bool:
@@ -370,15 +363,12 @@ class PlanCache(MemoTable):
 
     def absorb_stats(self, delta: dict) -> None:
         super().absorb_stats(delta)
-        fallbacks = int(delta.get("fallbacks", 0))
         with self._lock:
-            self.fallbacks += fallbacks
+            self.fallbacks += int(delta.get("fallbacks", 0))
             for reason, n in (delta.get("fallback_reasons") or {}).items():
                 self._fallback_reasons[reason] = (
                     self._fallback_reasons.get(reason, 0) + int(n)
                 )
-        if fallbacks and self._fallback_counter is not None:
-            self._fallback_counter.inc(fallbacks)
 
     def stats(self) -> dict:
         stats = super().stats()
@@ -386,9 +376,9 @@ class PlanCache(MemoTable):
         return stats
 
 
-#: Shared default plan cache (mirrored into the metrics registry, wired
-#: to ``--plan-cache`` / ``repro serve --plan-cache`` / persistence).
-DEFAULT_PLAN_CACHE = PlanCache(metrics_name="plan")
+#: Shared default plan cache (wired to ``--plan-cache`` / ``repro serve
+#: --plan-cache`` / persistence; listed in ``default_caches()``).
+DEFAULT_PLAN_CACHE = PlanCache()
 
 
 def plan_optimize(

@@ -4,19 +4,20 @@ Section 3.8's "table lookup" for exact 1-D footprints, the memoised
 lattice counts and Section 3.6's structure-keyed plans are all the same
 mechanism: a table keyed on a canonical form whose values never change
 for a key.  :class:`MemoTable` is that table.  It alone owns the dict,
-its lock, the ``hits``/``misses``/``loads`` counters and their mirrors in
-the process metrics registry
-(``analytic.cache.{hits,misses,loads}{cache=…}``).
+its lock and the ``hits``/``misses``/``loads`` counters, as plain ints.
 :class:`~repro.lattice.points.FootprintTable`,
 :class:`~repro.lattice.points.LatticeCountCache` and
 :class:`~repro.core.plan.PlanCache` subclass it and add only their own
 canonical keys, compute-on-miss and (for plans) fallback counters.
 
 :func:`default_caches` is the one list of process-default caches: each
-under its persisted section name and its :func:`analytic_cache_stats`
-key.  Persistence (:mod:`repro.lattice.persist`), the serve worker
-ship-back, the ``repro check`` pool merge and the stats snapshot all loop
-over it.  A pool worker ships what it learnt with a
+under its persisted section name, its :func:`analytic_cache_stats` key
+and its metrics label.  Persistence (:mod:`repro.lattice.persist`), the
+serve worker ship-back, the ``repro check`` pool merge, the stats
+snapshot and :func:`publish_cache_metrics` (which names
+``analytic.cache.{hits,misses,loads}{cache=…}`` and ``plan.fallbacks``
+when the service's registry is read) all loop over it.  A pool worker
+ships what it learnt with a
 :class:`CacheShipper` (the entries it computed and its counter deltas
 since the last ship), and the parent merges that with
 :func:`absorb_shipment`.
@@ -30,6 +31,7 @@ __all__ = [
     "MemoTable",
     "default_caches",
     "analytic_cache_stats",
+    "publish_cache_metrics",
     "CacheShipper",
     "absorb_shipment",
 ]
@@ -38,30 +40,19 @@ __all__ = [
 class MemoTable:
     """Lock-protected ``key → value`` memo with hit/miss/load counters.
 
-    ``metrics_name`` mirrors every counter event into the process metrics
-    registry (used by the shared default instances).  Mutations happen
-    under the lock, so concurrent threads (the ``repro serve`` parent
+    Mutations happen under the lock, so concurrent threads (the ``repro serve`` parent
     absorbs worker entries while handling requests) cannot corrupt the
     table or lose counter updates.  A miss computes *outside* the lock:
     at worst two threads redundantly compute the same deterministic
     value.  Values must never be ``None`` (the absence marker).
     """
 
-    def __init__(self, *, metrics_name: str | None = None):
+    def __init__(self):
         self._table: dict = {}
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
         self.loads = 0
-        self._mirror = None
-        if metrics_name:
-            from ..obs.metrics import get_registry
-
-            reg = get_registry()
-            self._mirror = {
-                name: reg.counter(f"analytic.cache.{name}", cache=metrics_name)
-                for name in ("hits", "misses", "loads")
-            }
 
     @staticmethod
     def value_ok(value) -> bool:
@@ -77,12 +68,8 @@ class MemoTable:
             cached = self._table.get(key)
             if cached is not None:
                 self.hits += 1
-                if self._mirror:
-                    self._mirror["hits"].inc()
                 return cached
             self.misses += 1
-            if self._mirror:
-                self._mirror["misses"].inc()
         value = compute()
         with self._lock:
             self._table[key] = value
@@ -121,8 +108,6 @@ class MemoTable:
                     self._table[key] = value
                     added += 1
             self.loads += added
-        if added and self._mirror:
-            self._mirror["loads"].inc(added)
         return added
 
     # -- counters: worker ship-back --------------------------------------
@@ -132,17 +117,10 @@ class MemoTable:
             return {"hits": self.hits, "misses": self.misses}
 
     def absorb_stats(self, delta: dict) -> None:
-        """Add a worker's counter delta (and mirror it into metrics)."""
-        hits = int(delta.get("hits", 0))
-        misses = int(delta.get("misses", 0))
+        """Add a worker's counter delta."""
         with self._lock:
-            self.hits += hits
-            self.misses += misses
-        if self._mirror:
-            if hits:
-                self._mirror["hits"].inc(hits)
-            if misses:
-                self._mirror["misses"].inc(misses)
+            self.hits += int(delta.get("hits", 0))
+            self.misses += int(delta.get("misses", 0))
 
     def stats(self) -> dict:
         """JSON-ready counter summary (run reports, ``/metrics``)."""
@@ -163,8 +141,9 @@ class MemoTable:
         return len(self._table)
 
 
-def default_caches() -> dict[str, tuple[str, MemoTable]]:
-    """Persisted section name → ``(stats key, cache)`` of each default cache.
+def default_caches() -> dict[str, tuple[str, str, MemoTable]]:
+    """Persisted section name → ``(stats key, metrics label, cache)`` of
+    each default cache.
 
     The order is the order of sections on disk and of keys in
     :func:`analytic_cache_stats`.
@@ -173,9 +152,9 @@ def default_caches() -> dict[str, tuple[str, MemoTable]]:
     from .points import DEFAULT_FOOTPRINT_TABLE, DEFAULT_LATTICE_CACHE
 
     return {
-        "footprint_table": ("footprint_table", DEFAULT_FOOTPRINT_TABLE),
-        "lattice_cache": ("lattice_cache", DEFAULT_LATTICE_CACHE),
-        "plan_cache": ("plan", DEFAULT_PLAN_CACHE),
+        "footprint_table": ("footprint_table", "footprint_table", DEFAULT_FOOTPRINT_TABLE),
+        "lattice_cache": ("lattice_cache", "lattice", DEFAULT_LATTICE_CACHE),
+        "plan_cache": ("plan", "plan", DEFAULT_PLAN_CACHE),
     }
 
 
@@ -185,7 +164,26 @@ def analytic_cache_stats() -> dict:
     The dict is JSON-ready and lands in run reports (``caches`` section)
     and on the server's ``/metrics``.
     """
-    return {key: cache.stats() for key, cache in default_caches().values()}
+    return {key: cache.stats() for key, _, cache in default_caches().values()}
+
+
+def publish_cache_metrics(registry) -> None:
+    """Set the default caches' counters in ``registry`` from their ints.
+
+    The one place that names ``analytic.cache.{hits,misses,loads}`` and
+    ``plan.fallbacks``, each labelled ``cache=<metrics label>``.  Call it
+    right before reading ``registry``: a later cache event is not seen.
+    """
+    rows = []
+    for _, label, cache in default_caches().values():
+        stats, labels = cache.stats(), (("cache", label),)
+        rows += [
+            (f"analytic.cache.{name}", labels, stats[name])
+            for name in ("hits", "misses", "loads")
+        ]
+        if "fallbacks" in stats:
+            rows.append(("plan.fallbacks", labels, stats["fallbacks"]))
+    registry.publish(rows)
 
 
 def _delta(now: dict, base: dict) -> dict:
@@ -219,7 +217,7 @@ class CacheShipper:
 
     def take(self) -> dict[str, dict]:
         out = {}
-        for section, (_, cache) in default_caches().items():
+        for section, (_, _, cache) in default_caches().items():
             shipped = self._shipped[section]
             fresh = cache.entries_except(shipped)
             shipped.update(k for k, _ in fresh)
@@ -233,6 +231,6 @@ def absorb_shipment(shipment: dict[str, dict]) -> None:
     """Merge a worker's :meth:`CacheShipper.take` into the default caches."""
     caches = default_caches()
     for section, part in shipment.items():
-        _, cache = caches[section]
+        _, _, cache = caches[section]
         cache.absorb_entries(part["entries"])
         cache.absorb_stats(part["stats"])

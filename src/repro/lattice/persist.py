@@ -176,7 +176,7 @@ def decode_key(obj):
 
 def _cache_map(overrides: dict) -> dict:
     """Section name → cache: the defaults, with ``overrides`` by section."""
-    caches = {name: cache for name, (_, cache) in default_caches().items()}
+    caches = {name: cache for name, (_, _, cache) in default_caches().items()}
     unknown = set(overrides) - set(caches)
     if unknown:
         raise TypeError(f"unknown analytic cache(s): {sorted(unknown)}")

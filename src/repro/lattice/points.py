@@ -624,7 +624,7 @@ class FootprintTable(MemoTable):
 
 
 #: Shared default table used by :func:`repro.core.footprint.footprint_size`.
-DEFAULT_FOOTPRINT_TABLE = FootprintTable(metrics_name="footprint_table")
+DEFAULT_FOOTPRINT_TABLE = FootprintTable()
 
 
 class LatticeCountCache(MemoTable):
@@ -728,4 +728,4 @@ class LatticeCountCache(MemoTable):
 #: Process-wide cache shared by the footprint call sites
 #: (:mod:`repro.core.footprint`); optimiser calls create private instances
 #: by default so their enumeration counts are reproducible per call.
-DEFAULT_LATTICE_CACHE = LatticeCountCache(metrics_name="lattice")
+DEFAULT_LATTICE_CACHE = LatticeCountCache()

@@ -6,13 +6,12 @@ Everything the repository measures flows through this package:
   rectangular"): ...``) with optional peak-RSS capture, wrapped around every
   pipeline phase (lowering, classification, optimization, codegen,
   simulation);
-* :mod:`repro.obs.metrics` — a registry of named counters / gauges /
-  histograms; the simulated machine publishes its plain-int counts into
-  a private one when ``machine.metrics`` is read;
+* :mod:`repro.obs.metrics` — the process registry of named counters /
+  gauges / histograms behind the service's ``/metrics``;
 * :mod:`repro.obs.report` — a versioned, machine-readable JSON run report
   joining the paper's analytic prediction (:class:`~repro.core.cost.
-  TrafficEstimate`) with the measured simulator counts, including
-  prediction-error ratios;
+  TrafficEstimate`) with the measured simulator counts, read from the
+  simulated machine's own ints, including prediction-error ratios;
 * :mod:`repro.obs.export` — a sampled per-access JSONL event trace, plus
   the Prometheus text exposition renderer/parser behind ``/metrics``;
 * :mod:`repro.obs.flight` — the per-request flight recorder behind the

@@ -5,13 +5,13 @@ A :class:`MetricsRegistry` is a flat namespace of instruments keyed by
 process-local default registry (:func:`get_registry`) through
 :meth:`Counter.inc`, :meth:`Histogram.observe` and friends.
 
-The simulator counts differently.  Its caches, directory, network and
-machine keep their counts as plain ints, owned by the component that
-increments them, and each :class:`~repro.sim.machine.Machine` has a
-private registry (``machine.metrics``) so concurrent simulations in one
-process never mix counts.  Reading ``machine.metrics`` fills that
-registry from the ints in one :meth:`MetricsRegistry.publish` call;
-the ``sim.*`` names live in one function of :mod:`repro.sim.machine`.
+Counts kept elsewhere stay where they are.  The simulator's caches,
+directory, network and machine keep plain ints, which the run report's
+``measured`` section reads from them; no registry holds a copy.  The
+analytic caches keep their hit/miss/load/fallback ints too, and
+:func:`repro.lattice.memo.publish_cache_metrics` copies them into the
+registry with one :meth:`MetricsRegistry.publish` call right before
+``repro serve`` takes a ``/metrics`` snapshot.
 
 Thread safety: instrument *mutations* (``inc``, ``observe``, ``set``,
 ``reset``) and registry operations (get-or-create, publish, snapshot)
@@ -31,7 +31,6 @@ from __future__ import annotations
 import math
 import threading
 from bisect import bisect_left
-from typing import Iterator
 
 __all__ = [
     "Counter",
@@ -289,40 +288,25 @@ class MetricsRegistry:
         return self._get(LatencyHistogram, name, labels)
 
     def publish(self, rows) -> None:
-        """Overwrite instruments from ``(name, labels, value)`` rows.
+        """Set counters from ``(name, labels, value)`` rows of ints.
 
-        For owners that count in plain ints (a simulated machine): an int
-        ``value`` sets a counter, a ``{value: count}`` dict a histogram's
-        bins.  ``labels`` is a sorted tuple of ``(key, value)`` pairs, as
-        in :attr:`Counter.labels`.  Missing instruments are created in
-        row order.
+        For owners that count in plain ints (the analytic caches).
+        ``labels`` is a sorted tuple of ``(key, value)`` pairs, as in
+        :attr:`Counter.labels`.  Missing counters are created in row order.
         """
         metrics = self._metrics
         with _LOCK:
             for name, labels, value in rows:
                 key = (name, labels)
                 m = metrics.get(key)
-                if isinstance(value, dict):
-                    if m is None:
-                        m = metrics[key] = Histogram(name, labels)
-                    m.bins = dict(value)
-                    m.count = sum(value.values())
-                    m.total = sum(v * n for v, n in value.items())
-                else:
-                    if m is None:
-                        m = metrics[key] = Counter(name, labels)
-                    m._value = value
+                if m is None:
+                    m = metrics[key] = Counter(name, labels)
+                m._value = value
 
     def _items(self) -> list:
         """A consistent point-in-time copy of the instrument map."""
         with _LOCK:
             return list(self._metrics.items())
-
-    def __iter__(self) -> Iterator:
-        return iter(m for _, m in self._items())
-
-    def __len__(self) -> int:
-        return len(self._metrics)
 
     def total(self, name: str) -> int:
         """Sum of a counter across every label combination."""

@@ -11,11 +11,11 @@ objects (``PartitionResult``, ``TrafficEstimate``, ``SimulationResult``)
 so this module imports nothing outside the stdlib and can never create an
 import cycle with the layers it observes.
 
-Top-level shape (version 1)::
+Top-level shape (version 2)::
 
     {
       "schema": "repro.run-report",
-      "version": 1,
+      "version": 2,
       "generated_by": "repro <version>",
       "program":   {...},              # source, processors, bindings, space
       "partition": {...},              # method, tile, grid, comm-free
@@ -23,8 +23,14 @@ Top-level shape (version 1)::
       "measured":  {...},              # simulator counts (when simulated)
       "prediction_error": {...},       # ratios predicted vs measured
       "spans":     [...],              # per-phase wall time (tracing)
-      "metrics":   [...]               # raw registry snapshot
+      "caches":    {...},              # analytic-cache counts (optional)
+      "meta":      {...}               # caller's extras (optional)
     }
+
+``measured`` holds every count the simulator keeps, each once, read
+from the component that owns it.  Version 1 also carried a ``metrics``
+array that repeated those counts as a registry snapshot; version 2
+dropped it, and this reader rejects version-1 files.
 """
 
 from __future__ import annotations
@@ -49,7 +55,7 @@ __all__ = [
 ]
 
 REPORT_SCHEMA = "repro.run-report"
-REPORT_VERSION = 1
+REPORT_VERSION = 2
 
 # Differential self-check reports (``repro check``, :mod:`repro.check`).
 CHECK_REPORT_SCHEMA = "repro.check-report"
@@ -57,6 +63,16 @@ CHECK_REPORT_VERSION = 1
 
 _REQUIRED_KEYS = ("schema", "version", "generated_by", "program", "predicted")
 _REQUIRED_MEASURED_KEYS = ("total_misses", "miss_breakdown", "per_processor", "network")
+
+#: Per-cache counts that :class:`~repro.sim.executor.ProcessorStats` does
+#: not carry; ``measured_section`` reads them from the machine's caches.
+_CACHE_ONLY_COUNTS = (
+    "read_hits",
+    "write_hits",
+    "evictions",
+    "invalidations_received",
+    "probe_invalidations",
+)
 
 
 class ReportError(ValueError):
@@ -113,7 +129,13 @@ def _per_processor_breakdown(sim) -> dict[int, dict[str, int]]:
 
 
 def measured_section(sim) -> dict:
-    """Serialise a :class:`~repro.sim.executor.SimulationResult`."""
+    """Serialise a :class:`~repro.sim.executor.SimulationResult`.
+
+    With the simulated machine at hand, each processor's entry adds the
+    cache counts the result does not carry and the section adds the
+    directory's downgrades, writebacks and sharers-at-write bins.
+    """
+    machine = getattr(sim, "machine", None)
     breakdown = _per_processor_breakdown(sim)
     per_proc = []
     for p in sim.processors:
@@ -137,6 +159,10 @@ def measured_section(sim) -> dict:
                 **breakdown.get(p.processor, {}),
             },
         }
+        if machine is not None:
+            st = machine.caches[p.processor].stats
+            for name in _CACHE_ONLY_COUNTS:
+                entry[name] = getattr(st, name)
         per_proc.append(entry)
     out: dict = {
         "sweeps": sim.sweeps,
@@ -164,10 +190,15 @@ def measured_section(sim) -> dict:
             "used": engine,
             "fallback_reason": getattr(sim, "engine_fallback", None),
         }
-    machine = getattr(sim, "machine", None)
     if machine is not None:
+        directory = machine.directory
+        out["downgrades"] = directory.stats.downgrades
+        out["writebacks"] = directory.stats.writebacks
+        out["sharers_at_write"] = {
+            str(k): v for k, v in sorted(directory.sharers_at_write.bins.items())
+        }
         out["sharer_histogram"] = {
-            str(k): v for k, v in sorted(machine.directory.sharer_histogram().items())
+            str(k): v for k, v in sorted(directory.sharer_histogram().items())
         }
         recv = sum(int(c.stats.invalidations_received) for c in machine.caches)
         probe = sum(int(c.stats.probe_invalidations) for c in machine.caches)
@@ -220,7 +251,6 @@ def build_report(
     sim=None,
     program: dict | None = None,
     spans: list[dict] | None = None,
-    metrics: list[dict] | None = None,
     caches: dict | None = None,
     meta: dict | None = None,
 ) -> dict:
@@ -228,8 +258,7 @@ def build_report(
 
     ``partition`` is a ``PartitionResult`` (its estimate is used when
     ``estimate`` is not given); ``sim`` a ``SimulationResult``; ``spans``
-    defaults to the process tracer's completed spans; ``metrics`` defaults
-    to the simulated machine's registry snapshot.  ``caches`` is an
+    defaults to the process tracer's completed spans.  ``caches`` is an
     optional hit/miss/load snapshot of the analytic caches
     (:func:`repro.lattice.analytic_cache_stats` — passed in by the caller
     to keep this module stdlib-only).
@@ -246,9 +275,6 @@ def build_report(
         from .tracing import get_tracer
 
         spans = get_tracer().to_dicts()
-    if metrics is None and sim is not None:
-        registry = getattr(getattr(sim, "machine", None), "metrics", None)
-        metrics = registry.snapshot() if registry is not None else []
     report: dict = {
         "schema": REPORT_SCHEMA,
         "version": REPORT_VERSION,
@@ -256,7 +282,6 @@ def build_report(
         "program": dict(program or {}),
         "predicted": predicted_section(estimate),
         "spans": spans or [],
-        "metrics": metrics or [],
     }
     report["program"].setdefault("processors", int(processors))
     if partition is not None:
@@ -285,7 +310,12 @@ def validate_report(report: dict) -> dict:
     if report["version"] != REPORT_VERSION:
         raise ReportError(
             f"unsupported report version {report['version']!r} "
-            f"(this reader handles {REPORT_VERSION})"
+            f"(this reader handles version {REPORT_VERSION})"
+        )
+    if "metrics" in report:
+        raise ReportError(
+            "report has a 'metrics' section; the simulator counts live in "
+            "'measured' since version 2"
         )
     if "measured" in report:
         measured = report["measured"]

@@ -208,7 +208,15 @@ def percentile(sorted_values: list[float], q: float) -> float:
     return sorted_values[rank]
 
 
-def run_loadgen(
+def run_loadgen(**kwargs) -> dict:
+    """Fire ``requests`` requests from ``clients`` threads; return stats.
+
+    Takes the keyword arguments of :func:`_run_phase`.
+    """
+    return _run_phase(**kwargs)[0]
+
+
+def _run_phase(
     *,
     host: str,
     port: int,
@@ -218,8 +226,8 @@ def run_loadgen(
     simulate: bool = False,
     deadline_ms: int | None = None,
     max_retries: int = 5,
-) -> dict:
-    """Fire ``requests`` requests from ``clients`` threads; return stats."""
+) -> tuple[dict, dict | None]:
+    """One load phase: its stats and the ``/metrics`` dump taken after it."""
     if clients < 1:
         raise ValueError(f"clients must be >= 1, got {clients}")
     if requests < 1:
@@ -305,9 +313,9 @@ def run_loadgen(
     wall_s = time.perf_counter() - t_start
 
     ok = sorted(latencies)
-    server_latency = _server_latency(host, port)
-    return {
-        "server_latency_ms": server_latency,
+    dump = _scrape(host, port)
+    stats = {
+        "server_latency_ms": _server_latency(dump),
         "clients": clients,
         "requests": requests,
         "completed": len(ok),
@@ -325,16 +333,21 @@ def run_loadgen(
             "max": (ok[-1] * 1000) if ok else 0.0,
         },
     }
+    return stats, dump
 
 
-def _plan_cache_stats(host: str, port: int) -> dict | None:
-    """Scrape the server's plan-cache counters from ``/metrics``."""
+def _scrape(host: str, port: int) -> dict | None:
+    """One ``GET /metrics`` of a server; ``None`` when it is unreachable."""
     try:
         with ServeClient(host, port, timeout=10.0) as client:
-            dump = client.metrics()
-    except (ServeError, OSError):
+            return client.metrics()
+    except (ServeError, OSError, ValueError):
         return None
-    return dump.get("caches", {}).get("plan")
+
+
+def _plan_cache_stats(dump: dict | None) -> dict | None:
+    """The plan-cache counters of a ``/metrics`` dump."""
+    return (dump or {}).get("caches", {}).get("plan")
 
 
 def run_family_sweep(
@@ -351,20 +364,21 @@ def run_family_sweep(
     """Drive ``families`` structure-family sweeps; report per-family stats.
 
     Families run sequentially (their request mix must not interleave) and
-    the server's plan-cache counters are scraped before and after each,
-    so every family's entry carries its own hit/miss/fallback delta and
-    hit rate — the per-family figures BENCH_serve.json records.  With
+    the server's ``/metrics`` is scraped once before the first and once
+    after each, so every family's entry carries its own hit/miss/fallback
+    delta and hit rate — the per-family figures BENCH_serve.json records.  With
     ``flow`` the families are two-statement dataflow pipelines
     (:func:`flow_family_corpus`) instead of single nests.
     """
     family_entries: list[dict] = []
     total_requests = total_completed = total_errors = 0
     t_start = time.perf_counter()
+    dump = _scrape(host, port)
     for family in range(families):
         make = flow_family_corpus if flow else family_corpus
         corpus = make(family, n_variants, p_variants)
-        before = _plan_cache_stats(host, port) or {}
-        stats = run_loadgen(
+        before = _plan_cache_stats(dump) or {}
+        stats, dump = _run_phase(
             host=host,
             port=port,
             clients=clients,
@@ -372,7 +386,7 @@ def run_family_sweep(
             corpus=corpus,
             deadline_ms=deadline_ms,
         )
-        after = _plan_cache_stats(host, port) or {}
+        after = _plan_cache_stats(dump) or {}
         delta = {
             k: after.get(k, 0) - before.get(k, 0)
             for k in ("hits", "misses", "fallbacks")
@@ -403,24 +417,19 @@ def run_family_sweep(
         "error_count": total_errors,
         "wall_s": wall_s,
         "throughput_rps": (total_completed / wall_s) if wall_s > 0 else 0.0,
-        "plan_cache": _plan_cache_stats(host, port),
+        "plan_cache": _plan_cache_stats(dump),
     }
 
 
-def _server_latency(host: str, port: int) -> dict | None:
-    """Scrape the server's own latency histogram for ``/v1/partition``.
+def _server_latency(dump: dict | None) -> dict | None:
+    """The server's own latency histogram for ``/v1/partition``.
 
     The server-side quantiles include queueing the client never sees
     (batch window, pool backlog) but exclude client→server network and
     connection setup; a healthy gap between the two views is small.
-    Returns ``None`` when the server is unreachable or has no samples.
+    Returns ``None`` without a dump or when the server has no samples.
     """
-    try:
-        with ServeClient(host, port, timeout=10.0) as client:
-            dump = client.metrics()
-    except (ServeError, OSError):
-        return None
-    for entry in dump.get("metrics", []):
+    for entry in (dump or {}).get("metrics", []):
         if (
             entry.get("name") == "serve.latency_ms"
             and entry.get("labels", {}).get("endpoint") == "/v1/partition"
@@ -649,14 +658,11 @@ def cluster_shard_stats(host: str, port: int) -> list[dict]:
             "ready": entry.get("ready"),
             "ejections": entry.get("ejections", 0),
         }
-        try:
-            with ServeClient(rhost, int(rport), timeout=10.0) as rclient:
-                dump = rclient.metrics()
-        except (ServeError, OSError, ValueError):
-            shard["reachable"] = False
+        dump = _scrape(rhost, int(rport)) if rport.isdigit() else None
+        shard["reachable"] = dump is not None
+        if dump is None:
             shards.append(shard)
             continue
-        shard["reachable"] = True
 
         def counter_total(name: str, metrics=dump.get("metrics", [])) -> float:
             return sum(
@@ -677,7 +683,7 @@ def cluster_shard_stats(host: str, port: int) -> list[dict]:
             shard["plan_cache"] = dict(
                 plan, hit_rate=(plan.get("hits", 0) / lookups) if lookups else None
             )
-        shard["latency_ms"] = _server_latency(rhost, int(rport))
+        shard["latency_ms"] = _server_latency(dump)
         shards.append(shard)
     return shards
 

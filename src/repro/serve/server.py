@@ -65,7 +65,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 from .. import __version__
-from ..lattice import analytic_cache_stats
+from ..lattice.memo import analytic_cache_stats, publish_cache_metrics
 from ..obs import configure_logging, get_logger, stitch_trace
 from .batching import MicroBatcher
 from .http import EmbeddedService, HttpService, run_service, service_parser
@@ -349,6 +349,7 @@ class PartitionServer(HttpService):
 
     async def _metric_entries(self) -> list[dict]:
         self._refresh_slo_gauges()
+        publish_cache_metrics(self._metrics)
         return self._metrics.snapshot()
 
     async def _metrics_json(self) -> dict:

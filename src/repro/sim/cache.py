@@ -30,8 +30,8 @@ class LineState(enum.Enum):
 class CacheStats:
     """Hit/miss/eviction counts for one cache, as plain ints.
 
-    The cache increments them; a :class:`~repro.sim.machine.Machine`
-    publishes them as ``sim.cache.*`` metrics when its registry is read.
+    The cache increments them; the run report's ``measured`` section
+    reads them per processor.
     """
 
     read_hits: int = 0
@@ -150,7 +150,10 @@ class Cache:
 
         A probe for a line already lost to LRU eviction counts under
         ``probe_invalidations``, so directory-sent invalidation messages
-        always reconcile: sent == received + probe misses.
+        always reconcile: sent == received + probe misses.  No simulation
+        sends such a probe (the directory drops an evicting cache from the
+        sharer set); the counter stays as that check's slack term, so a
+        directory that stopped doing so would show instead of going unseen.
         """
         if addr in self._lines:
             del self._lines[addr]

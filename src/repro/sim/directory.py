@@ -58,9 +58,8 @@ class _BulkRecord:
 class CoherenceStats:
     """Machine-wide protocol event counts, as plain ints.
 
-    The directory increments them; a :class:`~repro.sim.machine.Machine`
-    publishes them as ``sim.directory.*`` metrics when its registry is
-    read.
+    The directory increments them; the run report's ``measured``
+    section reads them.
     """
 
     cold_fills: int = 0        # first-ever fetch of an address
@@ -105,7 +104,7 @@ class Directory:
         self.stats = CoherenceStats()
         # Sharer count seen by each serviced write (how many other copies
         # the protocol had to take down) — the coherence-cost distribution.
-        self._sharers_at_write = _Bins()
+        self.sharers_at_write = _Bins()
         # Per-processor cause tracking: addr -> set of procs whose copy was
         # invalidated (to classify the next miss as a coherence miss).
         self._invalidated_at: dict = {}
@@ -203,7 +202,7 @@ class Directory:
         holders = len(e.sharers - {proc})
         if e.owner is not None and e.owner != proc and e.owner not in e.sharers:
             holders += 1
-        self._sharers_at_write.observe(holders)
+        self.sharers_at_write.observe(holders)
         msgs = [(proc, -1)]
         if e.owner is not None and e.owner != proc:
             owner = e.owner

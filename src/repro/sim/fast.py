@@ -98,8 +98,8 @@ def fast_path_blockers(machine: Machine, observer=None) -> list[str]:
     """Why the batched engine cannot run on ``machine`` (empty = it can).
 
     Each entry is a human-readable reason; :func:`simulate_nest` surfaces
-    them in the engine-fallback warning, the metrics registry, and the
-    run report when ``engine='auto'`` has to use the exact engine.
+    them in the engine-fallback warning, ``machine.engine_fallbacks`` and
+    the run report when ``engine='auto'`` has to use the exact engine.
     """
     cfg = machine.config
     blockers: list[str] = []
@@ -216,7 +216,7 @@ def _book_bulk(machine: Machine, bulk: _BulkLines, sweeps: int) -> None:
         st.read_hits += reads[p] * sweeps - first_read[p]
         st.write_hits += writes[p] * sweeps - first_write - upgrades[p]
         directory._count_miss_class("cold", p, n)
-    directory._sharers_at_write.observe(0, bulk.written)
+    directory.sharers_at_write.observe(0, bulk.written)
     homes = machine.address_map.homes_vector(bulk.array, bulk.lines)
     nodes = max(p_count, int(homes.max()) + 1)
     pair = bulk.procs * nodes + homes
@@ -590,7 +590,7 @@ def _book_residue(machine, res: _Resolution, proc, write, home) -> None:
     stats.writebacks += n_forward + int(res.owner_m.sum())
     holders = res.taken[write & ~res.hit].sum(axis=1)
     for value, count in enumerate(np.bincount(holders).tolist()):
-        directory._sharers_at_write.observe(value, count)
+        directory.sharers_at_write.observe(value, count)
 
     local = serviced & (home == proc)
     n_local = per_proc(local)

@@ -13,14 +13,13 @@ write path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..exceptions import SimulationError
-from ..obs.metrics import MetricsRegistry
-from .cache import Cache, CacheStats
-from .directory import CoherenceStats, Directory
+from .cache import Cache
+from .directory import Directory
 from .memory import AddressMap, flat_address_map
 from .network import MeshNetwork
 
@@ -65,7 +64,7 @@ class Machine:
     Every count is a plain int owned by the component that increments
     it: ``caches[p].stats``, ``directory.stats`` and its miss classes,
     ``network.messages`` / ``hops``, and the per-processor lists below.
-    :attr:`metrics` publishes them under their ``sim.*`` names.
+    Readers (the run report's ``measured`` section) read them there.
     """
 
     def __init__(
@@ -92,18 +91,6 @@ class Machine:
         # Optional per-access observer ``(proc, array, coords, kind, hit)``
         # — e.g. :class:`repro.obs.export.EventTraceWriter`.
         self.observer = None
-        # A private registry, so concurrent simulations never mix counts.
-        self._registry = MetricsRegistry()
-
-    @property
-    def metrics(self) -> MetricsRegistry:
-        """This machine's registry, filled from the counters on each read.
-
-        Hold the machine, not the registry: a registry read earlier does
-        not see later simulation.
-        """
-        _publish_metrics(self)
-        return self._registry
 
     # ------------------------------------------------------------------
     def _account_messages(self, msgs, home: int) -> None:
@@ -220,44 +207,3 @@ class Machine:
         """Run protocol invariant checks (tests call this liberally)."""
         self.directory.check_invariants()
 
-
-def _publish_metrics(machine: Machine) -> None:
-    """Copy every simulator counter into ``machine``'s registry.
-
-    The one place that names the ``sim.*`` metrics.  Rows come in the
-    order the names first appear in the registry: per cache, directory,
-    network, per processor, then engine fallbacks and miss classes in the
-    order they were first counted.
-    """
-    per_cache = [(f"sim.cache.{f.name}", f.name) for f in fields(CacheStats)]
-    rows = []
-    for p, cache in enumerate(machine.caches):
-        labels, st = (("proc", p),), cache.stats
-        rows += [(name, labels, getattr(st, attr)) for name, attr in per_cache]
-    directory = machine.directory
-    rows += [
-        (f"sim.directory.{f.name}", (), getattr(directory.stats, f.name))
-        for f in fields(CoherenceStats)
-    ]
-    rows += [
-        ("sim.directory.sharers_at_write", (), directory._sharers_at_write.bins),
-        ("sim.network.messages", (), machine.network.messages),
-        ("sim.network.hops", (), machine.network.hops),
-    ]
-    for name, counts in (
-        ("local_misses", machine.local_miss_count),
-        ("remote_misses", machine.remote_miss_count),
-        ("memory_cost", machine.memory_cost),
-    ):
-        rows += [
-            (f"sim.machine.{name}", (("proc", p),), n) for p, n in enumerate(counts)
-        ]
-    rows += [
-        ("sim.engine.fallback", (("reason", reason),), n)
-        for reason, n in machine.engine_fallbacks.items()
-    ]
-    rows += [
-        ("sim.directory.miss_class", (("kind", kind), ("proc", p)), n)
-        for (kind, p), n in directory.miss_classes.items()
-    ]
-    machine._registry.publish(rows)

@@ -120,16 +120,31 @@ def _absolute_imports(tree: ast.AST, package: str) -> set[str]:
 
 
 def test_one_sim_metrics_owner():
-    """Within ``sim/``, only ``machine.py`` talks to the metrics registry:
-    caches, the directory and the network count in plain ints, and the
-    machine publishes them under their ``sim.*`` names."""
-    sim = Path(repro.__file__).parent / "sim"
+    """Counts stay with the components that increment them.  No module
+    under ``sim/`` imports the metrics registry (the run report reads the
+    simulator's ints), nor do the analytic caches (``lattice/memo.py``,
+    ``core/plan.py``).  Their ints reach a registry through one
+    publisher: ``lattice/memo.py``'s ``publish_cache_metrics``, the only
+    caller of ``MetricsRegistry.publish``."""
+    root = Path(repro.__file__).parent
+    counters = sorted((root / "sim").rglob("*.py")) + [
+        root / "lattice" / "memo.py",
+        root / "core" / "plan.py",
+    ]
     importers = sorted(
-        path.name
-        for path in sim.rglob("*.py")
+        f"{path.parent.name}/{path.name}"
+        for path in counters
         if "repro.obs.metrics"
         in _absolute_imports(
-            ast.parse(path.read_text(), filename=str(path)), "repro.sim"
+            ast.parse(path.read_text(), filename=str(path)),
+            f"repro.{path.parent.name}",
         )
     )
-    assert importers == ["machine.py"]
+    assert importers == []
+    publishers = sorted(
+        f"{path.parent.name}/{path.name}"
+        for path in root.rglob("*.py")
+        if path.name != "metrics.py"
+        and _calls(ast.parse(path.read_text(), filename=str(path)), "publish")
+    )
+    assert publishers == ["lattice/memo.py"]

@@ -1,15 +1,13 @@
-"""Golden pins for the simulated machine's metrics registry.
+"""Golden pins for the simulated machine's counts.
 
-Each case runs one small simulation and compares what a reader of
-``machine.metrics`` and of the report sees — the sorted ``snapshot()``,
-the registry's iteration order and values, ``by_label`` for engine
-fallbacks, and the report's ``measured`` section — against values
+Each case runs one small simulation and compares every count a reader
+can get — the report's ``measured`` section, which carries each
+simulator count once, and ``machine.engine_fallbacks`` — against values
 recorded in ``tests/data/metrics_golden.json``.  Small cases store the
 JSON itself, larger ones the sha256 of its canonical form.
 
-The cases cover the fast engine at P ≥ 11 (the snapshot's
-``(name, str(labels))`` sort puts proc 10 before proc 2), the exact
-engine with a finite LRU capacity (evictions, capacity misses, the
+The cases cover the fast engine at P ≥ 11 (labels proc 10 and 11), the
+exact engine with a finite LRU capacity (evictions, capacity misses, the
 ``replacement`` miss class, probe invalidations), caching disabled, an
 ``engine="auto"`` fallback and line size 2.
 
@@ -77,15 +75,9 @@ def _canonical(obj) -> str:
 
 
 def observe(sim) -> dict:
-    """Everything a reader of the machine's metrics can see."""
-    registry = sim.machine.metrics
+    """Every count the simulation kept, as its readers see it."""
     return {
-        "snapshot": registry.snapshot(),
-        "iteration": [
-            [m.name, [list(kv) for kv in m.labels], getattr(m, "value", None)]
-            for m in registry
-        ],
-        "fallback": registry.by_label("sim.engine.fallback", "reason"),
+        "fallback": dict(sim.machine.engine_fallbacks),
         "measured": measured_section(sim),
     }
 
@@ -118,18 +110,9 @@ def test_metrics_match_golden(name, golden):
 
 def test_cases_exercise_what_they_claim():
     """Guard the inputs: each case really reaches the counters it pins."""
-    def values(sim, metric):
-        return {
-            tuple(m.labels): m.value
-            for m in sim.machine.metrics
-            if m.name == metric
-        }
-
     fast = CASES["fast_p12"]()
     assert fast.engine == "fast"
-    assert values(fast, "sim.directory.miss_class").get(
-        (("kind", "cold"), ("proc", 11))
-    )
+    assert fast.machine.directory.miss_classes.get(("cold", 11))
 
     lru = CASES["exact_lru"]()
     cache = lru.machine.caches
@@ -137,8 +120,7 @@ def test_cases_exercise_what_they_claim():
     assert sum(c.stats.probe_invalidations for c in cache) > 0
     assert lru.machine.directory.stats.capacity_misses > 0
     assert any(
-        dict(k)["kind"] == "replacement"
-        for k in values(lru, "sim.directory.miss_class")
+        kind == "replacement" for kind, _ in lru.machine.directory.miss_classes
     )
 
     off = CASES["no_cache"]()

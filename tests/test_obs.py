@@ -201,8 +201,18 @@ class TestReport:
         assert loaded["schema"] == REPORT_SCHEMA
         assert loaded["version"] == REPORT_VERSION
         for key in ("generated_by", "program", "predicted", "partition",
-                    "measured", "prediction_error", "spans", "metrics"):
+                    "measured", "prediction_error", "spans"):
             assert key in loaded
+
+    def test_version_1_report_rejected(self, pipeline, tmp_path):
+        """A version-1 file (with its ``metrics`` array) does not load, and
+        the error names both versions."""
+        nest, result, sim = pipeline
+        report = build_report(processors=4, partition=result, sim=sim)
+        path = tmp_path / "v1.json"
+        path.write_text(json.dumps(dict(report, version=1, metrics=[])))
+        with pytest.raises(ReportError, match=r"version 1 .*version 2"):
+            load_report(str(path))
 
     def test_measured_matches_simulator(self, pipeline):
         _, result, sim = pipeline
@@ -257,6 +267,17 @@ class TestReport:
                     "generated_by": "x",
                     "program": {},
                     "predicted": {},
+                }
+            )
+        with pytest.raises(ReportError, match="'metrics' section"):
+            validate_report(
+                {
+                    "schema": REPORT_SCHEMA,
+                    "version": REPORT_VERSION,
+                    "generated_by": "x",
+                    "program": {},
+                    "predicted": {},
+                    "metrics": [],
                 }
             )
 

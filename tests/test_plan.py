@@ -253,18 +253,6 @@ class TestPlanCache:
         assert a.stats()["fallbacks"] == 1
         assert a.fallback_reasons() == {"singular-class": 1}
 
-    def test_fallbacks_reach_the_registry(self):
-        """A named plan cache counts fallbacks under ``plan.fallbacks``,
-        starting from zero."""
-        from repro.obs.metrics import get_registry
-
-        counter = get_registry().counter("plan.fallbacks", cache="test-fallbacks")
-        before = counter.value
-        cache = PlanCache(metrics_name="test-fallbacks")
-        cache.record_fallback("singular-class")
-        cache.record_fallback("no-feasible-grid")
-        assert counter.value == before + 2
-
     def test_clear_keeps_counters(self):
         nest, uisets = _classify(STENCIL.format(n=16))
         cache = PlanCache()

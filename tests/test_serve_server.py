@@ -399,6 +399,65 @@ def test_metrics_count_worker_cache_traffic():
             ), (name, counter, served, worker)
 
 
+#: A generated nest whose singular class makes the plan tier fall back.
+PLAN_FALLBACK_SOURCE = (
+    "Doall (i1, 0, 3)\n"
+    "  Doall (i2, 0, 5)\n"
+    "    Doall (i3, 0, 4)\n"
+    "      A[-2i1 - 2i2 + i3 + 3, -i1 - i2 - i3] = 1\n"
+    "      l$B[-2i2 - 4i3 - 3, 2i2 + 4i3 - 2, i1 - 2i2 - 4i3 + 2] = 1\n"
+    "    EndDoall\n"
+    "  EndDoall\n"
+    "EndDoall\n"
+)
+
+#: Metrics label → ``caches`` key of each default analytic cache.
+CACHE_LABELS = {"footprint_table": "footprint_table", "lattice": "lattice_cache",
+                "plan": "plan"}
+
+
+def test_cache_metrics_equal_caches_section():
+    """``/metrics`` names each analytic-cache count once, read from the
+    caches: after worker traffic that includes a plan fallback, the
+    ``analytic.cache.*`` and ``plan.fallbacks`` entries (JSON and
+    Prometheus text alike) equal the ``caches`` section."""
+    from repro.obs import parse_prometheus_text
+
+    stencil = (
+        "Doall (i, 1, N)\n  Doall (j, 1, N)\n    A(i,j) = B(i-1,j) + B(i+1,j)\n"
+        "  EndDoall\nEndDoall\n"
+    )
+    with EmbeddedServer(ServeConfig(port=0, workers=1, plan_cache=True)) as emb:
+        with ServeClient("127.0.0.1", emb.port) as c:
+            c.partition(PLAN_FALLBACK_SOURCE, 4)
+            for n in (16, 24):
+                c.partition(stencil, 4, bindings={"N": n})
+            dump = c.metrics()
+            text = c.metrics_text()
+    caches = dump["caches"]
+    assert caches["plan"]["fallbacks"] >= 1 and caches["plan"]["hits"] >= 1, caches
+    want = {
+        (f"analytic.cache.{name}", label): caches[key][name]
+        for label, key in CACHE_LABELS.items()
+        for name in ("hits", "misses", "loads")
+    }
+    want["plan.fallbacks", "plan"] = caches["plan"]["fallbacks"]
+    entries = [
+        e for e in dump["metrics"]
+        if e["name"].startswith("analytic.cache.") or e["name"] == "plan.fallbacks"
+    ]
+    assert all(e["type"] == "counter" and set(e["labels"]) == {"cache"} for e in entries)
+    assert {(e["name"], e["labels"]["cache"]): e["value"] for e in entries} == want
+    assert len(entries) == len(want)
+    families = parse_prometheus_text(text)
+    seen = {
+        (name, s["labels"]["cache"]): s["value"]
+        for name in {name for name, _ in want}
+        for s in families["repro_" + name.replace(".", "_")]["samples"]
+    }
+    assert seen == want
+
+
 @pytest.mark.parametrize("program,source", [
     ("doall", "Doall (i, 1, N)\n  A[i] = B[i]\nEndDoall\n"),
     ("flow", "Doall (i, 1, N)\n  T[i] = A[i]\nEndDoall\n"

@@ -90,8 +90,8 @@ def assert_parity(nest, tile, processors, *, line_size=1, **kwargs):
         == exact.machine.directory.sharer_histogram()
     )
     assert (
-        fast.machine.directory._sharers_at_write.bins
-        == exact.machine.directory._sharers_at_write.bins
+        fast.machine.directory.sharers_at_write.bins
+        == exact.machine.directory.sharers_at_write.bins
     )
     fast.machine.check()
     return fast, exact
@@ -356,8 +356,7 @@ class TestEngineObservability:
         assert r.engine == "exact"
         assert "finite cache capacity" in r.engine_fallback
         assert "fell back to the exact engine" in caplog.text
-        counts = machine.metrics.by_label("sim.engine.fallback", "reason")
-        assert counts == {"finite cache capacity (64 lines)": 1}
+        assert machine.engine_fallbacks == {"finite cache capacity (64 lines)": 1}
 
     def test_explicit_fast_error_names_blockers(self):
         nest = PROGRAMS["example8"]()

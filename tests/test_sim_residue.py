@@ -9,7 +9,8 @@ does not check on its own:
 
 * the fast engine never calls the per-access protocol;
 * the residue's materialised end state — invalidation history, fill
-  history and the full metrics registry — equals the exact engine's;
+  history and every simulator count (the report's ``measured``
+  section) — equals the exact engine's;
 * arrays of different rank can share one residue (no paper program
   produces that).
 """
@@ -20,6 +21,7 @@ import pytest
 
 from repro.check import CheckConfig, run_check
 from repro.lang import compile_nest
+from repro.obs.report import measured_section
 from repro.sim import Machine, MachineConfig, simulate_nest
 from repro.sim.directory import Directory
 
@@ -46,11 +48,13 @@ def _run(nest, engine, *, line_size=1, **kwargs):
 
 
 def _end_state(result):
-    """Materialised invalidation/fill history plus the metrics snapshot."""
+    """Materialised invalidation/fill history plus every count."""
     d = result.machine.directory
     d.materialize()
     invalidated = {a: s for a, s in d._invalidated_at.items() if s}
-    return invalidated, set(d._ever_filled), result.machine.metrics.snapshot()
+    counts = measured_section(result)
+    del counts["engine"]  # which engine ran, not what it counted
+    return invalidated, set(d._ever_filled), counts
 
 
 def assert_end_state_parity(nest, **kwargs):
