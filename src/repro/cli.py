@@ -15,7 +15,12 @@
 Reads a Doall-language source file (or ``-`` for stdin), runs the full
 pipeline — classify, detect communication-free hyperplanes, optimise the
 tile, predict traffic — and optionally validates the prediction on the
-machine simulator and emits per-processor pseudo-code.
+machine simulator and emits per-processor pseudo-code.  The pipeline is
+:func:`repro.serve.pipeline.run_request`, the one the service's workers
+run: the CLI builds a :class:`~repro.serve.protocol.PartitionRequest`
+from argv, calls it, and prints its summary from the returned objects,
+so ``--json-report`` equals a ``POST /v1/partition`` response for the
+same program.
 
 Observability (see :mod:`repro.obs`): ``--json-report`` writes the
 schema-versioned run report (per-phase timings, predicted vs measured
@@ -42,19 +47,18 @@ import argparse
 import sys
 
 from .codegen import TileSchedule, emit_pseudocode
-from .core.partitioner import LoopPartitioner
+from .core.plan import DEFAULT_PLAN_CACHE
 from .exceptions import ReproError
-from .lang import lower_nest, parse_program
 from .obs import (
     EventTraceWriter,
-    build_report,
     configure_logging,
     dump_report,
     get_logger,
     get_tracer,
-    span,
 )
-from .sim import Machine, MachineConfig, format_table, simulate_nest
+from .serve.pipeline import run_request
+from .serve.protocol import PartitionRequest
+from .sim import format_table
 
 __all__ = ["main", "build_parser"]
 
@@ -205,48 +209,8 @@ def _profile_table(tracer) -> str:
     return format_table(["phase", "ms", "peak RSS (KiB)"], rows)
 
 
-def _flow_main(args, source, bindings, cache_dir, emit, tracer) -> int:
-    """The ``--flow`` pipeline: dataflow program → co-partition →
-    communication schedule → (optionally) end-to-end replay.
-
-    Calls the same :func:`repro.flow.run.run_flow` the service dispatches
-    to, so ``--json-report`` output is byte-identical (timings aside) to
-    a ``POST /v1/partition`` response with ``"program": "flow"``.
-    """
-    from .flow import run_flow
-    from .lattice import DEFAULT_LATTICE_CACHE, analytic_cache_stats
-    from .lattice.persist import save_caches
-
-    if args.trace_out:
-        emit("note: --trace-out has no effect with --flow")
-    if args.pseudocode is not None:
-        emit("note: --pseudocode has no effect with --flow")
-
-    plan_cache = None
-    if args.plan_cache:
-        from .core.plan import DEFAULT_PLAN_CACHE
-
-        plan_cache = DEFAULT_PLAN_CACHE
-    try:
-        report = run_flow(
-            source,
-            processors=args.processors,
-            bindings=bindings,
-            strategy=args.flow_strategy,
-            method=args.method,
-            simulate=args.simulate,
-            sweeps=args.sweeps,
-            cache=DEFAULT_LATTICE_CACHE if cache_dir else None,
-            plan_cache=plan_cache,
-            opt_budget_s=args.opt_budget,
-            label=args.source,
-            caches=analytic_cache_stats,
-        )
-    except ReproError as e:
-        emit(f"error: {e}")
-        return 1
-
-    flow = report["flow"]
+def _print_flow(flow: dict, args, emit) -> None:
+    """The ``--flow`` summary, read from the report's ``flow`` section."""
     emit(f"flow program: {len(flow['statements'])} statements, "
          f"P = {args.processors}, strategy = {flow['strategy']}")
     for st in flow["statements"]:
@@ -288,27 +252,77 @@ def _flow_main(args, source, bindings, cache_dir, emit, tracer) -> int:
             emit(f"  schedule: {parity['schedule']}")
             emit(f"  measured: {parity['measured']}")
 
-    if args.json_report:
-        try:
-            dump_report(report, args.json_report)
-        except OSError as e:
-            emit(f"error: cannot write --json-report {args.json_report!r}: {e}")
-            return 1
-        emit()
-        emit(f"run report -> {args.json_report}")
-        logger.info("wrote run report to %s", args.json_report)
 
-    if cache_dir:
-        try:
-            written = save_caches(cache_dir)
-            logger.info("persisted analytic caches: %d entries in %s", written, cache_dir)
-        except OSError as e:
-            emit(f"note: could not persist analytic caches to {cache_dir!r}: {e}")
+def _print_nest(run, args, emit, trace_writer) -> None:
+    """The single-nest summary, read from :func:`run_request`'s objects."""
+    nest, result, sim = run.nest, run.partition, run.sim
+    if run.nests != 1:
+        emit(f"note: {run.nests} nests found; partitioning the first")
+    emit(f"nest: {nest}")
+    emit(f"iteration space: {nest.space.extents.tolist()} "
+         f"({nest.space.volume} iterations), P = {args.processors}")
+    emit()
 
-    if args.profile:
+    emit("uniformly intersecting classes:")
+    for s in result.uisets:
+        emit(f"  {s}  spread={s.spread().tolist()}")
+    from .core.symbolic import loop_polynomial
+
+    try:
+        poly = loop_polynomial(list(result.uisets), nest.index_names)
+        emit(f"cumulative footprint ≈ {poly}")
+        emit(f"minimise (volume fixed): {poly.partition_sensitive()}")
+    except Exception:
+        pass
+    if result.comm_free_basis.shape[0]:
+        emit(f"communication-free hyperplane normals: {result.comm_free_basis.tolist()}")
+    else:
+        emit("no communication-free partition exists")
+    emit()
+
+    emit(f"method: {result.method}")
+    if result.grid is not None:
+        emit(f"tile sides: {result.tile.sides.tolist()}  grid: {result.grid}")
+    else:
+        emit(f"tile L matrix: {result.tile.l_matrix.tolist()}")
+    emit(f"communication-free: {result.is_communication_free}")
+    est = result.estimate
+    emit(f"predicted misses/tile: {est.cold_misses:.0f} "
+         f"(boundary {est.coherence_traffic:.0f})")
+
+    if args.data:
+        from .core import optimize_rectangular_data
+
+        dres = optimize_rectangular_data(
+            list(result.uisets), nest.space, args.processors
+        )
+        emit(f"data-partitioning (a+) tile: {dres.tile.sides.tolist()} "
+             f"grid {dres.grid}")
+
+    if sim is not None:
         emit()
-        emit(_profile_table(tracer))
-    return 0
+        if trace_writer is not None:
+            emit(
+                f"event trace: {trace_writer.events_written} of "
+                f"{trace_writer.events_seen} accesses -> {args.trace_out}"
+            )
+        rows = [
+            ["mean misses/processor", f"{sim.mean_misses_per_processor():.1f}"],
+            ["cold misses", sim.cold_misses],
+            ["coherence misses", sim.coherence_misses],
+            ["invalidations", sim.invalidations],
+            ["network messages", sim.network_messages],
+            ["shared elements", sum(sim.shared_elements.values())],
+        ]
+        emit(format_table(["simulated quantity", "value"], rows))
+
+    if args.pseudocode is not None and result.grid is not None:
+        procs = [int(x) for x in args.pseudocode.split(",") if x.strip()]
+        sched = TileSchedule(
+            nest.space, result.tile, args.processors, grid=result.grid
+        )
+        emit()
+        emit(emit_pseudocode(run.node, sched, processors=procs))
 
 
 def main(argv: list[str] | None = None, *, out=None) -> int:
@@ -362,7 +376,7 @@ def main(argv: list[str] | None = None, *, out=None) -> int:
 
     import os
 
-    from .lattice import DEFAULT_LATTICE_CACHE, analytic_cache_stats
+    from .lattice import DEFAULT_LATTICE_CACHE
     from .lattice.persist import load_caches, save_caches
 
     cache_dir = args.cache_dir or os.environ.get("REPRO_CACHE_DIR")
@@ -375,143 +389,55 @@ def main(argv: list[str] | None = None, *, out=None) -> int:
     )
     bindings = _bindings(args.define)
     if args.flow:
-        return _flow_main(args, source, bindings, cache_dir, emit, tracer)
-    try:
-        with span("lang.parse"):
-            program = parse_program(source)
-        if not program.nests:
-            emit(f"error: no loop nests found in {args.source!r}")
+        if args.trace_out:
+            emit("note: --trace-out has no effect with --flow")
+        if args.pseudocode is not None:
+            emit("note: --pseudocode has no effect with --flow")
+    request = PartitionRequest(
+        source=source,
+        processors=args.processors,
+        bindings=tuple(bindings.items()),
+        method=args.method,
+        simulate=args.simulate,
+        sweeps=args.sweeps,
+        engine=args.engine,
+        program="flow" if args.flow else "doall",
+        strategy=args.flow_strategy,
+        label=args.source,
+    )
+    trace_writer = None
+    if args.trace_out and args.simulate and not args.flow:
+        try:
+            trace_writer = EventTraceWriter(args.trace_out, every=args.trace_sample)
+        except OSError as e:
+            emit(f"error: cannot open --trace-out {args.trace_out!r}: {e}")
             return 1
-        if len(program.nests) != 1:
-            emit(f"note: {len(program.nests)} nests found; partitioning the first")
-        node = program.nests[0]
-        nest = lower_nest(node, bindings)
-    except ReproError as e:
-        emit(f"error: {e}")
-        return 1
-
-    emit(f"nest: {nest}")
-    emit(f"iteration space: {nest.space.extents.tolist()} "
-         f"({nest.space.volume} iterations), P = {args.processors}")
-    emit()
-
-    part = LoopPartitioner(nest, args.processors)
-    emit("uniformly intersecting classes:")
-    for s in part.uisets:
-        emit(f"  {s}  spread={s.spread().tolist()}")
-    from .core.symbolic import loop_polynomial
-
     try:
-        poly = loop_polynomial(list(part.uisets), nest.index_names)
-        emit(f"cumulative footprint ≈ {poly}")
-        emit(f"minimise (volume fixed): {poly.partition_sensitive()}")
-    except Exception:
-        pass
-    basis = part.comm_free_basis()
-    if basis.shape[0]:
-        emit(f"communication-free hyperplane normals: {basis.tolist()}")
-    else:
-        emit("no communication-free partition exists")
-    emit()
-
-    try:
-        if args.plan_cache:
-            from .core.plan import DEFAULT_PLAN_CACHE
-        result = part.partition(
-            method=args.method,
+        run = run_request(
+            request,
             cache=DEFAULT_LATTICE_CACHE if cache_dir else None,
             plan_cache=DEFAULT_PLAN_CACHE if args.plan_cache else None,
             opt_budget_s=args.opt_budget,
+            observer=trace_writer,
         )
     except ReproError as e:
         emit(f"error: {e}")
         return 1
-    emit(f"method: {result.method}")
-    if result.grid is not None:
-        emit(f"tile sides: {result.tile.sides.tolist()}  grid: {result.grid}")
+    finally:
+        if trace_writer is not None:
+            trace_writer.close()
+
+    if args.flow:
+        _print_flow(run.report["flow"], args, emit)
     else:
-        emit(f"tile L matrix: {result.tile.l_matrix.tolist()}")
-    emit(f"communication-free: {result.is_communication_free}")
-    est = result.estimate
-    emit(f"predicted misses/tile: {est.cold_misses:.0f} "
-         f"(boundary {est.coherence_traffic:.0f})")
-
-    if args.data:
-        from .core import optimize_rectangular_data
-
-        dres = optimize_rectangular_data(
-            list(part.uisets), nest.space, args.processors
-        )
-        emit(f"data-partitioning (a+) tile: {dres.tile.sides.tolist()} "
-             f"grid {dres.grid}")
-
-    sim = None
-    if args.simulate:
-        emit()
-        machine = Machine(MachineConfig(processors=args.processors))
-        trace_writer = None
-        if args.trace_out:
-            try:
-                trace_writer = EventTraceWriter(args.trace_out, every=args.trace_sample)
-            except OSError as e:
-                emit(f"error: cannot open --trace-out {args.trace_out!r}: {e}")
-                return 1
-        try:
-            sim = simulate_nest(
-                nest,
-                result.tile,
-                args.processors,
-                sweeps=args.sweeps,
-                machine=machine,
-                observer=trace_writer,
-                engine=args.engine,
-            )
-        except ReproError as e:
-            emit(f"error: {e}")
-            return 1
-        finally:
-            if trace_writer is not None:
-                trace_writer.close()
-                emit(
-                    f"event trace: {trace_writer.events_written} of "
-                    f"{trace_writer.events_seen} accesses -> {args.trace_out}"
-                )
-        rows = [
-            ["mean misses/processor", f"{sim.mean_misses_per_processor():.1f}"],
-            ["cold misses", sim.cold_misses],
-            ["coherence misses", sim.coherence_misses],
-            ["invalidations", sim.invalidations],
-            ["network messages", sim.network_messages],
-            ["shared elements", sum(sim.shared_elements.values())],
-        ]
-        emit(format_table(["simulated quantity", "value"], rows))
-
-    if args.pseudocode is not None and result.grid is not None:
-        procs = [int(x) for x in args.pseudocode.split(",") if x.strip()]
-        sched = TileSchedule(
-            nest.space, result.tile, args.processors, grid=result.grid
-        )
-        emit()
-        emit(emit_pseudocode(node, sched, processors=procs))
+        _print_nest(run, args, emit, trace_writer)
 
     if args.json_report:
-        report = build_report(
-            processors=args.processors,
-            partition=result,
-            sim=sim,
-            program={
-                "source": args.source,
-                "processors": args.processors,
-                "bindings": bindings,
-                "extents": nest.space.extents.tolist(),
-                "iterations": int(nest.space.volume),
-                "method": args.method,
-                "sweeps": args.sweeps,
-            },
-            caches=analytic_cache_stats(),
-        )
+        if args.pseudocode is not None and not args.flow:
+            # The CLI's report also times the pseudo-code it emitted.
+            run.report["spans"] = tracer.to_dicts()
         try:
-            dump_report(report, args.json_report)
+            dump_report(run.report, args.json_report)
         except OSError as e:
             emit(f"error: cannot write --json-report {args.json_report!r}: {e}")
             return 1

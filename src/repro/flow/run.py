@@ -1,9 +1,9 @@
 """One-call flow pipeline: source → report document.
 
-Shared by the CLI (``repro <file> --flow``) and the service
-(``POST /v1/partition`` with ``"program": "flow"``), so a served flow
-response is byte-identical (timings aside) to a CLI run of the same
-program — the same differential contract the single-nest pipeline keeps
+:func:`repro.serve.pipeline.run_request` dispatches ``"program": "flow"``
+requests here for both the CLI (``repro <file> --flow``) and the service
+(``POST /v1/partition``), so a served flow response is byte-identical
+(timings aside) to a CLI run of the same program
 (``tests/test_serve_differential.py``).
 
 The document is an ordinary ``repro.run-report`` (combined predicted

@@ -1,13 +1,12 @@
-"""Clients for the partition service (blocking and asyncio).
+"""The blocking client for the partition service, and the router's pool.
 
 :class:`ServeClient` wraps a keep-alive :class:`http.client.HTTPConnection`
-for scripts, tests, and the load generator; :class:`AsyncServeClient`
-speaks the same protocol over asyncio streams for embedding in event
-loops.  Both raise :class:`ServeError` for any non-200 response, carrying
-the HTTP status and the decoded typed error payload.
+for scripts, tests, and the load generator.  It raises
+:class:`ServeError` for any non-200 response, carrying the HTTP status
+and the decoded typed error payload.
 
-Both clients treat 429 (admission overload) as a retryable condition:
-they honor the server's ``Retry-After`` hint with capped exponential
+The client treats 429 (admission overload) as a retryable condition:
+it honors the server's ``Retry-After`` hint with capped exponential
 backoff and *deterministic* jitter (seeded per client, so a run is
 reproducible), raising only once ``max_retries_429`` attempts are
 exhausted.  ``retries_429`` counts the retries a client performed.
@@ -31,7 +30,6 @@ from .http import encode_request, read_response
 __all__ = [
     "ServeError",
     "ServeClient",
-    "AsyncServeClient",
     "AsyncConnectionPool",
     "backoff_delay_s",
 ]
@@ -80,14 +78,20 @@ def _request_body(source, processors, **options) -> dict:
     return body
 
 
-class _ClientBase:
-    """The 429 retry policy and last-response state both clients share."""
+class ServeClient:
+    """Blocking keep-alive client.
+
+    Keywords other than ``timeout`` set the 429 retry policy
+    (``max_retries_429``, ``backoff_base_s``, ``backoff_cap_s``,
+    ``backoff_seed``).
+    """
 
     def __init__(
         self,
         host: str = "127.0.0.1",
         port: int = 8787,
         *,
+        timeout: float = 60.0,
         max_retries_429: int = 4,
         backoff_base_s: float = 0.05,
         backoff_cap_s: float = 2.0,
@@ -95,67 +99,18 @@ class _ClientBase:
     ):
         self.host = host
         self.port = port
+        self.timeout = timeout
         self.max_retries_429 = max_retries_429
         self.backoff_base_s = backoff_base_s
         self.backoff_cap_s = backoff_cap_s
         self._backoff_rng = random.Random(backoff_seed)
+        self._conn: http.client.HTTPConnection | None = None
         #: Cache disposition of the last compute call (miss/hit/coalesced).
         self.last_cache_status: str | None = None
         #: Request id the server echoed (or minted) for the last call.
         self.last_request_id: str | None = None
         #: 429-overload retries this client has performed.
         self.retries_429 = 0
-
-    def _retry_delay(self, error: "ServeError", attempt: int) -> float:
-        """Backoff before retry ``attempt`` of ``error``; re-raises it
-        unless it is a 429 with retries left."""
-        if error.status != 429 or attempt >= self.max_retries_429:
-            raise error
-        self.retries_429 += 1
-        return backoff_delay_s(
-            attempt, error.retry_after,
-            base_s=self.backoff_base_s,
-            cap_s=self.backoff_cap_s,
-            rng=self._backoff_rng,
-        )
-
-    def _decode(
-        self, status: int, headers: dict[str, str], raw: bytes, *, raw_body: bool = False
-    ) -> dict | str:
-        """Response → decoded JSON (or text with ``raw_body``); a non-200
-        raises :class:`ServeError`.  ``headers`` keys are lower-case."""
-        self.last_cache_status = headers.get("x-repro-cache")
-        self.last_request_id = headers.get("x-repro-request-id")
-        if raw_body and status == 200:
-            return raw.decode("utf-8")
-        try:
-            decoded = json.loads(raw.decode("utf-8")) if raw else {}
-        except json.JSONDecodeError as e:
-            raise ServeError(status, {"error": {
-                "code": "bad-response", "message": f"undecodable body: {e}"}}) from None
-        if status != 200:
-            err = ServeError(status, decoded)
-            try:
-                err.retry_after = float(headers["retry-after"])
-            except (KeyError, ValueError):
-                pass
-            raise err
-        return decoded
-
-
-class ServeClient(_ClientBase):
-    """Blocking keep-alive client.
-
-    Keywords other than ``timeout`` set the 429 retry policy
-    (``max_retries_429``, ``backoff_base_s``, ``backoff_cap_s``,
-    ``backoff_seed``); :class:`AsyncServeClient` takes the same ones.
-    """
-
-    def __init__(self, host: str = "127.0.0.1", port: int = 8787, *,
-                 timeout: float = 60.0, **retry):
-        super().__init__(host, port, **retry)
-        self.timeout = timeout
-        self._conn: http.client.HTTPConnection | None = None
 
     def _connection(self) -> http.client.HTTPConnection:
         if self._conn is None:
@@ -202,6 +157,19 @@ class ServeClient(_ClientBase):
                 time.sleep(self._retry_delay(e, attempt))
                 attempt += 1
 
+    def _retry_delay(self, error: "ServeError", attempt: int) -> float:
+        """Backoff before retry ``attempt`` of ``error``; re-raises it
+        unless it is a 429 with retries left."""
+        if error.status != 429 or attempt >= self.max_retries_429:
+            raise error
+        self.retries_429 += 1
+        return backoff_delay_s(
+            attempt, error.retry_after,
+            base_s=self.backoff_base_s,
+            cap_s=self.backoff_cap_s,
+            rng=self._backoff_rng,
+        )
+
     def _round_trip(
         self,
         method: str,
@@ -236,6 +204,29 @@ class ServeClient(_ClientBase):
             raw = response.read()
         rheaders = {name.lower(): value for name, value in response.getheaders()}
         return self._decode(response.status, rheaders, raw, raw_body=raw_body)
+
+    def _decode(
+        self, status: int, headers: dict[str, str], raw: bytes, *, raw_body: bool = False
+    ) -> dict | str:
+        """Response → decoded JSON (or text with ``raw_body``); a non-200
+        raises :class:`ServeError`.  ``headers`` keys are lower-case."""
+        self.last_cache_status = headers.get("x-repro-cache")
+        self.last_request_id = headers.get("x-repro-request-id")
+        if raw_body and status == 200:
+            return raw.decode("utf-8")
+        try:
+            decoded = json.loads(raw.decode("utf-8")) if raw else {}
+        except json.JSONDecodeError as e:
+            raise ServeError(status, {"error": {
+                "code": "bad-response", "message": f"undecodable body: {e}"}}) from None
+        if status != 200:
+            err = ServeError(status, decoded)
+            try:
+                err.retry_after = float(headers["retry-after"])
+            except (KeyError, ValueError):
+                pass
+            raise err
+        return decoded
 
     # -- endpoints -------------------------------------------------------
     def partition(
@@ -382,72 +373,3 @@ def _close_writer(writer: asyncio.StreamWriter) -> None:
         writer.close()
     except Exception:  # pragma: no cover - teardown best effort
         pass
-
-
-class AsyncServeClient(_ClientBase):
-    """Asyncio client: sequential requests over a one-connection
-    :class:`AsyncConnectionPool`."""
-
-    def __init__(self, host: str = "127.0.0.1", port: int = 8787, **retry):
-        super().__init__(host, port, **retry)
-        self._pool: AsyncConnectionPool | None = None
-
-    async def close(self) -> None:
-        if self._pool is not None:
-            await self._pool.close()
-            self._pool = None
-
-    async def __aenter__(self) -> "AsyncServeClient":
-        return self
-
-    async def __aexit__(self, *exc) -> None:
-        await self.close()
-
-    async def request(
-        self,
-        method: str,
-        path: str,
-        payload: dict | None = None,
-        *,
-        request_id: str | None = None,
-    ) -> dict:
-        attempt = 0
-        while True:
-            try:
-                return await self._round_trip(method, path, payload, request_id)
-            except ServeError as e:
-                await asyncio.sleep(self._retry_delay(e, attempt))
-                attempt += 1
-
-    async def _round_trip(
-        self, method: str, path: str, payload: dict | None, request_id: str | None
-    ) -> dict:
-        if self._pool is None:
-            self._pool = AsyncConnectionPool(self.host, self.port, size=1)
-        body = json.dumps(payload).encode("utf-8") if payload is not None else b""
-        headers = {"Content-Type": "application/json"}
-        if request_id is not None:
-            headers["X-Repro-Request-Id"] = request_id
-        return self._decode(*await self._pool.request_raw(method, path, body, headers))
-
-    async def partition(
-        self, source: str, processors: int, *, request_id: str | None = None, **options
-    ) -> dict:
-        return await self.request(
-            "POST", "/v1/partition", _request_body(source, processors, **options),
-            request_id=request_id,
-        )
-
-    async def simulate(
-        self, source: str, processors: int, *, request_id: str | None = None, **options
-    ) -> dict:
-        return await self.request(
-            "POST", "/v1/simulate", _request_body(source, processors, **options),
-            request_id=request_id,
-        )
-
-    async def healthz(self) -> dict:
-        return await self.request("GET", "/healthz")
-
-    async def metrics(self) -> dict:
-        return await self.request("GET", "/metrics")

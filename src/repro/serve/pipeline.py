@@ -1,12 +1,17 @@
-"""Worker-side request execution: a validated request → a run report.
+"""The request pipeline: a partition request → a run report.
 
-:func:`execute_request` is the one function that turns a
-:class:`~repro.serve.protocol.PartitionRequest` into the same
-schema-versioned ``repro.run-report`` document the one-shot CLI writes
-for ``--json-report`` — same span names, same report sections, same
-``program`` keys — so a served response is byte-identical (timings
-aside) to a CLI run of the same program.
-``tests/test_serve_differential.py`` holds that equivalence.
+:func:`run_request` is the one implementation of the paper's compiler
+pass (Section 4) behind both front ends: parse, lower, classify,
+communication-free hyperplanes, optimise the tile, predict traffic,
+optionally simulate, and build the schema-versioned ``repro.run-report``
+document.  ``program == "flow"`` requests go to
+:func:`repro.flow.run.run_flow` instead.  The one-shot CLI builds a
+:class:`~repro.serve.protocol.PartitionRequest` from argv and calls it
+directly (printing its summary from the returned objects);
+:func:`execute_request` is the service's thin wrapper around it, so a
+served response is byte-identical (timings aside) to a CLI
+``--json-report`` of the same program.  ``tests/test_serve_differential.py``
+holds that equivalence, on error paths too.
 
 The module is imported by the server's process-pool children
 (:mod:`repro.serve.batching` submits :func:`run_batch`), so everything
@@ -33,89 +38,102 @@ import os
 import signal
 import sys
 import time
+from typing import NamedTuple
 
-from ..core.partitioner import LoopPartitioner
+from ..core.loopnest import LoopNest
+from ..core.partitioner import LoopPartitioner, PartitionResult
 from ..core.plan import DEFAULT_PLAN_CACHE
 from ..exceptions import ReproError
-from ..lang import lower_nest, parse_program
+from ..lang import LoopNode, lower_nest, parse_program
 from ..lattice import DEFAULT_LATTICE_CACHE, analytic_cache_stats
 from ..lattice.memo import CacheShipper
 from ..obs import build_report, get_tracer, span
-from ..sim import Machine, MachineConfig, simulate_nest
+from ..sim import Machine, MachineConfig, SimulationResult, simulate_nest
 from .protocol import PartitionRequest, ProtocolError
 
-__all__ = ["execute_request", "run_batch", "init_worker", "prewarm_worker"]
+__all__ = [
+    "RequestRun", "run_request", "execute_request", "run_batch", "init_worker", "prewarm_worker",
+]
 
 
-def execute_request(request: PartitionRequest) -> dict:
-    """Run the full pipeline for one request; returns the run report.
+class RequestRun(NamedTuple):
+    """What :func:`run_request` produced: the run report, plus the
+    objects the CLI prints its summary from (all ``None`` for flow
+    programs, whose summary is the report's ``flow`` section)."""
 
-    Raises :class:`~repro.serve.protocol.ProtocolError` for declared
-    pipeline failures (unparsable source, unbound symbols, infeasible
-    optimisation) so callers can map them to a 422 without pattern-
-    matching exception types.
+    report: dict
+    nests: int | None = None
+    node: LoopNode | None = None
+    nest: LoopNest | None = None
+    partition: PartitionResult | None = None
+    sim: SimulationResult | None = None
+
+
+def run_request(
+    request: PartitionRequest,
+    *,
+    cache,
+    plan_cache,
+    opt_budget_s: float | None,
+    observer=None,
+) -> RequestRun:
+    """Run the full pipeline for one request.
+
+    ``cache`` is the lattice-count cache for the grid search (``None``
+    disables it), ``plan_cache`` the structure-keyed plan tier (``None``
+    disables it) and ``opt_budget_s`` the per-member wall-time budget of
+    the parallelepiped portfolio.  ``observer`` receives the simulator's
+    per-access events (the CLI's ``--trace-out``).  Only the first nest
+    of a multi-nest source is partitioned.  Pipeline failures raise
+    :class:`~repro.exceptions.ReproError`.
     """
-    tracer = get_tracer()
-    tracer.reset()  # the report's spans describe only this request
     if request.program == "flow":
         from ..flow import run_flow
 
-        try:
-            return run_flow(
-                request.source,
-                processors=request.processors,
-                bindings=dict(request.bindings),
-                strategy=request.strategy,
-                method=request.method,
-                simulate=request.simulate,
-                sweeps=request.sweeps,
-                cache=DEFAULT_LATTICE_CACHE,
-                plan_cache=DEFAULT_PLAN_CACHE if _PLAN_ENABLED else None,
-                opt_budget_s=_OPT_BUDGET_S,
-                label=request.label,
-                caches=analytic_cache_stats,
-            )
-        except ReproError as e:
-            raise ProtocolError(str(e), code="pipeline-error") from e
-    try:
-        with span("lang.parse"):
-            program = parse_program(request.source)
-        if not program.nests:
-            raise ProtocolError(
-                "no loop nests found in 'source'", code="pipeline-error", field="source"
-            )
-        node = program.nests[0]
-        nest = lower_nest(node, dict(request.bindings))
-        part = LoopPartitioner(nest, request.processors)
-        result = part.partition(
+        return RequestRun(run_flow(
+            request.source,
+            processors=request.processors,
+            bindings=dict(request.bindings),
+            strategy=request.strategy,
             method=request.method,
-            cache=DEFAULT_LATTICE_CACHE,
-            plan_cache=DEFAULT_PLAN_CACHE if _PLAN_ENABLED else None,
-            opt_budget_s=_OPT_BUDGET_S,
+            simulate=request.simulate,
+            sweeps=request.sweeps,
+            cache=cache,
+            plan_cache=plan_cache,
+            opt_budget_s=opt_budget_s,
+            label=request.label,
+            caches=analytic_cache_stats,
+        ))
+    bindings = dict(request.bindings)
+    with span("lang.parse"):
+        program = parse_program(request.source)
+    node = program.nests[0]
+    nest = lower_nest(node, bindings)
+    result = LoopPartitioner(nest, request.processors).partition(
+        method=request.method,
+        cache=cache,
+        plan_cache=plan_cache,
+        opt_budget_s=opt_budget_s,
+    )
+    sim = None
+    if request.simulate:
+        sim = simulate_nest(
+            nest,
+            result.tile,
+            request.processors,
+            sweeps=request.sweeps,
+            machine=Machine(MachineConfig(processors=request.processors)),
+            observer=observer,
+            engine=request.engine,
         )
-        sim = None
-        if request.simulate:
-            machine = Machine(MachineConfig(processors=request.processors))
-            sim = simulate_nest(
-                nest,
-                result.tile,
-                request.processors,
-                sweeps=request.sweeps,
-                machine=machine,
-                engine=request.engine,
-            )
-    except ProtocolError:
-        raise
-    except ReproError as e:
-        raise ProtocolError(str(e), code="pipeline-error") from e
-    return build_report(
+    report = build_report(
         processors=request.processors,
         partition=result,
         sim=sim,
         program={
             "source": request.label if request.label is not None else "<request>",
             "processors": request.processors,
-            "bindings": dict(request.bindings),
+            "bindings": bindings,
             "extents": nest.space.extents.tolist(),
             "iterations": int(nest.space.volume),
             "method": request.method,
@@ -123,6 +141,28 @@ def execute_request(request: PartitionRequest) -> dict:
         },
         caches=analytic_cache_stats(),
     )
+    return RequestRun(report, len(program.nests), node, nest, result, sim)
+
+
+def execute_request(request: PartitionRequest) -> dict:
+    """Run one request in a worker; returns the run report.
+
+    Uses the worker's plan-cache and budget settings (:func:`init_worker`)
+    and raises :class:`~repro.serve.protocol.ProtocolError` for declared
+    pipeline failures (unparsable source, unbound symbols, infeasible
+    optimisation) so callers can map them to a 422 without pattern-
+    matching exception types.
+    """
+    get_tracer().reset()  # the report's spans describe only this request
+    try:
+        return run_request(
+            request,
+            cache=DEFAULT_LATTICE_CACHE,
+            plan_cache=DEFAULT_PLAN_CACHE if _PLAN_ENABLED else None,
+            opt_budget_s=_OPT_BUDGET_S,
+        ).report
+    except ReproError as e:
+        raise ProtocolError(str(e), code="pipeline-error") from e
 
 
 # ----------------------------------------------------------------------

@@ -148,3 +148,27 @@ def test_one_sim_metrics_owner():
         and _calls(ast.parse(path.read_text(), filename=str(path)), "publish")
     )
     assert publishers == ["lattice/memo.py"]
+
+
+def test_one_request_pipeline():
+    """The CLI and the service run one request pipeline,
+    ``serve/pipeline.run_request``.  ``cli.py`` imports none of the
+    pipeline's stages, and among ``cli.py`` and ``serve/*.py`` only
+    ``serve/pipeline.py`` builds a run report."""
+    root = Path(repro.__file__).parent
+    cli = root / "cli.py"
+    stages = (
+        "parse_program", "lower_nest", "LoopPartitioner",
+        "simulate_nest", "build_report", "run_flow",
+    )
+    imported = _absolute_imports(ast.parse(cli.read_text(), filename=str(cli)), "repro")
+    offending = sorted(
+        name for name in imported for stage in stages if name.rsplit(".", 1)[-1] == stage
+    )
+    assert offending == []
+    builders = sorted(
+        path.relative_to(root).as_posix()
+        for path in [cli, *sorted((root / "serve").glob("*.py"))]
+        if _calls(ast.parse(path.read_text(), filename=str(path)), "build_report")
+    )
+    assert builders == ["serve/pipeline.py"]

@@ -1,7 +1,7 @@
-"""Client-side 429 retry behaviour (blocking and asyncio clients).
+"""Client-side 429 retry behaviour.
 
 The service sheds load with 429 + ``Retry-After`` when its admission
-queue is full; both clients must absorb that transparently — capped
+queue is full; the client must absorb that transparently — capped
 exponential backoff honoring the hint, with *deterministic* seeded
 jitter so any retry schedule is reproducible — and only surface the 429
 once ``max_retries_429`` attempts are exhausted.
@@ -9,7 +9,6 @@ once ``max_retries_429`` attempts are exhausted.
 
 from __future__ import annotations
 
-import asyncio
 import random
 import threading
 import time
@@ -17,7 +16,6 @@ import time
 import pytest
 
 from repro.serve import (
-    AsyncServeClient,
     EmbeddedServer,
     ServeClient,
     ServeConfig,
@@ -132,27 +130,3 @@ class TestBlockingClientRetries:
             backoff_delay_s(i, None, rng=b._backoff_rng) for i in range(5)
         ]
         assert seq_a == seq_b
-
-
-class TestAsyncClientRetries:
-    def test_async_client_rides_out_overload(self, tiny_server):
-        done = threading.Event()
-        t = threading.Thread(target=_occupy, args=(tiny_server.port, done))
-        t.start()
-        try:
-            _wait_inflight(tiny_server.port)
-
-            async def patient() -> tuple[dict, int]:
-                async with AsyncServeClient(
-                    "127.0.0.1", tiny_server.port,
-                    max_retries_429=100, backoff_base_s=0.05, backoff_cap_s=0.5,
-                ) as c:
-                    report = await c.partition(FAST_SOURCE, 6, label="apatient")
-                    return report, c.retries_429
-
-            report, retries = asyncio.run(patient())
-            assert report["schema"] == "repro.run-report"
-            assert retries >= 1
-        finally:
-            t.join(timeout=120)
-        assert done.is_set()

@@ -1,9 +1,14 @@
 """Differential test: the service must return byte-identical reports to
 the CLI's ``--json-report`` (timings aside) for every ``examples/*.doall``
-program.
+program, and the same message when the pipeline rejects a program.
 
-This is the service's core contract — ``POST /v1/partition`` is the CLI
-pipeline behind a socket, not a reimplementation.  Normalisation strips
+Both front ends run one function, ``repro.serve.pipeline.run_request``:
+the CLI calls it in-process, a service worker through
+``execute_request``.  What this test guards is everything around that
+call — how each side builds the request (``-D`` order, labels, caches,
+plan tier) and how each side reports a failure (the CLI's
+``error: <message>`` and exit 1, the service's 422 ``pipeline-error``
+with the same message).  Normalisation strips
 exactly the run-dependent parts: per-span wall times (``duration_s``)
 and the analytic-cache statistics (hit/miss counts depend on process
 history).  Everything else — partition choice, predictions, simulator
@@ -18,7 +23,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main as cli_main
-from repro.serve import EmbeddedServer, ServeClient, ServeConfig
+from repro.serve import EmbeddedServer, ServeClient, ServeConfig, ServeError
 
 EXAMPLES_DIR = Path(__file__).resolve().parent.parent / "examples"
 
@@ -201,3 +206,42 @@ def test_normalization_is_not_vacuous(server):
     assert doc["predicted"]
     assert doc["spans"], "span structure must survive normalisation"
     assert all("duration_s" not in s for s in doc["spans"])
+
+
+#: (case, source, bindings) — programs the pipeline rejects: an unbound
+#: symbol (no ``-D N``), an empty loop (``N = -1``) and a parse error.
+FAILING = [
+    ("unbound-symbol", (EXAMPLES_DIR / "example8.doall").read_text(), {}),
+    ("empty-loop", (EXAMPLES_DIR / "example3.doall").read_text(), {"N": -1}),
+    ("parse-error", "Doall (i, 1, 4)\n A[i] =\n", {}),
+]
+
+
+@pytest.mark.parametrize(
+    "case,source,bindings", FAILING, ids=[case for case, _, _ in FAILING]
+)
+def test_serve_matches_cli_on_pipeline_errors(server, tmp_path, case, source, bindings):
+    """The CLI prints only ``error: <message>`` and exits 1; the service
+    answers 422 ``pipeline-error`` carrying the same message."""
+    import io
+
+    path = tmp_path / "prog.doall"
+    path.write_text(source)
+    argv = [str(path), "-p", "4"]
+    for name, value in bindings.items():
+        argv += ["-D", f"{name}={value}"]
+    out = io.StringIO()
+    assert cli_main(argv, out=out) == 1
+    lines = out.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    message = lines[0][len("error: "):]
+
+    with ServeClient("127.0.0.1", server.port) as client:
+        with pytest.raises(ServeError) as exc:
+            client.partition(
+                source, 4, bindings=bindings or None, label=str(path)
+            )
+    assert exc.value.status == 422
+    assert exc.value.payload == {
+        "error": {"code": "pipeline-error", "message": message}
+    }
