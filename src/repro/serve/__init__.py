@@ -3,9 +3,9 @@
 A long-lived asyncio JSON-over-HTTP service around the partitioning
 pipeline, so many queries amortise one warm process: request validation
 with typed errors (:mod:`~repro.serve.protocol`), canonical-key request
-coalescing and a completed-response LRU, micro-batching of compute onto
-a process pool (:mod:`~repro.serve.batching` →
-:mod:`~repro.serve.pipeline`), bounded admission with 429 backpressure,
+coalescing and a completed-response LRU, dispatch of compute to worker
+processes over one pipe each, batched under load
+(:mod:`~repro.serve.batching` → :mod:`~repro.serve.pipeline`), bounded admission with 429 backpressure,
 per-request deadlines, and graceful drain — all metered through
 :mod:`repro.obs` (:mod:`~repro.serve.server`, on the HTTP core in
 :mod:`~repro.serve.http` that the router shares).  Workers run

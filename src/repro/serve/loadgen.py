@@ -29,8 +29,8 @@ Every request carries a unique ``X-Repro-Request-Id``
 looked up on the server with ``/debug/requests/<id>`` or ``repro trace
 show``.  After the run, the server's own ``latency_ms`` histogram is
 scraped and its p50/p95/p99 reported next to the client-side numbers —
-queueing inside the server that the client cannot see (batch windows,
-pool backlog) shows up as the gap between the two.
+queueing inside the server that the client cannot see (requests
+waiting for a busy worker) shows up as the gap between the two.
 """
 
 from __future__ import annotations
@@ -425,7 +425,7 @@ def _server_latency(dump: dict | None) -> dict | None:
     """The server's own latency histogram for ``/v1/partition``.
 
     The server-side quantiles include queueing the client never sees
-    (batch window, pool backlog) but exclude client→server network and
+    (requests waiting for a busy worker) but exclude client→server network and
     connection setup; a healthy gap between the two views is small.
     Returns ``None`` without a dump or when the server has no samples.
     """

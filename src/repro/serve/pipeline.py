@@ -13,8 +13,8 @@ served response is byte-identical (timings aside) to a CLI
 ``--json-report`` of the same program.  ``tests/test_serve_differential.py``
 holds that equivalence, on error paths too.
 
-The module is imported by the server's process-pool children
-(:mod:`repro.serve.batching` submits :func:`run_batch`), so everything
+The module is imported by the server's compute workers
+(:mod:`repro.serve.batching` runs :func:`run_batch` in them), so everything
 here must be picklable by reference and safe to run serially in a
 long-lived worker: the tracer is reset per request (span lists must not
 accumulate across requests), and the analytic-cache entries and
@@ -52,7 +52,7 @@ from ..sim import Machine, MachineConfig, SimulationResult, simulate_nest
 from .protocol import PartitionRequest, ProtocolError
 
 __all__ = [
-    "RequestRun", "run_request", "execute_request", "run_batch", "init_worker", "prewarm_worker",
+    "RequestRun", "run_request", "execute_request", "run_batch", "init_worker",
 ]
 
 
@@ -166,7 +166,7 @@ def execute_request(request: PartitionRequest) -> dict:
 
 
 # ----------------------------------------------------------------------
-# Process-pool plumbing (module-level so the pool can pickle by reference)
+# Worker plumbing (module-level so a worker can unpickle by reference)
 
 #: What this worker's analytic caches learnt since the last ship-back
 #: (set by :func:`init_worker`); only that delta travels with each batch
@@ -188,7 +188,7 @@ def init_worker(
     plan_cache: bool = False,
     opt_budget_s: float | None = None,
 ) -> None:
-    """Pool initializer: hydrate the child's analytic caches.
+    """Worker initializer: hydrate the child's analytic caches.
 
     Under the ``fork`` start method children inherit the parent's warm
     caches for free; under ``spawn`` they start cold, so the warm-start
@@ -200,11 +200,11 @@ def init_worker(
 
     A forked worker inherits the server's asyncio signal setup: no-op
     SIGTERM/SIGINT handlers and a wakeup fd into the server's event
-    loop.  In a pool worker both are reset, so the worker dies on
+    loop.  In a compute worker both are reset, so the worker dies on
     SIGTERM/SIGINT like any process, and on Linux the kernel SIGKILLs
     the worker when the server thread that forked it goes — after a
     SIGKILLed server nobody else would end it.  Called in-process (not
-    in a pool worker) it only sets the module state.
+    in a compute worker) it only sets the module state.
     """
     global _PLAN_ENABLED, _OPT_BUDGET_S, _shipper
     _detach_from_server()
@@ -252,14 +252,6 @@ def _detach_from_server() -> None:
         _PRCTL(_PR_SET_PDEATHSIG, int(signal.SIGKILL))
     if os.getppid() != parent.pid:
         os._exit(1)  # the server died before the death signal was armed
-
-
-def prewarm_worker() -> int:
-    """No-op pool task: forces the worker process to exist and finish
-    :func:`init_worker` (cache hydration) before it returns.  The server
-    submits one per worker at startup and flips ``/healthz`` ``ready``
-    once all complete."""
-    return os.getpid()
 
 
 def _compute_meta(request_id: str | None, compute_s: float, ship_traces: bool) -> dict:

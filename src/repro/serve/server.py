@@ -20,7 +20,7 @@ amortised across requests:
 
 Every request gets a **request id** — caller-supplied via the
 ``X-Repro-Request-Id`` header or minted here — which is echoed back in
-the response header, threaded to the pool worker that runs the compute,
+the response header, threaded to the worker process that runs the compute,
 stamped onto the worker's span trees, and used to stitch one
 Dapper-style trace per request (server-side ``serve.queue`` /
 ``serve.compute`` timing around the worker's ``optimize.*`` /
@@ -40,8 +40,11 @@ Production semantics, in the order a request meets them:
 4. **Admission control** — at most ``--queue-depth`` unique computations
    may be queued or running; beyond that the server sheds load with
    ``429`` + ``Retry-After`` instead of building an unbounded backlog.
-5. **Micro-batching** — admitted requests ride the
-   :class:`~repro.serve.batching.MicroBatcher` onto the process pool.
+5. **Dispatch and batching** — the
+   :class:`~repro.serve.batching.MicroBatcher` ships an admitted request
+   to an idle compute worker at once, over that worker's own pipe;
+   requests that arrive while every worker is busy pile up and go to the
+   first worker that frees as one batch of at most ``--max-batch``.
 6. **Deadlines** — each request has a deadline (``deadline_ms`` or the
    server default); a request whose compute is still running when it
    expires gets ``504``, while the computation itself is left to finish
@@ -84,7 +87,6 @@ class ServeConfig:
     port: int = 8787  # 0 = ephemeral (the bound port lands in --port-file)
     workers: int = 1
     queue_depth: int = 64
-    batch_window_ms: float = 2.0
     max_batch: int = 8
     cache_dir: str | None = None
     response_cache_size: int = 256
@@ -115,7 +117,6 @@ class PartitionServer(HttpService):
         self._batcher = MicroBatcher(
             workers=self.config.workers,
             cache_dir=self.config.cache_dir,
-            window_s=self.config.batch_window_ms / 1000.0,
             max_batch=self.config.max_batch,
             ship_traces=self.config.trace_requests,
             plan_cache=self.config.plan_cache,
@@ -129,7 +130,7 @@ class PartitionServer(HttpService):
 
     # -- lifecycle -------------------------------------------------------
     async def _setup(self) -> None:
-        """Hydrate caches and spin up the pool before the listener binds."""
+        """Hydrate caches and start the workers before the listener binds."""
         loaded = 0
         if self.config.cache_dir:
             from ..lattice.persist import load_caches
@@ -151,22 +152,22 @@ class PartitionServer(HttpService):
         logger.info("listening on %s:%d", self.config.host, self.port)
 
     async def _prewarm(self) -> None:
-        """Hydrate the pool, then flip ``/healthz`` readiness.
+        """Hydrate the workers, then flip ``/healthz`` readiness.
 
         The listener answers immediately (liveness), but ``ready`` stays
-        false until every pool worker has spawned and finished
+        false until every compute worker has spawned and finished
         :func:`~repro.serve.pipeline.init_worker` — so a router or a
         rolling restart never sends traffic at a replica whose first
         request would eat the whole cold-hydration cost.
         """
         try:
             await self._batcher.prewarm()
-        except Exception:  # pragma: no cover - pool failures surface later
+        except Exception:  # pragma: no cover - worker failures surface later
             logger.exception("worker prewarm failed; serving anyway")
         finally:
             self._ready = True
             self._metrics.gauge("serve.ready").set(1)
-            logger.info("worker pool warm; replica ready")
+            logger.info("workers warm; replica ready")
 
     async def _cache_exchange_loop(self) -> None:
         """Periodic cross-replica cache exchange through ``--cache-dir``.
@@ -221,8 +222,7 @@ class PartitionServer(HttpService):
                     self.config.cache_dir,
                     e,
                 )
-        # Pool teardown joins worker processes; keep it off the loop thread.
-        await asyncio.get_running_loop().run_in_executor(None, self._batcher.stop)
+        await self._batcher.stop()
         logger.info("drained; %d requests served", self._requests_served)
 
     def _flight_details(self, record, status, cache, meta, total_ms) -> dict:
@@ -389,10 +389,8 @@ def build_serve_parser() -> argparse.ArgumentParser:
     p.add_argument("--queue-depth", type=int, default=64, metavar="N",
                    help="max computations queued or running before the "
                    "server sheds load with 429 (>= 1)")
-    p.add_argument("--batch-window-ms", type=float, default=2.0, metavar="MS",
-                   help="micro-batching window for pool dispatch")
     p.add_argument("--max-batch", type=int, default=8, metavar="N",
-                   help="max requests per pool batch")
+                   help="max requests per worker batch")
     p.add_argument("--cache-dir", default=None, metavar="DIR",
                    help="warm-start the analytic caches from DIR at startup "
                    "and flush them there on shutdown; defaults to "
@@ -442,7 +440,6 @@ def serve_main(argv: list[str] | None = None, *, out=None) -> int:
         port=args.port,
         workers=args.workers,
         queue_depth=args.queue_depth,
-        batch_window_ms=args.batch_window_ms,
         max_batch=args.max_batch,
         cache_dir=args.cache_dir or os.environ.get("REPRO_CACHE_DIR"),
         response_cache_size=args.response_cache,

@@ -172,3 +172,17 @@ def test_one_request_pipeline():
         if _calls(ast.parse(path.read_text(), filename=str(path)), "build_report")
     )
     assert builders == ["serve/pipeline.py"]
+
+
+def test_one_serve_worker_mechanism():
+    """The service reaches its compute workers one way: a duplex pipe per
+    worker, owned by ``serve/batching.py``.  No module under ``serve/``
+    imports ``concurrent.futures``, so no executor pool grows beside it."""
+    root = Path(repro.__file__).parent
+    offenders = sorted(
+        f"serve/{path.name}: {name}"
+        for path in sorted((root / "serve").glob("*.py"))
+        for name in _imported_modules(ast.parse(path.read_text(), filename=str(path)))
+        if name == "concurrent.futures" or name.startswith("concurrent.futures.")
+    )
+    assert offenders == []

@@ -254,8 +254,7 @@ class TestWorkerDeath:
         with EmbeddedServer(ServeConfig(port=0, workers=1)) as emb:
             with ServeClient("127.0.0.1", emb.port) as c:
                 c.partition(FAST_SOURCE, 4, label="before-death")
-                pool = emb.server._batcher._pool
-                for pid in list(pool._processes):
+                for pid in emb.server._batcher.worker_pids():
                     os.kill(pid, signal.SIGKILL)
                 with pytest.raises(ServeError) as exc:
                     c.partition(FAST_SOURCE, 8, label="during-death")
