@@ -23,7 +23,8 @@ from __future__ import annotations
 import time
 
 from repro.serve import EmbeddedServer, ServeClient, ServeConfig
-from repro.serve.loadgen import percentile, run_family_sweep
+from repro.serve.client import latency
+from repro.serve.loadgen import build_phases, percentile, run_loadgen
 
 from .paper_programs import example8
 from .reporting import write_bench_report
@@ -44,21 +45,6 @@ E17_SOURCE = (
 )
 
 
-def _server_latency(client: ServeClient) -> dict | None:
-    """The server's own view of ``/v1/partition`` latency, from its
-    bounded-bucket histogram on ``/metrics``."""
-    for entry in client.metrics().get("metrics", []):
-        if (
-            entry.get("name") == "serve.latency_ms"
-            and entry.get("labels", {}).get("endpoint") == "/v1/partition"
-            and entry.get("count")
-        ):
-            return {
-                k: entry.get(k) for k in ("count", "mean", "p50", "p95", "p99", "max")
-            }
-    return None
-
-
 def run_serve_bench() -> dict:
     corpus = [(f"e17-p{p}", E17_SOURCE, {"N": N}, p) for p in PS]
     cold_latencies: list[float] = []
@@ -70,7 +56,7 @@ def run_serve_bench() -> dict:
         with ServeClient("127.0.0.1", emb.port) as client:
             # Embedded servers share the process registry, so the
             # histogram may already count other servers' requests.
-            before = _server_latency(client)
+            before = latency(client.metrics())
             count_before = before["count"] if before else 0
             # Cold pass: every request is a first sight of its key.
             for label, source, bindings, processors in corpus:
@@ -93,7 +79,7 @@ def run_serve_bench() -> dict:
                     if client.last_cache_status == "hit":
                         cache_hits += 1
             warm_wall_s = time.perf_counter() - t_warm
-            server_latency = _server_latency(client)
+            server_latency = latency(client.metrics())
 
     warm_sorted = sorted(warm_latencies)
     cold_first_s = cold_latencies[0]
@@ -129,13 +115,11 @@ def run_family_plan_bench() -> dict:
     each family shares one structure key, so the first request of a
     family is the only plan miss the server should record for it."""
     with EmbeddedServer(ServeConfig(port=0, workers=1, plan_cache=True)) as emb:
-        return run_family_sweep(
+        return run_loadgen(
             host="127.0.0.1",
             port=emb.port,
             clients=2,
-            families=3,
-            n_variants=3,
-            p_variants=2,
+            phases=build_phases(families=3, sweep=(3, 2)),
         )
 
 

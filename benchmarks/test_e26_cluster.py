@@ -32,7 +32,7 @@ import pytest
 
 from repro.obs import parse_prometheus_text
 from repro.serve import EmbeddedServer, ServeClient, ServeConfig, spawn_cluster
-from repro.serve.loadgen import _shard_deltas, cluster_shard_stats, run_loadgen
+from repro.serve.loadgen import Phase, run_loadgen
 
 from .reporting import write_bench_report
 
@@ -192,16 +192,11 @@ def run_cluster_bench() -> dict:
         replicas=2, workers=1, server_extra=["--plan-cache"]
     ) as cluster:
         host, port = "127.0.0.1", cluster.router_port
-        before = cluster_shard_stats(host, port)
         stats = run_loadgen(
             host=host,
             port=port,
             clients=2,
-            requests=5 * len(PINNED),
-            corpus=PINNED,
-        )
-        stats["per_shard"] = _shard_deltas(
-            before, cluster_shard_stats(host, port), stats["wall_s"]
+            phases=[Phase(PINNED, 5 * len(PINNED))],
         )
         with ServeClient(host, port) as client:
             stats["router_healthz"] = client.healthz()
@@ -298,8 +293,7 @@ def test_cluster_scaling_1_to_4(tmp_path):
                 host="127.0.0.1",
                 port=port,
                 clients=8,
-                requests=20 * len(PINNED),
-                corpus=PINNED,
+                phases=[Phase(PINNED, 20 * len(PINNED))],
             )
             assert stats["error_count"] == 0, stats["errors"]
             throughput[n] = stats["throughput_rps"]

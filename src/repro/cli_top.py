@@ -22,41 +22,19 @@ import sys
 import time
 
 from .obs.flight import format_span_tree
-from .serve.client import ServeClient, ServeError
+from .serve.client import (
+    ServeClient,
+    ServeError,
+    cache_stats,
+    counter_total,
+    gauge,
+    hit_rate,
+    latency_rows,
+)
 
 __all__ = ["top_main", "trace_main", "render_dashboard"]
 
 _CLEAR = "\x1b[2J\x1b[H"
-
-
-def _counter_total(metrics: list[dict], name: str) -> int:
-    return sum(
-        e.get("value", 0)
-        for e in metrics
-        if e.get("name") == name and e.get("type") == "counter"
-    )
-
-
-def _gauge(metrics: list[dict], name: str, default=None):
-    for e in metrics:
-        if e.get("name") == name and e.get("type") == "gauge":
-            return e.get("value")
-    return default
-
-
-def _latency_rows(metrics: list[dict]) -> list[tuple[str, dict]]:
-    rows = []
-    for e in metrics:
-        if e.get("name") in ("serve.latency_ms", "route.latency_ms") and e.get("count"):
-            labels = e.get("labels", {})
-            endpoint = labels.get("endpoint", "?")
-            # A router's merged dump repeats each endpoint once per
-            # replica; keep the rows distinct (and identifiable).
-            if labels.get("replica"):
-                endpoint = f"{endpoint} @{labels['replica']}"
-            rows.append((endpoint, e))
-    rows.sort(key=lambda row: row[0])
-    return rows
 
 
 def _fmt_ms(value) -> str:
@@ -73,9 +51,8 @@ def render_dashboard(
 ) -> str:
     """One dashboard frame from the raw endpoint payloads (pure)."""
     server = dump.get("server", {})
-    metrics = dump.get("metrics", [])
     lines: list[str] = []
-    requests_total = _counter_total(metrics, "serve.requests")
+    requests_total = counter_total(dump, "serve.requests")
     throughput = ""
     if prev_requests is not None and elapsed_s and elapsed_s > 0:
         throughput = f"  {max(requests_total - prev_requests, 0) / elapsed_s:8.1f} req/s"
@@ -87,37 +64,32 @@ def render_dashboard(
     )
     lines.append(
         f"queue: {server.get('inflight', 0)}/{server.get('queue_depth', '?')} admitted"
-        f"  rejected(429) {_counter_total(metrics, 'serve.rejected')}"
-        f"  deadline(504) {_counter_total(metrics, 'serve.deadline_exceeded')}"
-        f"  worker deaths {_counter_total(metrics, 'serve.worker_deaths')}"
+        f"  rejected(429) {counter_total(dump, 'serve.rejected')}"
+        f"  deadline(504) {counter_total(dump, 'serve.deadline_exceeded')}"
+        f"  worker deaths {counter_total(dump, 'serve.worker_deaths')}"
     )
-    hits = _counter_total(metrics, "serve.response_cache.hits")
-    misses = _counter_total(metrics, "serve.response_cache.misses")
-    coalesced = _counter_total(metrics, "serve.coalesced")
-    total_lookups = hits + misses
-    hit_rate = (hits / total_lookups * 100) if total_lookups else 0.0
-    lattice = dump.get("caches", {}).get("lattice_cache", {})
-    lattice_lookups = lattice.get("hits", 0) + lattice.get("misses", 0)
-    lattice_rate = (
-        lattice.get("hits", 0) / lattice_lookups * 100 if lattice_lookups else 0.0
-    )
+    hits = counter_total(dump, "serve.response_cache.hits")
+    misses = counter_total(dump, "serve.response_cache.misses")
+    coalesced = counter_total(dump, "serve.coalesced")
+    response_rate = (hit_rate(hits, misses) or 0.0) * 100
+    lattice = cache_stats(dump, "lattice_cache") or {}
+    lattice_rate = (hit_rate(lattice.get("hits", 0), lattice.get("misses", 0)) or 0.0) * 100
     caches_line = (
-        f"caches: response {hits}/{total_lookups} hits ({hit_rate:.0f}%)"
+        f"caches: response {hits}/{hits + misses} hits ({response_rate:.0f}%)"
         f"  coalesced {coalesced}"
         f"  lattice {lattice.get('entries', '?')} entries"
         f" ({lattice_rate:.0f}% hit)"
     )
-    plan = dump.get("caches", {}).get("plan")
+    plan = cache_stats(dump, "plan")
     if plan:
-        plan_lookups = plan.get("hits", 0) + plan.get("misses", 0)
-        plan_rate = plan.get("hits", 0) / plan_lookups * 100 if plan_lookups else 0.0
+        plan_rate = (hit_rate(plan.get("hits", 0), plan.get("misses", 0)) or 0.0) * 100
         caches_line += (
             f"  plan {plan.get('entries', '?')} plans"
             f" ({plan_rate:.0f}% hit, {plan.get('fallbacks', 0)} fallbacks)"
         )
     lines.append(caches_line)
-    error_burn = _gauge(metrics, "serve.slo.error_burn")
-    latency_burn = _gauge(metrics, "serve.slo.latency_burn")
+    error_burn = gauge(dump, "serve.slo.error_burn")
+    latency_burn = gauge(dump, "serve.slo.latency_burn")
     if error_burn is not None or latency_burn is not None:
         slo = dump.get("slo", {})
         lines.append(
@@ -126,7 +98,7 @@ def render_dashboard(
             f"  (targets: p99 {slo.get('p99_ms', '?')} ms, "
             f"errors {slo.get('error_rate', '?')})"
         )
-    lat = _latency_rows(metrics)
+    lat = latency_rows(dump)
     if lat:
         lines.append("")
         lines.append(f"{'endpoint':<24}{'count':>8}{'p50':>9}{'p95':>9}{'p99':>9}{'max':>9}")
@@ -210,7 +182,7 @@ def top_main(argv: list[str] | None = None, *, out=None) -> int:
                 prev_requests=prev_requests,
                 elapsed_s=(now - prev_t) if prev_t is not None else None,
             )
-            prev_requests = _counter_total(dump.get("metrics", []), "serve.requests")
+            prev_requests = counter_total(dump, "serve.requests")
             prev_t = now
             if args.once:
                 print(frame, file=out)

@@ -3,7 +3,10 @@
 :class:`ServeClient` wraps a keep-alive :class:`http.client.HTTPConnection`
 for scripts, tests, and the load generator.  It raises
 :class:`ServeError` for any non-200 response, carrying the HTTP status
-and the decoded typed error payload.
+and the decoded typed error payload.  The functions after it
+(:func:`counter_total`, :func:`latency`, :func:`shard_stats`, ...) read
+the ``/metrics`` dump it returns, for ``repro loadgen``, ``repro top``
+and the benchmarks.
 
 The client treats 429 (admission overload) as a retryable condition:
 it honors the server's ``Retry-After`` hint with capped exponential
@@ -32,6 +35,14 @@ __all__ = [
     "ServeClient",
     "AsyncConnectionPool",
     "backoff_delay_s",
+    "cache_stats",
+    "counter_total",
+    "gauge",
+    "hit_rate",
+    "is_router",
+    "latency",
+    "latency_rows",
+    "shard_stats",
 ]
 
 
@@ -273,6 +284,105 @@ class ServeClient:
     def debug_inflight(self) -> dict:
         """``GET /debug/inflight`` — requests currently being served."""
         return self.request("GET", "/debug/inflight")
+
+
+# -- reading a /metrics dump ------------------------------------------------
+# The one place that knows the shape of the JSON ServeClient.metrics()
+# returns.  A router's dump (``server.router``) holds its own ``route.*``
+# series, every replica's series labelled ``replica="host:port"``, and
+# the replica roster.
+
+
+def _series(dump: dict | None, *names: str):
+    for entry in (dump or {}).get("metrics", []):
+        if entry.get("name") in names:
+            yield entry.get("labels") or {}, entry
+
+
+def is_router(dump: dict | None) -> bool:
+    return bool((dump or {}).get("server", {}).get("router"))
+
+
+def counter_total(dump: dict | None, name: str, *, replica: str | None = None):
+    """The ``name`` counter summed over its series (with ``replica``:
+    over that replica's series in a router's dump)."""
+    return sum(
+        entry.get("value", 0)
+        for labels, entry in _series(dump, name)
+        if entry.get("type") == "counter" and replica in (None, labels.get("replica"))
+    )
+
+
+def gauge(dump: dict | None, name: str, default=None):
+    return next(
+        (e.get("value") for _, e in _series(dump, name) if e.get("type") == "gauge"),
+        default,
+    )
+
+
+def latency(dump: dict | None, *, replica: str | None = None) -> dict | None:
+    """The ``/v1/partition`` latency summary (count, mean, p50, p95, p99,
+    max), ``None`` without samples.
+
+    Without ``replica``: the target's own histogram — a router's
+    ``route.latency_ms`` or a server's ``serve.latency_ms``, the series
+    with no ``replica`` label.  With it: that replica's
+    ``serve.latency_ms`` in a router's dump.
+    """
+    service = "route" if replica is None and is_router(dump) else "serve"
+    for labels, entry in _series(dump, f"{service}.latency_ms"):
+        if (
+            labels.get("endpoint") == "/v1/partition"
+            and labels.get("replica") == replica
+            and entry.get("count")
+        ):
+            return {k: entry.get(k) for k in ("count", "mean", "p50", "p95", "p99", "max")}
+    return None
+
+
+def latency_rows(dump: dict | None) -> list[tuple[str, dict]]:
+    """``(endpoint, histogram)`` of every endpoint with samples, sorted;
+    a replica's rows in a router's dump read ``endpoint @host:port``."""
+    rows = []
+    for labels, entry in _series(dump, "serve.latency_ms", "route.latency_ms"):
+        if entry.get("count"):
+            replica = f" @{labels['replica']}" if labels.get("replica") else ""
+            rows.append((labels.get("endpoint", "?") + replica, entry))
+    return sorted(rows, key=lambda row: row[0])
+
+
+def cache_stats(dump: dict | None, name: str) -> dict | None:
+    """One cache's counters (``plan``, ``lattice_cache``, ...), summed
+    over the replicas in a router's dump."""
+    return (dump or {}).get("caches", {}).get(name)
+
+
+def hit_rate(hits, misses) -> float | None:
+    return hits / (hits + misses) if hits + misses else None
+
+
+def shard_stats(dump: dict | None) -> list[dict]:
+    """Each replica in a router's dump (``[]`` for a server's): health,
+    requests served, response-cache hits and its ``/v1/partition``
+    latency, cumulative since it started.  One the router could not
+    scrape reads ``reachable: false``."""
+    shards = []
+    for replica in (dump or {}).get("replicas", []) if is_router(dump) else []:
+        address = replica.get("address")
+        shard = {k: replica.get(k) for k in ("healthy", "ready", "ejections")}
+        shard.update(replica=address, reachable=replica.get("server") is not None)
+        if shard["reachable"]:
+            hits, misses = (
+                counter_total(dump, f"serve.response_cache.{k}", replica=address)
+                for k in ("hits", "misses")
+            )
+            shard["requests"] = counter_total(dump, "serve.requests", replica=address)
+            shard["response_cache"] = {
+                "hits": hits, "misses": misses, "hit_rate": hit_rate(hits, misses)
+            }
+            shard["latency_ms"] = latency(dump, replica=address)
+        shards.append(shard)
+    return shards
 
 
 class AsyncConnectionPool:

@@ -480,19 +480,19 @@ class RouterServer(HttpService):
     async def _metrics_json(self) -> dict:
         dumps = await self._replica_dumps()
         caches: dict = {}
-        servers = []
+        servers = {}
         for address, dump in dumps:
             _merge_numeric(caches, dump.get("caches", {}))
-            servers.append((address, dump.get("server", {})))
+            servers[address] = dump.get("server", {})
         health = self._healthz()
         server = {
             "status": health["status"],
             "ready": health["ready"],
             "router": True,
             "uptime_s": health["uptime_s"],
-            "inflight": sum(s.get("inflight", 0) for _, s in servers),
-            "workers": sum(s.get("workers", 0) for _, s in servers),
-            "queue_depth": sum(s.get("queue_depth", 0) for _, s in servers),
+            "inflight": sum(s.get("inflight", 0) for s in servers.values()),
+            "workers": sum(s.get("workers", 0) for s in servers.values()),
+            "queue_depth": sum(s.get("queue_depth", 0) for s in servers.values()),
             "replicas_total": health["replicas_total"],
             "replicas_routable": health["replicas_routable"],
         }
@@ -503,8 +503,11 @@ class RouterServer(HttpService):
             "server": server,
             "metrics": await self._metric_entries(dumps),
             "caches": caches,
+            # Every replica; ``server`` is null for one that could not
+            # be scraped.
             "replicas": [
-                dict(self._replicas[a].to_dict(), server=s) for a, s in servers
+                dict(r.to_dict(), server=servers.get(r.address))
+                for r in self._replicas.values()
             ],
             "slo": {
                 "p99_ms": self.config.slo_p99_ms,

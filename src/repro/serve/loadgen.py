@@ -1,36 +1,31 @@
 """``repro loadgen`` — a closed-loop load generator for the service.
 
-Drives ``--clients`` concurrent blocking clients through ``--requests``
-total requests drawn round-robin from a corpus of the paper's example
-programs (optionally extended with seeded random nests from the
-:mod:`repro.check` generator via ``--generated``), and reports
-throughput and latency percentiles.  ``--spawn`` launches a private
-server subprocess on an ephemeral port first, so one command exercises
-the full stack — that is what the CI smoke job and the E22 benchmark
-run.
+``--clients`` blocking clients run one or more *phases* of requests
+drawn round-robin from a corpus (:func:`build_phases`): one phase of
+``--requests`` over the paper's example programs plus ``--generated K``
+seeded random nests, or with ``--families K [--flow]`` one phase per
+structure family (one loop shape at varying bounds and processor
+counts), which shows a ``--plan-cache`` server's per-family hit rate.
 
-429 (overload) responses are retried *inside the client* — capped
-exponential backoff honoring the server's ``Retry-After`` hint with
-deterministic seeded jitter (see :func:`repro.serve.client.
-backoff_delay_s`) — and counted separately; anything else non-200 is an
-error, and any error fails the run (exit 1).
+One driver, :func:`run_loadgen`, scrapes the target's ``/metrics``
+before the first phase and after each, and reads the dumps with the
+reader in :mod:`repro.serve.client`.  Each phase gets its client-side
+throughput and latency percentiles, its plan-cache delta and the
+target's own ``latency_ms`` histogram; queueing inside the server shows
+as the gap between the two views.  Behind a ``repro route`` front tier,
+whose dump carries every replica's series, the same dumps give
+per-shard request counts, cache hit rates and latency tails.
 
-``--cluster`` points the same closed loop at a ``repro route`` front
-tier instead of a single replica: with ``--spawn --replicas N`` it
-launches N private replica subprocesses plus a router over them
-(:func:`spawn_cluster`), waits until every replica is warm-hydrated and
-routable, drives the load through the router, and reports **per-shard**
-throughput and latency tails scraped from each replica's own
-``/metrics`` — that is what the CI cluster-smoke job and the E26
-benchmark run.
+``--spawn`` first launches the target on an ephemeral port: one server,
+or with ``--cluster`` a router over ``--replicas N`` servers
+(:func:`spawn_cluster`), warm and routable before the first request.
 
-Every request carries a unique ``X-Repro-Request-Id``
-(``loadgen-<run>-<n>``) so a slow outlier found in the report can be
-looked up on the server with ``/debug/requests/<id>`` or ``repro trace
-show``.  After the run, the server's own ``latency_ms`` histogram is
-scraped and its p50/p95/p99 reported next to the client-side numbers —
-queueing inside the server that the client cannot see (requests
-waiting for a busy worker) shows up as the gap between the two.
+429 responses are retried inside the client (capped exponential backoff
+honoring ``Retry-After``, seeded jitter; see
+:func:`repro.serve.client.backoff_delay_s`) and counted; any other
+non-200 is an error and fails the run (exit 1).  Every request carries
+a unique ``X-Repro-Request-Id`` (``loadgen-<run>-<n>``) for
+``/debug/requests/<id>`` and ``repro trace show``.
 """
 
 from __future__ import annotations
@@ -44,18 +39,27 @@ import tempfile
 import threading
 import time
 import uuid
+from typing import NamedTuple
 
-from .client import ServeClient, ServeError
+from .client import (
+    ServeClient,
+    ServeError,
+    cache_stats,
+    hit_rate,
+    is_router,
+    latency,
+    shard_stats,
+)
 
 __all__ = [
     "PAPER_CORPUS",
     "ClusterHandle",
-    "cluster_shard_stats",
+    "Phase",
+    "build_phases",
     "family_corpus",
     "flow_family_corpus",
     "loadgen_main",
     "run_loadgen",
-    "run_family_sweep",
     "spawn_cluster",
     "spawn_router",
     "spawn_server",
@@ -129,6 +133,21 @@ def _generated_corpus(count: int, seed: int) -> list[tuple[str, str, dict, int]]
     return out
 
 
+#: Processor counts the family sweeps step through.
+_SWEEP_PROCS = [4, 8, 6, 12, 16, 24]
+
+
+def _variants(name: str, source: str, n0: int, n_variants: int, p_variants: int, *extra):
+    """One family's requests: ``N = n0, n0+4, ...`` times the first
+    ``p_variants`` processor counts, each entry ``(label, source,
+    bindings, processors, *extra)``."""
+    return [
+        (f"{name}-N{n0 + 4 * k}-P{p}", source, {"N": n0 + 4 * k}, p, *extra)
+        for k in range(n_variants)
+        for p in _SWEEP_PROCS[: max(1, p_variants)]
+    ]
+
+
 def family_corpus(
     family: int, n_variants: int, p_variants: int
 ) -> list[tuple[str, str, dict, int]]:
@@ -151,12 +170,7 @@ def family_corpus(
         "  EndDoall\n"
         "EndDoall\n"
     )
-    procs = [4, 8, 6, 12, 16, 24][: max(1, p_variants)]
-    return [
-        (f"family{family}-N{24 + 4 * k}-P{p}", source, {"N": 24 + 4 * k}, p)
-        for k in range(n_variants)
-        for p in procs
-    ]
+    return _variants(f"family{family}", source, 24, n_variants, p_variants)
 
 
 def flow_family_corpus(
@@ -186,17 +200,48 @@ def flow_family_corpus(
         f"    B[i,j] = T[i,j] + T[i+{dx},j]\n"
         "  EndDoall\nEndDoall\n"
     )
-    procs = [4, 8, 6, 12, 16, 24][: max(1, p_variants)]
+    return _variants(
+        f"flow{family}", source, 15, n_variants, p_variants,
+        {"program": "flow", "strategy": "co"},
+    )
+
+
+class Phase(NamedTuple):
+    """One load phase: ``requests`` requests drawn round-robin from
+    ``corpus``.  A phase with ``tags`` (a family sweep's ``family`` and
+    ``program``) is listed in the run's ``families``."""
+
+    corpus: list
+    requests: int
+    tags: dict | None = None
+
+
+def build_phases(
+    requests: int = 40,
+    *,
+    generated: int = 0,
+    seed: int = 0,
+    families: int = 0,
+    sweep: tuple[int, int] = (4, 3),
+    flow: bool = False,
+) -> list[Phase]:
+    """The phases of a run.
+
+    Without ``families``: one phase of ``requests`` requests over the
+    paper corpus plus ``generated`` seeded random nests.  With
+    ``families``: one phase per structure family, each variant of the
+    ``sweep`` (N bound variants, P processor counts) requested once —
+    single nests, or with ``flow`` two-statement dataflow pipelines.
+    """
+    if not families:
+        corpus = PAPER_CORPUS + (_generated_corpus(generated, seed) if generated else [])
+        return [Phase(corpus, requests)]
+    make = flow_family_corpus if flow else family_corpus
+    program = "flow" if flow else "doall"
+    corpora = [make(family, *sweep) for family in range(families)]
     return [
-        (
-            f"flow{family}-N{15 + 4 * k}-P{p}",
-            source,
-            {"N": 15 + 4 * k},
-            p,
-            {"program": "flow", "strategy": "co"},
-        )
-        for k in range(n_variants)
-        for p in procs
+        Phase(corpus, len(corpus), {"family": family, "program": program})
+        for family, corpus in enumerate(corpora)
     ]
 
 
@@ -208,121 +253,144 @@ def percentile(sorted_values: list[float], q: float) -> float:
     return sorted_values[rank]
 
 
-def run_loadgen(**kwargs) -> dict:
-    """Fire ``requests`` requests from ``clients`` threads; return stats.
-
-    Takes the keyword arguments of :func:`_run_phase`.
-    """
-    return _run_phase(**kwargs)[0]
-
-
-def _run_phase(
+def run_loadgen(
     *,
     host: str,
     port: int,
     clients: int,
-    requests: int,
-    corpus: list[tuple[str, str, dict, int]],
+    phases: list[Phase],
     simulate: bool = False,
     deadline_ms: int | None = None,
     max_retries: int = 5,
-) -> tuple[dict, dict | None]:
-    """One load phase: its stats and the ``/metrics`` dump taken after it."""
+) -> dict:
+    """Run ``phases`` in order from ``clients`` threads; return the stats.
+
+    The result holds the whole run's client stats, the target's own
+    ``/v1/partition`` histogram (``server_latency_ms``, cumulative since
+    it started), the run's plan-cache delta (``plan``), the cumulative
+    ``plan_cache`` counters and, behind a router, ``per_shard``.  Tagged
+    phases are listed under ``families`` with the same per-phase stats.
+    """
     if clients < 1:
         raise ValueError(f"clients must be >= 1, got {clients}")
-    if requests < 1:
-        raise ValueError(f"requests must be >= 1, got {requests}")
-    if not corpus:
-        raise ValueError("corpus is empty")
-    lock = threading.Lock()
-    next_index = 0
-    latencies: list[float] = []
-    errors: list[dict] = []
-    retries = 0
-    cache_hits = 0
+    if not phases or any(p.requests < 1 or not p.corpus for p in phases):
+        raise ValueError("every phase needs requests >= 1 and a non-empty corpus")
     run_id = uuid.uuid4().hex[:8]
+    dumps = [_scrape(host, port)]
+    first, wall_s, records, entries = 0, 0.0, [], []
+    for phase in phases:
+        phase_records, phase_wall_s = _drive(
+            host, port, clients, phase, first,
+            run_id=run_id, simulate=simulate, deadline_ms=deadline_ms,
+            max_retries=max_retries,
+        )
+        dumps.append(_scrape(host, port))
+        entries.append(
+            dict(phase.tags or {},
+                 **_client_stats(clients, phase.requests, phase_wall_s, phase_records),
+                 **_target_stats(dumps[-2], dumps[-1]))
+        )
+        first += phase.requests
+        wall_s += phase_wall_s
+        records += phase_records
+    stats = dict(
+        _client_stats(clients, first, wall_s, records),
+        **_target_stats(dumps[0], dumps[-1]),
+        plan_cache=cache_stats(dumps[-1], "plan"),
+    )
+    if is_router(dumps[-1]):
+        stats["per_shard"] = _shard_deltas(dumps[0], dumps[-1], wall_s)
+    if any(phase.tags for phase in phases):
+        stats["families"] = entries
+    return stats
 
-    def take() -> int | None:
-        nonlocal next_index
-        with lock:
-            if next_index >= requests:
-                return None
-            i = next_index
-            next_index += 1
-            return i
 
-    def worker(seed: int) -> None:
-        nonlocal retries, cache_hits
+def _drive(
+    host: str,
+    port: int,
+    clients: int,
+    phase: Phase,
+    first: int,
+    *,
+    run_id: str,
+    simulate: bool,
+    deadline_ms: int | None,
+    max_retries: int,
+) -> tuple[list[dict], float]:
+    """One phase's closed loop: a record per client thread, and the wall
+    time.  The phase's request ``k`` is the run's request ``first + k``."""
+    # One iterator shared by the threads: next() on it is atomic under
+    # the GIL, so each request goes out once.
+    todo = iter(range(phase.requests))
+    records = [
+        {"latencies": [], "errors": [], "cache_hits": 0, "retries_429": 0}
+        for _ in range(clients)
+    ]
+
+    def client_loop(seed: int) -> None:
+        record = records[seed]
         # 429 retries happen inside the client (capped exponential
-        # backoff honoring Retry-After, jitter seeded per worker so runs
+        # backoff honoring Retry-After, jitter seeded per client so runs
         # are reproducible); the loop here only classifies outcomes.
         with ServeClient(
             host, port, max_retries_429=max_retries, backoff_seed=seed
         ) as client:
-            try:
-                while True:
-                    i = take()
-                    if i is None:
-                        return
-                    entry = corpus[i % len(corpus)]
-                    label, source, bindings, processors = entry[:4]
-                    # Optional fifth element: extra request kwargs (the
-                    # flow families ride these through the protocol).
-                    extra = entry[4] if len(entry) > 4 else {}
-                    t0 = time.perf_counter()
-                    try:
-                        client.partition(
-                            source,
-                            processors,
-                            bindings=bindings or None,
-                            simulate=simulate or None,
-                            label=label,
-                            deadline_ms=deadline_ms,
-                            request_id=f"loadgen-{run_id}-{i}",
-                            **extra,
-                        )
-                        with lock:
-                            latencies.append(time.perf_counter() - t0)
-                            if client.last_cache_status in ("hit", "coalesced"):
-                                cache_hits += 1
-                    except ServeError as e:
-                        with lock:
-                            errors.append(
-                                {"request": i, "label": label, "status": e.status,
-                                 "code": e.code, "message": str(e)}
-                            )
-                    except OSError as e:
-                        with lock:
-                            errors.append(
-                                {"request": i, "label": label, "status": 0,
-                                 "code": "connection", "message": str(e)}
-                            )
-                        return
-            finally:
-                with lock:
-                    retries += client.retries_429
+            for k in todo:
+                # An optional fifth element holds extra request keywords
+                # (the flow families ride these through the protocol).
+                label, source, bindings, processors, *extra = phase.corpus[
+                    k % len(phase.corpus)
+                ]
+                error = {"request": first + k, "label": label}
+                t0 = time.perf_counter()
+                try:
+                    client.partition(
+                        source,
+                        processors,
+                        bindings=bindings or None,
+                        simulate=simulate or None,
+                        label=label,
+                        deadline_ms=deadline_ms,
+                        request_id=f"loadgen-{run_id}-{first + k}",
+                        **dict(*extra),
+                    )
+                except ServeError as e:
+                    record["errors"].append(
+                        dict(error, status=e.status, code=e.code, message=str(e))
+                    )
+                    continue
+                except OSError as e:
+                    record["errors"].append(
+                        dict(error, status=0, code="connection", message=str(e))
+                    )
+                    break
+                record["latencies"].append(time.perf_counter() - t0)
+                record["cache_hits"] += client.last_cache_status in ("hit", "coalesced")
+            record["retries_429"] = client.retries_429
 
     t_start = time.perf_counter()
     threads = [
-        threading.Thread(target=worker, args=(seed,)) for seed in range(clients)
+        threading.Thread(target=client_loop, args=(seed,)) for seed in range(clients)
     ]
     for t in threads:
         t.start()
     for t in threads:
         t.join()
-    wall_s = time.perf_counter() - t_start
+    return records, time.perf_counter() - t_start
 
-    ok = sorted(latencies)
-    dump = _scrape(host, port)
-    stats = {
-        "server_latency_ms": _server_latency(dump),
+
+def _client_stats(clients: int, requests: int, wall_s: float, records: list[dict]) -> dict:
+    """What the clients saw, from their records."""
+    ok = sorted(x for r in records for x in r["latencies"])
+    errors = sorted((e for r in records for e in r["errors"]), key=lambda e: e["request"])
+    return {
         "clients": clients,
         "requests": requests,
         "completed": len(ok),
         "errors": errors,
         "error_count": len(errors),
-        "retries_429": retries,
-        "cache_hits": cache_hits,
+        "retries_429": sum(r["retries_429"] for r in records),
+        "cache_hits": sum(r["cache_hits"] for r in records),
         "wall_s": wall_s,
         "throughput_rps": (len(ok) / wall_s) if wall_s > 0 else 0.0,
         "latency_ms": {
@@ -333,11 +401,20 @@ def _run_phase(
             "max": (ok[-1] * 1000) if ok else 0.0,
         },
     }
-    return stats, dump
+
+
+def _target_stats(before: dict | None, after: dict | None) -> dict:
+    """The target's view between two dumps: its own latency histogram
+    and the plan-cache delta."""
+    prior = cache_stats(before, "plan") or {}
+    now = cache_stats(after, "plan") or {}
+    plan = {k: now.get(k, 0) - prior.get(k, 0) for k in ("hits", "misses", "fallbacks")}
+    plan["hit_rate"] = hit_rate(plan["hits"], plan["misses"])
+    return {"server_latency_ms": latency(after), "plan": plan}
 
 
 def _scrape(host: str, port: int) -> dict | None:
-    """One ``GET /metrics`` of a server; ``None`` when it is unreachable."""
+    """One ``GET /metrics`` of the target; ``None`` when it is unreachable."""
     try:
         with ServeClient(host, port, timeout=10.0) as client:
             return client.metrics()
@@ -345,105 +422,24 @@ def _scrape(host: str, port: int) -> dict | None:
         return None
 
 
-def _plan_cache_stats(dump: dict | None) -> dict | None:
-    """The plan-cache counters of a ``/metrics`` dump."""
-    return (dump or {}).get("caches", {}).get("plan")
-
-
-def run_family_sweep(
-    *,
-    host: str,
-    port: int,
-    clients: int,
-    families: int,
-    n_variants: int,
-    p_variants: int,
-    deadline_ms: int | None = None,
-    flow: bool = False,
-) -> dict:
-    """Drive ``families`` structure-family sweeps; report per-family stats.
-
-    Families run sequentially (their request mix must not interleave) and
-    the server's ``/metrics`` is scraped once before the first and once
-    after each, so every family's entry carries its own hit/miss/fallback
-    delta and hit rate — the per-family figures BENCH_serve.json records.  With
-    ``flow`` the families are two-statement dataflow pipelines
-    (:func:`flow_family_corpus`) instead of single nests.
-    """
-    family_entries: list[dict] = []
-    total_requests = total_completed = total_errors = 0
-    t_start = time.perf_counter()
-    dump = _scrape(host, port)
-    for family in range(families):
-        make = flow_family_corpus if flow else family_corpus
-        corpus = make(family, n_variants, p_variants)
-        before = _plan_cache_stats(dump) or {}
-        stats, dump = _run_phase(
-            host=host,
-            port=port,
-            clients=clients,
-            requests=len(corpus),
-            corpus=corpus,
-            deadline_ms=deadline_ms,
+def _shard_deltas(before: dict | None, after: dict | None, wall_s: float) -> list[dict]:
+    """Each replica behind a router at the end of the run, with its share
+    of the run: request and response-cache deltas, throughput."""
+    prior = {s["replica"]: s for s in shard_stats(before)}
+    shards = shard_stats(after)
+    for shard in filter(lambda s: s["reachable"], shards):
+        base = prior.get(shard["replica"], {})
+        delta = shard["requests"] - base.get("requests", 0)
+        shard["requests_delta"] = delta
+        shard["throughput_rps"] = (delta / wall_s) if wall_s > 0 else 0.0
+        hits, misses = (
+            shard["response_cache"][k] - base.get("response_cache", {}).get(k, 0)
+            for k in ("hits", "misses")
         )
-        after = _plan_cache_stats(dump) or {}
-        delta = {
-            k: after.get(k, 0) - before.get(k, 0)
-            for k in ("hits", "misses", "fallbacks")
+        shard["response_cache_delta"] = {
+            "hits": hits, "misses": misses, "hit_rate": hit_rate(hits, misses)
         }
-        lookups = delta["hits"] + delta["misses"]
-        family_entries.append(
-            {
-                "family": family,
-                "program": "flow" if flow else "doall",
-                "requests": len(corpus),
-                "completed": stats["completed"],
-                "errors": stats["error_count"],
-                "latency_ms": stats["latency_ms"],
-                "plan": dict(
-                    delta,
-                    hit_rate=(delta["hits"] / lookups) if lookups else None,
-                ),
-            }
-        )
-        total_requests += len(corpus)
-        total_completed += stats["completed"]
-        total_errors += stats["error_count"]
-    wall_s = time.perf_counter() - t_start
-    return {
-        "families": family_entries,
-        "requests": total_requests,
-        "completed": total_completed,
-        "error_count": total_errors,
-        "wall_s": wall_s,
-        "throughput_rps": (total_completed / wall_s) if wall_s > 0 else 0.0,
-        "plan_cache": _plan_cache_stats(dump),
-    }
-
-
-def _server_latency(dump: dict | None) -> dict | None:
-    """The server's own latency histogram for ``/v1/partition``.
-
-    The server-side quantiles include queueing the client never sees
-    (requests waiting for a busy worker) but exclude client→server network and
-    connection setup; a healthy gap between the two views is small.
-    Returns ``None`` without a dump or when the server has no samples.
-    """
-    for entry in (dump or {}).get("metrics", []):
-        if (
-            entry.get("name") == "serve.latency_ms"
-            and entry.get("labels", {}).get("endpoint") == "/v1/partition"
-            and entry.get("count")
-        ):
-            return {
-                "count": entry["count"],
-                "mean": entry["mean"],
-                "p50": entry["p50"],
-                "p95": entry["p95"],
-                "p99": entry["p99"],
-                "max": entry["max"],
-            }
-    return None
+    return shards
 
 
 def _spawn_with_port_file(
@@ -560,17 +556,14 @@ class ClusterHandle:
         """Hard-kill one replica (failover tests); the router must absorb it."""
         self.replicas[index][0].kill()
 
+    @property
+    def processes(self) -> list[subprocess.Popen]:
+        """The router first, then the replicas."""
+        return [self.router_proc] + [p for p, _ in self.replicas]
+
     def terminate(self) -> None:
         """Stop the router first, then the replicas."""
-        procs = [self.router_proc] + [p for p, _ in self.replicas]
-        for proc in procs:
-            if proc.poll() is None:
-                proc.terminate()
-        for proc in procs:
-            try:
-                proc.wait(timeout=30)
-            except subprocess.TimeoutExpired:
-                proc.kill()
+        _terminate(self.processes)
 
     def __enter__(self) -> "ClusterHandle":
         return self
@@ -626,91 +619,22 @@ def spawn_cluster(
             handle.wait_ready()
         return handle
     except BaseException:
-        if handle is not None:
-            handle.terminate()
-        else:
-            for proc, _ in fleet:
-                proc.terminate()
+        _terminate(handle.processes if handle else [p for p, _ in fleet])
         raise
 
 
-def cluster_shard_stats(host: str, port: int) -> list[dict]:
-    """Per-shard serving stats for the fleet behind a router.
-
-    Asks the router's ``/healthz`` for the replica roster, then scrapes
-    every replica's own ``/metrics`` directly: requests served, cache
-    dispositions, and the replica-local ``/v1/partition`` latency tail.
-    Values are cumulative since replica start — callers wanting a
-    per-run delta scrape before and after and subtract.
-    """
-    try:
-        with ServeClient(host, port, timeout=10.0) as client:
-            health = client.healthz()
-    except (ServeError, OSError):
-        return []
-    shards = []
-    for entry in health.get("replicas", []):
-        address = entry.get("address", "")
-        rhost, _, rport = address.rpartition(":")
-        shard = {
-            "replica": address,
-            "healthy": entry.get("healthy"),
-            "ready": entry.get("ready"),
-            "ejections": entry.get("ejections", 0),
-        }
-        dump = _scrape(rhost, int(rport)) if rport.isdigit() else None
-        shard["reachable"] = dump is not None
-        if dump is None:
-            shards.append(shard)
-            continue
-
-        def counter_total(name: str, metrics=dump.get("metrics", [])) -> float:
-            return sum(
-                e.get("value", 0) for e in metrics if e.get("name") == name
-            )
-
-        hits = counter_total("serve.response_cache.hits")
-        misses = counter_total("serve.response_cache.misses")
-        shard["requests"] = counter_total("serve.requests")
-        shard["response_cache"] = {
-            "hits": hits,
-            "misses": misses,
-            "hit_rate": (hits / (hits + misses)) if hits + misses else None,
-        }
-        plan = dump.get("caches", {}).get("plan")
-        if plan:
-            lookups = plan.get("hits", 0) + plan.get("misses", 0)
-            shard["plan_cache"] = dict(
-                plan, hit_rate=(plan.get("hits", 0) / lookups) if lookups else None
-            )
-        shard["latency_ms"] = _server_latency(dump)
-        shards.append(shard)
-    return shards
-
-
-def _shard_deltas(
-    before: list[dict], after: list[dict], wall_s: float
-) -> list[dict]:
-    """Per-run view of each shard: request/cache deltas + throughput share."""
-    prior = {s.get("replica"): s for s in before}
-    out = []
-    for shard in after:
-        base = prior.get(shard.get("replica"), {})
-        entry = dict(shard)
-        if shard.get("reachable") and "requests" in shard:
-            delta = shard["requests"] - base.get("requests", 0)
-            entry["requests_delta"] = delta
-            entry["throughput_rps"] = (delta / wall_s) if wall_s > 0 else 0.0
-            base_rc = base.get("response_cache", {})
-            hits = shard["response_cache"]["hits"] - base_rc.get("hits", 0)
-            misses = shard["response_cache"]["misses"] - base_rc.get("misses", 0)
-            entry["response_cache_delta"] = {
-                "hits": hits,
-                "misses": misses,
-                "hit_rate": (hits / (hits + misses)) if hits + misses else None,
-            }
-        out.append(entry)
-    return out
+def _terminate(procs: list[subprocess.Popen]) -> None:
+    """SIGTERM every process (a graceful drain), then reap them; one
+    still running after 30 s is killed."""
+    for proc in procs:
+        if proc.poll() is None:
+            proc.terminate()
+    for proc in procs:
+        try:
+            proc.wait(timeout=30)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.wait()
 
 
 def build_loadgen_parser() -> argparse.ArgumentParser:
@@ -744,10 +668,9 @@ def build_loadgen_parser() -> argparse.ArgumentParser:
                    "pipelines (\"program\": \"flow\") instead of single "
                    "nests")
     p.add_argument("--cluster", action="store_true",
-                   help="the target is a repro route front tier: report "
-                   "per-shard throughput and latency tails scraped from "
-                   "each replica behind it (with --spawn, launch the "
-                   "whole fleet first)")
+                   help="with --spawn: launch a repro route front tier "
+                   "over --replicas server subprocesses instead of one "
+                   "server (per-shard stats appear for any router target)")
     p.add_argument("--replicas", type=int, default=2, metavar="N",
                    help="with --cluster --spawn: number of replica "
                    "subprocesses behind the spawned router (default 2)")
@@ -790,105 +713,65 @@ def loadgen_main(argv: list[str] | None = None, *, out=None) -> int:
     except ValueError:
         parser.error(f"--sweep must be N,P with both >= 1, got {args.sweep!r}")
     out = out or sys.stdout
+    phases = build_phases(
+        args.requests,
+        generated=args.generated,
+        seed=args.seed,
+        families=args.families,
+        sweep=(sweep_n, sweep_p),
+        flow=args.flow,
+    )
 
-    corpus = list(PAPER_CORPUS)
-    if args.generated:
-        corpus.extend(_generated_corpus(args.generated, args.seed))
-
-    proc = None
-    cluster = None
-    shards_before: list[dict] = []
+    spawned: list[subprocess.Popen] = []
     host, port = args.host, args.port
     try:
-        if args.spawn and args.cluster:
+        if args.spawn:
             extra = ["--plan-cache"] if args.spawn_plan_cache else []
-            cluster = spawn_cluster(
-                replicas=args.replicas,
-                workers=args.spawn_workers,
-                cache_dir=args.spawn_cache_dir,
-                cache_exchange_s=args.cache_exchange_s,
-                server_extra=extra,
-            )
-            host, port = "127.0.0.1", cluster.router_port
-            print(
-                f"loadgen: spawned router on port {port} over "
-                f"{args.replicas} replica(s): "
-                f"{', '.join(cluster.replica_addresses)}",
-                file=out,
-            )
-        elif args.spawn:
-            extra = ["--plan-cache"] if args.spawn_plan_cache else []
-            proc, port = spawn_server(
-                workers=args.spawn_workers,
-                cache_dir=args.spawn_cache_dir,
-                extra_args=extra,
-            )
             host = "127.0.0.1"
-            print(f"loadgen: spawned server on port {port}", file=out)
-        if args.cluster:
-            shards_before = cluster_shard_stats(host, port)
-        if args.families:
-            stats = run_family_sweep(
-                host=host,
-                port=port,
-                clients=args.clients,
-                families=args.families,
-                n_variants=sweep_n,
-                p_variants=sweep_p,
-                deadline_ms=args.deadline_ms,
-                flow=args.flow,
-            )
-        else:
-            stats = run_loadgen(
-                host=host,
-                port=port,
-                clients=args.clients,
-                requests=args.requests,
-                corpus=corpus,
-                simulate=args.simulate,
-                deadline_ms=args.deadline_ms,
-            )
-        if args.cluster:
-            stats["per_shard"] = _shard_deltas(
-                shards_before, cluster_shard_stats(host, port), stats["wall_s"]
-            )
-    finally:
-        if cluster is not None:
-            cluster.terminate()
-        if proc is not None:
-            proc.terminate()
-            try:
-                proc.wait(timeout=30)
-            except subprocess.TimeoutExpired:
-                proc.kill()
-
-    if args.families:
-        print(
-            f"loadgen: {stats['completed']}/{stats['requests']} ok across "
-            f"{len(stats['families'])} families, {stats['error_count']} errors "
-            f"in {stats['wall_s']:.2f}s ({stats['throughput_rps']:.1f} req/s)",
-            file=out,
+            if args.cluster:
+                cluster = spawn_cluster(
+                    replicas=args.replicas,
+                    workers=args.spawn_workers,
+                    cache_dir=args.spawn_cache_dir,
+                    cache_exchange_s=args.cache_exchange_s,
+                    server_extra=extra,
+                )
+                spawned, port = cluster.processes, cluster.router_port
+                print(
+                    f"loadgen: spawned router on port {port} over "
+                    f"{args.replicas} replica(s): "
+                    f"{', '.join(cluster.replica_addresses)}",
+                    file=out,
+                )
+            else:
+                proc, port = spawn_server(
+                    workers=args.spawn_workers,
+                    cache_dir=args.spawn_cache_dir,
+                    extra_args=extra,
+                )
+                spawned = [proc]
+                print(f"loadgen: spawned server on port {port}", file=out)
+        stats = run_loadgen(
+            host=host,
+            port=port,
+            clients=args.clients,
+            phases=phases,
+            simulate=args.simulate,
+            deadline_ms=args.deadline_ms,
         )
-        for entry in stats["families"]:
-            plan = entry["plan"]
-            rate = plan.get("hit_rate")
-            rate_text = f"{rate * 100:.0f}%" if rate is not None else "n/a"
-            kind = "flow family" if entry.get("program") == "flow" else "family"
-            print(
-                f"  {kind} {entry['family']}: {entry['completed']}/"
-                f"{entry['requests']} ok, plan hits {plan['hits']} "
-                f"misses {plan['misses']} fallbacks {plan['fallbacks']} "
-                f"(hit rate {rate_text}), p50 "
-                f"{entry['latency_ms']['p50']:.1f} ms",
-                file=out,
-            )
-        if args.json:
-            with open(args.json, "w", encoding="utf-8") as fh:
-                json.dump(stats, fh, indent=2)
-                fh.write("\n")
-            print(f"stats -> {args.json}", file=out)
-        return 1 if stats["error_count"] else 0
+    finally:
+        _terminate(spawned)
 
+    _print_summary(stats, out)
+    if args.json:
+        with open(args.json, "w", encoding="utf-8") as fh:
+            json.dump(stats, fh, indent=2)
+            fh.write("\n")
+        print(f"stats -> {args.json}", file=out)
+    return 1 if stats["error_count"] else 0
+
+
+def _print_summary(stats: dict, out) -> None:
     lat = stats["latency_ms"]
     print(
         f"loadgen: {stats['completed']}/{stats['requests']} ok, "
@@ -910,23 +793,32 @@ def loadgen_main(argv: list[str] | None = None, *, out=None) -> int:
             f"p99 {server_lat['p99']:.1f}  over {server_lat['count']} requests",
             file=out,
         )
+    for entry in stats.get("families", []):
+        plan = entry["plan"]
+        kind = "flow family" if entry["program"] == "flow" else "family"
+        print(
+            f"  {kind} {entry['family']}: {entry['completed']}/"
+            f"{entry['requests']} ok, plan hits {plan['hits']} "
+            f"misses {plan['misses']} fallbacks {plan['fallbacks']} "
+            f"(hit rate {_percent(plan['hit_rate'])}), p50 "
+            f"{entry['latency_ms']['p50']:.1f} ms",
+            file=out,
+        )
     for shard in stats.get("per_shard", []):
-        if not shard.get("reachable"):
+        if not shard["reachable"]:
             print(f"  shard {shard['replica']}: unreachable", file=out)
             continue
-        lat = shard.get("latency_ms") or {}
+        lat = shard["latency_ms"]
         lat_text = (
             f"p50 {lat['p50']:.1f}  p95 {lat['p95']:.1f}  p99 {lat['p99']:.1f}"
             if lat
             else "no samples"
         )
-        rc = shard.get("response_cache_delta", {})
-        rate = rc.get("hit_rate")
-        rate_text = f"{rate * 100:.0f}%" if rate is not None else "n/a"
         print(
-            f"  shard {shard['replica']}: {shard.get('requests_delta', 0):.0f} "
-            f"requests ({shard.get('throughput_rps', 0.0):.1f} req/s), "
-            f"response-cache hit rate {rate_text}, latency ms {lat_text}",
+            f"  shard {shard['replica']}: {shard['requests_delta']:.0f} "
+            f"requests ({shard['throughput_rps']:.1f} req/s), response-cache "
+            f"hit rate {_percent(shard['response_cache_delta']['hit_rate'])}, "
+            f"latency ms {lat_text}",
             file=out,
         )
     for err in stats["errors"][:10]:
@@ -935,9 +827,7 @@ def loadgen_main(argv: list[str] | None = None, *, out=None) -> int:
             f"[{err['code']}] {err['message']}",
             file=out,
         )
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(stats, fh, indent=2)
-            fh.write("\n")
-        print(f"stats -> {args.json}", file=out)
-    return 1 if stats["error_count"] else 0
+
+
+def _percent(rate: float | None) -> str:
+    return f"{rate * 100:.0f}%" if rate is not None else "n/a"

@@ -50,8 +50,9 @@ Production semantics, in the order a request meets them:
    expires gets ``504``, while the computation itself is left to finish
    and populate the response cache for the retry.
 7. **Graceful drain** — SIGTERM/SIGINT stop the listener, let in-flight
-   work finish (bounded by ``--drain-s``), flush the warm caches to
-   ``--cache-dir``, then exit.
+   work finish (bounded by ``--drain-s``; what is left then fails with
+   ``503 shutting-down``), flush the warm caches to ``--cache-dir``,
+   then exit.
 
 The HTTP framing, connection loop, dispatcher, ``/debug`` endpoints and
 lifecycle are the shared core in :mod:`repro.serve.http`; this module
@@ -196,7 +197,13 @@ class PartitionServer(HttpService):
             self._metrics.gauge("serve.cache_exchange.last_written").set(written)
 
     async def _drain(self) -> None:
-        """Drain in-flight work and flush caches once the listener is closed."""
+        """Drain in-flight work and flush caches once the listener is closed.
+
+        Shutdown takes at most ``drain_s`` plus the workers' join: what
+        the drain did not finish, stopping the batcher fails with 503
+        ``shutting-down`` (killing busy workers) before the request
+        tasks are awaited.
+        """
         try:
             await asyncio.wait_for(self._batcher.drain(), timeout=self.config.drain_s)
         except asyncio.TimeoutError:
@@ -204,6 +211,7 @@ class PartitionServer(HttpService):
                 "drain did not finish within %.1fs; abandoning in-flight work",
                 self.config.drain_s,
             )
+        await self._batcher.stop()
         if self._inflight:
             await asyncio.gather(*list(self._inflight.values()), return_exceptions=True)
         if self.config.cache_dir:
@@ -222,7 +230,6 @@ class PartitionServer(HttpService):
                     self.config.cache_dir,
                     e,
                 )
-        await self._batcher.stop()
         logger.info("drained; %d requests served", self._requests_served)
 
     def _flight_details(self, record, status, cache, meta, total_ms) -> dict:

@@ -186,3 +186,52 @@ def test_one_serve_worker_mechanism():
         if name == "concurrent.futures" or name.startswith("concurrent.futures.")
     )
     assert offenders == []
+
+
+def _dump_keys_read(tree: ast.AST) -> set[str]:
+    """The ``/metrics`` dump keys a file reads itself: ``"metrics"``,
+    ``"caches"`` or ``"labels"`` as a subscript or a ``.get`` key."""
+    keys = {"metrics", "caches", "labels"}
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript):
+            key = node.slice
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "get"
+            and node.args
+        ):
+            key = node.args[0]
+        else:
+            continue
+        if isinstance(key, ast.Constant) and key.value in keys:
+            read.add(key.value)
+    return read
+
+
+def test_one_metrics_dump_reader():
+    """One module knows the shape of a ``/metrics`` dump: the reader
+    beside ``ServeClient.metrics()`` in ``serve/client.py``.  The load
+    generator, ``repro top`` and the E22 benchmark import it and read
+    no entry list, label or cache section themselves."""
+    root = Path(repro.__file__).parent
+    readers = {"cache_stats", "counter_total", "gauge", "latency", "latency_rows",
+               "shard_stats"}
+    files = {
+        "cli_top.py": (root / "cli_top.py", "repro"),
+        "serve/loadgen.py": (root / "serve" / "loadgen.py", "repro.serve"),
+        "benchmarks/test_e22_serve.py": (
+            Path(__file__).resolve().parents[1] / "benchmarks" / "test_e22_serve.py",
+            "benchmarks",
+        ),
+    }
+    for label, (path, package) in files.items():
+        tree = ast.parse(path.read_text(), filename=str(path))
+        assert _dump_keys_read(tree) == set(), label
+        imported = {
+            name.rsplit(".", 1)[-1]
+            for name in _absolute_imports(tree, package)
+            if name.startswith("repro.serve.client.")
+        }
+        assert imported & readers, f"{label} does not import the dump reader"

@@ -9,8 +9,10 @@ the blocking :class:`~repro.serve.client.ServeClient` — the same path
 from __future__ import annotations
 
 import http.client
+import io
 import json
 import os
+import signal
 import threading
 import time
 
@@ -326,6 +328,50 @@ class TestDrain:
             conn.getresponse()
 
 
+    def test_drain_timeout_bounds_shutdown(self):
+        """A request whose worker never answers: once ``drain_s`` runs
+        out, shutdown fails it with 503 and the service thread exits."""
+        emb = EmbeddedServer(ServeConfig(port=0, workers=1, drain_s=0.2)).start()
+        outcome: list = []
+        pid = None
+        try:
+            with ServeClient("127.0.0.1", emb.port) as c:
+                deadline = time.monotonic() + 60
+                while not c.healthz().get("ready"):
+                    assert time.monotonic() < deadline, "server never became ready"
+                    time.sleep(0.05)
+            (pid,) = emb.server._batcher.worker_pids()
+            os.kill(pid, signal.SIGSTOP)
+
+            def stuck_request():
+                try:
+                    with ServeClient("127.0.0.1", emb.port, timeout=30) as c:
+                        outcome.append(c.partition(FAST_SOURCE, 3, label="stuck"))
+                except (ServeError, OSError) as e:
+                    outcome.append(e)
+
+            requester = threading.Thread(target=stuck_request)
+            requester.start()
+            with ServeClient("127.0.0.1", emb.port) as c:
+                while not c.debug_inflight()["inflight"]:
+                    time.sleep(0.02)
+            emb._loop.call_soon_threadsafe(emb.server.signal_shutdown)
+            emb._thread.join(timeout=10)
+            assert not emb._thread.is_alive(), "shutdown waited past drain_s"
+            requester.join(timeout=10)
+            (error,) = outcome
+            assert isinstance(error, ServeError), error
+            assert error.status == 503 and error.code == "shutting-down", error
+        finally:
+            for sig in (signal.SIGKILL, signal.SIGCONT):  # never leave it stopped
+                try:
+                    if pid is not None:
+                        os.kill(pid, sig)
+                except ProcessLookupError:
+                    pass
+            emb.stop()
+
+
 class TestFlowFamilies:
     def test_flow_family_corpus_shape(self):
         from repro.serve.loadgen import flow_family_corpus
@@ -343,21 +389,21 @@ class TestFlowFamilies:
         other = flow_family_corpus(1, 1, 1)
         assert other[0][1] not in sources
 
-    def test_flow_family_sweep_hits_the_plan_cache(self):
-        from repro.serve.loadgen import run_family_sweep
+    def test_flow_family_sweep_hits_the_plan_cache(self, tmp_path):
+        from repro.serve.loadgen import loadgen_main
 
+        path = tmp_path / "loadgen-flow-families.json"
         with EmbeddedServer(
             ServeConfig(port=0, workers=1, plan_cache=True)
         ) as emb:
-            stats = run_family_sweep(
-                host="127.0.0.1",
-                port=emb.port,
-                clients=2,
-                families=1,
-                n_variants=2,
-                p_variants=2,
-                flow=True,
+            rc = loadgen_main(
+                ["--port", str(emb.port), "--families", "1", "--flow",
+                 "--sweep", "2,2", "--clients", "2", "--json", str(path)],
+                out=io.StringIO(),
             )
+        stats = json.loads(path.read_text())
+        assert rc == 0
+        # CI serve-smoke's "Assert per-flow-family plan hit rates".
         assert stats["error_count"] == 0, stats
         (fam,) = stats["families"]
         assert fam["program"] == "flow"
