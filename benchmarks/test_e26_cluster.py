@@ -19,7 +19,7 @@ over real sockets (router subprocess + N server subprocesses):
 
 With ``REPRO_BENCH_REPORTS`` set the numbers land in
 ``BENCH_cluster.json``, including per-shard throughput and latency
-tails (p50/p95/p99) and the plan/response cache hit rates per replica.
+tails (p50/p95/p99) and the response-cache hit rate per replica.
 """
 
 from __future__ import annotations
@@ -188,9 +188,7 @@ def test_cluster_replica_kill_zero_drops():
 
 def run_cluster_bench() -> dict:
     """Cluster load pass: zero errors, per-shard spread, warm hit rates."""
-    with spawn_cluster(
-        replicas=2, workers=1, server_extra=["--plan-cache"]
-    ) as cluster:
+    with spawn_cluster(replicas=2, workers=1) as cluster:
         host, port = "127.0.0.1", cluster.router_port
         stats = run_loadgen(
             host=host,

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from ..core import cost as _cost
 from ..core import cumulative as _cum
 from ..core import optimize as _opt
-from ..core import plan as _plan
 from ..core.classify import UISet, partition_references
 from ..core.optimize import optimize_parallelepiped
 from ..core.partitioner import LoopPartitioner
@@ -86,12 +85,8 @@ def _inject_spread():
     patched: for the duration, ``UISet.u`` is a property returning 0.25×
     the real value.  A data descriptor outranks the value an instance
     has cached, and the faulted value is never stored, so each class
-    reads its real ``u`` again after exit.  The plan solver reads the
-    same binding, so the plan-vs-numeric oracle stays green (the plan
-    *intentionally* replicates the numeric formula — a consistent fault
-    must be caught by the independent exact-lattice oracle, not by
-    self-comparison).  The shared plan cache is cleared on both sides so
-    faulted payloads never leak into or out of the faulted region.
+    reads its real ``u`` again after exit.  A consistent fault like this
+    must be caught by the independent exact-lattice oracle.
     """
     real = UISet.__dict__["u"]
 
@@ -99,12 +94,8 @@ def _inject_spread():
         u = real.__get__(uiset, UISet)
         return None if u is None else u * 0.25
 
-    _plan.DEFAULT_PLAN_CACHE.clear()
-    try:
-        with _patched(UISet, "u", property(bad)):
-            yield
-    finally:
-        _plan.DEFAULT_PLAN_CACHE.clear()
+    with _patched(UISet, "u", property(bad)):
+        yield
 
 
 @contextmanager
@@ -119,36 +110,6 @@ def _inject_exact_count():
         with _patched(_opt, "cumulative_footprint_size_exact", bad):
             with _patched(_cost, "cumulative_footprint_size_exact", bad):
                 yield
-
-
-@contextmanager
-def _inject_plan():
-    """Corrupt plan instantiation: predicted cost scaled down 4x.
-
-    Exercises the plan-parity oracle end to end: solved payloads stay
-    correct (and uncached results cannot poison anything), but every
-    instantiated plan reports a wrong cost, which ``plan-parity`` must
-    flag on every applicable case.
-    """
-    import dataclasses
-
-    orig = _plan.instantiate_plan
-
-    def bad(payload, extents, processors):
-        result, reason = orig(payload, extents, processors)
-        if result is None:
-            return result, reason
-        return (
-            dataclasses.replace(result, predicted_cost=result.predicted_cost * 0.25),
-            None,
-        )
-
-    _plan.DEFAULT_PLAN_CACHE.clear()
-    try:
-        with _patched(_plan, "instantiate_plan", bad):
-            yield
-    finally:
-        _plan.DEFAULT_PLAN_CACHE.clear()
 
 
 @contextmanager
@@ -288,8 +249,7 @@ def _inject_classify():
     distinct offsets never join a class (and classes lose their sharing
     directions).  The ``classification-exact`` oracle decides Definition
     6 through the Hermite normal form instead and must flag the classes
-    that should have merged.  The plan cache is cleared on both sides so
-    plans solved on the wrong classes never leak out.
+    that should have merged.
     """
     from ..core import classify as _classify
 
@@ -301,12 +261,8 @@ def _inject_classify():
             return None
         return x
 
-    _plan.DEFAULT_PLAN_CACHE.clear()
-    try:
-        with _patched(_classify, "solve_integer", bad):
-            yield
-    finally:
-        _plan.DEFAULT_PLAN_CACHE.clear()
+    with _patched(_classify, "solve_integer", bad):
+        yield
 
 
 @contextmanager
@@ -317,8 +273,8 @@ def _inject_sumset():
     dependent rows then misses one Minkowski summand and undercounts.
     The ``whole-space-footprint`` oracle compares the count with the
     distinct elements the simulator's streams touch and must flag it.
-    The process-wide footprint, lattice-count and plan caches are
-    cleared on both sides so faulted counts never leak out.
+    The process-wide footprint and lattice-count caches are cleared on
+    both sides so faulted counts never leak out.
     """
     from ..lattice import points as _points
 
@@ -330,7 +286,6 @@ def _inject_sumset():
     def clear():
         _points.DEFAULT_FOOTPRINT_TABLE.clear()
         _points.DEFAULT_LATTICE_CACHE.clear()
-        _plan.DEFAULT_PLAN_CACHE.clear()
 
     clear()
     try:
@@ -343,7 +298,6 @@ def _inject_sumset():
 FAULTS = {
     "spread": _inject_spread,
     "exact-count": _inject_exact_count,
-    "plan": _inject_plan,
     "anneal": _inject_anneal,
     "flow": _inject_flow,
     "engine": _inject_engine,
@@ -394,26 +348,6 @@ def run_case(spec: CaseSpec, config: CheckConfig | None = None) -> CaseArtifacts
         partitioner = LoopPartitioner(art.nest, spec.processors)
         art.result = partitioner.partition(method="rectangular", scoring="exact")
         art.estimate = art.result.estimate
-
-        # Plan-vs-numeric oracle (Sec 3.6 closed forms): the plan tier
-        # must reproduce the numeric theorem-4 enumeration exactly, or
-        # decline with a declared fallback.  Both sides share the
-        # process-wide plan cache, so corpus replays also exercise the
-        # warm-hit path.
-        try:
-            art.numeric_rect = _opt.optimize_rectangular(
-                art.uisets, art.nest.space, spec.processors, scoring="theorem4"
-            )
-            art.plan_result = _plan.plan_optimize(
-                art.uisets,
-                art.nest.space,
-                spec.processors,
-                cache=_plan.DEFAULT_PLAN_CACHE,
-            )
-        except OptimizationError:
-            # Theorem-4 scoring infeasible (the primary exact-scoring
-            # partition above already succeeded); no parity to check.
-            art.tally.hit("plan-oracle-skipped")
 
         if spec.depth >= 2 and spec.case_id % config.parallelepiped_every == 0:
             try:

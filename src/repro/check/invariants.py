@@ -83,8 +83,6 @@ class CaseArtifacts:
     streams: dict | None  # proc -> list[RefStream]
     schedule_counts: list[int] | None
     emitted: str | None
-    numeric_rect: object | None = None  # RectOptResult, theorem-4 scoring
-    plan_result: object | None = None  # plan-tier RectOptResult (None = fallback)
     pepiped_slsqp: object | None = None  # SLSQP-alone portfolio result
     pepiped_anneal: object | None = None  # anneal-alone portfolio result
     violations: list[Violation] = field(default_factory=list)
@@ -579,37 +577,6 @@ def check_simulation_model(art: CaseArtifacts, *, ratio_eps: float = 1e-9) -> No
                 )
 
 
-def check_plan_parity(art: CaseArtifacts, *, eps: float = 1e-6) -> None:
-    """Plan-tier instantiation vs the numeric Theorem-4 optimizer.
-
-    When the structure has a closed-form plan, the instantiated cost and
-    grid must match the numeric enumeration (the plan replicates the
-    numeric float arithmetic, so the match is exact up to ``eps`` of
-    defensive slack); a ``None`` plan result is a declared fallback, not
-    a violation, and is tallied so the fallback *rate* stays observable.
-    """
-    if art.numeric_rect is None:
-        return
-    if art.plan_result is None:
-        art.tally.hit("plan-fallback")
-        return
-    art.tally.hit("plan-parity")
-    num, plan = art.numeric_rect, art.plan_result
-    denom = max(abs(num.predicted_cost), 1.0)
-    if abs(plan.predicted_cost - num.predicted_cost) > eps * denom:
-        art.fail(
-            "plan-parity",
-            f"plan cost {plan.predicted_cost} != numeric theorem-4 cost "
-            f"{num.predicted_cost}",
-        )
-    elif tuple(plan.grid) != tuple(num.grid):
-        art.fail(
-            "plan-parity",
-            f"plan grid {tuple(plan.grid)} != numeric grid {tuple(num.grid)} "
-            f"at equal cost {num.predicted_cost}",
-        )
-
-
 def run_invariants(art: CaseArtifacts, *, round_det_tol: float) -> None:
     """Evaluate every invariant group on a completed case."""
     check_parse_roundtrip(art)
@@ -620,4 +587,3 @@ def run_invariants(art: CaseArtifacts, *, round_det_tol: float) -> None:
     check_codegen(art)
     check_engine_parity(art)
     check_simulation_model(art)
-    check_plan_parity(art)

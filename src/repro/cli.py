@@ -5,7 +5,7 @@
     python -m repro program.doall -p 16 -D N=64 [--method auto]
                                   [--simulate] [--sweeps 2]
                                   [--engine auto|fast|exact]
-                                  [--cache-dir DIR] [--plan-cache]
+                                  [--cache-dir DIR]
                                   [--opt-budget SECONDS]
                                   [--pseudocode 0,1] [--data]
                                   [--json-report out.json]
@@ -47,7 +47,6 @@ import argparse
 import sys
 
 from .codegen import TileSchedule, emit_pseudocode
-from .core.plan import DEFAULT_PLAN_CACHE
 from .exceptions import ReproError
 from .obs import (
     EventTraceWriter,
@@ -105,14 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         help="persist the analytic caches (warm start) in DIR; defaults to "
         "$REPRO_CACHE_DIR when that is set, otherwise persistence is off",
-    )
-    p.add_argument(
-        "--plan-cache",
-        action="store_true",
-        help="route rectangular optimisation through the structure-keyed "
-        "plan cache: solve the Sec 3.6 closed forms once per loop shape, "
-        "instantiate per run in O(1), fall back to the numeric optimizer "
-        "when no closed form applies (plans persist via --cache-dir)",
     )
     p.add_argument(
         "--opt-budget",
@@ -416,7 +407,6 @@ def main(argv: list[str] | None = None, *, out=None) -> int:
         run = run_request(
             request,
             cache=DEFAULT_LATTICE_CACHE if cache_dir else None,
-            plan_cache=DEFAULT_PLAN_CACHE if args.plan_cache else None,
             opt_budget_s=args.opt_budget,
             observer=trace_writer,
         )

@@ -74,20 +74,12 @@ def render_dashboard(
     response_rate = (hit_rate(hits, misses) or 0.0) * 100
     lattice = cache_stats(dump, "lattice_cache") or {}
     lattice_rate = (hit_rate(lattice.get("hits", 0), lattice.get("misses", 0)) or 0.0) * 100
-    caches_line = (
+    lines.append(
         f"caches: response {hits}/{hits + misses} hits ({response_rate:.0f}%)"
         f"  coalesced {coalesced}"
         f"  lattice {lattice.get('entries', '?')} entries"
         f" ({lattice_rate:.0f}% hit)"
     )
-    plan = cache_stats(dump, "plan")
-    if plan:
-        plan_rate = (hit_rate(plan.get("hits", 0), plan.get("misses", 0)) or 0.0) * 100
-        caches_line += (
-            f"  plan {plan.get('entries', '?')} plans"
-            f" ({plan_rate:.0f}% hit, {plan.get('fallbacks', 0)} fallbacks)"
-        )
-    lines.append(caches_line)
     error_burn = gauge(dump, "serve.slo.error_burn")
     latency_burn = gauge(dump, "serve.slo.latency_burn")
     if error_burn is not None or latency_burn is not None:

@@ -30,11 +30,6 @@ partitioner
     Top-level driver: loop nest + machine size → partition + predictions.
 cost
     Traffic/cost model shared by the optimizer and the benchmarks.
-structure
-    Canonical bounds-free structure keys for request families.
-plan
-    Structure-keyed partition plans: Sec 3.6 closed forms solved once
-    per loop shape, instantiated per request in O(1).
 """
 
 from .affine import AffineRef, AccessKind, ArrayAccess
@@ -71,16 +66,7 @@ from .datapart import (
 from .symbolic import (
     RectFootprintPolynomial,
     class_polynomial,
-    class_polynomial_from_u,
     loop_polynomial,
-)
-from .structure import structure_key, class_descriptor, canonical_class_order
-from .plan import (
-    PlanCache,
-    DEFAULT_PLAN_CACHE,
-    solve_plan,
-    instantiate_plan,
-    plan_optimize,
 )
 from .partitioner import LoopPartitioner, PartitionResult
 from .cost import TrafficEstimate, estimate_traffic
@@ -120,16 +106,7 @@ __all__ = [
     "optimize_rectangular_data",
     "RectFootprintPolynomial",
     "class_polynomial",
-    "class_polynomial_from_u",
     "loop_polynomial",
-    "structure_key",
-    "class_descriptor",
-    "canonical_class_order",
-    "PlanCache",
-    "DEFAULT_PLAN_CACHE",
-    "solve_plan",
-    "instantiate_plan",
-    "plan_optimize",
     "LoopPartitioner",
     "PartitionResult",
     "TrafficEstimate",

@@ -12,10 +12,9 @@ Three solvers:
   and ``A_i = Σ_classes u_i`` the summed spread coefficients (Theorem 4);
   Lagrange multipliers give ``s_i ∝ A_i``.  The continuous optimum is then
   *integerised* against a processor-grid factorisation, evaluating the
-  true Theorem-4 (or exact) cost for each candidate grid.  That grid
-  search (seed, feasible grids, penalty and tie-break) is shared with the
-  plan tier (:mod:`repro.core.plan`) and the data-partition optimizer
-  (:mod:`repro.core.datapart`); only the footprint columns differ.
+  true Theorem-4 (or exact) cost for each candidate grid.  The seed and
+  the feasible grids are shared with the data-partition optimizer
+  (:mod:`repro.core.datapart`).
 * :func:`optimize_parallelepiped` — general hyperparallelepiped tiles via
   constrained numerical minimisation of the Theorem 2 objective
   (scipy SLSQP, multiple deterministic starts, exact Jacobians of the
@@ -296,7 +295,6 @@ def optimize_rectangular(
     *,
     scoring: str = "theorem4",
     cache: LatticeCountCache | None = None,
-    plan_cache=None,
 ) -> RectOptResult:
     """Find the best rectangular tile for ``P`` processors (Examples 8-10).
 
@@ -319,13 +317,6 @@ def optimize_rectangular(
     processor-count sweep over one nest, where every ``P`` re-scores
     overlapping side sets.
 
-    ``plan_cache`` (a :class:`repro.core.plan.PlanCache`) consults the
-    structure-keyed plan tier first: a usable solved plan reproduces this
-    function's answer from its stored closed forms without running the
-    grid search; an inapplicable or losing plan records a fallback and
-    the numeric search below runs unchanged.  Plans model the default
-    ``theorem4`` scoring only.
-
     Raises :class:`ValueError` for a ``scoring`` not in :data:`SCORINGS`.
     """
     if scoring not in SCORINGS:
@@ -339,12 +330,6 @@ def optimize_rectangular(
     volume = float(space.volume) / float(processors)
     if cache is None:
         cache = LatticeCountCache()
-    if plan_cache is not None and scoring == "theorem4":
-        from .plan import plan_optimize
-
-        planned = plan_optimize(uisets, space, processors, cache=plan_cache)
-        if planned is not None:
-            return planned
     # The seed sums the Theorem-4 coefficients of the classes whose spread
     # is partition-sensitive.  A class without coefficients (dependent
     # rows after column reduction) cannot steer it; the grid search below
@@ -358,8 +343,7 @@ def optimize_rectangular(
     best = None
     with _span("optimize.rectangular.grid_search", processors=processors):
         # The scalar reference models, one call per grid and class in
-        # grid-major order — the plan tier's closed forms are checked
-        # against this path (``repro check``'s plan-parity oracle).
+        # grid-major order.
         fps = np.empty((len(grids), len(uisets)))
         for g, row in enumerate(sides):
             tile = RectangularTile(row)

@@ -137,7 +137,6 @@ class LoopPartitioner:
         method: str = "rectangular",
         scoring: str = "theorem4",
         cache=None,
-        plan_cache=None,
         opt_budget_s: float | None = None,
     ) -> PartitionResult:
         """Compute the partition.
@@ -151,10 +150,7 @@ class LoopPartitioner:
 
         ``cache`` is an optional shared
         :class:`~repro.lattice.points.LatticeCountCache` for the grid
-        search's exact enumerations (e.g. the CLI's warm-start cache);
-        ``plan_cache`` is an optional :class:`~repro.core.plan.PlanCache`
-        consulted before the rectangular grid search (solved structure
-        plans instantiate in O(1); inapplicable plans fall back here).
+        search's exact enumerations (e.g. the CLI's warm-start cache).
         ``opt_budget_s`` caps each parallelepiped portfolio member's
         wall time (the ``--opt-budget`` knob).
         """
@@ -175,7 +171,6 @@ class LoopPartitioner:
                     self.processors,
                     scoring=scoring,
                     cache=cache,
-                    plan_cache=plan_cache,
                 )
             candidates.append(("rectangular", rect_res.tile, rect_res.grid))
         if method in ("parallelepiped", "auto"):

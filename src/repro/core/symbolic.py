@@ -30,7 +30,6 @@ from .cumulative import spread_coefficients
 __all__ = [
     "RectFootprintPolynomial",
     "class_polynomial",
-    "class_polynomial_from_u",
     "loop_polynomial",
 ]
 
@@ -82,31 +81,6 @@ class RectFootprintPolynomial:
             total += prod
         return float(total)
 
-    @staticmethod
-    def monomial(dims, names, coeff: float = 1.0) -> "RectFootprintPolynomial":
-        """``coeff · Π_{j∈dims} s_j`` — the closed form of a class whose
-        reduced ``G`` has independent nonzero rows spanning ``dims`` and
-        coincident reduced offsets (its exact union is a product)."""
-        return RectFootprintPolynomial.from_dict({tuple(dims): coeff}, names)
-
-    def to_payload(self) -> dict:
-        """Pure-JSON representation (lists/numbers/strings only)."""
-        return {
-            "names": list(self.names),
-            "terms": [[list(dims), float(c)] for dims, c in self.terms],
-        }
-
-    @staticmethod
-    def from_payload(payload: dict) -> "RectFootprintPolynomial":
-        """Inverse of :meth:`to_payload` (accepts a JSON round trip)."""
-        return RectFootprintPolynomial(
-            tuple(
-                (tuple(int(j) for j in dims), float(c))
-                for dims, c in payload["terms"]
-            ),
-            tuple(str(n) for n in payload["names"]),
-        )
-
     def partition_sensitive(self) -> "RectFootprintPolynomial":
         """Drop the full-volume term (constant under load balancing) —
         what is left is the traffic being minimised (Figure 9 argument)."""
@@ -133,29 +107,19 @@ class RectFootprintPolynomial:
 def class_polynomial(uiset: UISet, names) -> RectFootprintPolynomial:
     """Theorem-4 polynomial of one uniformly intersecting class.
 
-    Classes whose reduced ``G`` has dependent rows have no Theorem-4 form;
-    :class:`~repro.exceptions.SingularMatrixError` propagates.
-    Single-reference classes yield just the volume term.
-    """
-    u = ()
-    if uiset.size > 1 and np.any(uiset.spread()):
-        u = spread_coefficients(uiset)
-    return class_polynomial_from_u(u, names)
-
-
-def class_polynomial_from_u(u, names) -> RectFootprintPolynomial:
-    """Theorem-4 polynomial from spread coefficients ``u``.
-
-    ``Π_j s_j + Σ_i u_i Π_{j≠i} s_j``; the plan solver rebuilds it from
-    the ``u`` it stores per structure.
+    ``Π_j s_j + Σ_i u_i Π_{j≠i} s_j`` with the class's spread
+    coefficients ``u``.  Classes whose reduced ``G`` has dependent rows
+    have no Theorem-4 form; :class:`~repro.exceptions.SingularMatrixError`
+    propagates.  Single-reference classes yield just the volume term.
     """
     names = tuple(names)
     l = len(names)
     d: dict[tuple[int, ...], float] = {tuple(range(l)): 1.0}
-    for i, ui in enumerate(u):
-        if ui:
-            dims = tuple(j for j in range(l) if j != i)
-            d[dims] = d.get(dims, 0.0) + float(ui)
+    if uiset.size > 1 and np.any(uiset.spread()):
+        for i, ui in enumerate(spread_coefficients(uiset)):
+            if ui:
+                dims = tuple(j for j in range(l) if j != i)
+                d[dims] = d.get(dims, 0.0) + float(ui)
     return RectFootprintPolynomial.from_dict(d, names)
 
 

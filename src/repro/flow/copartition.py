@@ -3,10 +3,9 @@
 Two strategies:
 
 * ``independent`` — each statement is handed to the ordinary
-  :class:`~repro.core.partitioner.LoopPartitioner` on its own (plan
-  cache and all).  Optimal per nest, but nothing aligns the tiles of a
-  producer with those of its consumer, so inter-statement transfers can
-  dominate.
+  :class:`~repro.core.partitioner.LoopPartitioner` on its own.  Optimal
+  per nest, but nothing aligns the tiles of a producer with those of its
+  consumer, so inter-statement transfers can dominate.
 * ``co`` — statements of equal depth are forced onto one shared
   processor grid, chosen to minimize *total* traffic: per-statement
   cumulative footprints (Theorem 2/4, evaluated exactly) **plus** an
@@ -179,7 +178,6 @@ def _independent(
     *,
     method: str,
     cache,
-    plan_cache,
     opt_budget_s,
 ) -> list[StatementPartition]:
     parts = []
@@ -187,7 +185,6 @@ def _independent(
         result = LoopPartitioner(stmt.nest, processors).partition(
             method=method,
             cache=cache,
-            plan_cache=plan_cache,
             opt_budget_s=opt_budget_s,
         )
         parts.append(StatementPartition(statement=stmt, result=result))
@@ -214,7 +211,6 @@ def partition_flow(
     strategy: str = "co",
     method: str = "rectangular",
     cache=None,
-    plan_cache=None,
     opt_budget_s: float | None = None,
 ) -> FlowPartition:
     """Choose per-statement tiles for a dataflow program.
@@ -224,9 +220,8 @@ def partition_flow(
     statement's independent optimum — on total footprint + transfer
     traffic, and keeps the cheapest (ties broken toward the
     lexicographically smallest grid).  The independent per-statement
-    optimization still runs first (warming the structure-keyed plan
-    cache per statement), so `co` degrades gracefully to it when no
-    aligned grid scores better.
+    optimization still runs first, so `co` degrades gracefully to it
+    when no aligned grid scores better.
     """
     if strategy not in STRATEGIES:
         raise PartitionError(
@@ -238,7 +233,6 @@ def partition_flow(
             processors,
             method=method,
             cache=cache,
-            plan_cache=plan_cache,
             opt_budget_s=opt_budget_s,
         )
         if strategy == "independent":

@@ -6,8 +6,7 @@ out with its chain of enclosing loops into its own perfect nest (loop
 distribution), and the statements execute in program order as whole
 nests.  That is exactly the regime in which the paper's per-nest
 machinery — uniformly-intersecting classes, cumulative footprints,
-Theorem 2/4 tile optimization, the structure-keyed plan cache — applies
-to each statement unchanged, while a statement-level dataflow graph
+Theorem 2/4 tile optimization — applies to each statement unchanged, while a statement-level dataflow graph
 (:mod:`repro.flow.graph`) captures what moves *between* them.
 
 Cross-statement dependences must stay inside the model: two references

@@ -42,7 +42,6 @@ def run_flow(
     sweeps: int = 1,
     line_size: int = 1,
     cache=None,
-    plan_cache=None,
     opt_budget_s: float | None = None,
     label: str | None = None,
     include_lines: bool = False,
@@ -62,7 +61,6 @@ def run_flow(
         strategy=strategy,
         method=method,
         cache=cache,
-        plan_cache=plan_cache,
         opt_budget_s=opt_budget_s,
     )
     schedule = build_schedule(

@@ -1,25 +1,23 @@
 """One memo store for the analytic caches.
 
-Section 3.8's "table lookup" for exact 1-D footprints, the memoised
-lattice counts and Section 3.6's structure-keyed plans are all the same
-mechanism: a table keyed on a canonical form whose values never change
-for a key.  :class:`MemoTable` is that table.  It alone owns the dict,
-its lock and the ``hits``/``misses``/``loads`` counters, as plain ints.
-:class:`~repro.lattice.points.FootprintTable`,
-:class:`~repro.lattice.points.LatticeCountCache` and
-:class:`~repro.core.plan.PlanCache` subclass it and add only their own
-canonical keys, compute-on-miss and (for plans) fallback counters.
+Section 3.8's "table lookup" for exact 1-D footprints and the memoised
+lattice counts are the same mechanism: a table keyed on a canonical
+form whose values never change for a key.  :class:`MemoTable` is that
+table.  It alone owns the dict, its lock and the
+``hits``/``misses``/``loads`` counters, as plain ints.
+:class:`~repro.lattice.points.FootprintTable` and
+:class:`~repro.lattice.points.LatticeCountCache` subclass it and add
+only their own canonical keys and compute-on-miss.
 
 :func:`default_caches` is the one list of process-default caches: each
 under its persisted section name, its :func:`analytic_cache_stats` key
 and its metrics label.  Persistence (:mod:`repro.lattice.persist`), the
 serve worker ship-back, the ``repro check`` pool merge, the stats
 snapshot and :func:`publish_cache_metrics` (which names
-``analytic.cache.{hits,misses,loads}{cache=…}`` and ``plan.fallbacks``
-when the service's registry is read) all loop over it.  A pool worker
-ships what it learnt with a
-:class:`CacheShipper` (the entries it computed and its counter deltas
-since the last ship), and the parent merges that with
+``analytic.cache.{hits,misses,loads}{cache=…}`` when the service's
+registry is read) all loop over it.  A pool worker ships what it learnt
+with a :class:`CacheShipper` (the entries it computed and its counter
+deltas since the last ship), and the parent merges that with
 :func:`absorb_shipment`.
 """
 
@@ -56,10 +54,8 @@ class MemoTable:
 
     @staticmethod
     def value_ok(value) -> bool:
-        """Whether ``value`` may enter the table from a file or a worker.
-
-        Counts are numbers; subclasses with other values override this.
-        """
+        """Whether ``value`` (a count: a number) may enter the table
+        from a file or a worker."""
         return not isinstance(value, bool) and isinstance(value, (int, float))
 
     def get_or_compute(self, key, compute):
@@ -79,8 +75,8 @@ class MemoTable:
     def export_entries(self) -> list:
         """``(key, value)`` pairs in a stable order: sorted by ``repr(key)``.
 
-        Keys are unique, so their reprs alone fix the order; values (plan
-        payloads can be large) are never formatted.
+        Keys are unique, so their reprs alone fix the order; values are
+        never formatted.
         """
         with self._lock:
             items = list(self._table.items())
@@ -148,13 +144,11 @@ def default_caches() -> dict[str, tuple[str, str, MemoTable]]:
     The order is the order of sections on disk and of keys in
     :func:`analytic_cache_stats`.
     """
-    from ..core.plan import DEFAULT_PLAN_CACHE
     from .points import DEFAULT_FOOTPRINT_TABLE, DEFAULT_LATTICE_CACHE
 
     return {
         "footprint_table": ("footprint_table", "footprint_table", DEFAULT_FOOTPRINT_TABLE),
         "lattice_cache": ("lattice_cache", "lattice", DEFAULT_LATTICE_CACHE),
-        "plan_cache": ("plan", "plan", DEFAULT_PLAN_CACHE),
     }
 
 
@@ -170,9 +164,9 @@ def analytic_cache_stats() -> dict:
 def publish_cache_metrics(registry) -> None:
     """Set the default caches' counters in ``registry`` from their ints.
 
-    The one place that names ``analytic.cache.{hits,misses,loads}`` and
-    ``plan.fallbacks``, each labelled ``cache=<metrics label>``.  Call it
-    right before reading ``registry``: a later cache event is not seen.
+    The one place that names ``analytic.cache.{hits,misses,loads}``,
+    each labelled ``cache=<metrics label>``.  Call it right before
+    reading ``registry``: a later cache event is not seen.
     """
     rows = []
     for _, label, cache in default_caches().values():
@@ -181,22 +175,16 @@ def publish_cache_metrics(registry) -> None:
             (f"analytic.cache.{name}", labels, stats[name])
             for name in ("hits", "misses", "loads")
         ]
-        if "fallbacks" in stats:
-            rows.append(("plan.fallbacks", labels, stats["fallbacks"]))
     registry.publish(rows)
 
 
 def _delta(now: dict, base: dict) -> dict:
-    """``now − base`` per counter (nested dicts too), zeros dropped."""
-    out = {}
-    for name, value in now.items():
-        if isinstance(value, dict):
-            diff = _delta(value, base.get(name, {}))
-        else:
-            diff = value - base.get(name, 0)
-        if diff:
-            out[name] = diff
-    return out
+    """``now − base`` per counter, zeros dropped."""
+    return {
+        name: value - base.get(name, 0)
+        for name, value in now.items()
+        if value != base.get(name, 0)
+    }
 
 
 class CacheShipper:

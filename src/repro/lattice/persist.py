@@ -1,6 +1,6 @@
 """On-disk persistence for the analytic caches (warm start).
 
-The footprint table, the lattice-count cache and the plan cache
+The footprint table and the lattice-count cache
 (:func:`~repro.lattice.memo.default_caches`) memoise values that never
 change for a given canonical key.  That makes them safe to persist:
 repeated CLI runs and fuzz shards over the same programs keep
@@ -12,24 +12,24 @@ File format (``analytic_cache.json`` in the cache directory)::
 
     {"schema": "repro.analytic-cache", "version": 2,
      "caches": {"footprint_table": [[key, value], ...],
-                "lattice_cache":   [[key, value], ...],
-                "plan_cache":      [[key, payload], ...]}}
+                "lattice_cache":   [[key, value], ...]}}
 
 Each section is one default cache, named as in
 :func:`~repro.lattice.memo.default_caches`; its values pass that cache's
-``value_ok`` check (numbers for the counts, JSON objects for plan
-payloads).  Keys are nested tuples of ints / strings / bytes; they are
+``value_ok`` check (numbers: the counts).  Keys are nested tuples of ints / strings / bytes; they are
 encoded recursively with tagged objects (``{"t": [...]}`` for tuples,
 ``{"b": "<hex>"}`` for bytes) so the JSON roundtrip is lossless.  A file
 with an unknown schema or version is ignored, never migrated: the cache
 is a pure accelerator and stale data must not poison results.
 
-Version 2 adds the ``plan_cache`` section and the forward-compatibility
-rule that makes such additions safe from now on: readers *skip* cache
-sections they do not recognise instead of erroring, and the merge-write
-preserves unrecognised sections verbatim so a newer writer's entries
-survive an older writer's save.  Version-1 files are still read (their
-sections are a subset of ours).
+Version 2 added a third section, the structure-keyed plans of a
+since-retired optimizer tier, and the forward-compatibility rule that
+makes sections safe to add or retire: readers *skip* cache sections
+they do not recognise instead of erroring, and the merge-write
+preserves unrecognised sections verbatim, so another version's entries
+survive this version's save.  A plans section that an older version
+wrote is therefore kept as it is, unread.  Version-1 files are still
+read (they have the same two sections).
 """
 
 from __future__ import annotations
@@ -60,9 +60,9 @@ logger = logging.getLogger("repro.lattice.persist")
 
 CACHE_SCHEMA = "repro.analytic-cache"
 CACHE_VERSION = 2
-#: Versions this reader accepts.  v1 files lack the plan section but are
-#: otherwise identical; anything newer is ignored wholesale (stale data
-#: must not poison results).
+#: Versions this reader accepts.  v1 files lack the (retired) plan
+#: section but are otherwise identical; anything newer is ignored
+#: wholesale (stale data must not poison results).
 ACCEPTED_VERSIONS = (1, 2)
 CACHE_FILENAME = "analytic_cache.json"
 LOCK_FILENAME = CACHE_FILENAME + ".lock"
@@ -229,7 +229,7 @@ def load_caches(cache_dir=None, **caches) -> int:
     Returns the number of entries absorbed (also visible as the caches'
     ``loads`` counters).  Missing or invalid files load nothing.  A
     keyword named after a section (``footprint_table=``,
-    ``lattice_cache=``, ``plan_cache=``) puts that cache in place of the
+    ``lattice_cache=``) puts that cache in place of the
     process default; :func:`save_caches` and :func:`exchange_caches`
     take the same keywords.
     """
@@ -312,7 +312,7 @@ def exchange_caches(cache_dir=None, **caches) -> tuple[int, int]:
     under the lockfile), then absorb whatever peers have published since
     the last cycle.  This is the access pattern the multi-replica serve
     tier runs periodically: every replica both contributes its fresh
-    plan/lattice entries and warms from the others', so a cold or newly
+    footprint/lattice entries and warms from the others', so a cold or newly
     re-admitted replica converges on the cluster's union instead of
     recomputing from scratch.  Returns ``(written, absorbed)`` —
     entries written to disk and entries newly absorbed into memory.

@@ -51,9 +51,9 @@ logger = get_logger("serve.batching")
 _Item = tuple[PartitionRequest, "str | None", float, asyncio.Future]
 
 
-def _worker_main(conn, cache_dir, plan_cache, opt_budget_s) -> None:
+def _worker_main(conn, cache_dir, opt_budget_s) -> None:
     """A compute process: hydrate, then serve batches until ``None``."""
-    init_worker(cache_dir, plan_cache, opt_budget_s)
+    init_worker(cache_dir, opt_budget_s=opt_budget_s)
     while True:
         try:
             message = conn.recv()
@@ -87,7 +87,6 @@ class MicroBatcher:
         cache_dir: str | None = None,
         max_batch: int = 8,
         ship_traces: bool = True,
-        plan_cache: bool = False,
         opt_budget_s: float | None = None,
     ):
         if workers < 1:
@@ -96,7 +95,6 @@ class MicroBatcher:
         self.cache_dir = cache_dir
         self.max_batch = max_batch
         self.ship_traces = ship_traces
-        self.plan_cache = plan_cache
         self.opt_budget_s = opt_budget_s
         self._loop: asyncio.AbstractEventLoop | None = None
         self._slots: list[_Worker] = []
@@ -116,7 +114,7 @@ class MicroBatcher:
         parent_end, child_end = multiprocessing.Pipe(duplex=True)
         process = multiprocessing.Process(
             target=_worker_main,
-            args=(child_end, self.cache_dir, self.plan_cache, self.opt_budget_s),
+            args=(child_end, self.cache_dir, self.opt_budget_s),
             name="repro-serve-worker",
             daemon=True,
         )

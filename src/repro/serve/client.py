@@ -303,13 +303,22 @@ def is_router(dump: dict | None) -> bool:
     return bool((dump or {}).get("server", {}).get("router"))
 
 
-def counter_total(dump: dict | None, name: str, *, replica: str | None = None):
+def counter_total(
+    dump: dict | None,
+    name: str,
+    *,
+    replica: str | None = None,
+    endpoint: str | None = None,
+):
     """The ``name`` counter summed over its series (with ``replica``:
-    over that replica's series in a router's dump)."""
+    over that replica's series in a router's dump; with ``endpoint``:
+    over the series of that endpoint)."""
     return sum(
         entry.get("value", 0)
         for labels, entry in _series(dump, name)
-        if entry.get("type") == "counter" and replica in (None, labels.get("replica"))
+        if entry.get("type") == "counter"
+        and replica in (None, labels.get("replica"))
+        and endpoint in (None, labels.get("endpoint"))
     )
 
 
@@ -352,7 +361,7 @@ def latency_rows(dump: dict | None) -> list[tuple[str, dict]]:
 
 
 def cache_stats(dump: dict | None, name: str) -> dict | None:
-    """One cache's counters (``plan``, ``lattice_cache``, ...), summed
+    """One cache's counters (``lattice_cache``, ...), summed
     over the replicas in a router's dump."""
     return (dump or {}).get("caches", {}).get(name)
 
@@ -363,9 +372,10 @@ def hit_rate(hits, misses) -> float | None:
 
 def shard_stats(dump: dict | None) -> list[dict]:
     """Each replica in a router's dump (``[]`` for a server's): health,
-    requests served, response-cache hits and its ``/v1/partition``
-    latency, cumulative since it started.  One the router could not
-    scrape reads ``reachable: false``."""
+    partition requests served (``/v1/partition`` only, not the router's
+    ``/healthz`` probes or ``/metrics`` fan-out), response-cache hits and
+    its ``/v1/partition`` latency, cumulative since it started.  One the
+    router could not scrape reads ``reachable: false``."""
     shards = []
     for replica in (dump or {}).get("replicas", []) if is_router(dump) else []:
         address = replica.get("address")
@@ -376,7 +386,9 @@ def shard_stats(dump: dict | None) -> list[dict]:
                 counter_total(dump, f"serve.response_cache.{k}", replica=address)
                 for k in ("hits", "misses")
             )
-            shard["requests"] = counter_total(dump, "serve.requests", replica=address)
+            shard["requests"] = counter_total(
+                dump, "serve.requests", replica=address, endpoint="/v1/partition"
+            )
             shard["response_cache"] = {
                 "hits": hits, "misses": misses, "hit_rate": hit_rate(hits, misses)
             }

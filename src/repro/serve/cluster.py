@@ -2,11 +2,10 @@
 
 The paper's whole pipeline is per-loop-shape: the Sec 3.6 closed forms
 and Theorem-2/4 cost terms depend only on the canonical structure of the
-nest, which is exactly what the plan cache and the lattice caches key
-on.  That makes the serve tier ideal for *shard affinity*: route every
-canonical request key to a fixed replica, and that replica's response
-LRU, plan cache, and warm lattice caches stay hot on its slice of the
-keyspace.  :class:`RouterServer` is that front tier:
+nest, which is what the lattice caches key on.  That makes the serve
+tier ideal for *shard affinity*: route every canonical request key to a
+fixed replica, and that replica's response LRU and warm lattice caches
+stay hot on its slice of the keyspace.  :class:`RouterServer` is that front tier:
 
 * computes the same canonical request key the replica's response LRU
   uses (:attr:`~repro.serve.protocol.PartitionRequest.canonical_key`)
@@ -35,7 +34,7 @@ keyspace.  :class:`RouterServer` is that front tier:
 Cross-replica cache exchange is the replicas' job, not the router's:
 point every replica at one shared ``--cache-dir`` and give them a
 ``--cache-exchange-s`` period, and each periodically snapshots its
-plan/lattice deltas through the union-merge lockfile protocol in
+analytic-cache deltas through the union-merge lockfile protocol in
 :mod:`repro.lattice.persist` and absorbs its peers' — a cold or newly
 re-admitted replica warms from the cluster instead of from scratch.
 """
@@ -85,7 +84,8 @@ def rendezvous_order(key: str, addresses: list[str]) -> list[str]:
     address reshuffles nothing: every key's surviving candidates keep
     their relative order, and only the removed address's keys move (each
     to its own second choice).  That is exactly the stability the
-    per-replica response/plan caches want during ejection and re-admit.
+    per-replica response and lattice caches want during ejection and
+    re-admit.
     """
     def score(address: str) -> bytes:
         return hashlib.sha256(

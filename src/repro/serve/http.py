@@ -75,6 +75,10 @@ DEBUG_REQUEST_PREFIX = "/debug/requests/"
 #: Seconds an idle keep-alive connection is held open.
 IDLE_TIMEOUT_S = 60.0
 
+#: Seconds shutdown waits, after the drain, for connections still
+#: answering a request; any left then are cancelled.
+CLOSE_TIMEOUT_S = 10.0
+
 STATUS_TEXT = {
     200: "OK",
     400: "Bad Request",
@@ -286,6 +290,8 @@ class HttpService:
         self._shutdown_event: asyncio.Event | None = None
         self._draining = False
         self._tasks: list[asyncio.Task] = []
+        self._connections: set[asyncio.Task] = set()
+        self._idle: set[asyncio.StreamWriter] = set()  # waiting for a request
 
     # -- lifecycle -------------------------------------------------------
     async def start(self) -> None:
@@ -329,7 +335,13 @@ class HttpService:
         await self.shutdown()
 
     async def shutdown(self) -> None:
-        """Stop background tasks and the listener, then drain."""
+        """Stop background tasks and the listener, then drain.
+
+        Idle keep-alive connections are closed as the listener closes;
+        a connection answering a request finishes it (with
+        ``Connection: close``) and is awaited after the drain, so no
+        connection handler is left for the event loop to cancel.
+        """
         if self._server is None:
             return
         self._draining = True
@@ -341,16 +353,26 @@ class HttpService:
                 pass
         self._tasks.clear()
         self._server.close()
+        for writer in self._idle:
+            writer.close()  # its pending read sees EOF; the handler returns
         await self._server.wait_closed()
         self._server = None
         await self._drain()
+        if self._connections:
+            _, stuck = await asyncio.wait(self._connections, timeout=CLOSE_TIMEOUT_S)
+            for task in stuck:
+                task.cancel()
+            await asyncio.gather(*stuck, return_exceptions=True)
 
     # -- connections -----------------------------------------------------
     async def _serve_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        task = asyncio.current_task()
+        self._connections.add(task)
         try:
-            while True:
+            while not self._draining:
+                self._idle.add(writer)
                 try:
                     request = await asyncio.wait_for(
                         read_request(reader), timeout=IDLE_TIMEOUT_S
@@ -367,10 +389,15 @@ class HttpService:
                     )
                     await writer.drain()
                     break
+                finally:
+                    self._idle.discard(writer)
                 if request is None:
                     break
-                keep_alive = request.headers.get("connection", "keep-alive").lower() != "close"
                 status, payload, headers = await self._dispatch(request)
+                keep_alive = (
+                    not self._draining
+                    and request.headers.get("connection", "keep-alive").lower() != "close"
+                )
                 writer.write(
                     encode_response(status, payload, keep_alive=keep_alive, headers=headers)
                 )
@@ -381,6 +408,7 @@ class HttpService:
         except ConnectionError:  # peer vanished mid-response
             pass
         finally:
+            self._connections.discard(task)
             writer.close()
             try:
                 await writer.wait_closed()

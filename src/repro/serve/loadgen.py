@@ -5,14 +5,14 @@ drawn round-robin from a corpus (:func:`build_phases`): one phase of
 ``--requests`` over the paper's example programs plus ``--generated K``
 seeded random nests, or with ``--families K [--flow]`` one phase per
 structure family (one loop shape at varying bounds and processor
-counts), which shows a ``--plan-cache`` server's per-family hit rate.
+counts), each with its own stats.
 
 One driver, :func:`run_loadgen`, scrapes the target's ``/metrics``
 before the first phase and after each, and reads the dumps with the
 reader in :mod:`repro.serve.client`.  Each phase gets its client-side
-throughput and latency percentiles, its plan-cache delta and the
-target's own ``latency_ms`` histogram; queueing inside the server shows
-as the gap between the two views.  Behind a ``repro route`` front tier,
+throughput and latency percentiles and the target's own ``latency_ms``
+histogram; queueing inside the server shows as the gap between the two
+views.  Behind a ``repro route`` front tier,
 whose dump carries every replica's series, the same dumps give
 per-shard request counts, cache hit rates and latency tails.
 
@@ -44,7 +44,6 @@ from typing import NamedTuple
 from .client import (
     ServeClient,
     ServeError,
-    cache_stats,
     hit_rate,
     is_router,
     latency,
@@ -151,15 +150,12 @@ def _variants(name: str, source: str, n0: int, n_variants: int, p_variants: int,
 def family_corpus(
     family: int, n_variants: int, p_variants: int
 ) -> list[tuple[str, str, dict, int]]:
-    """Request sweep for one structural family (plan-cache workload).
+    """Request sweep for one structural family.
 
     Every variant shares one loop *structure* — a 2-deep stencil whose
-    offsets depend only on the family index — so the whole sweep maps to
-    a single plan-cache key: with ``--plan-cache`` on the server, the
-    first variant solves the family's closed form and every later
-    variant is a structure hit.  Bounds (``N``) and processor counts
-    vary per variant, so the response cache never short-circuits the
-    sweep.
+    offsets depend only on the family index.  Bounds (``N``) and
+    processor counts vary per variant, so the response cache never
+    short-circuits the sweep.
     """
     dx = family % 5 + 1
     dy = family // 5 % 5 + 2
@@ -181,11 +177,7 @@ def flow_family_corpus(
     The flow analogue of :func:`family_corpus`: every variant shares one
     two-statement pipeline *structure* — a stencil producer handing
     ``T`` to a shifted consumer, offsets fixed by the family index —
-    while bounds (``N``) and processor counts vary.  Each statement is
-    independently optimized behind the scenes (co-partitioning runs the
-    per-statement optimum first), so with ``--plan-cache`` the server
-    solves each statement's closed form once per family and every later
-    variant instantiates from the structure-keyed plan tier.
+    while bounds (``N``) and processor counts vary.
 
     Entries carry a fifth element: extra ``client.partition`` keyword
     arguments selecting the flow pipeline.
@@ -267,9 +259,8 @@ def run_loadgen(
 
     The result holds the whole run's client stats, the target's own
     ``/v1/partition`` histogram (``server_latency_ms``, cumulative since
-    it started), the run's plan-cache delta (``plan``), the cumulative
-    ``plan_cache`` counters and, behind a router, ``per_shard``.  Tagged
-    phases are listed under ``families`` with the same per-phase stats.
+    it started) and, behind a router, ``per_shard``.  Tagged phases are
+    listed under ``families`` with the same per-phase stats.
     """
     if clients < 1:
         raise ValueError(f"clients must be >= 1, got {clients}")
@@ -288,15 +279,14 @@ def run_loadgen(
         entries.append(
             dict(phase.tags or {},
                  **_client_stats(clients, phase.requests, phase_wall_s, phase_records),
-                 **_target_stats(dumps[-2], dumps[-1]))
+                 server_latency_ms=latency(dumps[-1]))
         )
         first += phase.requests
         wall_s += phase_wall_s
         records += phase_records
     stats = dict(
         _client_stats(clients, first, wall_s, records),
-        **_target_stats(dumps[0], dumps[-1]),
-        plan_cache=cache_stats(dumps[-1], "plan"),
+        server_latency_ms=latency(dumps[-1]),
     )
     if is_router(dumps[-1]):
         stats["per_shard"] = _shard_deltas(dumps[0], dumps[-1], wall_s)
@@ -401,16 +391,6 @@ def _client_stats(clients: int, requests: int, wall_s: float, records: list[dict
             "max": (ok[-1] * 1000) if ok else 0.0,
         },
     }
-
-
-def _target_stats(before: dict | None, after: dict | None) -> dict:
-    """The target's view between two dumps: its own latency histogram
-    and the plan-cache delta."""
-    prior = cache_stats(before, "plan") or {}
-    now = cache_stats(after, "plan") or {}
-    plan = {k: now.get(k, 0) - prior.get(k, 0) for k in ("hits", "misses", "fallbacks")}
-    plan["hit_rate"] = hit_rate(plan["hits"], plan["misses"])
-    return {"server_latency_ms": latency(after), "plan": plan}
 
 
 def _scrape(host: str, port: int) -> dict | None:
@@ -579,7 +559,6 @@ def spawn_cluster(
     queue_depth: int = 64,
     cache_dir: str | None = None,
     cache_exchange_s: float | None = None,
-    server_extra: list[str] | None = None,
     router_extra: list[str] | None = None,
     timeout_s: float = 60.0,
     wait_ready: bool = True,
@@ -588,7 +567,7 @@ def spawn_cluster(
 
     With ``cache_dir`` every replica shares the directory for warm starts
     and — when ``cache_exchange_s`` is set — periodically snapshots and
-    absorbs plan/lattice cache deltas through the union-merge lockfile
+    absorbs analytic-cache deltas through the union-merge lockfile
     protocol, so one replica's analytic work warms its peers.
     """
     if replicas < 1:
@@ -596,9 +575,10 @@ def spawn_cluster(
     fleet: list[tuple[subprocess.Popen, int]] = []
     handle = None
     try:
-        extra = list(server_extra or [])
-        if cache_exchange_s is not None:
-            extra += ["--cache-exchange-s", str(cache_exchange_s)]
+        extra = (
+            [] if cache_exchange_s is None
+            else ["--cache-exchange-s", str(cache_exchange_s)]
+        )
         for _ in range(replicas):
             fleet.append(
                 spawn_server(
@@ -659,7 +639,7 @@ def build_loadgen_parser() -> argparse.ArgumentParser:
     p.add_argument("--families", type=int, default=0, metavar="K",
                    help="family-sweep mode: drive K structure families "
                    "(same loop shape, varying bounds and P) sequentially "
-                   "and report per-family plan-cache hit rates")
+                   "and report per-family stats")
     p.add_argument("--sweep", default="4,3", metavar="N,P",
                    help="with --families: N bound variants x P processor "
                    "counts per family (default 4,3)")
@@ -676,7 +656,7 @@ def build_loadgen_parser() -> argparse.ArgumentParser:
                    "subprocesses behind the spawned router (default 2)")
     p.add_argument("--cache-exchange-s", type=float, default=None, metavar="S",
                    help="with --cluster --spawn: replicas exchange "
-                   "plan/lattice cache deltas through --spawn-cache-dir "
+                   "analytic-cache deltas through --spawn-cache-dir "
                    "every S seconds")
     p.add_argument("--spawn", action="store_true",
                    help="launch a private server subprocess on an ephemeral "
@@ -685,8 +665,6 @@ def build_loadgen_parser() -> argparse.ArgumentParser:
                    help="--workers for the spawned server")
     p.add_argument("--spawn-cache-dir", default=None, metavar="DIR",
                    help="--cache-dir for the spawned server")
-    p.add_argument("--spawn-plan-cache", action="store_true",
-                   help="--plan-cache for the spawned server")
     p.add_argument("--json", default=None, metavar="PATH",
                    help="write the stats dict as JSON")
     return p
@@ -726,7 +704,6 @@ def loadgen_main(argv: list[str] | None = None, *, out=None) -> int:
     host, port = args.host, args.port
     try:
         if args.spawn:
-            extra = ["--plan-cache"] if args.spawn_plan_cache else []
             host = "127.0.0.1"
             if args.cluster:
                 cluster = spawn_cluster(
@@ -734,7 +711,6 @@ def loadgen_main(argv: list[str] | None = None, *, out=None) -> int:
                     workers=args.spawn_workers,
                     cache_dir=args.spawn_cache_dir,
                     cache_exchange_s=args.cache_exchange_s,
-                    server_extra=extra,
                 )
                 spawned, port = cluster.processes, cluster.router_port
                 print(
@@ -747,7 +723,6 @@ def loadgen_main(argv: list[str] | None = None, *, out=None) -> int:
                 proc, port = spawn_server(
                     workers=args.spawn_workers,
                     cache_dir=args.spawn_cache_dir,
-                    extra_args=extra,
                 )
                 spawned = [proc]
                 print(f"loadgen: spawned server on port {port}", file=out)
@@ -794,14 +769,10 @@ def _print_summary(stats: dict, out) -> None:
             file=out,
         )
     for entry in stats.get("families", []):
-        plan = entry["plan"]
         kind = "flow family" if entry["program"] == "flow" else "family"
         print(
             f"  {kind} {entry['family']}: {entry['completed']}/"
-            f"{entry['requests']} ok, plan hits {plan['hits']} "
-            f"misses {plan['misses']} fallbacks {plan['fallbacks']} "
-            f"(hit rate {_percent(plan['hit_rate'])}), p50 "
-            f"{entry['latency_ms']['p50']:.1f} ms",
+            f"{entry['requests']} ok, p50 {entry['latency_ms']['p50']:.1f} ms",
             file=out,
         )
     for shard in stats.get("per_shard", []):

@@ -42,7 +42,6 @@ from typing import NamedTuple
 
 from ..core.loopnest import LoopNest
 from ..core.partitioner import LoopPartitioner, PartitionResult
-from ..core.plan import DEFAULT_PLAN_CACHE
 from ..exceptions import ReproError
 from ..lang import LoopNode, lower_nest, parse_program
 from ..lattice import DEFAULT_LATTICE_CACHE, analytic_cache_stats
@@ -73,14 +72,12 @@ def run_request(
     request: PartitionRequest,
     *,
     cache,
-    plan_cache,
     opt_budget_s: float | None,
     observer=None,
 ) -> RequestRun:
     """Run the full pipeline for one request.
 
     ``cache`` is the lattice-count cache for the grid search (``None``
-    disables it), ``plan_cache`` the structure-keyed plan tier (``None``
     disables it) and ``opt_budget_s`` the per-member wall-time budget of
     the parallelepiped portfolio.  ``observer`` receives the simulator's
     per-access events (the CLI's ``--trace-out``).  Only the first nest
@@ -99,7 +96,6 @@ def run_request(
             simulate=request.simulate,
             sweeps=request.sweeps,
             cache=cache,
-            plan_cache=plan_cache,
             opt_budget_s=opt_budget_s,
             label=request.label,
             caches=analytic_cache_stats,
@@ -112,7 +108,6 @@ def run_request(
     result = LoopPartitioner(nest, request.processors).partition(
         method=request.method,
         cache=cache,
-        plan_cache=plan_cache,
         opt_budget_s=opt_budget_s,
     )
     sim = None
@@ -147,7 +142,7 @@ def run_request(
 def execute_request(request: PartitionRequest) -> dict:
     """Run one request in a worker; returns the run report.
 
-    Uses the worker's plan-cache and budget settings (:func:`init_worker`)
+    Uses the worker's budget setting (:func:`init_worker`)
     and raises :class:`~repro.serve.protocol.ProtocolError` for declared
     pipeline failures (unparsable source, unbound symbols, infeasible
     optimisation) so callers can map them to a 422 without pattern-
@@ -158,7 +153,6 @@ def execute_request(request: PartitionRequest) -> dict:
         return run_request(
             request,
             cache=DEFAULT_LATTICE_CACHE,
-            plan_cache=DEFAULT_PLAN_CACHE if _PLAN_ENABLED else None,
             opt_budget_s=_OPT_BUDGET_S,
         ).report
     except ReproError as e:
@@ -172,10 +166,6 @@ def execute_request(request: PartitionRequest) -> dict:
 #: (set by :func:`init_worker`); only that delta travels with each batch
 #: result.
 _shipper: CacheShipper | None = None
-
-#: Whether this worker routes theorem-4 optimisation through the plan
-#: cache (set by :func:`init_worker` from the server's ``--plan-cache``).
-_PLAN_ENABLED = False
 
 #: Per-member wall-time budget for the parallelepiped portfolio (set by
 #: :func:`init_worker` from the server's ``--opt-budget``); ``None``
@@ -193,10 +183,12 @@ def init_worker(
     Under the ``fork`` start method children inherit the parent's warm
     caches for free; under ``spawn`` they start cold, so the warm-start
     snapshot is loaded explicitly.  Entries and counts present at startup
-    are marked shipped — the parent already has them.  ``plan_cache`` turns on the
-    structure-keyed plan tier for every request this worker runs;
-    ``opt_budget_s`` caps each parallelepiped portfolio member's wall
-    time for every request this worker runs.
+    are marked shipped — the parent already has them.  ``opt_budget_s``
+    caps each parallelepiped portfolio member's wall time for every
+    request this worker runs.  ``plan_cache`` is accepted and ignored:
+    the structure-keyed plan tier it enabled is gone, and
+    ``perfbench/worker.py`` (``verify_serve``) still passes
+    ``plan_cache=True``; it goes with the next benchmark change.
 
     A forked worker inherits the server's asyncio signal setup: no-op
     SIGTERM/SIGINT handlers and a wakeup fd into the server's event
@@ -206,9 +198,8 @@ def init_worker(
     SIGKILLed server nobody else would end it.  Called in-process (not
     in a compute worker) it only sets the module state.
     """
-    global _PLAN_ENABLED, _OPT_BUDGET_S, _shipper
+    global _OPT_BUDGET_S, _shipper
     _detach_from_server()
-    _PLAN_ENABLED = bool(plan_cache)
     _OPT_BUDGET_S = opt_budget_s
     # Test hook: REPRO_TEST_WORKER_INIT_DELAY_S stretches worker
     # hydration so the /healthz readiness window is observable.

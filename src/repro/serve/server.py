@@ -98,7 +98,6 @@ class ServeConfig:
     slo_error_rate: float = 0.01
     flight_capacity: int = 512
     trace_requests: bool = True  # ship worker span trees back per request
-    plan_cache: bool = False  # route theorem-4 optimisation through plans
     opt_budget_s: float | None = None  # per-member parallelepiped budget
     cache_exchange_s: float | None = None  # period of cross-replica cache exchange
 
@@ -120,7 +119,6 @@ class PartitionServer(HttpService):
             cache_dir=self.config.cache_dir,
             max_batch=self.config.max_batch,
             ship_traces=self.config.trace_requests,
-            plan_cache=self.config.plan_cache,
             opt_budget_s=self.config.opt_budget_s,
         )
         # self._admitted (from HttpService) counts unique computations
@@ -408,11 +406,10 @@ def build_serve_parser() -> argparse.ArgumentParser:
                    help="default per-request deadline")
     p.add_argument("--drain-s", type=float, default=10.0, metavar="S",
                    help="max seconds to wait for in-flight work on shutdown")
-    p.add_argument("--plan-cache", action="store_true",
-                   help="solve the Sec 3.6 closed forms once per loop "
-                   "structure and instantiate cached plans per request "
-                   "(falls back to the numeric optimizer when a structure "
-                   "has no closed form)")
+    # Accepted and ignored: the structure-keyed plan tier it switched on
+    # is gone, but perfbench/servemix.py still starts the server with it.
+    # It goes with the next benchmark change.
+    p.add_argument("--plan-cache", action="store_true", help=argparse.SUPPRESS)
     p.add_argument("--cache-exchange-s", type=float, default=None, metavar="S",
                    help="with --cache-dir: every S seconds, snapshot this "
                    "replica's analytic-cache deltas into the shared cache "
@@ -457,7 +454,6 @@ def serve_main(argv: list[str] | None = None, *, out=None) -> int:
         slo_error_rate=args.slo_error_rate,
         flight_capacity=args.flight_capacity,
         trace_requests=not args.no_request_traces,
-        plan_cache=args.plan_cache,
         opt_budget_s=args.opt_budget,
         cache_exchange_s=args.cache_exchange_s,
     )

@@ -163,6 +163,84 @@ class TestGuards:
         monkeypatch.delenv("REPRO_CACHE_DIR")
         assert str(default_cache_dir()).endswith(".cache/repro")
 
+    def test_v1_file_accepted(self, tmp_path):
+        """A version-1 cache file still warm-starts the count caches."""
+        self._write(
+            tmp_path,
+            {
+                "schema": CACHE_SCHEMA,
+                "version": 1,
+                "caches": {"lattice_cache": [[{"t": ["k", 3]}, 7.0]]},
+            },
+        )
+        lc = LatticeCountCache()
+        assert load_caches(tmp_path, footprint_table=FootprintTable(), lattice_cache=lc) == 1
+        assert lc.get_or_compute(("k", 3), lambda: 0) == 7.0
+
+    def test_unknown_sections_preserved(self, tmp_path):
+        """A section written by another version survives our merge-write
+        verbatim (forward compatibility)."""
+        self._write(
+            tmp_path,
+            {
+                "schema": CACHE_SCHEMA,
+                "version": CACHE_VERSION,
+                "caches": {"future_cache": [["some-key", {"v": [1, 2]}]]},
+            },
+        )
+        ft, lc = FootprintTable(), LatticeCountCache()
+        ft.lookup([2], [4])
+        save_caches(tmp_path, footprint_table=ft, lattice_cache=lc)
+        data = json.loads((tmp_path / CACHE_FILENAME).read_text())
+        assert data["caches"]["future_cache"] == [["some-key", {"v": [1, 2]}]]
+        assert len(data["caches"]["footprint_table"]) == 1
+
+    def test_older_plan_section_kept(self, tmp_path):
+        """A file an older version wrote with its structure-keyed plans
+        section loads: the count sections hydrate, the plans are not read,
+        and a save writes the plans section back unchanged."""
+        self._write(tmp_path, OLDER_PLAN_FILE)
+        ft, lc = FootprintTable(), LatticeCountCache()
+        assert load_caches(tmp_path, footprint_table=ft, lattice_cache=lc) == 2
+        assert ft.export_entries() == [(((1, 3), (1, 3)), 7)]
+        assert lc.get_or_compute(("k", 3), lambda: 0) == 7.0
+        ft.lookup([2], [4])
+        assert save_caches(tmp_path, footprint_table=ft, lattice_cache=lc) == 4
+        data = json.loads((tmp_path / CACHE_FILENAME).read_text())
+        assert data["caches"]["plan_cache"] == OLDER_PLAN_FILE["caches"]["plan_cache"]
+        assert len(data["caches"]["footprint_table"]) == 2
+
+
+#: A cache file in the shape the version with the plan tier wrote it: its
+#: plans section holds one solved plan (the two-reference stencil
+#: ``B[i+1,j] + B[i,j+2]``), copied from a real file.
+OLDER_PLAN_FILE = {
+    "schema": CACHE_SCHEMA,
+    "version": 2,
+    "caches": {
+        "footprint_table": [[{"t": [{"t": [1, 3]}, {"t": [1, 3]}]}, 7]],
+        "lattice_cache": [[{"t": ["k", 3]}, 7.0]],
+        "plan_cache": [[
+            {"t": ["plan", 1, 2, {"t": [
+                {"t": ["class", 2, 2, {"b": "01" + "00" * 23 + "01" + "00" * 7},
+                       1, {"b": "00" * 16}, 1]},
+                {"t": ["class", 2, 2, {"b": "01" + "00" * 23 + "01" + "00" * 7},
+                       2, {"b": "00" * 8 + "02" + "00" * 7 + "01" + "00" * 15}, 0]},
+            ]}]},
+            {"version": 1, "depth": 2, "applicable": True, "reason": None,
+             "a": [1.0, 2.0],
+             "classes": [
+                 {"u": [0.0, 0.0], "union": None, "line": None,
+                  "kernel_mask": [False, False], "penalized": False},
+                 {"u": [1.0, 2.0], "union": None, "line": None,
+                  "kernel_mask": [False, False], "penalized": False},
+             ],
+             "cost_poly": {"names": ["s0", "s1"],
+                           "terms": [[[0, 1], 2.0], [[0], 2.0], [[1], 1.0]]}},
+        ]],
+    },
+}
+
 
 class TestCliWarmStart:
     # B's reference matrix collapses iterations (dependent rows), which is
@@ -203,12 +281,9 @@ EndDoall
         assert (cache_dir / CACHE_FILENAME).exists()
         assert "caches" in r1
         stats1 = r1["caches"]
-        assert set(stats1) == {"footprint_table", "lattice_cache", "plan"}
-        for name, section in stats1.items():
-            expected = {"entries", "hits", "misses", "loads"}
-            if name == "plan":
-                expected |= {"fallbacks"}
-            assert set(section) == expected
+        assert set(stats1) == {"footprint_table", "lattice_cache"}
+        for section in stats1.values():
+            assert set(section) == {"entries", "hits", "misses", "loads"}
 
         # Second run warm-starts from the persisted file.  The DEFAULT
         # caches live in-process, so isolate the child run in a fresh
@@ -247,25 +322,29 @@ EndDoall
 
 def _fixed_content():
     """Caches with keys whose reprs share prefixes (ints 1/12/120/-1,
-    strings 'a'/'ab', nested tuples, bytes) and dict plan payloads."""
-    from repro.core.plan import PlanCache
-
-    ft, lc, pc = FootprintTable(), LatticeCountCache(), PlanCache()
+    strings 'a'/'ab', nested tuples, bytes)."""
+    ft, lc = FootprintTable(), LatticeCountCache()
     ft.absorb_entries([(((1, 2), (3, 4)), 6), (((1, 2), (3,)), 3), (((1,), (12,)), 13)])
     lc.absorb_entries([
         (120, 1.5), (12, 2), (1, 3), (-1, 4), ("ab", 5), ("a", 6),
         (("k", b"\x01\x02", (3, 4)), 7.25), (("k", b"\x01", (3,)), 8),
     ])
-    pc.absorb_entries([
-        (("plan", (2, 2), b"\xff"), {"grid": [4, 2], "cost": 1.0}),
-        (("plan", (2,), b"\xff"), {"grid": [8], "cost": 2.5, "note": "z"}),
-        (("plan", (12,), b""), {"grid": [1], "cost": 0.5}),
-    ])
-    return {"footprint_table": ft, "lattice_cache": lc, "plan_cache": pc}
+    return {"footprint_table": ft, "lattice_cache": lc}
+
+
+#: A plans section with dict values, as the version with the plan tier
+#: wrote it; this version keeps it as an unknown section.
+_FIXED_PLANS = [
+    [{"t": ["plan", {"t": [2]}, {"b": "ff"}]}, {"grid": [8], "cost": 2.5, "note": "z"}],
+    [{"t": ["plan", {"t": [2, 2]}, {"b": "ff"}]}, {"grid": [4, 2], "cost": 1.0}],
+    [{"t": ["plan", {"t": [12]}, {"b": ""}]}, {"grid": [1], "cost": 0.5}],
+]
 
 
 class TestStableBytes:
-    #: sha256 of the file the repr-of-pair sort wrote for _fixed_content().
+    #: sha256 of the file the repr-of-pair sort wrote for _fixed_content()
+    #: plus the plans section (the same bytes the version with the plan
+    #: tier wrote from its plan cache).
     DIGEST = "d592769201cf8edd8e1a15b6476d48254cdc41e1130bf51ac383101488c85442"
 
     def test_file_bytes_are_unchanged(self, tmp_path):
@@ -273,6 +352,10 @@ class TestStableBytes:
         sorting whole ``[key, value]`` pairs by their repr."""
         import hashlib
 
+        (tmp_path / CACHE_FILENAME).write_text(json.dumps({
+            "schema": CACHE_SCHEMA, "version": CACHE_VERSION,
+            "caches": {"plan_cache": _FIXED_PLANS},
+        }))
         save_caches(tmp_path, **_fixed_content())
         raw = (tmp_path / CACHE_FILENAME).read_bytes()
         doc = json.loads(raw)

@@ -102,6 +102,28 @@ class TestMemoisedCounts:
         assert calls == [1]
         assert (cache.hits, cache.misses) == (1, 1)
 
+    def test_export_absorb_entries(self):
+        """Entries move between tables (persistence, worker ship-back)
+        without recomputation; repeats and non-count values add nothing."""
+        a = LatticeCountCache()
+        a.count_distinct_images([[1, 0], [0, 2]], [5, 5])
+        a.get_or_compute(("k", 1), lambda: 12.5)
+        b = LatticeCountCache()
+        assert b.absorb_entries(a.export_entries()) == 2
+        assert (len(b), b.loads) == (2, 2)
+        assert b.absorb_entries(a.export_entries()) == 0
+        assert b.absorb_entries([("junk", "not-a-count"), ("flag", True)]) == 0
+        assert b.get_or_compute(("k", 1), lambda: 0) == 12.5
+        assert (b.hits, b.misses) == (1, 0)
+
+    def test_absorb_stats_delta(self):
+        """A worker's hit/miss delta adds onto the table's own counters;
+        other names in the delta are ignored."""
+        cache = LatticeCountCache()
+        cache.get_or_compute(("k", 1), lambda: 7)
+        cache.absorb_stats({"hits": 3, "misses": 2, "loads": 1, "bogus": 9})
+        assert cache.stats() == {"entries": 1, "hits": 3, "misses": 3, "loads": 0}
+
     def test_clear(self):
         """``clear`` drops the entries; the counters keep running."""
         cache = LatticeCountCache()
@@ -110,6 +132,20 @@ class TestMemoisedCounts:
         assert (len(cache), cache.hits, cache.misses) == (0, 0, 1)
         cache.count_distinct_images([[1, 0]], [3])
         assert (len(cache), cache.hits, cache.misses) == (1, 0, 2)
+
+    def test_clear_keeps_counters(self):
+        """Clearing a table filled by absorbed and computed entries keeps
+        every counter that ``stats`` reports, only ``entries`` drops."""
+        a = LatticeCountCache()
+        a.get_or_compute(("k", 1), lambda: 4)
+        cache = LatticeCountCache()
+        cache.absorb_entries(a.export_entries())
+        cache.get_or_compute(("k", 1), lambda: 0)
+        cache.get_or_compute(("k", 2), lambda: 5)
+        before = cache.stats()
+        cache.clear()
+        assert len(cache) == 0
+        assert cache.stats() == {**before, "entries": 0}
 
 
 class TestFootprintWiring:
@@ -185,11 +221,18 @@ class TestShipBack:
         assert DEFAULT_LATTICE_CACHE.get_or_compute(key, lambda: 5) == 5
         first = shipper.take()
         assert first["lattice_cache"] == {"entries": [(key, 5)], "stats": {"misses": 1}}
-        for section in ("footprint_table", "plan_cache"):
-            assert first[section] == {"entries": [], "stats": {}}
+        assert first["footprint_table"] == {"entries": [], "stats": {}}
         DEFAULT_LATTICE_CACHE.get_or_compute(key, lambda: 0)
         second = shipper.take()
         assert second["lattice_cache"] == {"entries": [], "stats": {"hits": 1}}
+
+    def test_default_caches_in_analytic_stats(self):
+        from repro.lattice import analytic_cache_stats
+
+        stats = analytic_cache_stats()
+        assert set(stats) == {"footprint_table", "lattice_cache"}
+        for section in stats.values():
+            assert set(section) == {"entries", "hits", "misses", "loads"}
 
     def test_absorb_adds_worker_counts(self):
         shipper = CacheShipper()

@@ -76,8 +76,8 @@ def _calls(tree: ast.AST, name: str) -> bool:
 
 def test_one_grid_search():
     """Within ``core/``, only ``optimize.py`` enumerates processor grids:
-    the plan tier and the data-partition optimizer go through its shared
-    grid search instead of calling ``factorizations`` themselves."""
+    the data-partition optimizer goes through its feasible-grid helper
+    instead of calling ``factorizations`` itself."""
     core = Path(repro.__file__).parent / "core"
     callers = sorted(
         path.name
@@ -122,14 +122,13 @@ def _absolute_imports(tree: ast.AST, package: str) -> set[str]:
 def test_one_sim_metrics_owner():
     """Counts stay with the components that increment them.  No module
     under ``sim/`` imports the metrics registry (the run report reads the
-    simulator's ints), nor do the analytic caches (``lattice/memo.py``,
-    ``core/plan.py``).  Their ints reach a registry through one
+    simulator's ints), nor do the analytic caches (``lattice/memo.py``).
+    Their ints reach a registry through one
     publisher: ``lattice/memo.py``'s ``publish_cache_metrics``, the only
     caller of ``MetricsRegistry.publish``."""
     root = Path(repro.__file__).parent
     counters = sorted((root / "sim").rglob("*.py")) + [
         root / "lattice" / "memo.py",
-        root / "core" / "plan.py",
     ]
     importers = sorted(
         f"{path.parent.name}/{path.name}"

@@ -146,13 +146,13 @@ class TestOptimizeRectangular:
     def test_unknown_scoring_rejected(self, example8_nest):
         """A misspelt scoring is an error, not a silent Theorem-4 run
         (Example 8 at P=8 costs 4752 under theorem4, 4610 exactly)."""
-        from repro.core.plan import PlanCache
+        from repro.lattice.points import LatticeCountCache
 
         sets = partition_references(example8_nest.accesses)
-        cache = PlanCache()
+        cache = LatticeCountCache()
         with pytest.raises(ValueError, match="exct"):
             optimize_rectangular(
-                sets, example8_nest.space, 8, scoring="exct", plan_cache=cache
+                sets, example8_nest.space, 8, scoring="exct", cache=cache
             )
         assert cache.stats()["misses"] == 0
         exact = optimize_rectangular(sets, example8_nest.space, 8, scoring="exact")

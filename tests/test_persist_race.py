@@ -17,7 +17,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.plan import PlanCache
 from repro.lattice import persist
 from repro.lattice.points import FootprintTable, LatticeCountCache
 
@@ -37,7 +36,6 @@ def _writer_proc(cache_dir: str, writer: int, count: int, barrier) -> None:
             cache_dir,
             footprint_table=table,
             lattice_cache=empty,
-            plan_cache=PlanCache(),
         )
 
 
@@ -60,7 +58,6 @@ def test_two_writer_union_survives(tmp_path):
         str(tmp_path),
         footprint_table=merged,
         lattice_cache=LatticeCountCache(),
-        plan_cache=PlanCache(),
     )
     assert loaded == 2 * count
     on_disk = dict(merged.export_entries())
@@ -84,7 +81,6 @@ def _exchange_writer(cache_dir: str, writer: int, cycles: int, per_cycle: int, b
             cache_dir,
             footprint_table=table,
             lattice_cache=LatticeCountCache(),
-            plan_cache=PlanCache(),
         )
 
 
@@ -115,7 +111,6 @@ def test_three_writer_exchange_cycles_converge_to_union(tmp_path):
         str(tmp_path),
         footprint_table=merged,
         lattice_cache=LatticeCountCache(),
-        plan_cache=PlanCache(),
     )
     assert loaded == len(writers) * cycles * per_cycle
     on_disk = dict(merged.export_entries())
@@ -165,7 +160,6 @@ def test_sigkill_mid_lock_does_not_wedge_writers(tmp_path, monkeypatch):
         str(tmp_path),
         footprint_table=t,
         lattice_cache=LatticeCountCache(),
-        plan_cache=PlanCache(),
     )
     assert written == 5
     assert not lock.exists()
@@ -178,7 +172,6 @@ def test_save_merges_with_existing_file(tmp_path):
         str(tmp_path),
         footprint_table=a,
         lattice_cache=LatticeCountCache(),
-        plan_cache=PlanCache(),
     )
     b = FootprintTable()
     b.absorb_entries(_synthetic_entries(2, 10))
@@ -186,7 +179,6 @@ def test_save_merges_with_existing_file(tmp_path):
         str(tmp_path),
         footprint_table=b,
         lattice_cache=LatticeCountCache(),
-        plan_cache=PlanCache(),
     )
     assert written == 20
 
@@ -202,7 +194,6 @@ def test_stale_lock_is_broken(tmp_path, monkeypatch):
         str(tmp_path),
         footprint_table=t,
         lattice_cache=LatticeCountCache(),
-        plan_cache=PlanCache(),
     )
     assert written == 3
     assert not lock.exists()

@@ -59,8 +59,11 @@ class TestBackoffDelay:
 
 
 def _occupy(port: int, done: threading.Event) -> None:
+    # method="auto" runs the parallelepiped portfolio (about 0.15 s warm):
+    # the rectangular pass alone takes a few milliseconds and can finish
+    # before the test sees it in flight.
     with ServeClient("127.0.0.1", port, max_retries_429=0) as c:
-        c.partition(SLOW_SOURCE, 8, bindings={"N": 20}, label="occupy")
+        c.partition(SLOW_SOURCE, 8, bindings={"N": 20}, method="auto", label="occupy")
     done.set()
 
 

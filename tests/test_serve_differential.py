@@ -5,8 +5,8 @@ program, and the same message when the pipeline rejects a program.
 Both front ends run one function, ``repro.serve.pipeline.run_request``:
 the CLI calls it in-process, a service worker through
 ``execute_request``.  What this test guards is everything around that
-call — how each side builds the request (``-D`` order, labels, caches,
-plan tier) and how each side reports a failure (the CLI's
+call — how each side builds the request (``-D`` order, labels, caches)
+and how each side reports a failure (the CLI's
 ``error: <message>`` and exit 1, the service's 422 ``pipeline-error``
 with the same message).  Normalisation strips
 exactly the run-dependent parts: per-span wall times (``duration_s``)
@@ -64,16 +64,13 @@ def server():
         yield emb
 
 
-@pytest.mark.parametrize("filename,bindings,processors", EXAMPLES)
-def test_serve_matches_cli_json_report(
-    server, tmp_path, filename, bindings, processors
-):
+def _assert_example_matches(server, tmp_path, filename, bindings, processors, cli_extra=()):
     path = EXAMPLES_DIR / filename
     assert path.exists(), f"missing example program {path}"
     simulate = filename in SIMULATED
 
     report_path = tmp_path / "cli.json"
-    argv = [str(path), "-p", str(processors)]
+    argv = [str(path), "-p", str(processors), *cli_extra]
     for name, value in bindings.items():
         argv += ["-D", f"{name}={value}"]
     if simulate:
@@ -96,58 +93,33 @@ def test_serve_matches_cli_json_report(
     assert _normalize(serve_report) == _normalize(cli_report)
 
 
+@pytest.mark.parametrize("filename,bindings,processors", EXAMPLES)
+def test_serve_matches_cli_json_report(
+    server, tmp_path, filename, bindings, processors
+):
+    _assert_example_matches(server, tmp_path, filename, bindings, processors)
+
+
 @pytest.fixture(scope="module")
-def plan_server():
-    with EmbeddedServer(ServeConfig(port=0, workers=1, plan_cache=True)) as emb:
-        yield emb
+def warm_server(tmp_path_factory):
+    cache_dir = tmp_path_factory.mktemp("analytic-cache")
+    with EmbeddedServer(ServeConfig(port=0, workers=1, cache_dir=str(cache_dir))) as emb:
+        yield emb, cache_dir
 
 
 @pytest.mark.parametrize("filename,bindings,processors", EXAMPLES)
-def test_serve_plan_cache_matches_cli_json_report(
-    plan_server, tmp_path, filename, bindings, processors
+def test_serve_warm_cache_matches_cli_json_report(
+    warm_server, tmp_path, filename, bindings, processors
 ):
-    """The contract holds with the plan cache on, on both sides.
-
-    The plan tier replicates the numeric optimizer's arithmetic exactly
-    (or falls back to it), and its spans fire identically on hits and
-    misses, so a ``--plan-cache`` server and a ``--plan-cache`` CLI run
-    must still produce byte-identical reports — partition, predictions,
-    and span structure included.
-    """
-    path = EXAMPLES_DIR / filename
-    simulate = filename in SIMULATED
-
-    report_path = tmp_path / "cli.json"
-    argv = [str(path), "-p", str(processors), "--plan-cache"]
-    for name, value in bindings.items():
-        argv += ["-D", f"{name}={value}"]
-    if simulate:
-        argv += ["--simulate"]
-    argv += ["--json-report", str(report_path)]
-    import io
-
-    assert cli_main(argv, out=io.StringIO()) == 0
-    cli_report = json.loads(report_path.read_text())
-    assert any(
-        s["name"].startswith("optimize.plan") for s in _flatten(cli_report["spans"])
-    ), "CLI --plan-cache run must record plan spans"
-
-    with ServeClient("127.0.0.1", plan_server.port) as client:
-        serve_report = client.partition(
-            path.read_text(),
-            processors,
-            bindings=bindings or None,
-            simulate=simulate or None,
-            label=str(path),
-        )
-
-    assert _normalize(serve_report) == _normalize(cli_report)
-
-
-def _flatten(spans):
-    for s in spans:
-        yield s
-        yield from _flatten(s.get("children", []))
+    """The contract holds with the analytic caches persisted on both
+    sides: a ``--cache-dir`` server and a ``--cache-dir`` CLI run over
+    one directory produce byte-identical reports — partition,
+    predictions and span structure included."""
+    server, cache_dir = warm_server
+    _assert_example_matches(
+        server, tmp_path, filename, bindings, processors,
+        cli_extra=("--cache-dir", str(cache_dir)),
+    )
 
 
 #: (strategy, simulate) — the flow contract holds for both tile-selection

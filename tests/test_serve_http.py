@@ -255,3 +255,37 @@ def test_router_fails_over_on_malformed_replica_response():
         real.stop()
         fake.shutdown()
         fake.server_close()
+
+
+def test_stop_with_idle_keepalive_connection_is_quiet(caplog, capfd):
+    """Stopping a server or a router that still holds an idle keep-alive
+    connection ends that connection without a traceback: the connection
+    handlers finish before the event loop closes, so none is cancelled
+    from under the stream protocol's done-callback."""
+    caplog.set_level(logging.DEBUG)
+    replica = EmbeddedServer(ServeConfig(port=0, workers=1)).start()
+    router = None
+    clients = []
+    try:
+        _wait_ready(replica.port)
+        router = EmbeddedRouter(
+            RouterConfig(port=0, replicas=(f"127.0.0.1:{replica.port}",))
+        ).start()
+        for port in (router.port, replica.port):
+            clients.append(ServeClient("127.0.0.1", port))
+            assert clients[-1].healthz()["status"] == "ok"
+        started = time.monotonic()
+        router.stop()
+        replica.stop()
+        assert time.monotonic() - started < 30
+    finally:
+        for c in clients:
+            c.close()
+        if router is not None:
+            router.stop()
+        replica.stop()
+    errors = [r for r in caplog.records if r.levelno >= logging.ERROR or r.exc_info]
+    assert not errors, [r.getMessage() for r in errors]
+    captured = capfd.readouterr()
+    assert "Traceback" not in captured.err + captured.out
+    assert "CancelledError" not in captured.err + captured.out

@@ -102,7 +102,7 @@ class TestDumpReader:
             "127.0.0.1:1001", "127.0.0.1:1002", "127.0.0.1:1003",
         ]
         a, b, c = shards
-        assert a["reachable"] and a["requests"] == 5
+        assert a["reachable"] and a["requests"] == 4
         assert a["response_cache"] == {"hits": 2, "misses": 2, "hit_rate": 0.5}
         assert b["latency_ms"]["count"] == 16
         assert c == {"replica": "127.0.0.1:1003", "healthy": False, "ready": False,
