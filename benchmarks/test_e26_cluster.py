@@ -268,22 +268,19 @@ def test_cluster_throughput(benchmark):
     (os.cpu_count() or 1) < 4,
     reason="replica scaling needs >= 4 CPUs (one per replica)",
 )
-def test_cluster_scaling_1_to_4(tmp_path):
+def test_cluster_scaling_1_to_4():
     """The headline scaling claim: warm steady-state throughput grows
     >= 2.5x from 1 replica to 4.  Warm traffic is answered from each
     owner's response LRU, so replicas add independent event loops and
-    cache capacity; the shared ``cache_dir`` pre-warms analytic state so
-    the cold pass does not distort the comparison."""
-    shared = str(tmp_path / "cache")
-    os.makedirs(shared, exist_ok=True)
+    cache capacity; the untimed cold pass keeps analytic work out of the
+    comparison."""
     reports: dict[int, dict[str, str]] = {}
     throughput: dict[int, float] = {}
 
     for n in (1, 2, 4):
-        with spawn_cluster(replicas=n, workers=1, cache_dir=shared) as cluster:
+        with spawn_cluster(replicas=n, workers=1) as cluster:
             port = cluster.router_port
-            # Cold pass populates every owner's response LRU (and, via
-            # --cache-dir, the shared analytic snapshot for later runs).
+            # Cold pass populates every owner's response LRU.
             reports[n] = _routed_reports(port, PINNED)
             if n == 2:
                 continue  # topology-identity sample only

@@ -498,19 +498,6 @@ def _flow_failure_entry(spec, art, origin: str) -> dict:
     }
 
 
-#: Set in each pool child by :func:`_init_check_worker`; ``None`` in the
-#: driver, whose caches need no shipping.
-_shipper = None
-
-
-def _init_check_worker() -> None:
-    """Pool initializer: the entries a child inherits are the driver's."""
-    global _shipper
-    from ..lattice.memo import CacheShipper
-
-    _shipper = CacheShipper()
-
-
 def _run_task_batch(
     tasks: list[tuple],
     seed: int,
@@ -528,10 +515,7 @@ def _run_task_batch(
     (``workers=1``) or in a pool child — the driver never activates the
     fault itself, which would double-apply it under the fork start
     method.  Shrinking of failures also happens here, so failing cases
-    parallelise with the rest.  A pool child also returns what its
-    analytic caches learnt since its last batch (a
-    :class:`~repro.lattice.memo.CacheShipper` take); the driver process
-    returns an empty shipment.
+    parallelise with the rest.
     """
     if os.environ.get("REPRO_CHECK_KILL_WORKER"):
         import multiprocessing
@@ -580,9 +564,7 @@ def _run_task_batch(
                 else None
             )
             out.append((dict(art.tally.counts), entry, first))
-    # Ship the new analytic-cache entries back so a --cache-dir driver can
-    # persist what the batch computed (child processes die with the pool).
-    return out, (_shipper.take() if _shipper is not None else {})
+    return out
 
 
 def run_check(
@@ -631,12 +613,10 @@ def run_check(
     tasks.extend(("generated", case_id) for case_id in range(cases))
 
     if workers == 1 or len(tasks) <= 1:
-        results, _ = _run_task_batch(tasks, seed, config, fault, mode)
+        results = _run_task_batch(tasks, seed, config, fault, mode)
     else:
         from concurrent.futures import ProcessPoolExecutor
         from concurrent.futures.process import BrokenProcessPool
-
-        from ..lattice.memo import absorb_shipment
 
         # Small contiguous batches load-balance the uneven per-case cost
         # (a failing case also pays for shrinking); collecting futures in
@@ -645,29 +625,23 @@ def run_check(
         chunk = -(-len(tasks) // (nworkers * 4))
         batches = [tasks[i : i + chunk] for i in range(0, len(tasks), chunk)]
         results = []
-        with ProcessPoolExecutor(
-            max_workers=nworkers, initializer=_init_check_worker
-        ) as pool:
-            futures = [
-                pool.submit(_run_task_batch, batch, seed, config, fault, mode)
-                for batch in batches
-            ]
-            for future in futures:
-                try:
-                    batch_results, shipment = future.result()
-                except BrokenProcessPool as exc:
-                    raise ReproError(
-                        f"a check worker process died mid-batch (killed or "
-                        f"crashed) with {len(results)} of {len(tasks)} cases "
-                        f"done; re-run with --workers 1 to isolate the "
-                        f"failing case"
-                    ) from exc
-                results.extend(batch_results)
-                if fault is None:
-                    # Keep what the children computed (for --cache-dir
-                    # persistence); faulted runs are self-tests whose
-                    # poisoned values must never reach a shared cache.
-                    absorb_shipment(shipment)
+        with ProcessPoolExecutor(max_workers=nworkers) as pool:
+            # A worker can die while batches are still being submitted,
+            # so submit() raises BrokenProcessPool too.
+            try:
+                futures = [
+                    pool.submit(_run_task_batch, batch, seed, config, fault, mode)
+                    for batch in batches
+                ]
+                for future in futures:
+                    results.extend(future.result())
+            except BrokenProcessPool as exc:
+                raise ReproError(
+                    f"a check worker process died mid-batch (killed or "
+                    f"crashed) with {len(results)} of {len(tasks)} cases "
+                    f"done; re-run with --workers 1 to isolate the "
+                    f"failing case"
+                ) from exc
 
     for (origin, payload), (counts, entry, first) in zip(tasks, results):
         for name, count in counts.items():
@@ -716,9 +690,6 @@ def check_main(argv: list[str] | None = None, *, out=None) -> int:
     parser.add_argument("--workers", type=int, default=1, metavar="N",
                         help="partition the cases across N worker processes "
                         "(the report is identical for any N)")
-    parser.add_argument("--cache-dir", default=None, metavar="DIR",
-                        help="persist the analytic caches (warm start) in DIR; "
-                        "defaults to $REPRO_CACHE_DIR when that is set")
     parser.add_argument("--max-accesses", type=int, default=6000)
     parser.add_argument("--shrink-budget", type=int, default=200)
     parser.add_argument("--log-level", default=None,
@@ -731,15 +702,6 @@ def check_main(argv: list[str] | None = None, *, out=None) -> int:
     if args.log_level:
         configure_logging(args.log_level)
     out = out or sys.stdout
-
-    cache_dir = args.cache_dir or os.environ.get("REPRO_CACHE_DIR")
-    if cache_dir:
-        from ..lattice.persist import load_caches, save_caches
-
-        loaded = load_caches(cache_dir)
-        logger.info(
-            "warm-started analytic caches: %d entries from %s", loaded, cache_dir
-        )
 
     config = CheckConfig(
         max_accesses=args.max_accesses, shrink_budget=args.shrink_budget
@@ -757,10 +719,6 @@ def check_main(argv: list[str] | None = None, *, out=None) -> int:
     except ReproError as e:
         print(f"repro check: error: {e}", file=out)
         return 1
-    if cache_dir and args.inject_fault is None:
-        # A faulted run computes deliberately wrong values; never let them
-        # reach the persistent warm-start cache.
-        save_caches(cache_dir)
     if args.json_report:
         dump_report(report, args.json_report)
 

@@ -5,7 +5,6 @@
     python -m repro program.doall -p 16 -D N=64 [--method auto]
                                   [--simulate] [--sweeps 2]
                                   [--engine auto|fast|exact]
-                                  [--cache-dir DIR]
                                   [--opt-budget SECONDS]
                                   [--pseudocode 0,1] [--data]
                                   [--json-report out.json]
@@ -98,12 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="simulator execution engine: 'fast' resolves provably-private "
         "lines in bulk, 'exact' drives every access through the MSI "
         "protocol, 'auto' picks fast when its preconditions hold",
-    )
-    p.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        help="persist the analytic caches (warm start) in DIR; defaults to "
-        "$REPRO_CACHE_DIR when that is set, otherwise persistence is off",
     )
     p.add_argument(
         "--opt-budget",
@@ -365,16 +358,6 @@ def main(argv: list[str] | None = None, *, out=None) -> int:
     if args.trace_out and not args.simulate:
         emit("note: --trace-out has no effect without --simulate")
 
-    import os
-
-    from .lattice import DEFAULT_LATTICE_CACHE
-    from .lattice.persist import load_caches, save_caches
-
-    cache_dir = args.cache_dir or os.environ.get("REPRO_CACHE_DIR")
-    if cache_dir:
-        loaded = load_caches(cache_dir)
-        logger.info("warm-started analytic caches: %d entries from %s", loaded, cache_dir)
-
     source = (
         sys.stdin.read() if args.source == "-" else open(args.source).read()
     )
@@ -405,10 +388,7 @@ def main(argv: list[str] | None = None, *, out=None) -> int:
             return 1
     try:
         run = run_request(
-            request,
-            cache=DEFAULT_LATTICE_CACHE if cache_dir else None,
-            opt_budget_s=args.opt_budget,
-            observer=trace_writer,
+            request, opt_budget_s=args.opt_budget, observer=trace_writer
         )
     except ReproError as e:
         emit(f"error: {e}")
@@ -434,13 +414,6 @@ def main(argv: list[str] | None = None, *, out=None) -> int:
         emit()
         emit(f"run report -> {args.json_report}")
         logger.info("wrote run report to %s", args.json_report)
-
-    if cache_dir:
-        try:
-            written = save_caches(cache_dir)
-            logger.info("persisted analytic caches: %d entries in %s", written, cache_dir)
-        except OSError as e:
-            emit(f"note: could not persist analytic caches to {cache_dir!r}: {e}")
 
     if args.profile:
         emit()

@@ -150,7 +150,8 @@ class LoopPartitioner:
 
         ``cache`` is an optional shared
         :class:`~repro.lattice.points.LatticeCountCache` for the grid
-        search's exact enumerations (e.g. the CLI's warm-start cache).
+        search's exact enumerations (the request pipeline passes the
+        process's default cache).
         ``opt_budget_s`` caps each parallelepiped portfolio member's
         wall time (the ``--opt-budget`` knob).
         """

@@ -44,7 +44,6 @@ from .points import (
     union_of_boxes_size_scalar,
 )
 from .memo import MemoTable, analytic_cache_stats
-from .persist import default_cache_dir, load_caches, save_caches
 
 __all__ = [
     "hermite_normal_form",
@@ -72,7 +71,4 @@ __all__ = [
     "DEFAULT_FOOTPRINT_TABLE",
     "LatticeCountCache",
     "DEFAULT_LATTICE_CACHE",
-    "default_cache_dir",
-    "load_caches",
-    "save_caches",
 ]

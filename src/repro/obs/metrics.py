@@ -8,10 +8,11 @@ process-local default registry (:func:`get_registry`) through
 Counts kept elsewhere stay where they are.  The simulator's caches,
 directory, network and machine keep plain ints, which the run report's
 ``measured`` section reads from them; no registry holds a copy.  The
-analytic caches keep their hit/miss/load/fallback ints too, and
-:func:`repro.lattice.memo.publish_cache_metrics` copies them into the
-registry with one :meth:`MetricsRegistry.publish` call right before
-``repro serve`` takes a ``/metrics`` snapshot.
+analytic caches keep their hit/miss ints too, and
+:func:`repro.lattice.memo.publish_cache_metrics` copies them (summed
+over ``repro serve``'s workers) into the registry with one
+:meth:`MetricsRegistry.publish` call right before ``repro serve`` takes
+a ``/metrics`` snapshot.
 
 Thread safety: instrument *mutations* (``inc``, ``observe``, ``set``,
 ``reset``) and registry operations (get-or-create, publish, snapshot)

@@ -259,7 +259,7 @@ def build_report(
     ``partition`` is a ``PartitionResult`` (its estimate is used when
     ``estimate`` is not given); ``sim`` a ``SimulationResult``; ``spans``
     defaults to the process tracer's completed spans.  ``caches`` is an
-    optional hit/miss/load snapshot of the analytic caches
+    optional hit/miss/entry snapshot of the analytic caches
     (:func:`repro.lattice.analytic_cache_stats` — passed in by the caller
     to keep this module stdlib-only).
     """

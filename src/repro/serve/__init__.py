@@ -16,8 +16,7 @@ the closed-loop load generator behind ``repro loadgen`` in
 
 :mod:`~repro.serve.cluster` scales this horizontally: ``repro route``
 fronts N replicas with shard-affine rendezvous hashing of the canonical
-request key, health-tracked failover, periodic cross-replica cache
-exchange through the shared ``--cache-dir``, and merged ``/metrics`` +
+request key, health-tracked failover, and merged ``/metrics`` +
 ``/debug`` aggregation.
 """
 

@@ -13,10 +13,11 @@ executor hop.  Requests that arrive while every worker is busy pile up;
 when the first worker frees they go to it as one batch of at most
 ``max_batch``, so batching happens exactly when there is load to batch
 and each worker reuses its warm analytic caches across the batch.
-Cache entries the workers compute, and their hit/miss counts, travel
-back with each result and are absorbed into the server's process-wide
-tables, so they survive worker restarts, show on ``/metrics`` and reach
-``--cache-dir`` persistence at shutdown.
+The entries stay in the worker that computed them.  Each reply carries
+a snapshot of that worker's cache counts; the batcher keeps the latest
+one per slot, and :meth:`MicroBatcher.cache_stats` sums them for
+``/metrics``.  A restarted slot counts again from its new worker's
+start.
 
 **Transport.**  A worker runs :func:`_worker_main`: hydrate
 (:func:`~repro.serve.pipeline.init_worker`), answer the empty batch the
@@ -38,8 +39,8 @@ import asyncio
 import multiprocessing
 import time
 
-from ..lattice.memo import absorb_shipment
 from ..obs import get_logger, get_registry
+from .http import merge_numeric
 from .pipeline import init_worker, run_batch
 from .protocol import PartitionRequest, ProtocolError
 
@@ -51,9 +52,9 @@ logger = get_logger("serve.batching")
 _Item = tuple[PartitionRequest, "str | None", float, asyncio.Future]
 
 
-def _worker_main(conn, cache_dir, opt_budget_s) -> None:
+def _worker_main(conn, opt_budget_s) -> None:
     """A compute process: hydrate, then serve batches until ``None``."""
-    init_worker(cache_dir, opt_budget_s=opt_budget_s)
+    init_worker(opt_budget_s=opt_budget_s)
     while True:
         try:
             message = conn.recv()
@@ -66,8 +67,9 @@ def _worker_main(conn, cache_dir, opt_budget_s) -> None:
 
 
 class _Worker:
-    """One compute process, the parent's end of its pipe, and the batch
-    it is running (``None`` when idle)."""
+    """One compute process, the parent's end of its pipe, the batch it
+    is running (``None`` when idle) and its latest analytic-cache
+    counts."""
 
     def __init__(self, process: multiprocessing.Process, conn, ready: asyncio.Future):
         self.process = process
@@ -75,6 +77,7 @@ class _Worker:
         self.fd = conn.fileno()
         self.ready = ready  # resolved by the hydration handshake (or death)
         self.batch: list[_Item] | None = None
+        self.caches: dict = {}
 
 
 class MicroBatcher:
@@ -84,7 +87,6 @@ class MicroBatcher:
         self,
         *,
         workers: int = 1,
-        cache_dir: str | None = None,
         max_batch: int = 8,
         ship_traces: bool = True,
         opt_budget_s: float | None = None,
@@ -92,7 +94,6 @@ class MicroBatcher:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.workers = workers
-        self.cache_dir = cache_dir
         self.max_batch = max_batch
         self.ship_traces = ship_traces
         self.opt_budget_s = opt_budget_s
@@ -114,7 +115,7 @@ class MicroBatcher:
         parent_end, child_end = multiprocessing.Pipe(duplex=True)
         process = multiprocessing.Process(
             target=_worker_main,
-            args=(child_end, self.cache_dir, self.opt_budget_s),
+            args=(child_end, self.opt_budget_s),
             name="repro-serve-worker",
             daemon=True,
         )
@@ -128,6 +129,14 @@ class MicroBatcher:
     def worker_pids(self) -> list[int]:
         """The pid of the process in each worker slot."""
         return [worker.process.pid for worker in self._slots]
+
+    def cache_stats(self) -> dict:
+        """The workers' analytic-cache counts, summed over slots
+        (``{}`` until a worker has answered)."""
+        total: dict = {}
+        for worker in self._slots:
+            merge_numeric(total, worker.caches)
+        return total
 
     async def prewarm(self) -> None:
         """Wait until every worker has spawned and finished hydration.
@@ -238,14 +247,13 @@ class MicroBatcher:
     def _on_reply(self, worker: _Worker) -> None:
         self._loop.remove_reader(worker.fd)
         try:
-            outcomes, shipment = worker.conn.recv()
+            outcomes, worker.caches = worker.conn.recv()
         except (EOFError, OSError):
             self._worker_died(worker)
             return
         batch, worker.batch = worker.batch, None
         if not worker.ready.done():
             worker.ready.set_result(None)
-        absorb_shipment(shipment)
         self._deliver(batch, outcomes)
         self._idle.append(worker)
         self._dispatch()

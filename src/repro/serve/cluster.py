@@ -31,12 +31,9 @@ stay hot on its slice of the keyspace.  :class:`RouterServer` is that front tier
   pointed at the router see the whole cross-process path including the
   routing hop.
 
-Cross-replica cache exchange is the replicas' job, not the router's:
-point every replica at one shared ``--cache-dir`` and give them a
-``--cache-exchange-s`` period, and each periodically snapshots its
-analytic-cache deltas through the union-merge lockfile protocol in
-:mod:`repro.lattice.persist` and absorbs its peers' — a cold or newly
-re-admitted replica warms from the cluster instead of from scratch.
+Replicas share no analytic-cache state: each worker's memo stays warm
+for the worker's lifetime, and shard affinity sends a key back to the
+worker pool that has it.
 """
 
 from __future__ import annotations
@@ -57,6 +54,7 @@ from .http import (
     EmbeddedService,
     FramingError,
     HttpService,
+    merge_numeric,
     run_service,
     service_parser,
 )
@@ -482,7 +480,7 @@ class RouterServer(HttpService):
         caches: dict = {}
         servers = {}
         for address, dump in dumps:
-            _merge_numeric(caches, dump.get("caches", {}))
+            merge_numeric(caches, dump.get("caches", {}))
             servers[address] = dump.get("server", {})
         health = self._healthz()
         server = {
@@ -514,23 +512,6 @@ class RouterServer(HttpService):
                 "error_rate": self.config.slo_error_rate,
             },
         }
-
-
-def _merge_numeric(into: dict, src: dict) -> dict:
-    """Recursively sum numeric leaves of ``src`` into ``into``."""
-    for key, value in src.items():
-        if isinstance(value, dict):
-            into[key] = _merge_numeric(
-                into.get(key) if isinstance(into.get(key), dict) else {}, value
-            )
-        elif isinstance(value, bool):
-            into.setdefault(key, value)
-        elif isinstance(value, (int, float)):
-            base = into.get(key, 0)
-            into[key] = (base if isinstance(base, (int, float)) else 0) + value
-        else:
-            into.setdefault(key, value)
-    return into
 
 
 class EmbeddedRouter(EmbeddedService):

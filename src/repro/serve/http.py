@@ -22,7 +22,9 @@ once, for the replica and the router alike:
   dispatcher (endpoint naming, request ids, 404/405, typed errors,
   ``<name>.requests`` / ``.responses`` / ``.latency_ms`` metrics, flight
   records), the shared ``/debug`` and ``/metrics`` endpoints, and the
-  graceful-drain lifecycle.  :class:`~repro.serve.server.PartitionServer`
+  graceful-drain lifecycle.  :func:`merge_numeric` sums ``/metrics``
+  ``caches`` sections: the router's over its replicas, a replica's over
+  its compute workers.  :class:`~repro.serve.server.PartitionServer`
   and :class:`~repro.serve.cluster.RouterServer` are two handler sets on
   top of it; :class:`EmbeddedService` runs either on a background thread
   and :func:`run_service` runs either as a CLI until SIGTERM/SIGINT.
@@ -60,6 +62,7 @@ __all__ = [
     "Request",
     "encode_request",
     "encode_response",
+    "merge_numeric",
     "read_request",
     "read_response",
     "run_service",
@@ -249,6 +252,23 @@ def encode_response(
         f"Connection: {'keep-alive' if keep_alive else 'close'}",
     ]
     return _frame(lines, headers, body)
+
+
+def merge_numeric(into: dict, src: dict) -> dict:
+    """Recursively sum numeric leaves of ``src`` into ``into``."""
+    for key, value in src.items():
+        if isinstance(value, dict):
+            into[key] = merge_numeric(
+                into.get(key) if isinstance(into.get(key), dict) else {}, value
+            )
+        elif isinstance(value, bool):
+            into.setdefault(key, value)
+        elif isinstance(value, (int, float)):
+            base = into.get(key, 0)
+            into[key] = (base if isinstance(base, (int, float)) else 0) + value
+        else:
+            into.setdefault(key, value)
+    return into
 
 
 # ----------------------------------------------------------------------

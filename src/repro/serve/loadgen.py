@@ -464,15 +464,12 @@ def spawn_server(
     *,
     workers: int = 1,
     queue_depth: int = 64,
-    cache_dir: str | None = None,
     extra_args: list[str] | None = None,
     timeout_s: float = 60.0,
 ) -> tuple[subprocess.Popen, int]:
     """Start ``python -m repro serve`` on an ephemeral port; returns
     ``(process, port)`` once the server is listening."""
     cmd = ["serve", "--workers", str(workers), "--queue-depth", str(queue_depth)]
-    if cache_dir:
-        cmd += ["--cache-dir", cache_dir]
     cmd += extra_args or []
     return _spawn_with_port_file(cmd, timeout_s=timeout_s)
 
@@ -557,42 +554,23 @@ def spawn_cluster(
     replicas: int = 2,
     workers: int = 1,
     queue_depth: int = 64,
-    cache_dir: str | None = None,
-    cache_exchange_s: float | None = None,
-    router_extra: list[str] | None = None,
     timeout_s: float = 60.0,
     wait_ready: bool = True,
 ) -> ClusterHandle:
-    """Spawn ``replicas`` server subprocesses plus a router over them.
-
-    With ``cache_dir`` every replica shares the directory for warm starts
-    and — when ``cache_exchange_s`` is set — periodically snapshots and
-    absorbs analytic-cache deltas through the union-merge lockfile
-    protocol, so one replica's analytic work warms its peers.
-    """
+    """Spawn ``replicas`` server subprocesses plus a router over them."""
     if replicas < 1:
         raise ValueError(f"replicas must be >= 1, got {replicas}")
     fleet: list[tuple[subprocess.Popen, int]] = []
     handle = None
     try:
-        extra = (
-            [] if cache_exchange_s is None
-            else ["--cache-exchange-s", str(cache_exchange_s)]
-        )
         for _ in range(replicas):
             fleet.append(
                 spawn_server(
-                    workers=workers,
-                    queue_depth=queue_depth,
-                    cache_dir=cache_dir,
-                    extra_args=extra,
-                    timeout_s=timeout_s,
+                    workers=workers, queue_depth=queue_depth, timeout_s=timeout_s
                 )
             )
         router_proc, router_port = spawn_router(
-            [f"127.0.0.1:{port}" for _, port in fleet],
-            extra_args=router_extra,
-            timeout_s=timeout_s,
+            [f"127.0.0.1:{port}" for _, port in fleet], timeout_s=timeout_s
         )
         handle = ClusterHandle(router_proc, router_port, fleet)
         if wait_ready:
@@ -654,17 +632,11 @@ def build_loadgen_parser() -> argparse.ArgumentParser:
     p.add_argument("--replicas", type=int, default=2, metavar="N",
                    help="with --cluster --spawn: number of replica "
                    "subprocesses behind the spawned router (default 2)")
-    p.add_argument("--cache-exchange-s", type=float, default=None, metavar="S",
-                   help="with --cluster --spawn: replicas exchange "
-                   "analytic-cache deltas through --spawn-cache-dir "
-                   "every S seconds")
     p.add_argument("--spawn", action="store_true",
                    help="launch a private server subprocess on an ephemeral "
                    "port, load it, then drain it")
     p.add_argument("--spawn-workers", type=int, default=1, metavar="N",
                    help="--workers for the spawned server")
-    p.add_argument("--spawn-cache-dir", default=None, metavar="DIR",
-                   help="--cache-dir for the spawned server")
     p.add_argument("--json", default=None, metavar="PATH",
                    help="write the stats dict as JSON")
     return p
@@ -707,10 +679,7 @@ def loadgen_main(argv: list[str] | None = None, *, out=None) -> int:
             host = "127.0.0.1"
             if args.cluster:
                 cluster = spawn_cluster(
-                    replicas=args.replicas,
-                    workers=args.spawn_workers,
-                    cache_dir=args.spawn_cache_dir,
-                    cache_exchange_s=args.cache_exchange_s,
+                    replicas=args.replicas, workers=args.spawn_workers
                 )
                 spawned, port = cluster.processes, cluster.router_port
                 print(
@@ -720,10 +689,7 @@ def loadgen_main(argv: list[str] | None = None, *, out=None) -> int:
                     file=out,
                 )
             else:
-                proc, port = spawn_server(
-                    workers=args.spawn_workers,
-                    cache_dir=args.spawn_cache_dir,
-                )
+                proc, port = spawn_server(workers=args.spawn_workers)
                 spawned = [proc]
                 print(f"loadgen: spawned server on port {port}", file=out)
         stats = run_loadgen(

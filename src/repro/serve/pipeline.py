@@ -17,11 +17,10 @@ The module is imported by the server's compute workers
 (:mod:`repro.serve.batching` runs :func:`run_batch` in them), so everything
 here must be picklable by reference and safe to run serially in a
 long-lived worker: the tracer is reset per request (span lists must not
-accumulate across requests), and the analytic-cache entries and
-hit/miss counts the worker adds are shipped back *incrementally*
-(:class:`~repro.lattice.memo.CacheShipper`) so the parent can count,
-persist and re-share them without re-serialising whole tables on every
-batch.
+accumulate across requests).  The worker's analytic caches stay in the
+worker; each batch reply carries only a snapshot of their counters
+(:func:`~repro.lattice.memo.analytic_cache_stats`), which the server
+sums over its workers for ``/metrics``.
 
 Each batch item carries the request id the server minted, and each
 outcome returns a *compute meta* — worker pid, measured compute seconds,
@@ -45,7 +44,6 @@ from ..core.partitioner import LoopPartitioner, PartitionResult
 from ..exceptions import ReproError
 from ..lang import LoopNode, lower_nest, parse_program
 from ..lattice import DEFAULT_LATTICE_CACHE, analytic_cache_stats
-from ..lattice.memo import CacheShipper
 from ..obs import build_report, get_tracer, span
 from ..sim import Machine, MachineConfig, SimulationResult, simulate_nest
 from .protocol import PartitionRequest, ProtocolError
@@ -71,15 +69,14 @@ class RequestRun(NamedTuple):
 def run_request(
     request: PartitionRequest,
     *,
-    cache,
     opt_budget_s: float | None,
     observer=None,
 ) -> RequestRun:
     """Run the full pipeline for one request.
 
-    ``cache`` is the lattice-count cache for the grid search (``None``
-    disables it) and ``opt_budget_s`` the per-member wall-time budget of
-    the parallelepiped portfolio.  ``observer`` receives the simulator's
+    The grid search memoises its lattice counts in the process's
+    :data:`~repro.lattice.DEFAULT_LATTICE_CACHE`.  ``opt_budget_s`` is
+    the per-member wall-time budget of the parallelepiped portfolio.  ``observer`` receives the simulator's
     per-access events (the CLI's ``--trace-out``).  Only the first nest
     of a multi-nest source is partitioned.  Pipeline failures raise
     :class:`~repro.exceptions.ReproError`.
@@ -95,7 +92,7 @@ def run_request(
             method=request.method,
             simulate=request.simulate,
             sweeps=request.sweeps,
-            cache=cache,
+            cache=DEFAULT_LATTICE_CACHE,
             opt_budget_s=opt_budget_s,
             label=request.label,
             caches=analytic_cache_stats,
@@ -107,7 +104,7 @@ def run_request(
     nest = lower_nest(node, bindings)
     result = LoopPartitioner(nest, request.processors).partition(
         method=request.method,
-        cache=cache,
+        cache=DEFAULT_LATTICE_CACHE,
         opt_budget_s=opt_budget_s,
     )
     sim = None
@@ -150,22 +147,13 @@ def execute_request(request: PartitionRequest) -> dict:
     """
     get_tracer().reset()  # the report's spans describe only this request
     try:
-        return run_request(
-            request,
-            cache=DEFAULT_LATTICE_CACHE,
-            opt_budget_s=_OPT_BUDGET_S,
-        ).report
+        return run_request(request, opt_budget_s=_OPT_BUDGET_S).report
     except ReproError as e:
         raise ProtocolError(str(e), code="pipeline-error") from e
 
 
 # ----------------------------------------------------------------------
 # Worker plumbing (module-level so a worker can unpickle by reference)
-
-#: What this worker's analytic caches learnt since the last ship-back
-#: (set by :func:`init_worker`); only that delta travels with each batch
-#: result.
-_shipper: CacheShipper | None = None
 
 #: Per-member wall-time budget for the parallelepiped portfolio (set by
 #: :func:`init_worker` from the server's ``--opt-budget``); ``None``
@@ -174,20 +162,15 @@ _OPT_BUDGET_S: float | None = None
 
 
 def init_worker(
-    cache_dir: str | None = None,
     plan_cache: bool = False,
     opt_budget_s: float | None = None,
 ) -> None:
-    """Worker initializer: hydrate the child's analytic caches.
+    """Worker initializer: detach from the server, set the budget.
 
-    Under the ``fork`` start method children inherit the parent's warm
-    caches for free; under ``spawn`` they start cold, so the warm-start
-    snapshot is loaded explicitly.  Entries and counts present at startup
-    are marked shipped — the parent already has them.  ``opt_budget_s``
-    caps each parallelepiped portfolio member's wall time for every
-    request this worker runs.  ``plan_cache`` is accepted and ignored:
-    the structure-keyed plan tier it enabled is gone, and
-    ``perfbench/worker.py`` (``verify_serve``) still passes
+    ``opt_budget_s`` caps each parallelepiped portfolio member's wall
+    time for every request this worker runs.  ``plan_cache`` is
+    accepted and ignored: the structure-keyed plan tier it enabled is
+    gone, and ``perfbench/worker.py`` (``verify_serve``) still passes
     ``plan_cache=True``; it goes with the next benchmark change.
 
     A forked worker inherits the server's asyncio signal setup: no-op
@@ -198,7 +181,7 @@ def init_worker(
     SIGKILLed server nobody else would end it.  Called in-process (not
     in a compute worker) it only sets the module state.
     """
-    global _OPT_BUDGET_S, _shipper
+    global _OPT_BUDGET_S
     _detach_from_server()
     _OPT_BUDGET_S = opt_budget_s
     # Test hook: REPRO_TEST_WORKER_INIT_DELAY_S stretches worker
@@ -209,11 +192,6 @@ def init_worker(
             time.sleep(float(delay))
         except ValueError:
             pass
-    if cache_dir:
-        from ..lattice.persist import load_caches
-
-        load_caches(cache_dir)
-    _shipper = CacheShipper()
 
 
 def _load_prctl():
@@ -274,16 +252,14 @@ def run_batch(
 
     ``items`` pairs each request with the server-minted request id; the
     worker must have run :func:`init_worker`.  Returns
-    ``(outcomes, shipment)`` where each outcome is
+    ``(outcomes, caches)`` where each outcome is
     ``("ok", report, meta)`` or ``("error", payload, meta)`` with
     ``payload`` in the protocol's error shape plus a ``status`` the
     server strips before sending, ``meta`` the telemetry of
-    :func:`_compute_meta`, and ``shipment`` the analytic caches' fresh
-    entries and counter deltas
-    (:meth:`~repro.lattice.memo.CacheShipper.take`), which the server
-    passes to :func:`~repro.lattice.memo.absorb_shipment`.  Exceptions
-    never escape: one poisoned request must not take down its
-    batch-mates (their futures would all fail) or the worker.
+    :func:`_compute_meta`, and ``caches`` this worker's
+    :func:`~repro.lattice.memo.analytic_cache_stats` after the batch.
+    Exceptions never escape: one poisoned request must not take down
+    its batch-mates (their futures would all fail) or the worker.
     """
     outcomes: list[tuple[str, dict, dict]] = []
     for request, request_id in items:
@@ -302,4 +278,4 @@ def run_batch(
             kind = "error"
         meta = _compute_meta(request_id, time.perf_counter() - t0, ship_traces)
         outcomes.append((kind, payload, meta))
-    return outcomes, _shipper.take()
+    return outcomes, analytic_cache_stats()

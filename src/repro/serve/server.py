@@ -10,7 +10,8 @@ amortised across requests:
 * ``POST /v1/simulate`` — same request shape with ``simulate`` forced on;
 * ``GET /healthz`` — liveness + admission-queue state;
 * ``GET /metrics`` — the process :class:`~repro.obs.metrics.MetricsRegistry`
-  snapshot plus analytic-cache statistics as JSON, or Prometheus text
+  snapshot plus the workers' summed analytic-cache statistics as JSON,
+  or Prometheus text
   exposition when the ``Accept`` header asks for ``text/plain``;
 * ``GET /debug/requests`` — the flight recorder's recent requests
   (newest first) plus the pinned slowest exemplars;
@@ -51,8 +52,7 @@ Production semantics, in the order a request meets them:
    and populate the response cache for the retry.
 7. **Graceful drain** — SIGTERM/SIGINT stop the listener, let in-flight
    work finish (bounded by ``--drain-s``; what is left then fails with
-   ``503 shutting-down``), flush the warm caches to ``--cache-dir``,
-   then exit.
+   ``503 shutting-down``), then exit.
 
 The HTTP framing, connection loop, dispatcher, ``/debug`` endpoints and
 lifecycle are the shared core in :mod:`repro.serve.http`; this module
@@ -63,13 +63,12 @@ from __future__ import annotations
 
 import argparse
 import asyncio
-import os
 import sys
 from collections import OrderedDict
 from dataclasses import dataclass
 
 from .. import __version__
-from ..lattice.memo import analytic_cache_stats, publish_cache_metrics
+from ..lattice.memo import publish_cache_metrics
 from ..obs import configure_logging, get_logger, stitch_trace
 from .batching import MicroBatcher
 from .http import EmbeddedService, HttpService, run_service, service_parser
@@ -89,7 +88,6 @@ class ServeConfig:
     workers: int = 1
     queue_depth: int = 64
     max_batch: int = 8
-    cache_dir: str | None = None
     response_cache_size: int = 256
     deadline_ms: int = 60_000
     drain_s: float = 10.0
@@ -99,7 +97,6 @@ class ServeConfig:
     flight_capacity: int = 512
     trace_requests: bool = True  # ship worker span trees back per request
     opt_budget_s: float | None = None  # per-member parallelepiped budget
-    cache_exchange_s: float | None = None  # period of cross-replica cache exchange
 
 
 class PartitionServer(HttpService):
@@ -116,7 +113,6 @@ class PartitionServer(HttpService):
             raise ValueError(f"queue-depth must be >= 1, got {self.config.queue_depth}")
         self._batcher = MicroBatcher(
             workers=self.config.workers,
-            cache_dir=self.config.cache_dir,
             max_batch=self.config.max_batch,
             ship_traces=self.config.trace_requests,
             opt_budget_s=self.config.opt_budget_s,
@@ -129,25 +125,12 @@ class PartitionServer(HttpService):
 
     # -- lifecycle -------------------------------------------------------
     async def _setup(self) -> None:
-        """Hydrate caches and start the workers before the listener binds."""
-        loaded = 0
-        if self.config.cache_dir:
-            from ..lattice.persist import load_caches
-
-            loaded = load_caches(self.config.cache_dir)
-            logger.info(
-                "warm-started analytic caches: %d entries from %s",
-                loaded,
-                self.config.cache_dir,
-            )
+        """Start the workers before the listener binds."""
         self._batcher.start()
         self._metrics.gauge("serve.queue_depth_limit").set(self.config.queue_depth)
-        self._metrics.gauge("serve.cache_entries_loaded").set(loaded)
 
     def _on_listening(self) -> None:
         self._spawn(self._prewarm())
-        if self.config.cache_dir and self.config.cache_exchange_s:
-            self._spawn(self._cache_exchange_loop())
         logger.info("listening on %s:%d", self.config.host, self.port)
 
     async def _prewarm(self) -> None:
@@ -168,34 +151,8 @@ class PartitionServer(HttpService):
             self._metrics.gauge("serve.ready").set(1)
             logger.info("workers warm; replica ready")
 
-    async def _cache_exchange_loop(self) -> None:
-        """Periodic cross-replica cache exchange through ``--cache-dir``.
-
-        Every period, snapshot this replica's analytic-cache deltas into
-        the shared directory (union-merge under the lockfile) and absorb
-        peers' entries published since the last cycle.  Runs in an
-        executor thread — the lockfile wait must never stall the loop.
-        """
-        from ..lattice.persist import exchange_caches
-
-        loop = asyncio.get_running_loop()
-        assert self.config.cache_exchange_s is not None
-        while True:
-            await asyncio.sleep(self.config.cache_exchange_s)
-            try:
-                written, absorbed = await loop.run_in_executor(
-                    None, exchange_caches, self.config.cache_dir
-                )
-            except (OSError, TimeoutError) as e:
-                self._metrics.counter("serve.cache_exchange.errors").inc()
-                logger.warning("cache exchange failed: %s", e)
-                continue
-            self._metrics.counter("serve.cache_exchange.cycles").inc()
-            self._metrics.counter("serve.cache_exchange.absorbed").inc(absorbed)
-            self._metrics.gauge("serve.cache_exchange.last_written").set(written)
-
     async def _drain(self) -> None:
-        """Drain in-flight work and flush caches once the listener is closed.
+        """Drain in-flight work once the listener is closed.
 
         Shutdown takes at most ``drain_s`` plus the workers' join: what
         the drain did not finish, stopping the batcher fails with 503
@@ -212,22 +169,6 @@ class PartitionServer(HttpService):
         await self._batcher.stop()
         if self._inflight:
             await asyncio.gather(*list(self._inflight.values()), return_exceptions=True)
-        if self.config.cache_dir:
-            from ..lattice.persist import save_caches
-
-            try:
-                written = save_caches(self.config.cache_dir)
-                logger.info(
-                    "persisted analytic caches: %d entries in %s",
-                    written,
-                    self.config.cache_dir,
-                )
-            except OSError as e:
-                logger.warning(
-                    "could not persist analytic caches to %r: %s",
-                    self.config.cache_dir,
-                    e,
-                )
         logger.info("drained; %d requests served", self._requests_served)
 
     def _flight_details(self, record, status, cache, meta, total_ms) -> dict:
@@ -354,7 +295,7 @@ class PartitionServer(HttpService):
 
     async def _metric_entries(self) -> list[dict]:
         self._refresh_slo_gauges()
-        publish_cache_metrics(self._metrics)
+        publish_cache_metrics(self._metrics, self._batcher.cache_stats())
         return self._metrics.snapshot()
 
     async def _metrics_json(self) -> dict:
@@ -364,7 +305,7 @@ class PartitionServer(HttpService):
             "generated_by": f"repro {__version__}",
             "server": self._healthz(),
             "metrics": await self._metric_entries(),
-            "caches": analytic_cache_stats(),
+            "caches": self._batcher.cache_stats(),
             "slo": {
                 "p99_ms": self.config.slo_p99_ms,
                 "error_rate": self.config.slo_error_rate,
@@ -396,10 +337,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
                    "server sheds load with 429 (>= 1)")
     p.add_argument("--max-batch", type=int, default=8, metavar="N",
                    help="max requests per worker batch")
-    p.add_argument("--cache-dir", default=None, metavar="DIR",
-                   help="warm-start the analytic caches from DIR at startup "
-                   "and flush them there on shutdown; defaults to "
-                   "$REPRO_CACHE_DIR when that is set")
     p.add_argument("--response-cache", type=int, default=256, metavar="N",
                    help="completed-response LRU size (0 disables)")
     p.add_argument("--deadline-ms", type=int, default=60_000, metavar="MS",
@@ -410,11 +347,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
     # is gone, but perfbench/servemix.py still starts the server with it.
     # It goes with the next benchmark change.
     p.add_argument("--plan-cache", action="store_true", help=argparse.SUPPRESS)
-    p.add_argument("--cache-exchange-s", type=float, default=None, metavar="S",
-                   help="with --cache-dir: every S seconds, snapshot this "
-                   "replica's analytic-cache deltas into the shared cache "
-                   "directory and absorb peers' entries (cross-replica "
-                   "cache exchange for multi-replica serving)")
     p.add_argument("--opt-budget", type=float, default=None, metavar="SECONDS",
                    help="wall-time budget per parallelepiped portfolio "
                    "member (SLSQP, simulated annealing) in partition "
@@ -445,7 +377,6 @@ def serve_main(argv: list[str] | None = None, *, out=None) -> int:
         workers=args.workers,
         queue_depth=args.queue_depth,
         max_batch=args.max_batch,
-        cache_dir=args.cache_dir or os.environ.get("REPRO_CACHE_DIR"),
         response_cache_size=args.response_cache,
         deadline_ms=args.deadline_ms,
         drain_s=args.drain_s,
@@ -455,7 +386,6 @@ def serve_main(argv: list[str] | None = None, *, out=None) -> int:
         flight_capacity=args.flight_capacity,
         trace_requests=not args.no_request_traces,
         opt_budget_s=args.opt_budget,
-        cache_exchange_s=args.cache_exchange_s,
     )
 
     return run_service(

@@ -25,7 +25,7 @@ from .directory import Directory, CoherenceStats
 from .memory import AddressMap, block_address_map, flat_address_map
 from .network import MeshNetwork
 from .machine import Machine, MachineConfig
-from .trace import RefStream, reference_streams, tile_accesses, nest_trace
+from .trace import RefStream, reference_streams
 from .executor import simulate_nest, SimulationResult, ProcessorStats
 from .fast import fast_path_blockers, supports_fast_path
 from .stats import format_table
@@ -43,8 +43,6 @@ __all__ = [
     "MachineConfig",
     "RefStream",
     "reference_streams",
-    "tile_accesses",
-    "nest_trace",
     "simulate_nest",
     "fast_path_blockers",
     "supports_fast_path",

@@ -20,28 +20,15 @@ import numpy as np
 from .._util import box_points_array, row_codes, run_heads, sort_by_key
 from ..core.affine import AccessKind
 from ..core.loopnest import LoopNest
-from ..core.tiles import ParallelepipedTile, Tiling
+from ..core.tiles import Tiling
 
 __all__ = [
-    "AccessEvent",
     "Dealing",
     "RefStream",
     "deal_tiles",
     "reference_streams",
     "split_streams",
-    "tile_accesses",
-    "nest_trace",
-    "assign_tiles_to_processors",
 ]
-
-
-@dataclass(frozen=True)
-class AccessEvent:
-    """One memory access of one iteration."""
-
-    array: str
-    coords: tuple[int, ...]
-    kind: str
 
 
 @dataclass(frozen=True)
@@ -147,11 +134,11 @@ def _ordered_accesses(nest: LoopNest):
 
 
 def reference_streams(nest: LoopNest, iterations: np.ndarray) -> list[RefStream]:
-    """Batched counterpart of :func:`tile_accesses`.
+    """The accesses of an ``(N, l)`` block of iterations, per reference.
 
     One ``(N, d)`` coordinate array per body reference in execution
-    order, instead of ``N`` per-iteration event lists — the address-
-    stream representation the fast simulator engine consumes.  The
+    order (reads then writes) — the address-stream representation the
+    simulator engines consume.  The
     simulator maps a whole :class:`Dealing` at once and slices it per
     processor (:func:`split_streams`).  An empty block yields streams
     with ``(0, d)`` coordinate arrays, keeping the reference structure
@@ -182,45 +169,3 @@ def split_streams(
         p: [RefStream(s.array, s.kind, s.coords[lo:hi]) for s in streams]
         for p, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))
     }
-
-
-def tile_accesses(nest: LoopNest, iterations: np.ndarray) -> list[list[AccessEvent]]:
-    """Per-iteration access lists for an ``(N, l)`` block of iterations.
-
-    Returns ``N`` lists, each the iteration's accesses in execution order
-    (reads then writes).  Coordinate computation is vectorised per
-    reference.
-    """
-    streams = reference_streams(nest, iterations)
-    n = streams[0].coords.shape[0] if streams else 0
-    out: list[list[AccessEvent]] = []
-    for row in range(n):
-        events = [
-            AccessEvent(
-                array=s.array,
-                coords=tuple(int(x) for x in s.coords[row]),
-                kind=s.kind,
-            )
-            for s in streams
-        ]
-        out.append(events)
-    return out
-
-
-def assign_tiles_to_processors(
-    tiling: Tiling, processors: int
-) -> dict[int, np.ndarray]:
-    """Map processor → its iterations (views of :func:`deal_tiles`)."""
-    deal = deal_tiles(tiling, processors)
-    return {p: deal.block(p) for p in range(processors)}
-
-
-def nest_trace(
-    nest: LoopNest,
-    tile: ParallelepipedTile,
-    processors: int,
-) -> dict[int, list[list[AccessEvent]]]:
-    """Full trace: processor → list of per-iteration access lists."""
-    tiling = Tiling(nest.space, tile)
-    blocks = assign_tiles_to_processors(tiling, processors)
-    return {p: tile_accesses(nest, its) if its.size else [] for p, its in blocks.items()}

@@ -386,20 +386,20 @@ class TestLineFootprintOracle:
         from repro.core.cumulative import cumulative_line_footprint_exact
         from repro.core.tiles import Tiling
         from repro.sim import Machine, MachineConfig, simulate_nest
-        from repro.sim.trace import assign_tiles_to_processors
+        from repro.sim.trace import deal_tiles
 
         nest = example8_nest
         tile = RectangularTile([12, 12, 12])
         line_size = 8
         uisets = partition_references(nest.accesses)
-        blocks = assign_tiles_to_processors(Tiling(nest.space, tile), 8)
+        deal = deal_tiles(Tiling(nest.space, tile), 8)
         result = simulate_nest(
             nest,
             tile,
             8,
             machine=Machine(MachineConfig(processors=8, line_size=line_size)),
         )
-        origins = {p: blocks[p].min(axis=0) for p in blocks}
+        origins = {p: deal.block(p).min(axis=0) for p in range(8)}
         predictions = set()
         for p in result.processors:
             expected = sum(

@@ -8,10 +8,6 @@ of ``--workers`` — the worker partitioning is a pure scheduling choice.
 from __future__ import annotations
 
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -78,45 +74,6 @@ class TestCheckCli:
         assert report["cases"] == 4
         assert "workers" not in report  # scheduling must not leak into the report
 
-    def test_cli_cache_dir_persists(self, tmp_path):
-        cache_dir = tmp_path / "cache"
-        rc = check_main(
-            ["--cases", "4", "--seed", "0", "--cache-dir", str(cache_dir)]
-        )
-        assert rc == 0
-        assert (cache_dir / "analytic_cache.json").exists()
-
-    def test_cli_cache_dir_same_entries_any_workers(self, tmp_path):
-        """Pool children ship what they computed: a ``--workers 2`` run
-        persists exactly the analytic-cache entries of ``--workers 1``.
-        Each run gets a fresh interpreter, whose default caches start
-        empty."""
-        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-        env.pop("REPRO_CACHE_DIR", None)
-        written = {}
-        for workers in (1, 2):
-            cache_dir = tmp_path / f"workers{workers}"
-            proc = subprocess.run(
-                [sys.executable, "-m", "repro", "check", "--cases", "10",
-                 "--seed", "0", "--workers", str(workers),
-                 "--cache-dir", str(cache_dir)],
-                capture_output=True, text=True, env=env, timeout=300,
-            )
-            assert proc.returncode == 0, proc.stdout + proc.stderr
-            doc = json.loads((cache_dir / "analytic_cache.json").read_text())
-            written[workers] = doc["caches"]
-        assert all(written[1][name] for name in written[1]), written[1]
-        assert written[2] == written[1]
-
-    def test_cli_faulted_run_never_persists(self, tmp_path):
-        cache_dir = tmp_path / "cache"
-        check_main(
-            ["--cases", "4", "--seed", "0", "--cache-dir", str(cache_dir),
-             "--inject-fault", "exact-count"]
-        )
-        # A faulted run must not poison the warm-start file.
-        assert not (cache_dir / "analytic_cache.json").exists()
-
 
 class TestWorkerDeath:
     """A dying pool worker must surface as a clear error, not a bare
@@ -145,6 +102,29 @@ class TestWorkerDeath:
         assert "--workers 1" in text  # actionable hint
         assert "Traceback" not in text
         assert "BrokenProcessPool" not in text
+
+    def test_pool_broken_during_submission(self, monkeypatch):
+        """A worker can die while batches are still being submitted; then
+        ``submit`` itself raises ``BrokenProcessPool``, which must become
+        the same clear error."""
+        import io
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
+        real_submit = ProcessPoolExecutor.submit
+        calls = []
+
+        def submit(self, *args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:
+                raise BrokenProcessPool("a child process terminated abruptly")
+            return real_submit(self, *args, **kwargs)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", submit)
+        out = io.StringIO()
+        rc = check_main(["--workers", "2", "--cases", "6"], out=out)
+        assert rc == 1
+        assert "worker process died mid-batch" in out.getvalue()
 
     def test_kill_hook_inert_in_driver(self, monkeypatch):
         monkeypatch.setenv("REPRO_CHECK_KILL_WORKER", "1")

@@ -166,6 +166,26 @@ class TestObservabilityFlags:
         assert "measured" not in report
         assert report["predicted"]["cold_misses_per_tile"] > 0
 
+    def test_json_report_caches_section(self, tmp_path):
+        """The report's ``caches`` section counts this process's analytic
+        caches: one entry per default cache, three counters each."""
+        from repro.obs import load_report
+
+        # B's reference matrix collapses iterations (dependent rows), the
+        # path that consults the memoised DEFAULT_FOOTPRINT_TABLE.
+        src = tmp_path / "prog.doall"
+        src.write_text(
+            "Doall (i, 1, 16)\n  Doall (j, 1, 16)\n"
+            "    A(i,j) = B(i+j) + B(i+j+2)\n  EndDoall\nEndDoall\n"
+        )
+        path = tmp_path / "report.json"
+        code, _ = run_cli([str(src), "-p", "4", "--json-report", str(path)])
+        assert code == 0
+        caches = load_report(str(path))["caches"]
+        assert set(caches) == {"footprint_table", "lattice_cache"}
+        for section in caches.values():
+            assert set(section) == {"entries", "hits", "misses"}
+
     def test_trace_out(self, ex8_file, tmp_path):
         import json
 

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core import LoopNest, RectangularTile
 from repro.core.cost import ClassTraffic, estimate_traffic
-from repro.sim.trace import AccessEvent, assign_tiles_to_processors, tile_accesses
+from repro.sim.trace import RefStream, deal_tiles, reference_streams
 from repro.core.tiles import Tiling
 
 
@@ -51,34 +51,32 @@ class TestClassTraffic:
 class TestTraceLayer:
     def test_sync_kind_string(self):
         nest = simple_nest()
-        events = tile_accesses(nest, np.array([[1, 1]]))[0]
-        kinds = {(e.array, e.kind) for e in events}
+        streams = reference_streams(nest, np.array([[1, 1]]))
+        kinds = {(s.array, s.kind) for s in streams}
         assert ("C", "sync") in kinds
         assert ("A", "write") in kinds
         assert ("B", "read") in kinds
 
-    def test_access_event_immutable(self):
-        ev = AccessEvent("A", (1, 2), "read")
+    def test_ref_stream_immutable(self):
+        stream = RefStream("A", "read", np.array([[1, 2]]))
         with pytest.raises(AttributeError):
-            ev.kind = "write"
+            stream.kind = "write"
 
     def test_more_tiles_than_processors_wraps(self):
         nest = simple_nest()
         tiling = Tiling(nest.space, RectangularTile([2, 2]))
-        blocks = assign_tiles_to_processors(tiling, 3)
+        deal = deal_tiles(tiling, 3)
         # 16 tiles over 3 processors: every processor busy, union complete.
-        assert set(blocks) == {0, 1, 2}
-        total = sum(b.shape[0] for b in blocks.values())
-        assert total == nest.space.volume
+        assert all(count > 0 for count in deal.counts())
+        assert sum(deal.counts()) == nest.space.volume
 
     def test_fewer_tiles_than_processors_idle(self):
         nest = simple_nest()
         tiling = Tiling(nest.space, RectangularTile([8, 8]))
-        blocks = assign_tiles_to_processors(tiling, 4)
-        sizes = sorted(b.shape[0] for b in blocks.values())
-        assert sizes == [0, 0, 0, 64]
+        assert sorted(deal_tiles(tiling, 4).counts()) == [0, 0, 0, 64]
 
     def test_empty_iteration_block(self):
         nest = simple_nest()
-        out = tile_accesses(nest, np.empty((0, 2), dtype=np.int64))
-        assert out == []
+        streams = reference_streams(nest, np.empty((0, 2), dtype=np.int64))
+        assert len(streams) == 3
+        assert all(s.coords.shape == (0, 2) for s in streams)

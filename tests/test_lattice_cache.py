@@ -1,5 +1,5 @@
-"""LatticeCountCache: canonical-key invariances, optimiser wiring and
-the worker ship-back of the default caches."""
+"""LatticeCountCache: canonical-key invariances, counters and optimiser
+wiring."""
 
 from __future__ import annotations
 
@@ -18,7 +18,6 @@ from repro.lattice.points import (
     count_distinct_images,
     parallelepiped_lattice_points,
 )
-from repro.lattice.memo import CacheShipper, absorb_shipment
 
 
 class TestCanonicalKey:
@@ -102,28 +101,6 @@ class TestMemoisedCounts:
         assert calls == [1]
         assert (cache.hits, cache.misses) == (1, 1)
 
-    def test_export_absorb_entries(self):
-        """Entries move between tables (persistence, worker ship-back)
-        without recomputation; repeats and non-count values add nothing."""
-        a = LatticeCountCache()
-        a.count_distinct_images([[1, 0], [0, 2]], [5, 5])
-        a.get_or_compute(("k", 1), lambda: 12.5)
-        b = LatticeCountCache()
-        assert b.absorb_entries(a.export_entries()) == 2
-        assert (len(b), b.loads) == (2, 2)
-        assert b.absorb_entries(a.export_entries()) == 0
-        assert b.absorb_entries([("junk", "not-a-count"), ("flag", True)]) == 0
-        assert b.get_or_compute(("k", 1), lambda: 0) == 12.5
-        assert (b.hits, b.misses) == (1, 0)
-
-    def test_absorb_stats_delta(self):
-        """A worker's hit/miss delta adds onto the table's own counters;
-        other names in the delta are ignored."""
-        cache = LatticeCountCache()
-        cache.get_or_compute(("k", 1), lambda: 7)
-        cache.absorb_stats({"hits": 3, "misses": 2, "loads": 1, "bogus": 9})
-        assert cache.stats() == {"entries": 1, "hits": 3, "misses": 3, "loads": 0}
-
     def test_clear(self):
         """``clear`` drops the entries; the counters keep running."""
         cache = LatticeCountCache()
@@ -134,18 +111,25 @@ class TestMemoisedCounts:
         assert (len(cache), cache.hits, cache.misses) == (1, 0, 2)
 
     def test_clear_keeps_counters(self):
-        """Clearing a table filled by absorbed and computed entries keeps
-        every counter that ``stats`` reports, only ``entries`` drops."""
-        a = LatticeCountCache()
-        a.get_or_compute(("k", 1), lambda: 4)
+        """Clearing a table keeps every counter that ``stats`` reports,
+        only ``entries`` drops."""
         cache = LatticeCountCache()
-        cache.absorb_entries(a.export_entries())
+        cache.get_or_compute(("k", 1), lambda: 4)
         cache.get_or_compute(("k", 1), lambda: 0)
         cache.get_or_compute(("k", 2), lambda: 5)
         before = cache.stats()
+        assert before == {"entries": 2, "hits": 1, "misses": 2}
         cache.clear()
         assert len(cache) == 0
         assert cache.stats() == {**before, "entries": 0}
+
+    def test_default_caches_in_analytic_stats(self):
+        from repro.lattice import analytic_cache_stats
+
+        stats = analytic_cache_stats()
+        assert set(stats) == {"footprint_table", "lattice_cache"}
+        for section in stats.values():
+            assert set(section) == {"entries", "hits", "misses"}
 
 
 class TestFootprintWiring:
@@ -212,35 +196,3 @@ class TestOptimizerWiring:
         assert base.tile.sides.tolist() == cached.tile.sides.tolist()
         assert base.grid == cached.grid
         assert base.predicted_cost == cached.predicted_cost
-
-
-class TestShipBack:
-    def test_ships_only_new_entries_and_counts(self):
-        shipper = CacheShipper()
-        key = ("test-ship-back", id(shipper))
-        assert DEFAULT_LATTICE_CACHE.get_or_compute(key, lambda: 5) == 5
-        first = shipper.take()
-        assert first["lattice_cache"] == {"entries": [(key, 5)], "stats": {"misses": 1}}
-        assert first["footprint_table"] == {"entries": [], "stats": {}}
-        DEFAULT_LATTICE_CACHE.get_or_compute(key, lambda: 0)
-        second = shipper.take()
-        assert second["lattice_cache"] == {"entries": [], "stats": {"hits": 1}}
-
-    def test_default_caches_in_analytic_stats(self):
-        from repro.lattice import analytic_cache_stats
-
-        stats = analytic_cache_stats()
-        assert set(stats) == {"footprint_table", "lattice_cache"}
-        for section in stats.values():
-            assert set(section) == {"entries", "hits", "misses", "loads"}
-
-    def test_absorb_adds_worker_counts(self):
-        shipper = CacheShipper()
-        key = ("test-absorb", id(shipper))
-        DEFAULT_LATTICE_CACHE.get_or_compute(key, lambda: 3)
-        shipment = shipper.take()
-        misses, loads = DEFAULT_LATTICE_CACHE.misses, DEFAULT_LATTICE_CACHE.loads
-        absorb_shipment(shipment)
-        # The entry is already here (same process), so only counts move.
-        assert DEFAULT_LATTICE_CACHE.misses == misses + 1
-        assert DEFAULT_LATTICE_CACHE.loads == loads

@@ -7,9 +7,7 @@ frontend, code generator) runs serially, so none of those packages may
 import a process or thread pool module.
 
 Within ``core/`` one module owns each mechanism: processor grids are
-enumerated and selected only by ``optimize.py``'s grid search.  Pool
-workers ship analytic-cache entries and counters back only through
-``repro.lattice.memo``.
+enumerated and selected only by ``optimize.py``'s grid search.
 """
 
 from __future__ import annotations
@@ -85,22 +83,6 @@ def test_one_grid_search():
         if _calls(ast.parse(path.read_text(), filename=str(path)), "factorizations")
     )
     assert callers == ["optimize.py"]
-
-
-def test_one_cache_ship_back():
-    """No module under ``serve/`` or ``check/`` moves analytic-cache
-    entries or counters itself: worker ship-back goes through
-    ``repro.lattice.memo``'s ``CacheShipper`` and ``absorb_shipment``."""
-    root = Path(repro.__file__).parent
-    methods = ("export_entries", "absorb_entries", "export_stats", "absorb_stats")
-    offenders = sorted(
-        f"{path.parent.name}/{path.name}: {name}"
-        for pkg in ("serve", "check")
-        for path in (root / pkg).rglob("*.py")
-        for name in methods
-        if _calls(ast.parse(path.read_text(), filename=str(path)), name)
-    )
-    assert offenders == []
 
 
 def _absolute_imports(tree: ast.AST, package: str) -> set[str]:

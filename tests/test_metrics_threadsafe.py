@@ -127,28 +127,3 @@ def test_lattice_cache_concurrent_get_or_compute():
     assert cache.parallelepiped_lattice_points(
         [[2, 0], [0, 3]]
     ) == fresh.parallelepiped_lattice_points([[2, 0], [0, 3]])
-
-
-def test_cache_absorb_while_reading():
-    """absorb_entries from one thread while others look up (the serve
-    parent absorbs worker deltas mid-traffic)."""
-    table = FootprintTable()
-    donor = FootprintTable()
-    for k in range(1, 40):
-        donor.lookup((1, 3), (k, 4))
-    entries = donor.export_entries()
-
-    def work(tid):
-        if tid == 0:
-            for _ in range(50):
-                table.absorb_entries(entries)
-        else:
-            for i in range(200):
-                table.lookup((1, 3), ((tid + i) % 39 + 1, 4))
-                table.export_entries()
-
-    _hammer(work)
-    assert len(table) == len(entries)
-    # Idempotent merge: only the first absorb added keys not already
-    # computed by the readers.
-    assert table.loads <= len(entries)

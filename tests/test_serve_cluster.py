@@ -4,8 +4,7 @@ An :class:`~repro.serve.cluster.EmbeddedRouter` over two
 :class:`~repro.serve.server.EmbeddedServer` replicas, all over real
 sockets — the same paths ``repro loadgen --cluster`` exercises — plus
 pure-function tests of rendezvous hashing, ejection/failover tests, the
-``/healthz`` readiness window, and a subprocess test of the periodic
-cross-replica cache exchange.
+``/healthz`` readiness window.
 """
 
 from __future__ import annotations
@@ -37,18 +36,6 @@ EX3_SOURCE = (
     "  EndDoall\n"
     "EndDoall\n"
 )
-
-#: Rank-deficient references (2-index loop onto 1-D arrays): the
-#: footprint computation memoises into the process-global FootprintTable,
-#: so this source demonstrably populates the shared analytic caches.
-COLLAPSE_SOURCE = (
-    "Doall (i, 1, N)\n"
-    "  Doall (j, 1, N)\n"
-    "    A[i+j] = B[i+2*j] + B[i+2*j+3]\n"
-    "  EndDoall\n"
-    "EndDoall\n"
-)
-
 
 def _wait_ready(port: int, timeout_s: float = 60.0, *, want: bool = True) -> dict:
     deadline = time.monotonic() + timeout_s
@@ -455,50 +442,3 @@ class TestReadiness:
             if router is not None:
                 router.stop()
             emb.stop()
-
-
-class TestCacheExchange:
-    def test_replicas_absorb_peer_entries_via_shared_dir(self, tmp_path):
-        """Replica B absorbs analytic-cache entries replica A computed.
-
-        Needs real subprocesses: in-process embedded servers share the
-        process-global caches, which would make the exchange vacuous.
-        """
-        from repro.serve.loadgen import spawn_server
-
-        procs = []
-        try:
-            extra = ["--cache-exchange-s", "0.2"]
-            proc_a, port_a = spawn_server(
-                cache_dir=str(tmp_path), extra_args=extra
-            )
-            procs.append(proc_a)
-            proc_b, port_b = spawn_server(
-                cache_dir=str(tmp_path), extra_args=extra
-            )
-            procs.append(proc_b)
-            with ServeClient("127.0.0.1", port_a, timeout=120) as c:
-                c.partition(COLLAPSE_SOURCE, 9, bindings={"N": 30}, label="seed")
-                entries_a = c.metrics()["caches"]["footprint_table"]["entries"]
-            assert entries_a > 0, "request must populate the footprint table"
-            deadline = time.monotonic() + 60
-            while time.monotonic() < deadline:
-                with ServeClient("127.0.0.1", port_b, timeout=10) as c:
-                    dump = c.metrics()
-                if dump["caches"]["footprint_table"]["entries"] >= entries_a:
-                    exchange = [
-                        e for e in dump["metrics"]
-                        if e["name"] == "serve.cache_exchange.absorbed"
-                    ]
-                    assert exchange and exchange[0]["value"] > 0
-                    return
-                time.sleep(0.2)
-            pytest.fail("replica B never absorbed replica A's cache entries")
-        finally:
-            for proc in procs:
-                proc.terminate()
-            for proc in procs:
-                try:
-                    proc.wait(timeout=30)
-                except Exception:
-                    proc.kill()

@@ -64,13 +64,13 @@ def server():
         yield emb
 
 
-def _assert_example_matches(server, tmp_path, filename, bindings, processors, cli_extra=()):
+def _assert_example_matches(server, tmp_path, filename, bindings, processors):
     path = EXAMPLES_DIR / filename
     assert path.exists(), f"missing example program {path}"
     simulate = filename in SIMULATED
 
     report_path = tmp_path / "cli.json"
-    argv = [str(path), "-p", str(processors), *cli_extra]
+    argv = [str(path), "-p", str(processors)]
     for name, value in bindings.items():
         argv += ["-D", f"{name}={value}"]
     if simulate:
@@ -98,28 +98,6 @@ def test_serve_matches_cli_json_report(
     server, tmp_path, filename, bindings, processors
 ):
     _assert_example_matches(server, tmp_path, filename, bindings, processors)
-
-
-@pytest.fixture(scope="module")
-def warm_server(tmp_path_factory):
-    cache_dir = tmp_path_factory.mktemp("analytic-cache")
-    with EmbeddedServer(ServeConfig(port=0, workers=1, cache_dir=str(cache_dir))) as emb:
-        yield emb, cache_dir
-
-
-@pytest.mark.parametrize("filename,bindings,processors", EXAMPLES)
-def test_serve_warm_cache_matches_cli_json_report(
-    warm_server, tmp_path, filename, bindings, processors
-):
-    """The contract holds with the analytic caches persisted on both
-    sides: a ``--cache-dir`` server and a ``--cache-dir`` CLI run over
-    one directory produce byte-identical reports — partition,
-    predictions and span structure included."""
-    server, cache_dir = warm_server
-    _assert_example_matches(
-        server, tmp_path, filename, bindings, processors,
-        cli_extra=("--cache-dir", str(cache_dir)),
-    )
 
 
 #: (strategy, simulate) — the flow contract holds for both tile-selection

@@ -17,12 +17,7 @@ from benchmarks.paper_programs import example3, example9, figure9, matmul_sync
 from repro.codegen.schedule import TileSchedule
 from repro.core.tiles import ParallelepipedTile, RectangularTile, Tiling
 from repro.sim.fast import collect_footprints, injective_arrays
-from repro.sim.trace import (
-    assign_tiles_to_processors,
-    deal_tiles,
-    reference_streams,
-    split_streams,
-)
+from repro.sim.trace import deal_tiles, reference_streams, split_streams
 
 from .test_sim_parity import assert_parity
 
@@ -59,9 +54,6 @@ def test_dealing_matches_reference(name):
     for p in range(processors):
         np.testing.assert_array_equal(deal.block(p), reference[p])
     assert deal.counts() == [int(reference[p].shape[0]) for p in range(processors)]
-    blocks = assign_tiles_to_processors(tiling, processors)
-    for p in range(processors):
-        np.testing.assert_array_equal(blocks[p], reference[p])
 
     tiles = list(deal.tiles())
     assert [key for key, _, _ in tiles] == sorted(assignments)

@@ -7,32 +7,33 @@ from repro.core import RectangularTile, estimate_traffic, partition_references
 from repro.core.cumulative import cumulative_footprint_size_exact
 from repro.lang import compile_nest
 from repro.sim import simulate_nest
-from repro.sim.trace import assign_tiles_to_processors, nest_trace, tile_accesses
+from repro.sim.trace import deal_tiles, reference_streams, split_streams
 from repro.core.tiles import Tiling
 
 
 class TestTrace:
     def test_reads_before_writes(self, example2_nest):
-        events = tile_accesses(example2_nest, np.array([[101, 1]]))[0]
-        kinds = [e.kind for e in events]
+        streams = reference_streams(example2_nest, np.array([[101, 1]]))
+        kinds = [s.kind for s in streams]
         assert kinds == ["read", "read", "write"]
 
     def test_coords_correct(self, example2_nest):
-        events = tile_accesses(example2_nest, np.array([[101, 1]]))[0]
+        streams = reference_streams(example2_nest, np.array([[101, 1]]))
         # B[i+j, i-j-1] at (101,1) = (102, 99)
-        assert events[0].array == "B" and events[0].coords == (102, 99)
-        assert events[2].array == "A" and events[2].coords == (101, 1)
+        assert streams[0].array == "B" and streams[0].coords.tolist() == [[102, 99]]
+        assert streams[2].array == "A" and streams[2].coords.tolist() == [[101, 1]]
 
     def test_assign_round_robin(self, example2_nest):
         tiling = Tiling(example2_nest.space, RectangularTile([50, 50]))
-        blocks = assign_tiles_to_processors(tiling, 2)
-        assert blocks[0].shape[0] + blocks[1].shape[0] == 10000
-        assert blocks[0].shape[0] == blocks[1].shape[0]
+        assert deal_tiles(tiling, 2).counts() == [5000, 5000]
 
-    def test_nest_trace_structure(self, example2_nest):
-        traces = nest_trace(example2_nest, RectangularTile([100, 50]), 2)
-        assert set(traces) == {0, 1}
-        assert len(traces[0]) == 5000
+    def test_split_streams_structure(self, example2_nest):
+        deal = deal_tiles(Tiling(example2_nest.space, RectangularTile([100, 50])), 2)
+        streams = split_streams(
+            reference_streams(example2_nest, deal.iterations), deal.offsets
+        )
+        assert set(streams) == {0, 1}
+        assert [s.coords.shape[0] for s in streams[0]] == [5000] * 3
 
 
 class TestSimulatorVsModel:
