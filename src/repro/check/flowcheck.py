@@ -97,15 +97,6 @@ class FlowCaseSpec:
     def source(self) -> str:
         return render_flow_source(self)
 
-    def describe(self) -> str:
-        return (
-            f"flow case {self.case_id}: depth={self.depth} "
-            f"(producer {self.producer_depth}) extents={self.extents} "
-            f"P={self.processors} line={self.line_size} "
-            f"sweeps={self.sweeps} strategy={self.strategy} "
-            f"reads={len(self.consumer_offsets)}"
-        )
-
 
 @dataclass
 class FlowCaseArtifacts:

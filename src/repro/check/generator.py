@@ -95,13 +95,6 @@ class CaseSpec:
                 rows.append((c.array, kind, c.g, off))
         return sorted(rows)
 
-    def describe(self) -> str:
-        return (
-            f"case {self.case_id}: depth={self.depth} extents={self.extents} "
-            f"P={self.processors} line={self.line_size} sweeps={self.sweeps} "
-            f"classes={[(c.array, c.size) for c in self.classes]}"
-        )
-
 
 # ----------------------------------------------------------------------
 # Rendering

@@ -448,13 +448,25 @@ def _first_invariant(spec: CaseSpec, config: CheckConfig) -> str | None:
 
 
 def _failure_entry(
-    spec: CaseSpec, art: CaseArtifacts, config: CheckConfig, origin: str
+    spec, art: CaseArtifacts, config: CheckConfig, origin: str, *, flow: bool = False
 ) -> dict:
-    shrunk, steps = shrink(
-        spec,
-        lambda s: _first_invariant(s, config),
-        budget=config.shrink_budget,
-    )
+    """One failing case's report entry, with its shrunk reproducer.
+
+    Flow cases are not shrunk (the generator already emits minimal
+    two-statement programs); their ``shrunk_*`` fields echo the original
+    spec so report consumers see one uniform failure shape.
+    """
+    if flow:
+        from .flowcheck import flow_spec_to_dict as to_dict
+
+        shrunk, steps = spec, 0
+    else:
+        to_dict = spec_to_dict
+        shrunk, steps = shrink(
+            spec,
+            lambda s: _first_invariant(s, config),
+            budget=config.shrink_budget,
+        )
     v = art.violations[0]
     return {
         "case_id": spec.case_id,
@@ -464,37 +476,11 @@ def _failure_entry(
         "all_violations": [
             {"invariant": x.invariant, "detail": x.detail} for x in art.violations
         ],
-        "spec": spec_to_dict(spec),
-        "shrunk_spec": spec_to_dict(shrunk),
+        "spec": to_dict(spec),
+        "shrunk_spec": to_dict(shrunk),
         "shrunk_depth": shrunk.depth,
         "shrunk_source": shrunk.source(),
         "shrink_steps": steps,
-    }
-
-
-def _flow_failure_entry(spec, art, origin: str) -> dict:
-    """Failure entry for a flow case (report-schema compatible).
-
-    Flow cases are not shrunk (the generator already emits minimal
-    two-statement programs); the ``shrunk_*`` fields echo the original
-    spec so report consumers see one uniform failure shape.
-    """
-    from .flowcheck import flow_spec_to_dict
-
-    v = art.violations[0]
-    return {
-        "case_id": spec.case_id,
-        "origin": origin,
-        "invariant": v.invariant,
-        "detail": v.detail,
-        "all_violations": [
-            {"invariant": x.invariant, "detail": x.detail} for x in art.violations
-        ],
-        "spec": flow_spec_to_dict(spec),
-        "shrunk_spec": flow_spec_to_dict(spec),
-        "shrunk_depth": spec.depth,
-        "shrunk_source": spec.source(),
-        "shrink_steps": 0,
     }
 
 
@@ -552,12 +538,11 @@ def _run_task_batch(
                     if mode == "flow"
                     else run_case(spec, config)
                 )
-            if not art.violations:
-                entry = None
-            elif mode == "flow":
-                entry = _flow_failure_entry(spec, art, origin)
-            else:
-                entry = _failure_entry(spec, art, config, origin)
+            entry = (
+                _failure_entry(spec, art, config, origin, flow=mode == "flow")
+                if art.violations
+                else None
+            )
             first = (
                 (art.violations[0].invariant, art.violations[0].detail)
                 if art.violations

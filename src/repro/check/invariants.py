@@ -406,7 +406,8 @@ def check_portfolio(art: CaseArtifacts, *, eps: float = 1e-6) -> None:
 
 
 def check_codegen(art: CaseArtifacts) -> None:
-    """Generated schedules cover the iteration space exactly once."""
+    """Generated schedules cover the iteration space exactly once, and
+    give each processor as many iterations as the simulator runs there."""
     if art.schedule_counts is None:
         return
     art.tally.hit("codegen-coverage")
@@ -416,6 +417,15 @@ def check_codegen(art: CaseArtifacts) -> None:
             "codegen-coverage",
             f"schedule covers {total} iterations, space has {art.spec.volume}",
         )
+    sim = art.sim_exact or art.sim_fast
+    if sim is not None:
+        simulated = [p.iterations for p in sim.processors]
+        if list(art.schedule_counts) != simulated:
+            art.fail(
+                "codegen-coverage",
+                f"schedule runs {list(art.schedule_counts)} iterations per "
+                f"processor, the simulator {simulated}",
+            )
     if art.emitted is not None and "processor 0" not in art.emitted:
         art.fail("codegen-coverage", "emitted pseudo-code lacks processor block")
 

@@ -84,7 +84,7 @@ def aligned_address_map(
     """Build the aligned data partition for all arrays of the nest.
 
     ``proc_of_coord`` maps a loop-grid coordinate to a processor number
-    (defaults to row-major — matching :class:`TileSchedule`); pass the
+    (defaults to :meth:`TileSchedule.proc_of_coord`); pass the
     placement embedding here to co-locate loop and data tiles on the
     physical mesh.
     """

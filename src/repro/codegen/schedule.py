@@ -1,13 +1,19 @@
 """Per-processor iteration schedules from a tile + processor grid.
 
-For rectangular tiles the schedule is closed-form: processor with grid
-coordinate ``(p_1..p_l)`` runs the box::
+For rectangular tiles the schedule is closed-form: the tile at grid
+coordinate ``(c_1..c_l)`` is the box::
 
-    lo_k = space.lower_k + p_k * sides_k
+    lo_k = space.lower_k + c_k * sides_k
     hi_k = min(lo_k + sides_k - 1, space.upper_k)
 
 — exactly the "simple expressions" the paper wants for efficient code.
-Boundary tiles clamp (tiles are equal "except at the boundaries").
+Boundary tiles clamp (tiles are equal "except at the boundaries").  Its
+processor is the tile's rank in lexicographic order over the non-empty
+tiles, ``Σ c_k · Π_{j>k} t_j`` with ``t_k = ⌈N_k / sides_k⌉`` tiles along
+dimension ``k`` — the order :func:`repro.sim.trace.deal_tiles` deals
+tiles in, so code and simulator agree on who runs what.  When a
+dimension has fewer tiles than grid cells, processors ``≥ Π t_k`` are
+idle.
 
 General parallelepiped tiles fall back to explicit iteration lists from
 :class:`~repro.core.tiles.Tiling`.
@@ -53,10 +59,11 @@ def processor_bounds(
 class TileSchedule:
     """Assignment of iterations to ``P`` processors.
 
-    For rectangular tiles with an explicit ``grid``, processors are
-    numbered row-major over the grid and bounds are closed-form; otherwise
-    tiles are dealt lexicographically by :func:`repro.sim.trace.deal_tiles`
-    (the simulator's dealing), once per schedule.
+    For rectangular tiles with an explicit ``grid``, bounds are
+    closed-form and processors take the tiles in lexicographic rank (see
+    the module docstring); otherwise tiles are dealt by
+    :func:`repro.sim.trace.deal_tiles` (the simulator's dealing), once
+    per schedule.  Both give each processor the same tiles.
     """
 
     space: IterationSpace
@@ -77,34 +84,51 @@ class TileSchedule:
                 )
             if not isinstance(self.tile, RectangularTile):
                 raise PartitionError("grids apply to rectangular tiles only")
+            if any(t > g for t, g in zip(self._tile_counts, self.grid)):
+                raise PartitionError(
+                    f"grid {self.grid} has fewer cells than the "
+                    f"{self._tile_counts} tiles of sides {list(self.tile.sides)}"
+                )
 
     # ------------------------------------------------------------------
-    def grid_coord(self, proc: int) -> tuple[int, ...]:
-        """Row-major grid coordinate of a processor."""
+    @cached_property
+    def _tile_counts(self) -> tuple[int, ...]:
+        """Non-empty tiles along each dimension, ``⌈N_k / sides_k⌉``."""
+        return tuple(
+            -(-int(n) // int(s))
+            for n, s in zip(self.space.extents, self.tile.sides)
+        )
+
+    def grid_coord(self, proc: int) -> tuple[int, ...] | None:
+        """Grid coordinate of a processor's tile (``None``: it is idle)."""
         if self.grid is None:
             raise PartitionError("schedule has no processor grid")
         coord = []
         rem = proc
-        for g in reversed(self.grid):
-            coord.append(rem % g)
-            rem //= g
-        return tuple(reversed(coord))
+        for t in reversed(self._tile_counts):
+            coord.append(rem % t)
+            rem //= t
+        return None if rem else tuple(reversed(coord))
 
     def proc_of_coord(self, coord) -> int:
+        """The processor of the tile at grid coordinate ``coord``; a cell
+        past the last tile of a dimension maps to that last tile."""
         if self.grid is None:
             raise PartitionError("schedule has no processor grid")
         p = 0
-        for c, g in zip(coord, self.grid):
-            p = p * g + int(c)
+        for c, t in zip(coord, self._tile_counts):
+            p = p * t + min(int(c), t - 1)
         return p
 
     def bounds(self, proc: int) -> list[tuple[int, int]] | None:
-        """Closed-form per-processor loop bounds (rectangular grids)."""
+        """Closed-form per-processor loop bounds (rectangular grids);
+        ``None`` for an idle processor."""
         if self.grid is None or not isinstance(self.tile, RectangularTile):
             raise PartitionError("closed-form bounds need a rectangular grid")
-        return processor_bounds(
-            self.space, self.tile.sides, self.grid, self.grid_coord(proc)
-        )
+        coord = self.grid_coord(proc)
+        if coord is None:
+            return None
+        return processor_bounds(self.space, self.tile.sides, self.grid, coord)
 
     @property
     def _closed_form(self) -> bool:
@@ -137,9 +161,7 @@ class TileSchedule:
         """Which processor runs a given iteration."""
         it = np.asarray(iteration, dtype=np.int64)
         if self._closed_form:
-            coord = (it - self.space.lower) // self.tile.sides
-            coord = np.minimum(coord, np.asarray(self.grid) - 1)
-            return self.proc_of_coord(coord)
+            return self.proc_of_coord((it - self.space.lower) // self.tile.sides)
         return self._dealing.owner(
             Tiling(self.space, self.tile).tile_indices(it[None, :])[0]
         )

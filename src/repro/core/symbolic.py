@@ -70,17 +70,6 @@ class RectFootprintPolynomial:
             d[k] = d.get(k, 0.0) + v
         return RectFootprintPolynomial.from_dict(d, self.names)
 
-    def evaluate(self, sides) -> float:
-        """Plug in concrete tile sides."""
-        sides = np.asarray(sides, dtype=float)
-        total = 0.0
-        for dims, c in self.terms:
-            prod = c
-            for j in dims:
-                prod *= sides[j]
-            total += prod
-        return float(total)
-
     def partition_sensitive(self) -> "RectFootprintPolynomial":
         """Drop the full-volume term (constant under load balancing) —
         what is left is the traffic being minimised (Figure 9 argument)."""

@@ -103,9 +103,6 @@ class DataflowGraph:
     def flow_edges(self) -> tuple[FlowEdge, ...]:
         return tuple(e for e in self.edges if e.kind == "flow")
 
-    def edges_into(self, consumer: int) -> tuple[FlowEdge, ...]:
-        return tuple(e for e in self.edges if e.consumer == consumer)
-
     def statement(self, name: str) -> FlowStatement:
         for s in self.statements:
             if s.name == name:
@@ -119,14 +116,3 @@ class DataflowGraph:
             for a in s.nest.accesses:
                 seen.setdefault(a.ref.array, None)
         return tuple(seen)
-
-    def describe(self) -> str:
-        lines = []
-        for s in self.statements:
-            lines.append(f"{s.name}: {s.nest!r}")
-        for e in self.edges:
-            lines.append(
-                f"{self.statements[e.producer].name} -> "
-                f"{self.statements[e.consumer].name} [{e.kind}] on {e.array}"
-            )
-        return "\n".join(lines)

@@ -26,7 +26,6 @@ from .log import configure_logging, get_logger
 from .metrics import (
     Counter,
     Gauge,
-    Histogram,
     LatencyHistogram,
     MetricsRegistry,
     get_registry,
@@ -57,7 +56,6 @@ from .tracing import Span, Tracer, get_tracer, span
 __all__ = [
     "Counter",
     "Gauge",
-    "Histogram",
     "LatencyHistogram",
     "MetricsRegistry",
     "get_registry",

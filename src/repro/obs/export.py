@@ -14,10 +14,9 @@ traces remain alignable with the full run.
 (:func:`prometheus_text` is the same for a live
 :class:`~repro.obs.metrics.MetricsRegistry`) in the Prometheus text
 exposition format (version 0.0.4): counters gain a
-``_total`` suffix, histograms emit cumulative ``_bucket{le=...}`` series
-ending at ``+Inf`` plus ``_sum``/``_count``, and fixed-bucket latency
-histograms additionally emit a ``<name>_summary`` with interpolated
-``quantile`` samples.  :func:`parse_prometheus_text` is the strict inverse
+``_total`` suffix, and latency histograms emit cumulative
+``_bucket{le=...}`` series ending at ``+Inf`` plus ``_sum``/``_count``,
+and a ``<name>_summary`` with interpolated ``quantile`` samples.  :func:`parse_prometheus_text` is the strict inverse
 used by CI's scrape check — it refuses malformed names, missing TYPE
 lines, non-cumulative buckets, and counters that do not end in
 ``_total``, so a formatting regression fails loudly rather than being
@@ -156,18 +155,11 @@ def _fmt(value) -> str:
 
 def _cumulative_buckets(entry: dict) -> list[tuple[str, int]]:
     """``(le, cumulative count)`` pairs of a snapshot histogram, ending at
-    ``+Inf``: fixed buckets as stored, exact bins accumulated."""
-    if "buckets" in entry:
-        return [
-            ("+Inf" if b.get("le") == "+Inf" else _fmt(float(b.get("le"))), b.get("count", 0))
-            for b in entry["buckets"]
-        ]
-    out, cum = [], 0
-    for value, count in sorted((int(k), v) for k, v in (entry.get("bins") or {}).items()):
-        cum += count
-        out.append((_fmt(float(value)), cum))
-    out.append(("+Inf", entry.get("count", 0)))
-    return out
+    ``+Inf``."""
+    return [
+        ("+Inf" if b.get("le") == "+Inf" else _fmt(float(b.get("le"))), b.get("count", 0))
+        for b in entry.get("buckets") or ()
+    ]
 
 
 def prometheus_text(registry, *, extra_gauges: dict | None = None) -> str:
@@ -192,10 +184,10 @@ def prometheus_text_from_snapshot(entries, *, extra_gauges: dict | None = None) 
     is deterministic: entries are grouped by metric name (one HELP/TYPE
     header per name, which the strict parser requires even when the same
     metric arrives from several replicas) and sorted by labels.
-    Exact-bin histograms (``bins``) render as cumulative buckets;
-    fixed-bucket latency histograms (``buckets`` + quantiles) add a
-    ``<name>_summary``; entries whose type disagrees with the first seen
-    for that name are skipped rather than corrupting the exposition.
+    Latency histograms (``buckets`` + quantiles) render as cumulative
+    buckets plus a ``<name>_summary``; entries whose type disagrees with
+    the first seen for that name are skipped rather than corrupting the
+    exposition.
     """
     groups: dict[str, list[dict]] = {}
     for entry in entries:
@@ -240,16 +232,15 @@ def prometheus_text_from_snapshot(entries, *, extra_gauges: dict | None = None) 
                     lines.append(f"{base}_bucket{_label_str(ls, {'le': le})} {cum}")
                 lines.append(f"{base}_sum{_label_str(ls)} {_fmt(float(e.get('sum', 0)))}")
                 lines.append(f"{base}_count{_label_str(ls)} {e.get('count', 0)}")
-            if "buckets" in members[0]:  # fixed-bucket latency histogram
-                sname = f"{base}_summary"
-                header(sname, "summary", name)
-                for e in members:
-                    ls = labels_of(e)
-                    for q, key in ((0.5, "p50"), (0.95, "p95"), (0.99, "p99")):
-                        ql = _label_str(ls, {"quantile": _fmt(q)})
-                        lines.append(f"{sname}{ql} {_fmt(float(e.get(key, 0.0)))}")
-                    lines.append(f"{sname}_sum{_label_str(ls)} {_fmt(float(e.get('sum', 0.0)))}")
-                    lines.append(f"{sname}_count{_label_str(ls)} {e.get('count', 0)}")
+            sname = f"{base}_summary"
+            header(sname, "summary", name)
+            for e in members:
+                ls = labels_of(e)
+                for q, key in ((0.5, "p50"), (0.95, "p95"), (0.99, "p99")):
+                    ql = _label_str(ls, {"quantile": _fmt(q)})
+                    lines.append(f"{sname}{ql} {_fmt(float(e.get(key, 0.0)))}")
+                lines.append(f"{sname}_sum{_label_str(ls)} {_fmt(float(e.get('sum', 0.0)))}")
+                lines.append(f"{sname}_count{_label_str(ls)} {e.get('count', 0)}")
 
     for name, value in sorted((extra_gauges or {}).items()):
         if not isinstance(value, (int, float)) or isinstance(value, bool):

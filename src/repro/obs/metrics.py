@@ -1,9 +1,9 @@
-"""Named counters, gauges and histograms.
+"""Named counters, gauges and latency histograms.
 
 A :class:`MetricsRegistry` is a flat namespace of instruments keyed by
 ``(name, labels)``.  Pipeline and serving code count into the
 process-local default registry (:func:`get_registry`) through
-:meth:`Counter.inc`, :meth:`Histogram.observe` and friends.
+:meth:`Counter.inc`, :meth:`LatencyHistogram.observe` and friends.
 
 Counts kept elsewhere stay where they are.  The simulator's caches,
 directory, network and machine keep plain ints, which the run report's
@@ -36,7 +36,6 @@ from bisect import bisect_left
 __all__ = [
     "Counter",
     "Gauge",
-    "Histogram",
     "LatencyHistogram",
     "MetricsRegistry",
     "get_registry",
@@ -95,55 +94,6 @@ class Gauge:
         return f"Gauge({self.name}={self.value})"
 
 
-class Histogram:
-    """Distribution of observed integer values (exact small-domain bins).
-
-    Designed for protocol quantities with small integer support (sharer
-    counts, invalidations per write); each distinct value keeps its own
-    bin, which is exact and JSON-friendly.
-    """
-
-    __slots__ = ("name", "labels", "bins", "count", "total")
-
-    def __init__(self, name: str, labels: tuple = ()):
-        self.name = name
-        self.labels = labels
-        self.bins: dict[int, int] = {}
-        self.count = 0
-        self.total = 0
-
-    def observe(self, value) -> None:
-        v = int(value)
-        with _LOCK:
-            self.bins[v] = self.bins.get(v, 0) + 1
-            self.count += 1
-            self.total += v
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    def reset(self) -> None:
-        with _LOCK:
-            self.bins.clear()
-            self.count = 0
-            self.total = 0
-
-    def to_dict(self) -> dict:
-        with _LOCK:  # a consistent (count, sum, bins) triple
-            count, total = self.count, self.total
-            bins = dict(self.bins)
-        return {
-            "count": count,
-            "sum": total,
-            "mean": (total / count) if count else 0.0,
-            "bins": {str(k): v for k, v in sorted(bins.items())},
-        }
-
-    def __repr__(self) -> str:
-        return f"Histogram({self.name}, n={self.count}, mean={self.mean:.3g})"
-
-
 #: Log-spaced latency bucket upper edges in milliseconds: sub-millisecond
 #: cache hits through minute-long exact-engine computes, ~2.2x apart.
 #: 17 buckets (+overflow) bound the memory of a histogram that previously
@@ -157,12 +107,10 @@ DEFAULT_LATENCY_EDGES_MS = (
 class LatencyHistogram:
     """Distribution over *fixed* log-spaced buckets (for latencies).
 
-    Unlike :class:`Histogram` (one exact bin per distinct integer —
-    unbounded for latencies, which take arbitrarily many distinct
-    values over a long-running server), this keeps a constant-size
-    cumulative bucket array plus interpolated quantiles, trading exact
-    bins for bounded memory.  Values are milliseconds by convention but
-    nothing enforces a unit.
+    It keeps a constant-size cumulative bucket array plus interpolated
+    quantiles: latencies take arbitrarily many distinct values over a
+    long-running server, so exact bins would grow without bound.  Values
+    are milliseconds by convention but nothing enforces a unit.
     """
 
     __slots__ = ("name", "labels", "edges", "counts", "count", "total", "vmin", "vmax")
@@ -282,9 +230,6 @@ class MetricsRegistry:
     def gauge(self, name: str, **labels) -> Gauge:
         return self._get(Gauge, name, labels)
 
-    def histogram(self, name: str, **labels) -> Histogram:
-        return self._get(Histogram, name, labels)
-
     def latency_histogram(self, name: str, **labels) -> LatencyHistogram:
         return self._get(LatencyHistogram, name, labels)
 
@@ -347,9 +292,6 @@ class MetricsRegistry:
                 entry["type"] = "gauge"
                 entry["value"] = m.value
             else:
-                # Histogram and LatencyHistogram both report type
-                # "histogram"; the exact-bin form carries "bins", the
-                # fixed-bucket form "buckets" + quantiles.
                 entry["type"] = "histogram"
                 entry.update(m.to_dict())
             out.append(entry)

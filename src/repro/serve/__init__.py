@@ -4,11 +4,12 @@ A long-lived asyncio JSON-over-HTTP service around the partitioning
 pipeline, so many queries amortise one warm process: request validation
 with typed errors (:mod:`~repro.serve.protocol`), canonical-key request
 coalescing and a completed-response LRU, dispatch of compute to worker
-processes over one pipe each, batched under load
-(:mod:`~repro.serve.batching` → :mod:`~repro.serve.pipeline`), bounded admission with 429 backpressure,
-per-request deadlines, and graceful drain — all metered through
-:mod:`repro.obs` (:mod:`~repro.serve.server`, on the HTTP core in
-:mod:`~repro.serve.http` that the router shares).  Workers run
+processes over one pipe each, one request at a time
+(:mod:`~repro.serve.workers` → :mod:`~repro.serve.pipeline`), bounded
+admission with 429 backpressure, per-request deadlines, and graceful
+drain — all metered through :mod:`repro.obs` (:mod:`~repro.serve.server`,
+on the HTTP core in :mod:`~repro.serve.http` that the router shares).
+Workers run
 :func:`~repro.serve.pipeline.run_request`, the same pipeline as the
 one-shot CLI.  The blocking client lives in :mod:`~repro.serve.client`;
 the closed-loop load generator behind ``repro loadgen`` in

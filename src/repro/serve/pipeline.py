@@ -14,20 +14,19 @@ served response is byte-identical (timings aside) to a CLI
 holds that equivalence, on error paths too.
 
 The module is imported by the server's compute workers
-(:mod:`repro.serve.batching` runs :func:`run_batch` in them), so everything
+(:mod:`repro.serve.workers` runs :func:`run_one` in them), so everything
 here must be picklable by reference and safe to run serially in a
 long-lived worker: the tracer is reset per request (span lists must not
 accumulate across requests).  The worker's analytic caches stay in the
-worker; each batch reply carries only a snapshot of their counters
+worker; each reply carries only a snapshot of their counters
 (:func:`~repro.lattice.memo.analytic_cache_stats`), which the server
 sums over its workers for ``/metrics``.
 
-Each batch item carries the request id the server minted, and each
-outcome returns a *compute meta* — worker pid, measured compute seconds,
-and (when trace shipping is on) the serialized span trees the request
-produced, with the request id stamped on every root — so the server can
-stitch one cross-process trace per request without the report body
-changing by a byte.
+Each request ships with the request id the server minted, and each
+outcome returns a *compute meta* — worker pid, measured compute seconds
+and the serialized span trees the request produced, with the request id
+stamped on every root — so the server can stitch one cross-process
+trace per request without the report body changing by a byte.
 """
 
 from __future__ import annotations
@@ -49,7 +48,7 @@ from ..sim import Machine, MachineConfig, SimulationResult, simulate_nest
 from .protocol import PartitionRequest, ProtocolError
 
 __all__ = [
-    "RequestRun", "run_request", "execute_request", "run_batch", "init_worker",
+    "RequestRun", "run_request", "execute_request", "run_one", "init_worker",
 ]
 
 
@@ -223,59 +222,44 @@ def _detach_from_server() -> None:
         os._exit(1)  # the server died before the death signal was armed
 
 
-def _compute_meta(request_id: str | None, compute_s: float, ship_traces: bool) -> dict:
-    """Per-request telemetry shipped back alongside the outcome.
+def run_one(
+    request: PartitionRequest, request_id: str | None = None
+) -> tuple[str, dict, dict]:
+    """Execute one request in this worker process.
 
-    The span trees are re-serialized from the tracer (independent dicts
-    from the ones embedded in the report) and stamped with the request
-    id, so stitching never mutates — or depends on — the report body.
+    The worker must have run :func:`init_worker`.  Returns
+    ``("ok", report, meta)`` or ``("error", payload, meta)`` with
+    ``payload`` in the protocol's error shape plus a ``status`` the
+    server strips before sending.  ``meta`` is the per-request
+    telemetry: worker pid, measured compute seconds, and the span trees
+    re-serialized from the tracer (independent dicts from the ones
+    embedded in the report) with ``request_id`` stamped on every root,
+    so stitching never mutates — or depends on — the report body.
+    Exceptions never escape: a poisoned request must not take down the
+    worker.
     """
-    meta: dict = {
+    t0 = time.perf_counter()
+    try:
+        kind, payload = "ok", execute_request(request)
+    except ProtocolError as e:
+        payload = e.to_payload()
+        payload["status"] = e.status
+        kind = "error"
+    except Exception as e:  # pragma: no cover - worker safety net
+        from .protocol import error_payload
+
+        payload = error_payload("internal-error", f"{type(e).__name__}: {e}")
+        payload["status"] = 500
+        kind = "error"
+    compute_s = time.perf_counter() - t0
+    spans = get_tracer().to_dicts()
+    if request_id is not None:
+        for root in spans:
+            root.setdefault("attrs", {})["request_id"] = request_id
+    meta = {
         "request_id": request_id,
         "worker_pid": os.getpid(),
         "compute_s": compute_s,
+        "spans": spans,
     }
-    if ship_traces:
-        spans = get_tracer().to_dicts()
-        if request_id is not None:
-            for root in spans:
-                root.setdefault("attrs", {})["request_id"] = request_id
-        meta["spans"] = spans
-    return meta
-
-
-def run_batch(
-    items: list[tuple[PartitionRequest, str | None]],
-    ship_traces: bool = True,
-) -> tuple[list[tuple[str, dict, dict]], dict]:
-    """Execute a micro-batch of requests in this worker process.
-
-    ``items`` pairs each request with the server-minted request id; the
-    worker must have run :func:`init_worker`.  Returns
-    ``(outcomes, caches)`` where each outcome is
-    ``("ok", report, meta)`` or ``("error", payload, meta)`` with
-    ``payload`` in the protocol's error shape plus a ``status`` the
-    server strips before sending, ``meta`` the telemetry of
-    :func:`_compute_meta`, and ``caches`` this worker's
-    :func:`~repro.lattice.memo.analytic_cache_stats` after the batch.
-    Exceptions never escape: one poisoned request must not take down
-    its batch-mates (their futures would all fail) or the worker.
-    """
-    outcomes: list[tuple[str, dict, dict]] = []
-    for request, request_id in items:
-        t0 = time.perf_counter()
-        try:
-            kind, payload = "ok", execute_request(request)
-        except ProtocolError as e:
-            payload = e.to_payload()
-            payload["status"] = e.status
-            kind = "error"
-        except Exception as e:  # pragma: no cover - worker safety net
-            from .protocol import error_payload
-
-            payload = error_payload("internal-error", f"{type(e).__name__}: {e}")
-            payload["status"] = 500
-            kind = "error"
-        meta = _compute_meta(request_id, time.perf_counter() - t0, ship_traces)
-        outcomes.append((kind, payload, meta))
-    return outcomes, analytic_cache_stats()
+    return kind, payload, meta

@@ -41,11 +41,10 @@ Production semantics, in the order a request meets them:
 4. **Admission control** — at most ``--queue-depth`` unique computations
    may be queued or running; beyond that the server sheds load with
    ``429`` + ``Retry-After`` instead of building an unbounded backlog.
-5. **Dispatch and batching** — the
-   :class:`~repro.serve.batching.MicroBatcher` ships an admitted request
-   to an idle compute worker at once, over that worker's own pipe;
-   requests that arrive while every worker is busy pile up and go to the
-   first worker that frees as one batch of at most ``--max-batch``.
+5. **Dispatch** — the :class:`~repro.serve.workers.WorkerPool` ships
+   an admitted request to an idle compute worker at once, over that
+   worker's own pipe; requests that arrive while every worker is busy
+   wait in a FIFO and go one at a time to the next worker that frees.
 6. **Deadlines** — each request has a deadline (``deadline_ms`` or the
    server default); a request whose compute is still running when it
    expires gets ``504``, while the computation itself is left to finish
@@ -70,9 +69,9 @@ from dataclasses import dataclass
 from .. import __version__
 from ..lattice.memo import publish_cache_metrics
 from ..obs import configure_logging, get_logger, stitch_trace
-from .batching import MicroBatcher
 from .http import EmbeddedService, HttpService, run_service, service_parser
 from .protocol import ProtocolError, decode_partition_request
+from .workers import WorkerPool
 
 __all__ = ["ServeConfig", "PartitionServer", "EmbeddedServer", "serve_main"]
 
@@ -87,7 +86,6 @@ class ServeConfig:
     port: int = 8787  # 0 = ephemeral (the bound port lands in --port-file)
     workers: int = 1
     queue_depth: int = 64
-    max_batch: int = 8
     response_cache_size: int = 256
     deadline_ms: int = 60_000
     drain_s: float = 10.0
@@ -95,13 +93,12 @@ class ServeConfig:
     slo_p99_ms: float = 1000.0
     slo_error_rate: float = 0.01
     flight_capacity: int = 512
-    trace_requests: bool = True  # ship worker span trees back per request
     opt_budget_s: float | None = None  # per-member parallelepiped budget
 
 
 class PartitionServer(HttpService):
     """The replica: admission, coalescing, the response cache and the
-    batcher, on top of the shared :class:`~repro.serve.http.HttpService`."""
+    worker pool, on top of the shared :class:`~repro.serve.http.HttpService`."""
 
     name = "serve"
 
@@ -111,11 +108,8 @@ class PartitionServer(HttpService):
             raise ValueError(f"workers must be >= 1, got {self.config.workers}")
         if self.config.queue_depth < 1:
             raise ValueError(f"queue-depth must be >= 1, got {self.config.queue_depth}")
-        self._batcher = MicroBatcher(
-            workers=self.config.workers,
-            max_batch=self.config.max_batch,
-            ship_traces=self.config.trace_requests,
-            opt_budget_s=self.config.opt_budget_s,
+        self._pool = WorkerPool(
+            workers=self.config.workers, opt_budget_s=self.config.opt_budget_s
         )
         # self._admitted (from HttpService) counts unique computations
         # queued or running.
@@ -126,7 +120,7 @@ class PartitionServer(HttpService):
     # -- lifecycle -------------------------------------------------------
     async def _setup(self) -> None:
         """Start the workers before the listener binds."""
-        self._batcher.start()
+        self._pool.start()
         self._metrics.gauge("serve.queue_depth_limit").set(self.config.queue_depth)
 
     def _on_listening(self) -> None:
@@ -143,7 +137,7 @@ class PartitionServer(HttpService):
         request would eat the whole cold-hydration cost.
         """
         try:
-            await self._batcher.prewarm()
+            await self._pool.prewarm()
         except Exception:  # pragma: no cover - worker failures surface later
             logger.exception("worker prewarm failed; serving anyway")
         finally:
@@ -155,18 +149,18 @@ class PartitionServer(HttpService):
         """Drain in-flight work once the listener is closed.
 
         Shutdown takes at most ``drain_s`` plus the workers' join: what
-        the drain did not finish, stopping the batcher fails with 503
+        the drain did not finish, stopping the pool fails with 503
         ``shutting-down`` (killing busy workers) before the request
         tasks are awaited.
         """
         try:
-            await asyncio.wait_for(self._batcher.drain(), timeout=self.config.drain_s)
+            await asyncio.wait_for(self._pool.drain(), timeout=self.config.drain_s)
         except asyncio.TimeoutError:
             logger.warning(
                 "drain did not finish within %.1fs; abandoning in-flight work",
                 self.config.drain_s,
             )
-        await self._batcher.stop()
+        await self._pool.stop()
         if self._inflight:
             await asyncio.gather(*list(self._inflight.values()), return_exceptions=True)
         logger.info("drained; %d requests served", self._requests_served)
@@ -181,7 +175,7 @@ class PartitionServer(HttpService):
         the latency breakdown but no duplicate span tree.
         """
         details = {k: meta.get(k) for k in ("queue_ms", "compute_ms", "worker_pid")}
-        if self.config.trace_requests and cache == "miss" and "spans" in meta:
+        if cache == "miss" and "spans" in meta:
             details["trace"] = stitch_trace(
                 record.request_id,
                 record.endpoint,
@@ -251,7 +245,7 @@ class PartitionServer(HttpService):
         return 200, report, extra, meta
 
     async def _compute(self, request, request_id: str) -> tuple[dict, dict]:
-        report, meta = await self._batcher.submit(request, request_id)
+        report, meta = await self._pool.submit(request, request_id)
         if self.config.response_cache_size > 0:
             self._response_cache[request.canonical_key] = report
             self._response_cache.move_to_end(request.canonical_key)
@@ -295,7 +289,7 @@ class PartitionServer(HttpService):
 
     async def _metric_entries(self) -> list[dict]:
         self._refresh_slo_gauges()
-        publish_cache_metrics(self._metrics, self._batcher.cache_stats())
+        publish_cache_metrics(self._metrics, self._pool.cache_stats())
         return self._metrics.snapshot()
 
     async def _metrics_json(self) -> dict:
@@ -305,7 +299,7 @@ class PartitionServer(HttpService):
             "generated_by": f"repro {__version__}",
             "server": self._healthz(),
             "metrics": await self._metric_entries(),
-            "caches": self._batcher.cache_stats(),
+            "caches": self._pool.cache_stats(),
             "slo": {
                 "p99_ms": self.config.slo_p99_ms,
                 "error_rate": self.config.slo_error_rate,
@@ -335,8 +329,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
     p.add_argument("--queue-depth", type=int, default=64, metavar="N",
                    help="max computations queued or running before the "
                    "server sheds load with 429 (>= 1)")
-    p.add_argument("--max-batch", type=int, default=8, metavar="N",
-                   help="max requests per worker batch")
     p.add_argument("--response-cache", type=int, default=256, metavar="N",
                    help="completed-response LRU size (0 disables)")
     p.add_argument("--deadline-ms", type=int, default=60_000, metavar="MS",
@@ -351,10 +343,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
                    help="wall-time budget per parallelepiped portfolio "
                    "member (SLSQP, simulated annealing) in partition "
                    "workers; unset keeps responses bit-reproducible")
-    p.add_argument("--no-request-traces", action="store_true",
-                   help="do not ship worker span trees back per request "
-                   "(/debug/requests/<id> loses stitched traces; used to "
-                   "measure telemetry overhead)")
     return p
 
 
@@ -366,8 +354,6 @@ def serve_main(argv: list[str] | None = None, *, out=None) -> int:
         parser.error(f"--workers must be >= 1, got {args.workers}")
     if args.queue_depth < 1:
         parser.error(f"--queue-depth must be >= 1, got {args.queue_depth}")
-    if args.max_batch < 1:
-        parser.error(f"--max-batch must be >= 1, got {args.max_batch}")
     if args.log_level:
         configure_logging(args.log_level)
     out = out or sys.stdout
@@ -376,7 +362,6 @@ def serve_main(argv: list[str] | None = None, *, out=None) -> int:
         port=args.port,
         workers=args.workers,
         queue_depth=args.queue_depth,
-        max_batch=args.max_batch,
         response_cache_size=args.response_cache,
         deadline_ms=args.deadline_ms,
         drain_s=args.drain_s,
@@ -384,7 +369,6 @@ def serve_main(argv: list[str] | None = None, *, out=None) -> int:
         slo_p99_ms=args.slo_p99_ms,
         slo_error_rate=args.slo_error_rate,
         flight_capacity=args.flight_capacity,
-        trace_requests=not args.no_request_traces,
         opt_budget_s=args.opt_budget,
     )
 

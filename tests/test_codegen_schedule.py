@@ -6,7 +6,9 @@ import pytest
 from repro.core.loopnest import IterationSpace
 from repro.core.tiles import ParallelepipedTile, RectangularTile
 from repro.codegen.schedule import TileSchedule, processor_bounds
+from repro.core.tiles import Tiling
 from repro.exceptions import PartitionError
+from repro.sim.trace import deal_tiles
 
 
 class TestProcessorBounds:
@@ -99,3 +101,24 @@ class TestTileSchedule:
         sched = TileSchedule(sp, RectangularTile([3, 5]), 3, grid=(3, 1))
         counts = sched.iteration_counts()
         assert counts == [15, 10, 0]
+
+    def test_fewer_tiles_than_grid_cells_matches_dealing(self):
+        """9 columns in sides of 3 make 3 tiles on a 4-wide grid: each
+        processor must run the tiles the simulator deals it, and the two
+        processors past the 2x3 tiles are idle."""
+        sp = IterationSpace([1, 1], [8, 9])
+        tile = RectangularTile([4, 3])
+        sched = TileSchedule(sp, tile, 8, grid=(2, 4))
+        dealing = deal_tiles(Tiling(sp, tile), 8)
+        for p in range(8):
+            ours = sorted(map(tuple, sched.iterations(p).tolist()))
+            assert ours == sorted(map(tuple, dealing.block(p).tolist())), p
+            assert all(sched.owner_of(it) == p for it in ours)
+        assert sched.grid_coord(3) == (1, 0)
+        assert sched.bounds(6) is None and sched.bounds(7) is None
+        assert sched.iteration_counts() == dealing.counts()
+
+    def test_grid_with_too_few_cells_rejected(self):
+        sp = IterationSpace([1, 1], [8, 9])
+        with pytest.raises(PartitionError, match="fewer cells"):
+            TileSchedule(sp, RectangularTile([4, 2]), 8, grid=(2, 4))

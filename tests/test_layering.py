@@ -157,7 +157,7 @@ def test_one_request_pipeline():
 
 def test_one_serve_worker_mechanism():
     """The service reaches its compute workers one way: a duplex pipe per
-    worker, owned by ``serve/batching.py``.  No module under ``serve/``
+    worker, owned by ``serve/workers.py``.  No module under ``serve/``
     imports ``concurrent.futures``, so no executor pool grows beside it."""
     root = Path(repro.__file__).parent
     offenders = sorted(

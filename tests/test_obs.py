@@ -163,27 +163,16 @@ class TestMetrics:
         assert r.total("m") == 5
         assert r.by_label("m", "proc") == {0: 2, 1: 3}
 
-    def test_histogram(self):
-        r = MetricsRegistry()
-        h = r.histogram("h")
-        for v in (1, 1, 2, 5):
-            h.observe(v)
-        assert h.count == 4
-        assert h.total == 9
-        assert h.mean == pytest.approx(2.25)
-        d = h.to_dict()
-        assert d["bins"] == {"1": 2, "2": 1, "5": 1}
-
     def test_snapshot_and_reset(self):
         r = MetricsRegistry()
         r.counter("a").inc(7)
-        r.histogram("b").observe(3)
+        r.latency_histogram("b").observe(3)
         snap = r.snapshot()
         assert {s["name"] for s in snap} == {"a", "b"}
         json.dumps(snap)
         r.reset()
         assert r.counter("a").value == 0
-        assert r.histogram("b").count == 0
+        assert r.latency_histogram("b").count == 0
 
 
 # ---------------------------------------------------------------------------

@@ -279,7 +279,7 @@ class TestPrometheusRoundTrip:
         lat = reg.latency_histogram("serve.latency_ms", endpoint="/v1/partition")
         for v in (0.8, 4.0, 90.0):
             lat.observe(v)
-        reg.histogram("sim.sharers").observe(2)
+        reg.latency_histogram("serve.queue_ms").observe(2)
         return reg
 
     def test_render_and_strict_parse(self):
@@ -298,7 +298,7 @@ class TestPrometheusRoundTrip:
         quantiles = {s["labels"]["quantile"] for s in summary["samples"]
                      if s["role"] == "value"}
         assert quantiles == {"0.5", "0.95", "0.99"}
-        assert parsed["repro_sim_sharers"]["type"] == "histogram"
+        assert parsed["repro_serve_queue_ms"]["type"] == "histogram"
 
     def test_counters_end_in_total(self):
         text = prometheus_text(self._registry())

@@ -1,12 +1,9 @@
-"""The batcher's dispatch policy and worker-death handling.
+"""The worker pool's dispatch policy and worker-death handling.
 
-:class:`~repro.serve.batching.MicroBatcher` ships a request to an idle
+:class:`~repro.serve.workers.WorkerPool` ships a request to an idle
 worker inside ``submit``; requests that arrive while every worker is
-busy pile up and leave as batches of at most ``max_batch`` when a
-worker frees.  Each test reads which batches shipped from the
-``serve.batch_size`` histogram.  No test depends on wall-clock time:
-"busy" is made by submitting within one event-loop iteration (a reply
-cannot be read before the loop polls again), by the hydration
+busy wait in a FIFO and go one at a time to the next worker that frees.
+No test depends on wall-clock time: "busy" is made by the hydration
 handshake every new worker runs, or by stopping a worker with SIGSTOP.
 """
 
@@ -19,8 +16,8 @@ import signal
 import pytest
 
 from repro.obs import get_registry
-from repro.serve.batching import MicroBatcher
 from repro.serve.protocol import ProtocolError, validate_partition_request
+from repro.serve.workers import WorkerPool
 
 
 def _request(n: int):
@@ -29,65 +26,73 @@ def _request(n: int):
     )
 
 
-def _batch_sizes() -> dict[int, int]:
-    """The ``serve.batch_size`` bins: batch size → batches shipped."""
-    return dict(get_registry().histogram("serve.batch_size").bins)
-
-
-def _shipped_since(before: dict[int, int]) -> dict[int, int]:
-    after = _batch_sizes()
-    return {k: after[k] - before.get(k, 0) for k in after if after[k] != before.get(k, 0)}
-
-
-async def _with_batcher(body, **kwargs):
-    batcher = MicroBatcher(**kwargs)
-    batcher.start()
+async def _with_pool(body, **kwargs):
+    pool = WorkerPool(**kwargs)
+    pool.start()
     try:
-        return await body(batcher)
+        return await body(pool)
     finally:
-        await batcher.stop()
+        await pool.stop()
+
+
+def _resume(*pids: int) -> None:
+    for pid in pids:
+        try:
+            os.kill(pid, signal.SIGCONT)
+        except ProcessLookupError:
+            pass
 
 
 def test_lone_request_dispatched_inside_submit():
     async def body(b):
         await b.prewarm()
-        before = _batch_sizes()
         task = asyncio.ensure_future(b.submit(_request(8), "lone"))
         await asyncio.sleep(0)  # submit runs up to awaiting its result
         assert not b._pending
-        assert _shipped_since(before) == {1: 1}
+        assert [w.item[1] for w in b._slots if w.item] == ["lone"]
         report, meta = await task
         assert report["schema"] == "repro.run-report"
         assert meta["request_id"] == "lone"
         assert meta["worker_pid"] in b.worker_pids()
 
-    asyncio.run(_with_batcher(body, workers=1))
+    asyncio.run(_with_pool(body, workers=1))
 
 
-def test_requests_behind_a_busy_worker_ship_as_one_batch():
+def test_queued_requests_spread_over_freed_workers():
+    """A backlog goes one request per freed worker, not all to the first.
+
+    Both workers are stopped, each holding one request, with two more
+    queued behind them.  ``first`` resumes, answers, takes the oldest
+    queued request and is stopped again; ``second`` resumes and must
+    take the other one.
+    """
+
     async def body(b):
         await b.prewarm()
-        before = _batch_sizes()
-        # One event-loop iteration: the first request takes the idle
-        # worker, the other five find it busy and pile up.
-        tasks = [asyncio.ensure_future(b.submit(_request(8 + k))) for k in range(6)]
-        results = await asyncio.gather(*tasks)
-        assert all(r["schema"] == "repro.run-report" for r, _ in results)
-        assert _shipped_since(before) == {1: 1, 5: 1}
+        pids = b.worker_pids()
+        for pid in pids:
+            os.kill(pid, signal.SIGSTOP)
+        try:
+            held = [asyncio.ensure_future(b.submit(_request(8 + k))) for k in range(2)]
+            await asyncio.sleep(0)
+            assert not b._pending  # one request on each stopped worker
+            queued = [asyncio.ensure_future(b.submit(_request(64 + k))) for k in range(2)]
+            await asyncio.sleep(0)
+            first = pids[0]
+            _resume(first)
+            done, _ = await asyncio.wait(held, return_when=asyncio.FIRST_COMPLETED)
+            os.kill(first, signal.SIGSTOP)
+            assert [t.result()[1]["worker_pid"] for t in done] == [first]
+            (second,) = set(pids) - {first}
+            _resume(second)
+            await asyncio.gather(*held)
+            _resume(first)
+            results = await asyncio.gather(*queued)
+        finally:
+            _resume(*pids)  # never leave a worker stopped
+        assert {meta["worker_pid"] for _, meta in results} == set(pids)
 
-    asyncio.run(_with_batcher(body, workers=1))
-
-
-def test_max_batch_splits_a_backlog():
-    async def body(b):
-        # Submitted before the hydration handshake returns: all five
-        # wait behind the busy worker, then leave two at a time.
-        before = _batch_sizes()
-        tasks = [asyncio.ensure_future(b.submit(_request(8 + k))) for k in range(5)]
-        await asyncio.gather(*tasks)
-        assert _shipped_since(before) == {2: 2, 1: 1}
-
-    asyncio.run(_with_batcher(body, workers=1, max_batch=2))
+    asyncio.run(_with_pool(body, workers=2))
 
 
 def test_drain_flushes_coalesced_requests():
@@ -99,7 +104,7 @@ def test_drain_flushes_coalesced_requests():
         assert not b._pending
         assert all(t.done() and not t.exception() for t in tasks)
 
-    asyncio.run(_with_batcher(body, workers=1))
+    asyncio.run(_with_pool(body, workers=1))
 
 
 def test_stop_fails_pending_requests():
@@ -111,7 +116,7 @@ def test_stop_fails_pending_requests():
             await task
         assert exc.value.code == "shutting-down" and exc.value.status == 503
 
-    asyncio.run(_with_batcher(body, workers=1))
+    asyncio.run(_with_pool(body, workers=1))
 
 
 def test_one_dead_worker_fails_only_its_batch():
@@ -122,20 +127,16 @@ def test_one_dead_worker_fails_only_its_batch():
         victim, survivor = b.worker_pids()
         deaths_before = deaths.value
         # Stopped workers cannot answer, so both stay busy with their
-        # batch until they are killed or continued.
+        # request until they are killed or continued.
         for pid in (victim, survivor):
             os.kill(pid, signal.SIGSTOP)
         try:
             tasks = [asyncio.ensure_future(b.submit(_request(8 + k))) for k in range(2)]
             await asyncio.sleep(0)
-            assert not b._pending  # one batch on each worker
+            assert not b._pending  # one request on each worker
             os.kill(victim, signal.SIGKILL)
         finally:
-            for pid in (victim, survivor):  # never leave a worker stopped
-                try:
-                    os.kill(pid, signal.SIGCONT)
-                except ProcessLookupError:
-                    pass
+            _resume(victim, survivor)  # never leave a worker stopped
         outcomes = await asyncio.gather(*tasks, return_exceptions=True)
         failed = [o for o in outcomes if isinstance(o, ProtocolError)]
         served = [o for o in outcomes if not isinstance(o, BaseException)]
@@ -150,4 +151,4 @@ def test_one_dead_worker_fails_only_its_batch():
         report, _ = await b.submit(_request(16))
         assert report["schema"] == "repro.run-report"
 
-    asyncio.run(_with_batcher(body, workers=2))
+    asyncio.run(_with_pool(body, workers=2))

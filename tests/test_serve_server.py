@@ -81,7 +81,6 @@ class TestEndpoints:
         assert "serve.requests" in names
         assert "serve.responses" in names
         assert "serve.latency_ms" in names
-        assert "serve.batches" in names
         assert m["caches"]["lattice_cache"]["entries"] >= 0
         assert m["server"]["status"] == "ok"
 
@@ -256,13 +255,13 @@ class TestWorkerDeath:
         with EmbeddedServer(ServeConfig(port=0, workers=1)) as emb:
             with ServeClient("127.0.0.1", emb.port) as c:
                 c.partition(FAST_SOURCE, 4, label="before-death")
-                for pid in emb.server._batcher.worker_pids():
+                for pid in emb.server._pool.worker_pids():
                     os.kill(pid, signal.SIGKILL)
                 with pytest.raises(ServeError) as exc:
                     c.partition(FAST_SOURCE, 8, label="during-death")
                 assert exc.value.status == 500
                 assert exc.value.code == "worker-died"
-                # The batcher replaced the pool: the service keeps serving.
+                # The pool replaced the worker: the service keeps serving.
                 report = c.partition(FAST_SOURCE, 8, label="after-death")
                 assert report["schema"] == "repro.run-report"
                 m = c.metrics()
@@ -340,7 +339,7 @@ class TestDrain:
                 while not c.healthz().get("ready"):
                     assert time.monotonic() < deadline, "server never became ready"
                     time.sleep(0.05)
-            (pid,) = emb.server._batcher.worker_pids()
+            (pid,) = emb.server._pool.worker_pids()
             os.kill(pid, signal.SIGSTOP)
 
             def stuck_request():
@@ -526,3 +525,14 @@ def test_benchmark_contract_flags_still_accepted():
 
     assert build_serve_parser().parse_args(["--plan-cache"]).plan_cache is True
     init_worker(plan_cache=True)
+
+
+@pytest.mark.parametrize("argv", [["--max-batch", "2"], ["--no-request-traces"]])
+def test_retired_dispatch_flags_rejected(argv):
+    """Workers take one request per dispatch and always ship their span
+    trees, so neither the batch cap nor the trace switch parses."""
+    from repro.serve.server import build_serve_parser
+
+    with pytest.raises(SystemExit) as exc:
+        build_serve_parser().parse_args(argv)
+    assert exc.value.code == 2

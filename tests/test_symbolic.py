@@ -11,6 +11,12 @@ from repro.core.symbolic import (
 )
 
 
+def evaluate(poly: RectFootprintPolynomial, sides) -> float:
+    """The polynomial at concrete tile sides."""
+    sides = np.asarray(sides, dtype=float)
+    return float(sum(c * np.prod(sides[list(dims)]) for dims, c in poly.terms))
+
+
 class TestPolynomialAlgebra:
     def test_from_dict_drops_zeros(self):
         p = RectFootprintPolynomial.from_dict({(0,): 0.0, (1,): 2.0}, ("i", "j"))
@@ -35,7 +41,7 @@ class TestPolynomialAlgebra:
         p = RectFootprintPolynomial.from_dict(
             {(0, 1): 1.0, (0,): 2.0, (): 5.0}, ("i", "j")
         )
-        assert p.evaluate([3, 4]) == 12 + 6 + 5
+        assert evaluate(p, [3, 4]) == 12 + 6 + 5
 
     def test_str_zero(self):
         assert str(RectFootprintPolynomial.from_dict({}, ("i",))) == "0"
@@ -88,7 +94,7 @@ class TestPaperPolynomials:
         for sides in ([6, 4], [18, 12]):
             t = RectangularTile(sides)
             direct = sum(cumulative_footprint_rect(s, t) for s in sets)
-            assert poly.evaluate(sides) == direct
+            assert evaluate(poly, sides) == direct
 
     def test_singular_class_volume_only(self):
         """A[i+j] has no Theorem-4 polynomial: volume term only."""

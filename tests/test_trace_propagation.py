@@ -1,7 +1,7 @@
 """Cross-process trace propagation through the serving stack.
 
 The tentpole contract of the telemetry PR: a caller-supplied
-``X-Repro-Request-Id`` travels server → micro-batcher → pool worker and
+``X-Repro-Request-Id`` travels server → worker pool → compute worker and
 back, and ``GET /debug/requests/<id>`` returns ONE stitched span tree
 containing both the server-side spans (``serve.queue``,
 ``serve.compute``) and the worker-side pipeline spans (``optimize.*``,
@@ -12,7 +12,7 @@ The span *structure* must also be deterministic: identical programs
 produce byte-identical trees once volatile fields (durations, pids,
 ids) are stripped, whether the analytic caches were cold or warm —
 that's what keeps the serve-vs-CLI differential suite stable with
-tracing on by default.
+tracing always on.
 """
 
 from __future__ import annotations
@@ -190,19 +190,3 @@ class TestStitchedTraces:
         assert dump["schema"] == "repro.serve-debug-inflight"
         assert isinstance(dump["inflight"], list)
         assert isinstance(dump["admitted"], int)
-
-
-class TestTracingDisabled:
-    def test_no_request_traces_keeps_records(self):
-        config = ServeConfig(port=0, workers=1, trace_requests=False)
-        with EmbeddedServer(config) as emb:
-            with ServeClient("127.0.0.1", emb.port) as client:
-                rid = "untraced-1"
-                client.partition(SOURCE, 4, bindings={"N": 12}, request_id=rid)
-                assert client.last_cache_status == "miss"
-                found = client.debug_request(rid)
-                # The record (latency breakdown, worker pid) survives;
-                # only the span tree is skipped.
-                assert found["record"]["status"] == 200
-                assert found["record"]["compute_ms"] >= 0
-                assert "trace" not in found
