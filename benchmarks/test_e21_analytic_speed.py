@@ -36,8 +36,10 @@ from repro.lattice.points import (
     LatticeCountCache,
     analytic_cache_stats,
     parallelepiped_lattice_points,
-    parallelepiped_lattice_points_scalar,
     union_of_boxes_size,
+)
+from tests.lattice_oracles import (
+    parallelepiped_lattice_points_scalar,
     union_of_boxes_size_scalar,
 )
 

@@ -78,6 +78,8 @@ def as_int_matrix(m, *, name: str = "matrix", ndim: int = 2) -> np.ndarray:
     a = np.asarray(m)
     if a.ndim != ndim:
         raise NonIntegerMatrixError(f"{name} must be {ndim}-dimensional, got shape {a.shape}")
+    if a.dtype.kind in _INT_KINDS:
+        return np.array(a, dtype=np.int64, order="C")
     if a.dtype.kind == "O":
         # Could be python ints (possibly big); validate entrywise.
         flat = a.ravel()

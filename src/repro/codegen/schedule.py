@@ -38,9 +38,7 @@ __all__ = [
 ]
 
 
-def processor_bounds(
-    space: IterationSpace, sides, grid, coord
-) -> list[tuple[int, int]] | None:
+def processor_bounds(space: IterationSpace, sides, coord) -> list[tuple[int, int]] | None:
     """Loop bounds for the processor at grid coordinate ``coord``.
 
     Returns ``None`` when the coordinate's box is empty (can happen for
@@ -128,7 +126,7 @@ class TileSchedule:
         coord = self.grid_coord(proc)
         if coord is None:
             return None
-        return processor_bounds(self.space, self.tile.sides, self.grid, coord)
+        return processor_bounds(self.space, self.tile.sides, coord)
 
     @property
     def _closed_form(self) -> bool:

@@ -11,11 +11,12 @@
   little or not at all, so their traffic adds (Section 3.5).
 
 A :class:`UISet` also owns the facts that depend only on its ``G`` and
-offsets, never on a tile: the Smith normal form of ``G``, the column
-reduction ``G′`` (Section 3.4.1), Theorem 4's spread coefficients ``u``,
-the integer kernel of ``G`` and the data-sharing directions.  Each is
-computed on first use and kept; :func:`partition_references` hands each
-class the Smith form it tested its members against.
+offsets, never on a tile: the Smith normal form of ``G`` and its rank,
+the column reduction ``G′`` (Section 3.4.1), Theorem 4's coefficients
+``u``, the members' lattice cosets, the integer kernel of ``G`` and the
+data-sharing directions.  Each is computed on first use and kept;
+:func:`partition_references` hands each class the Smith form it tested
+its members against.
 """
 
 from __future__ import annotations
@@ -25,8 +26,10 @@ from itertools import combinations
 
 import numpy as np
 
-from .._util import exact_solve, int_rank
+from .._util import exact_solve
+from ..lattice.lattice import coset_coordinates
 from ..lattice.snf import SNFResult, integer_kernel_basis, smith_normal_form, solve_integer
+from ..lattice.unimodular import maximal_independent_columns, select_unimodular_columns
 from .affine import AccessKind, AffineRef, ArrayAccess
 from .spread import spread_vector
 
@@ -126,9 +129,10 @@ class UISet:
     accesses:
         The member accesses (reference + read/write kind).
 
-    The geometry members (:attr:`reduced`, :attr:`u`, :attr:`kernel`,
-    :attr:`sharing`) are computed on first read, kept on the instance and
-    returned as read-only arrays shared by every caller.
+    The geometry members (:attr:`snf`, :attr:`rank`, :attr:`reduced`,
+    :attr:`u`, :attr:`cosets`, :attr:`kernel`, :attr:`sharing`) are
+    computed on first read, kept on the instance and returned as
+    read-only values shared by every caller.
     """
 
     accesses: tuple[ArrayAccess, ...]
@@ -153,7 +157,7 @@ class UISet:
     @_cached
     def offsets(self) -> np.ndarray:
         """``(R, d)`` matrix of the members' offset vectors."""
-        return _frozen(np.vstack([r.offset for r in self.refs]))
+        return _frozen(np.array([r.offset for r in self.refs]))
 
     @property
     def size(self) -> int:
@@ -178,18 +182,28 @@ class UISet:
         return smith_normal_form(self.g)
 
     @_cached
+    def rank(self) -> int:
+        """``rank(G) = rank(G′)``; ``l`` exactly when ``i ↦ i·G`` is
+        one-to-one (Lemma 1) and the class has Theorem-4 coefficients."""
+        return self.snf.rank
+
+    @_cached
     def reduced(self) -> tuple[np.ndarray, np.ndarray]:
         """Column-reduce the class: shared ``G′`` plus per-member offsets.
 
         Zero columns are dropped first (Example 1), then a maximal
-        independent column set is kept (Section 3.4.1).  Within a
-        uniformly intersecting class this preserves footprint sizes and
-        overlaps exactly (see :meth:`AffineRef.reduce_columns`).
+        independent column set is kept (Section 3.4.1), as
+        :meth:`AffineRef.reduced_columns` picks it.  Within a uniformly
+        intersecting class this preserves footprint sizes and overlaps
+        exactly (see :meth:`AffineRef.reduce_columns`).
         """
         g = self.g
-        nonzero = [c for c in range(g.shape[1]) if g[:, c].any()]
-        sub = self.base_ref().drop_zero_columns().reduced_columns()
-        keep = [nonzero[c] for c in sub]
+        nonzero = np.flatnonzero(g.any(axis=0))
+        sub = _frozen(g[:, nonzero])
+        cols = select_unimodular_columns(sub, rank=self.rank)
+        if cols is None:
+            cols = maximal_independent_columns(sub)
+        keep = nonzero[list(cols)]
         return _frozen(g[:, keep]), _frozen(self.offsets[:, keep])
 
     @_cached
@@ -203,13 +217,24 @@ class UISet:
         footprint lattice and the dilation is fractional).  ``None`` when
         ``G′`` has dependent rows: the class has no Theorem-4 form.
         """
-        g, offsets = self.reduced
-        if int_rank(g) < g.shape[0]:
+        if self.rank < self.g.shape[0]:
             return None
-        sol = exact_solve(g, offsets.max(axis=0) - offsets.min(axis=0))
+        g, offsets = self.reduced
+        spread = offsets.max(axis=0) - offsets.min(axis=0)
+        if not spread.any():  # one member, or coincident ones
+            return _frozen(np.zeros(g.shape[0]))
+        sol = exact_solve(g, spread)
         if sol is None:  # pragma: no cover - â lies in the row space by construction
             return None
         return _frozen(np.abs(np.array([float(c) for c in sol])))
+
+    @_cached
+    def cosets(self) -> tuple[np.ndarray, ...]:
+        """The members' offsets in lattice coordinates of ``G′`` (needs
+        :attr:`u`), per coset (:func:`~repro.lattice.lattice.coset_coordinates`):
+        the corners of the members' footprint boxes in coefficient space."""
+        g, offsets = self.reduced
+        return tuple(_frozen(us) for us in coset_coordinates(g, offsets))
 
     @_cached
     def kernel(self) -> np.ndarray:

@@ -23,7 +23,7 @@ from .cumulative import (
     cumulative_footprint_size,
     cumulative_footprint_size_exact,
 )
-from .footprint import footprint_size
+from .footprint import collapsed_rect_footprint, footprint_size
 from .loopnest import LoopNest
 from .tiles import ParallelepipedTile, RectangularTile
 from ..exceptions import SingularMatrixError
@@ -96,11 +96,21 @@ def _class_footprint(s: UISet, tile: ParallelepipedTile, method: str) -> float:
     raise ValueError(f"unknown method {method!r}")
 
 
+def _single_footprint(s: UISet, tile: ParallelepipedTile) -> float:
+    """``footprint_size(s.base_ref(), tile)``, from the class's own facts."""
+    if not isinstance(tile, RectangularTile):
+        return float(footprint_size(s.base_ref(), tile))
+    if s.u is not None:  # G one-to-one: |tile| points (Theorem 5)
+        return float(tile.iterations)
+    return float(collapsed_rect_footprint(s.reduced[0], tile, rank=s.rank))
+
+
 def estimate_traffic(
     nest_or_sets,
     tile: ParallelepipedTile,
     *,
     method: str = "exact",
+    exact_footprints=(),
 ) -> TrafficEstimate:
     """Predict per-tile traffic for a partition.
 
@@ -108,14 +118,19 @@ def estimate_traffic(
     iterable of :class:`UISet`.  ``method`` selects the footprint
     evaluator: ``'exact'`` (default), ``'theorem4'`` (rectangular closed
     form, falling back as the paper prescribes) or ``'theorem2'``
-    (determinant approximation).
+    (determinant approximation).  ``exact_footprints`` holds per class
+    an exact footprint already counted for ``tile``, or ``None``
+    (:attr:`~repro.core.optimize.RectOptResult.exact_footprints`).
     """
     if isinstance(nest_or_sets, LoopNest):
         nest_or_sets = nest_or_sets.accesses
+    known = dict(enumerate(exact_footprints)) if method == "exact" else {}
     classes = []
-    for s in as_uisets(nest_or_sets):
-        fp = _class_footprint(s, tile, method)
-        single = float(footprint_size(s.base_ref(), tile))
+    for c, s in enumerate(as_uisets(nest_or_sets)):
+        fp = known.get(c)
+        if fp is None:
+            fp = _class_footprint(s, tile, method)
+        single = _single_footprint(s, tile)
         classes.append(ClassTraffic(uiset=s, footprint=fp, single_footprint=single))
     if isinstance(tile, RectangularTile):
         iters = float(tile.iterations)

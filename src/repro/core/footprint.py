@@ -31,16 +31,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from .._util import int_det, int_rank
-from ..lattice.points import DEFAULT_LATTICE_CACHE
+from .._util import int_det, int_rank, vector_gcd
+from ..lattice.points import DEFAULT_FOOTPRINT_TABLE, DEFAULT_LATTICE_CACHE
 from .affine import AffineRef
 from .tiles import ParallelepipedTile, RectangularTile
 
 __all__ = [
     "footprint_size",
+    "collapsed_rect_footprint",
     "footprint_size_exact",
     "footprint_det_size",
     "footprint_points",
+    "footprint_size_theorem1",
 ]
 
 
@@ -89,45 +91,47 @@ def footprint_size(ref: AffineRef, tile: ParallelepipedTile) -> int:
     (falls back to enumeration rather than approximate).
     """
     r = ref.drop_zero_columns()
-    g = r.g
-    l = g.shape[0]
+    rank = int_rank(r.g)
 
     # Theorem 5: independent rows => G injective => footprint size equals
     # the number of iterations in the tile.
-    if int_rank(g) == l:
+    if rank == r.g.shape[0]:
         if isinstance(tile, RectangularTile):
             return tile.iterations
         return int(tile.enumerate_iterations(closed=True).shape[0])
 
     # Rows dependent: the map collapses iterations.
     if isinstance(tile, RectangularTile):
-        r = r.reduce_columns()
-        g = r.g
-        if g.shape[1] == 1:
-            # 1-D array case (Section 3.8): exact closed forms for l<=2 and
-            # large boxes, the memoised sumset count (the paper's "table
-            # lookup") otherwise.
-            from ..lattice.points import DEFAULT_FOOTPRINT_TABLE
-
-            return DEFAULT_FOOTPRINT_TABLE.lookup(g[:, 0], tile.extents)
-        if int_rank(g) == 1:
-            # All rows are multiples of one primitive direction: the image
-            # lies on a line and the count is a 1-D problem (Section 3.8's
-            # l = 2 closed-form case, for any d).  Write g_k = c_k * v with
-            # v the primitive direction; distinct points = distinct sums
-            # of the c_k over the tile box.
-            from .._util import vector_gcd
-            from ..lattice.points import DEFAULT_FOOTPRINT_TABLE as _TABLE
-
-            pivot = next(row for row in g if row.any())
-            v = pivot // vector_gcd(pivot)
-            j = int(np.nonzero(v)[0][0])
-            coeffs = [int(row[j]) // int(v[j]) for row in g]
-            return _TABLE.lookup(coeffs, tile.extents)
-        return DEFAULT_LATTICE_CACHE.count_distinct_images(g, tile.extents)
+        return collapsed_rect_footprint(r.reduce_columns().g, tile, rank=rank)
 
     # General parallelepiped with dependent rows: enumerate.
     return footprint_size_exact(r, tile)
+
+
+def collapsed_rect_footprint(g, tile: RectangularTile, *, rank: int | None = None) -> int:
+    """Footprint size of a rectangular tile under a column-reduced ``G′``
+    with dependent rows (the map collapses iterations).
+
+    ``rank`` is ``rank(G′)`` when the caller knows it (a class reads its
+    own, :attr:`~repro.core.classify.UISet.rank`).
+    """
+    if g.shape[1] == 1:
+        # 1-D array case (Section 3.8): exact closed forms for l<=2 and
+        # large boxes, the memoised sumset count (the paper's "table
+        # lookup") otherwise.
+        return DEFAULT_FOOTPRINT_TABLE.lookup(g[:, 0], tile.extents)
+    if (int_rank(g) if rank is None else rank) == 1:
+        # All rows are multiples of one primitive direction: the image
+        # lies on a line and the count is a 1-D problem (Section 3.8's
+        # l = 2 closed-form case, for any d).  Write g_k = c_k * v with
+        # v the primitive direction; distinct points = distinct sums
+        # of the c_k over the tile box.
+        pivot = next(row for row in g if row.any())
+        v = pivot // vector_gcd(pivot)
+        j = int(np.nonzero(v)[0][0])
+        coeffs = [int(row[j]) // int(v[j]) for row in g]
+        return DEFAULT_FOOTPRINT_TABLE.lookup(coeffs, tile.extents)
+    return DEFAULT_LATTICE_CACHE.count_distinct_images(g, tile.extents)
 
 
 def footprint_size_theorem1(ref: AffineRef, tile: ParallelepipedTile) -> int:
@@ -142,6 +146,3 @@ def footprint_size_theorem1(ref: AffineRef, tile: ParallelepipedTile) -> int:
     if lg.shape[0] != lg.shape[1]:
         raise ValueError("Theorem 1 needs a square L·G (full-rank reference)")
     return DEFAULT_LATTICE_CACHE.parallelepiped_lattice_points(lg)
-
-
-__all__.append("footprint_size_theorem1")

@@ -95,6 +95,8 @@ class LoopNest:
         the iteration space being partitioned, but their presence means the
         body re-executes, turning first-time misses into steady-state
         coherence traffic (Section 3.6).
+
+    ``space`` is the :class:`IterationSpace` of the parallel loops.
     """
 
     loops: tuple[Loop, ...]
@@ -118,6 +120,10 @@ class LoopNest:
         object.__setattr__(self, "loops", loops)
         object.__setattr__(self, "accesses", accesses)
         object.__setattr__(self, "sequential_loops", tuple(sequential_loops))
+        # The partitioned box, built (and validated) once per nest.
+        object.__setattr__(
+            self, "space", IterationSpace([l.lower for l in loops], [l.upper for l in loops])
+        )
 
     # ------------------------------------------------------------------
     @property
@@ -127,12 +133,6 @@ class LoopNest:
     @property
     def index_names(self) -> tuple[str, ...]:
         return tuple(l.index for l in self.loops)
-
-    @property
-    def space(self) -> IterationSpace:
-        return IterationSpace(
-            [l.lower for l in self.loops], [l.upper for l in self.loops]
-        )
 
     @property
     def references(self) -> tuple[AffineRef, ...]:

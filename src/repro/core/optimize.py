@@ -47,8 +47,8 @@ from .classify import UISet, as_uisets
 from .cumulative import (
     Theorem2Objective,
     cofactors,
-    cumulative_footprint_rect,
     cumulative_footprint_size_exact,
+    theorem4_columns,
 )
 from .loopnest import IterationSpace
 from .tiles import ParallelepipedTile, RectangularTile
@@ -115,6 +115,9 @@ class RectOptResult:
         The un-integerised Lagrange optimum (``s_i ∝ A_i``).
     coefficients:
         The per-dimension traffic coefficients ``A_i``.
+    exact_footprints:
+        Per class, the exact cumulative footprint of ``tile`` where the
+        grid search counted it (``None`` where it scored Theorem 4).
     """
 
     tile: RectangularTile
@@ -122,6 +125,7 @@ class RectOptResult:
     predicted_cost: float
     continuous_sides: np.ndarray
     coefficients: np.ndarray
+    exact_footprints: tuple[float | None, ...] = ()
 
 
 def _divisors(p: int) -> list[int]:
@@ -155,20 +159,21 @@ def factorizations(p: int, l: int):
             yield (f, *rest)
 
 
-def _exact_footprint(s: UISet, tile: RectangularTile, cache: LatticeCountCache) -> float:
-    # The exact union size depends only on the class geometry (G and
-    # offsets up to a common translation, Proposition 1) and the tile
-    # sides — the memoisation key.
-    key = (
-        "cumulative-exact",
-        s.g.shape,
-        s.g.tobytes(),
-        (s.offsets - s.offsets[0]).tobytes(),
-        tuple(int(x) for x in tile.sides),
-    )
-    return cache.get_or_compute(
-        key, lambda: float(cumulative_footprint_size_exact(s, tile))
-    )
+def _exact_column(s: UISet, sides: np.ndarray, cache: LatticeCountCache) -> list[float]:
+    """The class's exact cumulative footprint on every row of ``sides``.
+
+    The count depends only on the class geometry (``G`` and offsets up to
+    a common translation, Proposition 1) and the tile sides — the
+    memoisation key, whose class part is built once per class.
+    """
+    head = ("cumulative-exact", s.g.shape, s.g.tobytes(), (s.offsets - s.offsets[0]).tobytes())
+    return [
+        cache.get_or_compute(
+            head + (tuple(row),),
+            lambda row=row: float(cumulative_footprint_size_exact(s, RectangularTile(row))),
+        )
+        for row in sides.tolist()
+    ]
 
 
 def _continuous_lagrange(a: np.ndarray, extents: np.ndarray, volume: float) -> np.ndarray:
@@ -178,8 +183,10 @@ def _continuous_lagrange(a: np.ndarray, extents: np.ndarray, volume: float) -> n
     communication-free and take their full extent first; bound-capped
     dimensions are fixed iteratively and the rest re-solved.
     """
+    a = np.asarray(a, dtype=float).tolist()
+    extents = np.asarray(extents).tolist()
     l = len(a)
-    s = np.zeros(l, dtype=float)
+    s = [0.0] * l
     free = list(range(l))
     vol = float(volume)
     # Communication-free dims: widen to the full extent (any leftover volume
@@ -193,10 +200,10 @@ def _continuous_lagrange(a: np.ndarray, extents: np.ndarray, volume: float) -> n
     for _ in range(l + 1):
         if not free:
             break
-        aa = a[free]
+        aa = [a[i] for i in free]
         # Π s = vol with s_i = t·A_i  =>  t = (vol / Π A_i)^(1/k)
-        t = (vol / float(np.prod(aa))) ** (1.0 / len(free))
-        cand = aa * t
+        t = (vol / math.prod(aa)) ** (1.0 / len(free))
+        cand = [x * t for x in aa]
         capped = [i for i, c in zip(free, cand) if c > extents[i]]
         floored = [i for i, c in zip(free, cand) if c < 1.0]
         if not capped and not floored:
@@ -212,12 +219,7 @@ def _continuous_lagrange(a: np.ndarray, extents: np.ndarray, volume: float) -> n
                 s[i] = 1.0
                 free.remove(i)
         vol = max(vol, 1.0)
-    else:  # pragma: no cover - loop always breaks within l+1 rounds
-        pass
-    for i in range(l):
-        if s[i] == 0:
-            s[i] = 1.0
-    return s
+    return np.array([x if x != 0 else 1.0 for x in s])
 
 
 def _lagrange_seed(a: np.ndarray, extents, volume: float) -> tuple[np.ndarray, np.ndarray]:
@@ -251,15 +253,15 @@ def _select_grid(
     grids: list[tuple[int, ...]],
     sides: np.ndarray,
     cont: np.ndarray,
-    columns,
+    fps: np.ndarray,
+    uisets: list[UISet],
 ) -> tuple[int, float]:
     """``(index, cost)`` of the cheapest grid.
 
-    ``columns`` holds one ``(footprint column, kernel mask or None)`` pair
-    per class: the class's footprint on every grid, and for a write class
-    whose ``G`` has a nonzero integer kernel, which loop dimensions that
-    kernel moves along.  Such a class re-touches the same element along
-    kernel directions (e.g. matmul's ``C[i,j]`` along ``k``).  Cutting
+    ``fps`` holds each class's footprint on every grid, one column per
+    class of ``uisets``.  A write class whose ``G`` has a nonzero integer
+    kernel re-touches the same element along the loop dimensions that
+    kernel moves along (e.g. matmul's ``C[i,j]`` along ``k``).  Cutting
     such a direction makes ``m`` tiles write the same elements; each
     extra writer costs at least one invalidation + refetch per element,
     so write classes pay ``(m − 1) × footprint`` on top (Appendix A's
@@ -268,13 +270,15 @@ def _select_grid(
     tiles that keep ``C`` private.
 
     Ties go to the grid closest to the continuous optimum (ratio
-    distance), then to the lexicographically smallest grid.
+    distance), then to the lexicographically smallest grid; the distance
+    is computed only for the grids tied at the lowest cost.
     """
     p = np.asarray(grids, dtype=np.int64)
     total = np.zeros(len(grids), dtype=float)
-    for fp, mask in columns:
+    for fp, s in zip(fps.T, uisets):
         total = total + fp
-        if mask is not None:
+        if s.has_write() and s.kernel.size:
+            mask = np.any(s.kernel != 0, axis=0)
             m = np.prod(np.where((p > 1) & mask[None, :], p, 1), axis=1).astype(float)
             total = total + (m - 1.0) * fp
 
@@ -282,10 +286,10 @@ def _select_grid(
         dist = sum(
             abs(math.log(sd / cs)) for sd, cs in zip(sides[idx].tolist(), cont) if cs > 0
         )
-        return float(total[idx]), dist, grids[idx]
+        return dist, grids[idx]
 
-    best = min(range(len(grids)), key=key)
-    return best, float(total[best])
+    cost = float(total.min())
+    return min(np.flatnonzero(total == cost).tolist(), key=key), cost
 
 
 def optimize_rectangular(
@@ -330,47 +334,40 @@ def optimize_rectangular(
     volume = float(space.volume) / float(processors)
     if cache is None:
         cache = LatticeCountCache()
-    # The seed sums the Theorem-4 coefficients of the classes whose spread
-    # is partition-sensitive.  A class without coefficients (dependent
-    # rows after column reduction) cannot steer it; the grid search below
-    # still scores that class exactly.
+    # The seed sums the classes' Theorem-4 coefficients (u = 0 for a zero
+    # spread); a class without them cannot steer it, but the grid search
+    # below still scores that class exactly.
     a = np.zeros(l, dtype=float)
     for s in uisets:
-        if s.size > 1 and s.u is not None and np.any(s.spread()):
+        if s.u is not None:
             a += s.u
     a, cont = _lagrange_seed(a, space.extents, volume)
     grids, sides = _feasible_grids(processors, space.extents)
-    best = None
     with _span("optimize.rectangular.grid_search", processors=processors):
-        # The scalar reference models, one call per grid and class in
-        # grid-major order.
+        if not grids:
+            raise OptimizationError(
+                f"no feasible processor grid: P={processors}, extents={space.extents.tolist()}"
+            )
+        # One footprint column per class over every grid: Theorem 4 in
+        # one array pass where it applies, else the memoised exact count
+        # (the class has dependent rows, or the scoring asks for it).
+        exact = [c for c, s in enumerate(uisets) if scoring == "exact" or s.u is None]
         fps = np.empty((len(grids), len(uisets)))
-        for g, row in enumerate(sides):
-            tile = RectangularTile(row)
-            for c, s in enumerate(uisets):
-                if scoring == "exact" or s.u is None:
-                    # Without Theorem-4 coefficients (dependent rows)
-                    # Theorem 4 does not apply; the exact count stands in.
-                    fps[g, c] = _exact_footprint(s, tile, cache)
-                else:
-                    fps[g, c] = cumulative_footprint_rect(s, tile)
-        if grids:
-            masks = [
-                np.any(s.kernel != 0, axis=0) if s.has_write() and s.kernel.size else None
-                for s in uisets
-            ]
-            best = _select_grid(grids, sides, cont, zip(fps.T, masks))
-    if best is None:
-        raise OptimizationError(
-            f"no feasible processor grid: P={processors}, extents={space.extents.tolist()}"
-        )
-    idx, cost = best
+        theorem4 = [c for c in range(len(uisets)) if c not in exact]
+        if theorem4:
+            fps[:, theorem4] = theorem4_columns([uisets[c].u for c in theorem4], sides)
+        for c in exact:
+            fps[:, c] = _exact_column(uisets[c], sides, cache)
+        idx, cost = _select_grid(grids, sides, cont, fps, uisets)
     return RectOptResult(
         tile=RectangularTile(sides[idx]),
         grid=grids[idx],
         predicted_cost=cost,
         continuous_sides=cont,
         coefficients=a,
+        exact_footprints=tuple(
+            float(fps[idx, c]) if c in exact else None for c in range(len(uisets))
+        ),
     )
 
 

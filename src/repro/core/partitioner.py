@@ -194,13 +194,17 @@ class LoopPartitioner:
                     raise
                 logger.debug("auto: keeping the rectangular tile: %s", e)
         # Each candidate's exact estimate is computed once and the
-        # winner's is returned; on ties the first (rectangular) wins.
+        # winner's is returned; on ties the first (rectangular) wins.  The
+        # rectangular estimate reuses the exact counts its grid search
+        # already made for the chosen tile.
         scored = []
         for name, tile, grid in candidates:
+            known = rect_res.exact_footprints if name == "rectangular" else ()
             with span("partition.estimate", method=name):
-                scored.append(
-                    (estimate_traffic(list(self.uisets), tile, method="exact"), name, tile, grid)
+                estimate = estimate_traffic(
+                    list(self.uisets), tile, method="exact", exact_footprints=known
                 )
+            scored.append((estimate, name, tile, grid))
         estimate, chosen_method, tile, grid = min(scored, key=lambda t: t[0].cold_misses)
         logger.debug(
             "chose %s tile (predicted %.1f misses/tile) among %d candidates",

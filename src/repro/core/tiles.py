@@ -20,6 +20,7 @@ Proposition 3) to keep the ubiquitous off-by-one explicit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -30,6 +31,7 @@ from .._util import (
     as_int_vector,
     box_points_array,
     exact_inverse,
+    frozen_int_matrix,
     int_det,
 )
 from ..exceptions import SingularMatrixError
@@ -155,26 +157,27 @@ class RectangularTile(ParallelepipedTile):
     """
 
     def __init__(self, sides):
-        sides = as_int_vector(sides, name="sides")
-        if np.any(sides < 1):
+        sides = frozen_int_matrix(sides, name="sides", ndim=1)
+        if sides.size and sides.min() < 1:
             raise ValueError(f"tile sides must be >= 1, got {sides}")
-        super().__init__(np.diag(sides))
-        # Read once, read-only: ``np.diag`` of a matrix is a read-only
-        # view, and ``extents`` is ``λ = sides − 1`` (the inclusive
-        # per-dimension iteration bound).
-        sides = np.diag(self.l_matrix)
+        # ``L = diag(sides)`` with positive sides is nonsingular by
+        # construction, so the base class's determinant test is skipped.
+        # ``extents`` is ``λ = sides − 1`` (the inclusive per-dimension
+        # iteration bound); all three arrays are read-only.
+        l_matrix = np.diag(sides)
         extents = sides - 1
+        l_matrix.setflags(write=False)
         extents.setflags(write=False)
+        object.__setattr__(self, "l_matrix", l_matrix)
         object.__setattr__(self, "sides", sides)
         object.__setattr__(self, "extents", extents)
 
     @property
     def iterations(self) -> int:
         """Exact iteration count ``Π sides`` (Proposition 3)."""
-        prod = 1
-        for s in self.sides:
-            prod *= int(s)
-        return prod
+        return math.prod(self.sides.tolist())
+
+    volume = iterations  # |det L| = Π sides, without a determinant
 
     def enumerate_iterations(self, *, closed: bool = False) -> np.ndarray:
         """Iterations of the tile; default *half-open* (``0 ≤ i < sides``).

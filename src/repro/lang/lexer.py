@@ -9,22 +9,12 @@ latter).
 from __future__ import annotations
 
 from ..exceptions import ParseError
-from .tokens import KEYWORDS, Token, TokenKind
+from .tokens import EOF, IDENT, INT, KEYWORDS, NEWLINE, SYNC, Token, TokenKind
 
 __all__ = ["tokenize"]
 
-_SINGLE = {
-    "(": TokenKind.LPAREN,
-    ")": TokenKind.RPAREN,
-    "[": TokenKind.LBRACKET,
-    "]": TokenKind.RBRACKET,
-    ",": TokenKind.COMMA,
-    "+": TokenKind.PLUS,
-    "-": TokenKind.MINUS,
-    "*": TokenKind.STAR,
-    "/": TokenKind.SLASH,
-    "=": TokenKind.EQUALS,
-}
+#: One-character tokens, keyed by their text (the kind's value).
+_SINGLE = {k.value: k for k in TokenKind if len(k.value) == 1}
 
 
 def tokenize(source: str) -> list[Token]:
@@ -51,37 +41,30 @@ def tokenize(source: str) -> list[Token]:
                 col += 1
                 continue
             start_col = col + 1
-            # sync prefix: l$ or 1$
-            if ch in ("l", "1") and col + 1 < n and line[col + 1] == "$":
-                tokens.append(Token(TokenKind.SYNC, line[col : col + 2], line_no, start_col))
+            kind = _SINGLE.get(ch)
+            if kind is not None:
+                tokens.append(Token(kind, ch, line_no, start_col))
+                col += 1
+            elif ch in "l1" and line[col + 1 : col + 2] == "$":  # sync prefix
+                tokens.append(Token(SYNC, line[col : col + 2], line_no, start_col))
                 col += 2
-                emitted = True
-                continue
-            if ch.isdigit():
-                j = col
+            elif ch.isdigit():
+                j = col + 1
                 while j < n and line[j].isdigit():
                     j += 1
-                tokens.append(Token(TokenKind.INT, line[col:j], line_no, start_col))
+                tokens.append(Token(INT, line[col:j], line_no, start_col))
                 col = j
-                emitted = True
-                continue
-            if ch.isalpha() or ch == "_":
-                j = col
+            elif ch.isalpha() or ch == "_":
+                j = col + 1
                 while j < n and (line[j].isalnum() or line[j] == "_"):
                     j += 1
                 text = line[col:j]
-                kind = KEYWORDS.get(text.lower(), TokenKind.IDENT)
-                tokens.append(Token(kind, text, line_no, start_col))
+                tokens.append(Token(KEYWORDS.get(text.lower(), IDENT), text, line_no, start_col))
                 col = j
-                emitted = True
-                continue
-            if ch in _SINGLE:
-                tokens.append(Token(_SINGLE[ch], ch, line_no, start_col))
-                col += 1
-                emitted = True
-                continue
-            raise ParseError(f"illegal character {ch!r}", line_no, start_col)
+            else:
+                raise ParseError(f"illegal character {ch!r}", line_no, start_col)
+            emitted = True
         if emitted:
-            tokens.append(Token(TokenKind.NEWLINE, "\n", line_no, n + 1))
-    tokens.append(Token(TokenKind.EOF, "", line_no + 1, 1))
+            tokens.append(Token(NEWLINE, "\n", line_no, n + 1))
+    tokens.append(Token(EOF, "", line_no + 1, 1))
     return tokens

@@ -134,6 +134,9 @@ def _lower_ref(
                     node.column,
                 )
             g[index_names.index(var), c] = coeff
+    # Read-only, so the reference adopts both arrays without a copy.
+    g.setflags(write=False)
+    a.setflags(write=False)
     kind = AccessKind.SYNC if node.sync else (AccessKind.WRITE if lhs else AccessKind.READ)
     return ArrayAccess(AffineRef(node.array, g, a), kind)
 

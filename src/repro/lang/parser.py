@@ -36,7 +36,10 @@ from .ast_nodes import (
     Scalar,
 )
 from .lexer import tokenize
-from .tokens import Token, TokenKind
+from .tokens import (
+    COMMA, DOALL, DOSEQ, ENDDOALL, ENDDOSEQ, EOF, EQUALS, IDENT, INT, LBRACKET, LPAREN,
+    MINUS, NEWLINE, PLUS, RBRACKET, RPAREN, SLASH, STAR, SYNC, Token, TokenKind,
+)
 
 __all__ = ["parse_program", "Parser"]
 
@@ -60,7 +63,7 @@ class Parser:
 
     def next(self) -> Token:
         tok = self.tokens[self.pos]
-        if tok.kind is not TokenKind.EOF:
+        if tok.kind is not EOF:
             self.pos += 1
         return tok
 
@@ -73,14 +76,14 @@ class Parser:
         return self.next()
 
     def skip_newlines(self) -> None:
-        while self.peek().kind is TokenKind.NEWLINE:
+        while self.peek().kind is NEWLINE:
             self.next()
 
     # -- entry points -----------------------------------------------------
     def parse_program(self) -> Program:
         nests = []
         self.skip_newlines()
-        while self.peek().kind is not TokenKind.EOF:
+        while self.peek().kind is not EOF:
             nests.append(self.parse_loop())
             self.skip_newlines()
         if not nests:
@@ -89,34 +92,34 @@ class Parser:
 
     def parse_loop(self) -> LoopNode:
         head = self.peek()
-        if head.kind not in (TokenKind.DOALL, TokenKind.DOSEQ):
+        if head.kind not in (DOALL, DOSEQ):
             raise ParseError(
                 f"expected Doall/Doseq, found {head.text!r}", head.line, head.column
             )
         self.next()
-        kind = "doall" if head.kind is TokenKind.DOALL else "doseq"
-        self.expect(TokenKind.LPAREN)
-        index = self.expect(TokenKind.IDENT).text
-        self.expect(TokenKind.COMMA)
+        kind = "doall" if head.kind is DOALL else "doseq"
+        self.expect(LPAREN)
+        index = self.expect(IDENT).text
+        self.expect(COMMA)
         lower = self.parse_affine()
-        self.expect(TokenKind.COMMA)
+        self.expect(COMMA)
         upper = self.parse_affine()
-        self.expect(TokenKind.RPAREN)
-        self.expect(TokenKind.NEWLINE)
+        self.expect(RPAREN)
+        self.expect(NEWLINE)
         body: list = []
         self.skip_newlines()
         while True:
             tok = self.peek()
-            if tok.kind in (TokenKind.ENDDOALL, TokenKind.ENDDOSEQ):
+            if tok.kind in (ENDDOALL, ENDDOSEQ):
                 self.next()
-                if self.peek().kind is TokenKind.NEWLINE:
+                if self.peek().kind is NEWLINE:
                     self.next()
                 break
-            if tok.kind in (TokenKind.DOALL, TokenKind.DOSEQ):
+            if tok.kind in (DOALL, DOSEQ):
                 body.append(self.parse_loop())
-            elif tok.kind in (TokenKind.IDENT, TokenKind.SYNC):
+            elif tok.kind in (IDENT, SYNC):
                 body.append(self.parse_assign())
-            elif tok.kind is TokenKind.EOF:
+            elif tok.kind is EOF:
                 raise ParseError(
                     f"unterminated {kind} loop opened here", head.line, head.column
                 )
@@ -130,45 +133,45 @@ class Parser:
     # -- statements -------------------------------------------------------
     def parse_assign(self) -> Assign:
         lhs = self.parse_ref()
-        self.expect(TokenKind.EQUALS)
+        self.expect(EQUALS)
         rhs = self.parse_rhs()
-        if self.peek().kind is TokenKind.NEWLINE:
+        if self.peek().kind is NEWLINE:
             self.next()
         return Assign(lhs, rhs, lhs.line, lhs.column)
 
     def parse_rhs(self):
         expr = self.parse_rhs_term()
-        while self.peek().kind in (TokenKind.PLUS, TokenKind.MINUS):
+        while self.peek().kind in (PLUS, MINUS):
             op = self.next()
             expr = BinOp(op.text, expr, self.parse_rhs_term())
         return expr
 
     def parse_rhs_term(self):
         expr = self.parse_rhs_factor()
-        while self.peek().kind in (TokenKind.STAR, TokenKind.SLASH):
+        while self.peek().kind in (STAR, SLASH):
             op = self.next()
             expr = BinOp(op.text, expr, self.parse_rhs_factor())
         return expr
 
     def parse_rhs_factor(self):
         tok = self.peek()
-        if tok.kind is TokenKind.LPAREN:
+        if tok.kind is LPAREN:
             self.next()
             inner = self.parse_rhs()
-            self.expect(TokenKind.RPAREN)
+            self.expect(RPAREN)
             return inner
-        if tok.kind is TokenKind.SYNC or (
-            tok.kind is TokenKind.IDENT
-            and self.peek(1).kind in (TokenKind.LBRACKET, TokenKind.LPAREN)
+        if tok.kind is SYNC or (
+            tok.kind is IDENT
+            and self.peek(1).kind in (LBRACKET, LPAREN)
         ):
             return self.parse_ref()
-        if tok.kind is TokenKind.IDENT:
+        if tok.kind is IDENT:
             self.next()
             return Scalar(tok.text)
-        if tok.kind is TokenKind.INT:
+        if tok.kind is INT:
             self.next()
             return Const(tok.value)
-        if tok.kind is TokenKind.MINUS:  # unary minus
+        if tok.kind is MINUS:  # unary minus
             self.next()
             return Neg(self.parse_rhs_factor())
         raise ParseError(f"unexpected {tok.text!r} in expression", tok.line, tok.column)
@@ -176,15 +179,15 @@ class Parser:
     def parse_ref(self) -> RefNode:
         sync = False
         tok = self.peek()
-        if tok.kind is TokenKind.SYNC:
+        if tok.kind is SYNC:
             sync = True
             self.next()
-        name_tok = self.expect(TokenKind.IDENT)
+        name_tok = self.expect(IDENT)
         open_tok = self.peek()
-        if open_tok.kind is TokenKind.LBRACKET:
-            close = TokenKind.RBRACKET
-        elif open_tok.kind is TokenKind.LPAREN:
-            close = TokenKind.RPAREN
+        if open_tok.kind is LBRACKET:
+            close = RBRACKET
+        elif open_tok.kind is LPAREN:
+            close = RPAREN
         else:
             raise ParseError(
                 f"expected subscripts after {name_tok.text!r}",
@@ -193,7 +196,7 @@ class Parser:
             )
         self.next()
         subs = [self.parse_affine()]
-        while self.peek().kind is TokenKind.COMMA:
+        while self.peek().kind is COMMA:
             self.next()
             subs.append(self.parse_affine())
         self.expect(close)
@@ -208,8 +211,8 @@ class Parser:
 
     def _affine_sum(self) -> tuple[dict[str, int], int]:
         coeffs, const = self._affine_term()
-        while self.peek().kind in (TokenKind.PLUS, TokenKind.MINUS):
-            sign = 1 if self.next().kind is TokenKind.PLUS else -1
+        while self.peek().kind in (PLUS, MINUS):
+            sign = 1 if self.next().kind is PLUS else -1
             rhs, rconst = self._affine_term()
             for v, c in rhs.items():
                 coeffs[v] = coeffs.get(v, 0) + sign * c
@@ -220,7 +223,7 @@ class Parser:
         coeffs, const = self._affine_atom()
         while True:
             tok = self.peek()
-            if tok.kind is TokenKind.STAR:
+            if tok.kind is STAR:
                 self.next()
                 rhs, rconst = self._affine_atom()
                 if not any(rhs.values()):
@@ -232,7 +235,7 @@ class Parser:
                 else:
                     # Raised by the product itself, with its message.
                     _affine_expr(coeffs, const).multiply(_affine_expr(rhs, rconst))
-            elif tok.kind is TokenKind.IDENT and not any(coeffs.values()):
+            elif tok.kind is IDENT and not any(coeffs.values()):
                 # implicit product "2i" / "2 i": constant followed by ident
                 self.next()
                 coeffs, const = {tok.text: const}, 0
@@ -241,23 +244,23 @@ class Parser:
 
     def _affine_atom(self) -> tuple[dict[str, int], int]:
         tok = self.peek()
-        if tok.kind is TokenKind.INT:
+        if tok.kind is INT:
             self.next()
             return {}, int(tok.value)
-        if tok.kind is TokenKind.IDENT:
+        if tok.kind is IDENT:
             self.next()
             return {tok.text: 1}, 0
-        if tok.kind is TokenKind.MINUS:
+        if tok.kind is MINUS:
             self.next()
             coeffs, const = self._affine_atom()
             return {v: -c for v, c in coeffs.items()}, -const
-        if tok.kind is TokenKind.PLUS:
+        if tok.kind is PLUS:
             self.next()
             return self._affine_atom()
-        if tok.kind is TokenKind.LPAREN:
+        if tok.kind is LPAREN:
             self.next()
             inner = self._affine_sum()
-            self.expect(TokenKind.RPAREN)
+            self.expect(RPAREN)
             return inner
         raise ParseError(
             f"expected affine expression, found {tok.text!r}", tok.line, tok.column

@@ -31,6 +31,11 @@ class TokenKind(enum.Enum):
     ENDDOSEQ = "EndDoseq"
 
 
+# Every kind as a module constant (definition order): a global read costs a
+# fraction of an Enum member read, and lexing and parsing test several per token.
+(IDENT, INT, LPAREN, RPAREN, LBRACKET, RBRACKET, COMMA, PLUS, MINUS, STAR, SLASH, EQUALS,
+ SYNC, NEWLINE, EOF, DOALL, DOSEQ, ENDDOALL, ENDDOSEQ) = TokenKind
+
 KEYWORDS = {
     "doall": TokenKind.DOALL,
     "doseq": TokenKind.DOSEQ,

@@ -37,11 +37,9 @@ from .points import (
     box_image_union_size,
     count_distinct_images,
     parallelepiped_lattice_points,
-    parallelepiped_lattice_points_scalar,
     parallelogram_boundary_points,
     distinct_values_1d,
     union_of_boxes_size,
-    union_of_boxes_size_scalar,
 )
 from .memo import MemoTable, analytic_cache_stats
 
@@ -60,10 +58,8 @@ __all__ = [
     "box_image_union_size",
     "count_distinct_images",
     "parallelepiped_lattice_points",
-    "parallelepiped_lattice_points_scalar",
     "parallelogram_boundary_points",
     "union_of_boxes_size",
-    "union_of_boxes_size_scalar",
     "distinct_values_1d",
     "analytic_cache_stats",
     "MemoTable",

@@ -23,20 +23,16 @@ Contents
 * :func:`distinct_values_1d` — distinct values of a 1-D affine form over a
   box (the hard ``d = 1`` case of Section 3.8).
 
-Kernel variants
----------------
 The hot kernels (:func:`union_of_boxes_size`,
-:func:`parallelepiped_lattice_points`) each exist twice: a vectorized
-NumPy implementation (the public name) and the original scalar reference
-implementation, kept as a differential oracle and callable directly as
-the ``*_scalar`` function.  Both variants are exact —
-``tests/test_kernels_vectorized.py`` asserts they bit-match on fuzzed
-inputs.
+:func:`parallelepiped_lattice_points`) are vectorized NumPy
+implementations.  Their original scalar loops are differential oracles
+kept with the tests (``tests/lattice_oracles.py``);
+``tests/test_kernels_vectorized.py`` asserts both variants bit-match on
+fuzzed inputs.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 from operator import mul
@@ -62,10 +58,8 @@ __all__ = [
     "count_distinct_images",
     "enumerate_footprint",
     "parallelepiped_lattice_points",
-    "parallelepiped_lattice_points_scalar",
     "parallelogram_boundary_points",
     "union_of_boxes_size",
-    "union_of_boxes_size_scalar",
     "distinct_values_1d",
     "analytic_cache_stats",
     "FootprintTable",
@@ -76,10 +70,8 @@ __all__ = [
 
 #: Bounding-box point budget of the chunked vectorized general-case
 #: parallelepiped count.  Peak memory is bounded by the chunk size, not
-#: this cap (the scalar oracle materialises the whole box and keeps the
-#: historical 5M cap).
+#: this cap.
 PARALLELEPIPED_ENUM_CAP = 50_000_000
-_PARALLELEPIPED_SCALAR_CAP = 5_000_000
 _MEMBERSHIP_CHUNK = 1 << 18
 
 
@@ -205,8 +197,7 @@ def parallelepiped_lattice_points(q) -> int:
     ``Q`` is ``(m, n)`` with rows the edge vectors (Definition 7).  Uses
     Pick's theorem for ``2×2`` inputs; the general case streams the
     bounding box in bounded-memory chunks through an exact-integer
-    membership test (:class:`_ExactMembership`).  The original
-    scalar/float oracle is :func:`parallelepiped_lattice_points_scalar`.
+    membership test (:class:`_ExactMembership`).
     """
     q = as_int_matrix(q, name="Q")
     m, n = q.shape
@@ -227,29 +218,6 @@ def parallelepiped_lattice_points(q) -> int:
     for pts in iter_box_chunks(lo, hi, _MEMBERSHIP_CHUNK):
         total += member.count(pts)
     return total
-
-
-def parallelepiped_lattice_points_scalar(q) -> int:
-    """Scalar oracle for :func:`parallelepiped_lattice_points`.
-
-    The original implementation: materialise the whole bounding box
-    (capped at 5M points), solve for membership coefficients with float
-    least squares, and re-verify borderline points exactly with
-    ``fractions``.  Kept as the differential reference for the chunked
-    exact-integer path.
-    """
-    q = as_int_matrix(q, name="Q")
-    m, n = q.shape
-    if m == 2 and n == 2:
-        return _pick_parallelogram(q)
-    corners = _corner_points_scalar(q)
-    lo = corners.min(axis=0)
-    hi = corners.max(axis=0)
-    if box_volume(lo, hi) > _PARALLELEPIPED_SCALAR_CAP:
-        raise ValueError("parallelepiped too large for exact enumeration")
-    pts = box_points_array(lo, hi)
-    mask = _in_parallelepiped_mask(q, pts)
-    return int(mask.sum())
 
 
 def _corner_points(q: np.ndarray) -> np.ndarray:
@@ -437,20 +405,18 @@ def parallelogram_boundary_points(q) -> int:
 
 
 def _union_axes(offsets: np.ndarray, extents: np.ndarray):
-    """Coordinate compression: per-axis cell starts and widths.
+    """Coordinate compression: per-axis cell starts and widths, as lists
+    of Python ints.
 
     The cuts are sorted from a set of Python ints: the first
     ``np.unique`` call in a process imports ``numpy.ma``.
     """
     starts = []
     widths = []
-    for k, extent in enumerate(extents.tolist()):
-        column = offsets[:, k].tolist()
-        cuts = np.array(
-            sorted({*column, *(o + extent + 1 for o in column)}), dtype=np.int64
-        )
+    for column, extent in zip(offsets.T.tolist(), extents.tolist()):
+        cuts = sorted({*column, *(o + extent + 1 for o in column)})
         starts.append(cuts[:-1])
-        widths.append(np.diff(cuts))
+        widths.append([b - a for a, b in zip(cuts, cuts[1:])])
     return starts, widths
 
 
@@ -462,8 +428,8 @@ def union_of_boxes_size(offsets, extents) -> int:
     union is decomposed into the grid cells induced by all box edges, a
     boolean coverage mask over the cell grid is built as the OR over boxes
     of per-axis interval-mask outer products, and the covered cells'
-    exact volumes (Python-int arithmetic, overflow-free) are summed.
-    The original per-cell Python loop is :func:`union_of_boxes_size_scalar`.
+    exact volumes are summed (in ``int64`` when the cells' bounding box
+    fits it, in Python ints otherwise, so nothing overflows).
 
     This yields the *exact* cumulative footprint of a rectangular tile for
     a uniformly intersecting class once offsets are expressed in lattice
@@ -478,52 +444,25 @@ def union_of_boxes_size(offsets, extents) -> int:
     if np.any(extents < 0):
         return 0
     if r == 1:
-        return int(np.prod((extents + 1).astype(object)))
+        return math.prod(e + 1 for e in extents.tolist())
     starts, widths = _union_axes(offsets, extents)
     # Per-axis interval masks: cover[k][i, j] ⇔ box i covers cell j on axis k.
-    cover = [
-        (offsets[:, k, None] <= starts[k][None, :])
-        & (starts[k][None, :] <= offsets[:, k, None] + extents[k])
-        for k in range(l)
-    ]
+    cover = []
+    for k, st in enumerate(starts):
+        st = np.array(st, dtype=np.int64)
+        column = offsets[:, k, None]
+        cover.append((column <= st) & (st <= column + extents[k]))
     covered = np.zeros(tuple(len(s) for s in starts), dtype=bool)
     for i in range(r):
         m = cover[0][i]
         for k in range(1, l):
             m = m[..., None] & cover[k][i]
         covered |= m
-    # Exact cell volumes via Python-int outer products (no int64 overflow).
-    vols = widths[0].astype(object)
-    for k in range(1, l):
-        vols = np.multiply.outer(vols, widths[k].astype(object))
-    return int((covered * vols).sum())
-
-
-def union_of_boxes_size_scalar(offsets, extents) -> int:
-    """Scalar oracle for :func:`union_of_boxes_size` (per-cell loop)."""
-    offsets = as_int_matrix(np.atleast_2d(offsets), name="offsets")
-    extents = as_int_vector(extents, name="extents")
-    r, l = offsets.shape
-    if extents.shape[0] != l:
-        raise ValueError("extents length must match offset dimension")
-    if np.any(extents < 0):
-        return 0
-    if r == 1:
-        return int(np.prod((extents + 1).astype(object)))
-    starts, widths = _union_axes(offsets, extents)
-    total = 0
-    cell_ranges = [range(len(s)) for s in starts]
-    for cell in itertools.product(*cell_ranges):
-        point = np.array([starts[k][cell[k]] for k in range(l)], dtype=np.int64)
-        covered = np.any(
-            np.all((offsets <= point) & (point <= offsets + extents), axis=1)
-        )
-        if covered:
-            vol = 1
-            for k in range(l):
-                vol *= int(widths[k][cell[k]])
-            total += vol
-    return total
+    dtype = np.int64 if math.prod(map(sum, widths)) < 2**63 else object
+    vols = np.array(widths[0], dtype=dtype)
+    for w in widths[1:]:
+        vols = np.multiply.outer(vols, np.array(w, dtype=dtype))
+    return int(vols[covered].sum())
 
 
 def distinct_values_1d(coeffs, lo, hi) -> int:

@@ -13,6 +13,7 @@ diagonal with ``d_1 | d_2 | ...``) gives:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
@@ -34,17 +35,20 @@ class SNFResult:
     ``d`` is (rectangular-)diagonal with nonnegative invariant factors
     ``d[0,0] | d[1,1] | ...``; trailing factors may be zero when the input
     is rank-deficient.  The three arrays are read-only, so one result can
-    serve every solve against the same matrix.
+    serve every solve against the same matrix; the Python-int rows the
+    solvers work on are taken from them once, here.
     """
 
     d: np.ndarray
     u: np.ndarray
     v: np.ndarray
 
-    @property
-    def invariant_factors(self) -> tuple[int, ...]:
+    def __post_init__(self):
+        d = self.d.tolist()
         k = min(self.d.shape)
-        return tuple(int(self.d[i, i]) for i in range(k))
+        object.__setattr__(self, "invariant_factors", tuple(d[i][i] for i in range(k)))
+        object.__setattr__(self, "_u_rows", self.u.tolist())
+        object.__setattr__(self, "_v_cols", tuple(zip(*self.v.tolist())))
 
     @property
     def rank(self) -> int:
@@ -75,76 +79,67 @@ def smith_normal_form(a) -> SNFResult:
     u = [[int(i == j) for j in range(m)] for i in range(m)]
     v = [[int(i == j) for j in range(n)] for i in range(n)]
 
-    def row_op(i: int, j: int, k: int) -> None:  # row_i += k * row_j
-        d[i] = [x + k * y for x, y in zip(d[i], d[j])]
-        u[i] = [x + k * y for x, y in zip(u[i], u[j])]
-
-    def col_op(i: int, j: int, k: int) -> None:  # col_i += k * col_j
-        for r in range(m):
-            d[r][i] += k * d[r][j]
-        for r in range(n):
-            v[r][i] += k * v[r][j]
-
-    def swap_rows(i: int, j: int) -> None:
-        d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i: int, j: int) -> None:
-        for r in range(m):
-            d[r][i], d[r][j] = d[r][j], d[r][i]
-        for r in range(n):
-            v[r][i], v[r][j] = v[r][j], v[r][i]
-
-    def negate_row(i: int) -> None:
-        d[i] = [-x for x in d[i]]
-        u[i] = [-x for x in u[i]]
-
     k = 0
     size = min(m, n)
     while k < size:
-        # Find minimal-magnitude nonzero entry in the trailing submatrix.
-        best = None
+        # The first minimal-magnitude nonzero entry of the trailing block,
+        # in row-major order; nothing undercuts a unit.
+        best = 0
         for i in range(k, m):
+            row = d[i]
             for j in range(k, n):
-                if d[i][j] != 0 and (best is None or abs(d[i][j]) < abs(d[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
+                x = abs(row[j])
+                if x and (not best or x < best):
+                    best, bi, bj = x, i, j
+                    if x == 1:
+                        break
+            if best == 1:
+                break
+        if not best:
             break
-        bi, bj = best
         if bi != k:
-            swap_rows(k, bi)
+            d[k], d[bi] = d[bi], d[k]
+            u[k], u[bi] = u[bi], u[k]
         if bj != k:
-            swap_cols(k, bj)
-        # Eliminate column k below and row k to the right of the pivot.
+            for rows in (d, v):
+                for r in rows:
+                    r[k], r[bj] = r[bj], r[k]
+        # Eliminate column k below and row k to the right of the pivot:
+        # row_i −= q·row_k (with U), col_j −= q·col_k (with V).
+        dk, uk = d[k], u[k]
+        p = dk[k]
         dirty = False
         for i in range(k + 1, m):
-            if d[i][k] != 0:
-                q = d[i][k] // d[k][k]
-                row_op(i, k, -q)
-                if d[i][k] != 0:
+            if d[i][k]:
+                q = d[i][k] // p
+                d[i] = [x - q * y for x, y in zip(d[i], dk)]
+                u[i] = [x - q * y for x, y in zip(u[i], uk)]
+                if d[i][k]:
                     dirty = True
         for j in range(k + 1, n):
-            if d[k][j] != 0:
-                q = d[k][j] // d[k][k]
-                col_op(j, k, -q)
-                if d[k][j] != 0:
+            if dk[j]:
+                q = dk[j] // p
+                for rows in (d, v):
+                    for r in rows:
+                        r[j] -= q * r[k]
+                if dk[j]:
                     dirty = True
         if dirty:
             continue  # pivot shrank; redo with new minimum
-        if d[k][k] < 0:
-            negate_row(k)
-        # Enforce divisibility d[k][k] | d[i][j] for the trailing block.
-        violation = None
-        for i in range(k + 1, m):
-            for j in range(k + 1, n):
-                if d[i][j] % d[k][k] != 0:
-                    violation = i
-                    break
+        if p < 0:
+            d[k] = [-x for x in dk]
+            u[k] = [-x for x in uk]
+            p = -p
+        # Enforce divisibility d[k][k] | d[i][j] on the trailing block by
+        # adding the first offending row to row k.
+        if p != 1:
+            violation = next(
+                (i for i in range(k + 1, m) if any(x % p for x in d[i][k + 1 :])), None
+            )
             if violation is not None:
-                break
-        if violation is not None:
-            row_op(k, violation, 1)
-            continue
+                d[k] = [x + y for x, y in zip(d[k], d[violation])]
+                u[k] = [x + y for x, y in zip(u[k], u[violation])]
+                continue
         k += 1
 
     return SNFResult(d=_frozen(d), u=_frozen(u), v=_frozen(v))
@@ -159,33 +154,27 @@ def solve_integer(a, b, snf: SNFResult | None = None) -> np.ndarray | None:
     ``snf`` is ``smith_normal_form(A)`` when the caller already holds it
     (a class solving many right-hand sides against one ``G``).
     """
-    a = as_int_matrix(a, name="a")
-    b = as_int_vector(b, name="b")
-    m, n = a.shape
-    if b.shape[0] != n:
-        raise ValueError(f"shape mismatch: a is {a.shape}, b has length {b.shape[0]}")
     if snf is None:
         snf = smith_normal_form(a)
-    bl = b.tolist()
-    v = snf.v.tolist()
-    c = [sum(bk * vk[i] for bk, vk in zip(bl, v)) for i in range(n)]
-    d = snf.d
-    y = [0] * m
-    k = min(m, n)
-    for i in range(n):
-        di = int(d[i, i]) if i < k else 0
+    m, n = len(snf._u_rows), len(snf._v_cols)
+    bl = as_int_vector(b, name="b").tolist()
+    if len(bl) != n:
+        raise ValueError(f"shape mismatch: a is {(m, n)}, b has length {len(bl)}")
+    x = [0] * m
+    factors = snf.invariant_factors
+    for i, col in enumerate(snf._v_cols):
+        c = sum(map(mul, bl, col))
+        di = factors[i] if i < len(factors) else 0
         if di == 0:
-            if c[i] != 0:
+            if c != 0:
                 return None
-        else:
-            if c[i] % di != 0:
-                return None
-            if i < m:
-                y[i] = c[i] // di
-    u = snf.u.tolist()
-    return np.array(
-        [sum(yi * ui[j] for yi, ui in zip(y, u)) for j in range(m)], dtype=np.int64
-    )
+        elif c % di != 0:
+            return None
+        elif c:
+            # y_i = c / d_i pulls back through row i of U.
+            yi = c // di
+            x = [xj + yi * uj for xj, uj in zip(x, snf._u_rows[i])]
+    return np.array(x, dtype=np.int64)
 
 
 def lattice_index(a) -> int:
@@ -225,12 +214,11 @@ def integer_kernel_basis(a, snf: SNFResult | None = None) -> np.ndarray:
     ``snf`` is ``smith_normal_form(A)`` when the caller already holds it
     (a class whose solves share one decomposition).
     """
-    a = as_int_matrix(a, name="kernel argument")
-    m, n = a.shape
     if snf is None:
-        snf = smith_normal_form(a)
-    k = min(m, n)
-    rows = [i for i in range(m) if i >= k or snf.d[i, i] == 0]
+        snf = smith_normal_form(as_int_matrix(a, name="kernel argument"))
+    m = snf.d.shape[0]
+    factors = snf.invariant_factors
+    rows = [i for i in range(m) if i >= len(factors) or factors[i] == 0]
     if not rows:
         return np.empty((0, m), dtype=np.int64)
     return snf.u[rows, :].copy()

@@ -85,7 +85,7 @@ def _square_selections(g: np.ndarray):
         yield cols, det_rows([[row[c] for c in cols] for row in rows])
 
 
-def select_unimodular_columns(g) -> tuple[int, ...] | None:
+def select_unimodular_columns(g, *, rank: int | None = None) -> tuple[int, ...] | None:
     """Find column indices making a square *unimodular* submatrix of ``g``.
 
     Section 3.4.1: "We derive a G' from G by choosing a maximal set of
@@ -96,9 +96,10 @@ def select_unimodular_columns(g) -> tuple[int, ...] | None:
 
     Only meaningful when ``rank(G) == l`` (full row rank); otherwise no
     square submatrix with ``l`` rows exists and ``None`` is returned.
+    ``rank`` is ``rank(G)`` when the caller already knows it.
     """
     g = as_int_matrix(g, name="G")
-    if int_rank(g) < g.shape[0]:
+    if (int_rank(g) if rank is None else rank) < g.shape[0]:
         return None
     return next((cols for cols, det in _square_selections(g) if abs(det) == 1), None)
 

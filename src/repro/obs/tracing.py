@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -131,28 +130,9 @@ class Tracer:
         self._stack: list[Span] = []
         self._root_agg: dict[str, Span] = {}
 
-    @contextmanager
-    def span(self, name: str, aggregate: bool = False, **attrs):
-        s = Span(name=name, start=time.perf_counter(), attrs=attrs)
-        self._stack.append(s)
-        try:
-            yield s
-        finally:
-            s.end = time.perf_counter()
-            if self.profile_memory:
-                s.peak_rss_kb = _peak_rss_kb()
-            # Pop *this* span even if a child leaked (defensive).
-            while self._stack and self._stack[-1] is not s:
-                self._stack.pop()
-            if self._stack:
-                self._stack.pop()
-            parent = self._stack[-1] if self._stack else None
-            if aggregate and self._merge_aggregate(parent, s):
-                pass  # folded into an existing sibling of the same name
-            elif parent is not None:
-                parent.children.append(s)
-            else:
-                self._append_root(s)
+    def span(self, name: str, aggregate: bool = False, **attrs) -> "_Scope":
+        """A context manager timing one span; ``as`` binds the :class:`Span`."""
+        return _Scope(self, name, aggregate, attrs)
 
     def _merge_aggregate(self, parent: Span | None, s: Span) -> bool:
         """Fold ``s`` into an existing aggregated sibling; False = first."""
@@ -205,6 +185,42 @@ class Tracer:
         return totals
 
 
+class _Scope:
+    """One ``with span(...)`` block, opening its :class:`Span` on entry and
+    filing it on exit (a plain class: hot sites open thousands a request)."""
+
+    __slots__ = ("tracer", "name", "aggregate", "attrs", "span")
+
+    def __init__(self, tracer: Tracer, name: str, aggregate: bool, attrs: dict):
+        self.tracer = tracer
+        self.name = name
+        self.aggregate = aggregate
+        self.attrs = attrs
+
+    def __enter__(self) -> Span:
+        self.span = Span(name=self.name, start=time.perf_counter(), attrs=self.attrs)
+        self.tracer._stack.append(self.span)
+        return self.span
+
+    def __exit__(self, *exc) -> None:
+        t, s = self.tracer, self.span
+        s.end = time.perf_counter()
+        if t.profile_memory:
+            s.peak_rss_kb = _peak_rss_kb()
+        # Pop *this* span even if a child leaked (defensive).
+        while t._stack and t._stack[-1] is not s:
+            t._stack.pop()
+        if t._stack:
+            t._stack.pop()
+        parent = t._stack[-1] if t._stack else None
+        if self.aggregate and t._merge_aggregate(parent, s):
+            pass  # folded into an existing sibling of the same name
+        elif parent is not None:
+            parent.children.append(s)
+        else:
+            t._append_root(s)
+
+
 _tracer = Tracer()
 
 
@@ -215,4 +231,4 @@ def get_tracer() -> Tracer:
 
 def span(name: str, aggregate: bool = False, **attrs):
     """Open a span on the default tracer (context manager)."""
-    return _tracer.span(name, aggregate=aggregate, **attrs)
+    return _Scope(_tracer, name, aggregate, attrs)

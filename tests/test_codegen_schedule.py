@@ -14,17 +14,17 @@ from repro.sim.trace import deal_tiles
 class TestProcessorBounds:
     def test_interior(self):
         sp = IterationSpace([1, 1], [12, 12])
-        b = processor_bounds(sp, [3, 12], (4, 1), (1, 0))
+        b = processor_bounds(sp, [3, 12], (1, 0))
         assert b == [(4, 6), (1, 12)]
 
     def test_boundary_clamped(self):
         sp = IterationSpace([1, 1], [10, 10])
-        b = processor_bounds(sp, [4, 10], (3, 1), (2, 0))
+        b = processor_bounds(sp, [4, 10], (2, 0))
         assert b == [(9, 10), (1, 10)]
 
     def test_empty_region(self):
         sp = IterationSpace([1, 1], [4, 4])
-        assert processor_bounds(sp, [4, 4], (2, 1), (1, 0)) is None
+        assert processor_bounds(sp, [4, 4], (1, 0)) is None
 
 
 class TestTileSchedule:

@@ -21,10 +21,10 @@ from repro.lattice.points import (
     _corner_points,
     _corner_points_scalar,
     parallelepiped_lattice_points,
-    parallelepiped_lattice_points_scalar,
     union_of_boxes_size,
-    union_of_boxes_size_scalar,
 )
+
+from .lattice_oracles import parallelepiped_lattice_points_scalar, union_of_boxes_size_scalar
 
 N_FUZZ_CASES = 200
 

@@ -102,3 +102,11 @@ class TestCommentsAndErrors:
         assert (toks[0].line, toks[0].column) == (1, 1)
         assert (toks[1].line, toks[1].column) == (1, 4)
         assert (toks[3].line, toks[3].column) == (2, 1)
+
+
+def test_kind_constants_name_their_members():
+    """``tokens`` unpacks every kind into a module constant of its name."""
+    from repro.lang import tokens
+
+    for kind in tokens.TokenKind:
+        assert getattr(tokens, kind.name) is kind

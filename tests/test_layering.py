@@ -216,3 +216,15 @@ def test_one_metrics_dump_reader():
             if name.startswith("repro.serve.client.")
         }
         assert imported & readers, f"{label} does not import the dump reader"
+
+
+def test_lattice_exports_no_scalar_oracles():
+    """The scalar kernel oracles are test-side code
+    (``tests/lattice_oracles.py``): the runtime lattice package exports
+    no ``*_scalar`` name."""
+    import repro.lattice
+    import repro.lattice.points
+
+    exported = set(repro.lattice.__all__) | set(repro.lattice.points.__all__)
+    exported |= {n for n in dir(repro.lattice) if not n.startswith("_")}
+    assert sorted(n for n in exported if n.endswith("_scalar")) == []
