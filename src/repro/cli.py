@@ -30,10 +30,9 @@ table; ``--log-level`` enables structured diagnostics on stderr.
 
 ``python -m repro check --cases N --seed S [--corpus PATH]`` runs the
 differential self-check (:mod:`repro.check`) instead of the pipeline;
-``python -m repro serve`` starts the long-lived partition service,
-``python -m repro route`` fronts N such replicas with a shard-affine
-consistent-hash router (:mod:`repro.serve.cluster`) and
-``python -m repro loadgen`` drives load against either (:mod:`repro.serve`);
+``python -m repro serve`` starts the long-lived partition service
+(``--workers N`` spreads its compute over N processes) and
+``python -m repro loadgen`` drives load against it (:mod:`repro.serve`);
 ``python -m repro top`` is a live terminal dashboard over a running
 server's ``/metrics`` + ``/debug`` endpoints and ``python -m repro trace
 show <file|id>`` pretty-prints a stitched span tree
@@ -320,10 +319,6 @@ def main(argv: list[str] | None = None, *, out=None) -> int:
         from .serve.server import serve_main
 
         return serve_main(argv[1:], out=out)
-    if argv and argv[0] == "route":
-        from .serve.cluster import route_main
-
-        return route_main(argv[1:], out=out)
     if argv and argv[0] == "loadgen":
         from .serve.loadgen import loadgen_main
 

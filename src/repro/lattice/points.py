@@ -231,20 +231,6 @@ def _corner_points(q: np.ndarray) -> np.ndarray:
     return bits @ q
 
 
-def _corner_points_scalar(q: np.ndarray) -> np.ndarray:
-    """Scalar oracle for :func:`_corner_points` (original double loop)."""
-    m = q.shape[0]
-    n = q.shape[1]
-    corners = np.zeros((1 << m, n), dtype=np.int64)
-    for mask in range(1 << m):
-        s = np.zeros(n, dtype=np.int64)
-        for i in range(m):
-            if mask >> i & 1:
-                s = s + q[i]
-        corners[mask] = s
-    return corners
-
-
 class _ExactMembership:
     """Chunked exact membership test ``x ∈ S(Q)`` for independent-row ``Q``.
 

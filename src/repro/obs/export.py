@@ -176,14 +176,12 @@ def prometheus_text_from_snapshot(entries, *, extra_gauges: dict | None = None) 
 
     The one Prometheus renderer.  The input is the JSON shape
     :meth:`MetricsRegistry.snapshot` produces (``{"name", "labels",
-    "type", ...}`` dicts) rather than live instruments, so a process can
-    render metrics it only holds as data — the cluster router emits one
-    merged scrape from its own snapshot plus every replica's, each entry
-    labeled with its ``replica``.  ``extra_gauges`` maps metric name →
-    numeric value for quantities that live outside the registry.  Output
-    is deterministic: entries are grouped by metric name (one HELP/TYPE
-    header per name, which the strict parser requires even when the same
-    metric arrives from several replicas) and sorted by labels.
+    "type", ...}`` dicts) rather than live instruments, so the server's
+    Prometheus scrape renders the same snapshot its JSON ``/metrics``
+    carries.  ``extra_gauges`` maps metric name → numeric value for
+    quantities that live outside the registry.  Output is deterministic:
+    entries are grouped by metric name (one HELP/TYPE header per name,
+    which the strict parser requires) and sorted by labels.
     Latency histograms (``buckets`` + quantiles) render as cumulative
     buckets plus a ``<name>_summary``; entries whose type disagrees with
     the first seen for that name are skipped rather than corrupting the

@@ -47,7 +47,6 @@ class FlightRecord:
     total_ms: float | None = None
     worker_pid: int | None = None
     error_code: str | None = None
-    replica: str | None = None  # routed backend (router-side records only)
 
     def to_dict(self) -> dict:
         out: dict = {
@@ -55,7 +54,7 @@ class FlightRecord:
             "endpoint": self.endpoint,
             "ts": round(self.ts, 3),
         }
-        for key in ("status", "cache", "worker_pid", "error_code", "replica"):
+        for key in ("status", "cache", "worker_pid", "error_code"):
             value = getattr(self, key)
             if value is not None:
                 out[key] = value
@@ -120,7 +119,6 @@ class FlightRecorder:
         worker_pid: int | None = None,
         error_code: str | None = None,
         trace: dict | None = None,
-        replica: str | None = None,
     ) -> None:
         record.status = status
         record.cache = cache
@@ -129,7 +127,6 @@ class FlightRecorder:
         record.total_ms = total_ms
         record.worker_pid = worker_pid
         record.error_code = error_code
-        record.replica = replica
         with self._lock:
             self._inflight.pop(record.request_id, None)
             self._records.append(record)

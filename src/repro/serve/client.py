@@ -1,10 +1,10 @@
-"""The blocking client for the partition service, and the router's pool.
+"""The blocking client for the partition service.
 
 :class:`ServeClient` wraps a keep-alive :class:`http.client.HTTPConnection`
 for scripts, tests, and the load generator.  It raises
 :class:`ServeError` for any non-200 response, carrying the HTTP status
 and the decoded typed error payload.  The functions after it
-(:func:`counter_total`, :func:`latency`, :func:`shard_stats`, ...) read
+(:func:`counter_total`, :func:`latency`, :func:`cache_stats`, ...) read
 the ``/metrics`` dump it returns, for ``repro loadgen``, ``repro top``
 and the benchmarks.
 
@@ -13,36 +13,25 @@ it honors the server's ``Retry-After`` hint with capped exponential
 backoff and *deterministic* jitter (seeded per client, so a run is
 reproducible), raising only once ``max_retries_429`` attempts are
 exhausted.  ``retries_429`` counts the retries a client performed.
-
-:class:`AsyncConnectionPool` is the router's building block: a bounded
-keep-alive pool of raw HTTP/1.1 connections to one replica, exposing
-byte-level request/response passthrough so the router never re-encodes
-a replica's response body.
 """
 
 from __future__ import annotations
 
-import asyncio
 import http.client
 import json
 import random
 import time
 
-from .http import encode_request, read_response
-
 __all__ = [
     "ServeError",
     "ServeClient",
-    "AsyncConnectionPool",
     "backoff_delay_s",
     "cache_stats",
     "counter_total",
     "gauge",
     "hit_rate",
-    "is_router",
     "latency",
     "latency_rows",
-    "shard_stats",
 ]
 
 
@@ -288,37 +277,21 @@ class ServeClient:
 
 # -- reading a /metrics dump ------------------------------------------------
 # The one place that knows the shape of the JSON ServeClient.metrics()
-# returns.  A router's dump (``server.router``) holds its own ``route.*``
-# series, every replica's series labelled ``replica="host:port"``, and
-# the replica roster.
+# returns.
 
 
-def _series(dump: dict | None, *names: str):
+def _series(dump: dict | None, name: str):
     for entry in (dump or {}).get("metrics", []):
-        if entry.get("name") in names:
+        if entry.get("name") == name:
             yield entry.get("labels") or {}, entry
 
 
-def is_router(dump: dict | None) -> bool:
-    return bool((dump or {}).get("server", {}).get("router"))
-
-
-def counter_total(
-    dump: dict | None,
-    name: str,
-    *,
-    replica: str | None = None,
-    endpoint: str | None = None,
-):
-    """The ``name`` counter summed over its series (with ``replica``:
-    over that replica's series in a router's dump; with ``endpoint``:
-    over the series of that endpoint)."""
+def counter_total(dump: dict | None, name: str):
+    """The ``name`` counter summed over its series."""
     return sum(
         entry.get("value", 0)
-        for labels, entry in _series(dump, name)
+        for _, entry in _series(dump, name)
         if entry.get("type") == "counter"
-        and replica in (None, labels.get("replica"))
-        and endpoint in (None, labels.get("endpoint"))
     )
 
 
@@ -329,169 +302,30 @@ def gauge(dump: dict | None, name: str, default=None):
     )
 
 
-def latency(dump: dict | None, *, replica: str | None = None) -> dict | None:
-    """The ``/v1/partition`` latency summary (count, mean, p50, p95, p99,
-    max), ``None`` without samples.
-
-    Without ``replica``: the target's own histogram — a router's
-    ``route.latency_ms`` or a server's ``serve.latency_ms``, the series
-    with no ``replica`` label.  With it: that replica's
-    ``serve.latency_ms`` in a router's dump.
-    """
-    service = "route" if replica is None and is_router(dump) else "serve"
-    for labels, entry in _series(dump, f"{service}.latency_ms"):
-        if (
-            labels.get("endpoint") == "/v1/partition"
-            and labels.get("replica") == replica
-            and entry.get("count")
-        ):
+def latency(dump: dict | None) -> dict | None:
+    """The server's ``/v1/partition`` latency summary (count, mean, p50,
+    p95, p99, max) from ``serve.latency_ms``, ``None`` without samples."""
+    for labels, entry in _series(dump, "serve.latency_ms"):
+        if labels.get("endpoint") == "/v1/partition" and entry.get("count"):
             return {k: entry.get(k) for k in ("count", "mean", "p50", "p95", "p99", "max")}
     return None
 
 
 def latency_rows(dump: dict | None) -> list[tuple[str, dict]]:
-    """``(endpoint, histogram)`` of every endpoint with samples, sorted;
-    a replica's rows in a router's dump read ``endpoint @host:port``."""
-    rows = []
-    for labels, entry in _series(dump, "serve.latency_ms", "route.latency_ms"):
-        if entry.get("count"):
-            replica = f" @{labels['replica']}" if labels.get("replica") else ""
-            rows.append((labels.get("endpoint", "?") + replica, entry))
+    """``(endpoint, histogram)`` of every endpoint with samples, sorted."""
+    rows = [
+        (labels.get("endpoint", "?"), entry)
+        for labels, entry in _series(dump, "serve.latency_ms")
+        if entry.get("count")
+    ]
     return sorted(rows, key=lambda row: row[0])
 
 
 def cache_stats(dump: dict | None, name: str) -> dict | None:
-    """One cache's counters (``lattice_cache``, ...), summed
-    over the replicas in a router's dump."""
+    """One cache's counters (``lattice_cache``, ...), summed over the
+    server's compute workers."""
     return (dump or {}).get("caches", {}).get(name)
 
 
 def hit_rate(hits, misses) -> float | None:
     return hits / (hits + misses) if hits + misses else None
-
-
-def shard_stats(dump: dict | None) -> list[dict]:
-    """Each replica in a router's dump (``[]`` for a server's): health,
-    partition requests served (``/v1/partition`` only, not the router's
-    ``/healthz`` probes or ``/metrics`` fan-out), response-cache hits and
-    its ``/v1/partition`` latency, cumulative since it started.  One the
-    router could not scrape reads ``reachable: false``."""
-    shards = []
-    for replica in (dump or {}).get("replicas", []) if is_router(dump) else []:
-        address = replica.get("address")
-        shard = {k: replica.get(k) for k in ("healthy", "ready", "ejections")}
-        shard.update(replica=address, reachable=replica.get("server") is not None)
-        if shard["reachable"]:
-            hits, misses = (
-                counter_total(dump, f"serve.response_cache.{k}", replica=address)
-                for k in ("hits", "misses")
-            )
-            shard["requests"] = counter_total(
-                dump, "serve.requests", replica=address, endpoint="/v1/partition"
-            )
-            shard["response_cache"] = {
-                "hits": hits, "misses": misses, "hit_rate": hit_rate(hits, misses)
-            }
-            shard["latency_ms"] = latency(dump, replica=address)
-        shards.append(shard)
-    return shards
-
-
-class AsyncConnectionPool:
-    """Bounded keep-alive connection pool to one HTTP/1.1 peer.
-
-    At most ``size`` connections exist at any moment (in use + idle);
-    excess concurrent requests wait on the internal semaphore.  A
-    connection that completes a round trip cleanly returns to the idle
-    list for reuse; any transport error closes it, so the pool never
-    reuses a stream in an unknown framing state.
-
-    :meth:`request_raw` is byte-level passthrough — the response body is
-    returned exactly as the peer framed it, which the router relies on
-    to keep replica responses byte-identical through the extra hop.
-    """
-
-    def __init__(
-        self,
-        host: str,
-        port: int,
-        *,
-        size: int = 8,
-        connect_timeout_s: float = 5.0,
-        limit: int = 1 << 22,
-    ):
-        if size < 1:
-            raise ValueError(f"pool size must be >= 1, got {size}")
-        self.host = host
-        self.port = port
-        self.size = size
-        self.connect_timeout_s = connect_timeout_s
-        self._limit = limit
-        self._idle: list[tuple[asyncio.StreamReader, asyncio.StreamWriter]] = []
-        self._sem = asyncio.Semaphore(size)
-        self._closed = False
-        #: Connections opened over the pool's lifetime (reuse telemetry).
-        self.connects = 0
-
-    async def _checkout(self):
-        while self._idle:
-            reader, writer = self._idle.pop()
-            if writer.is_closing():
-                _close_writer(writer)
-                continue
-            return reader, writer
-        reader, writer = await asyncio.wait_for(
-            asyncio.open_connection(self.host, self.port, limit=self._limit),
-            timeout=self.connect_timeout_s,
-        )
-        self.connects += 1
-        return reader, writer
-
-    async def request_raw(
-        self,
-        method: str,
-        path: str,
-        body: bytes = b"",
-        headers: dict[str, str] | None = None,
-    ) -> tuple[int, dict[str, str], bytes]:
-        """One round trip → ``(status, lowercase headers, raw body)``.
-
-        Raises :class:`ServeError` (status 0) if the peer closed before
-        answering and :class:`~repro.serve.http.FramingError` if the
-        response breaks the HTTP framing."""
-        if self._closed:
-            raise ConnectionError("pool is closed")
-        async with self._sem:
-            reader, writer = await self._checkout()
-            try:
-                writer.write(
-                    encode_request(method, path, self.host, self.port, body, headers)
-                )
-                await writer.drain()
-                response = await read_response(reader)
-                if response is None:
-                    raise ServeError(0, {"error": {
-                        "code": "connection-closed",
-                        "message": "server closed the connection"}})
-            except BaseException:
-                _close_writer(writer)
-                raise
-            status, rheaders, rbody = response
-            if rheaders.get("connection", "").lower() == "close" or self._closed:
-                _close_writer(writer)
-            else:
-                self._idle.append((reader, writer))
-            return status, rheaders, rbody
-
-    async def close(self) -> None:
-        self._closed = True
-        while self._idle:
-            _, writer = self._idle.pop()
-            _close_writer(writer)
-
-
-def _close_writer(writer: asyncio.StreamWriter) -> None:
-    try:
-        writer.close()
-    except Exception:  # pragma: no cover - teardown best effort
-        pass

@@ -1,33 +1,27 @@
-"""The HTTP/1.1 subset ``repro serve`` and ``repro route`` both speak.
+"""The HTTP/1.1 subset ``repro serve`` speaks.
 
-The stdlib has no asyncio HTTP server, and these services need only a
+The stdlib has no asyncio HTTP server, and the service needs only a
 deliberately minimal subset of HTTP/1.1 over ``asyncio`` streams:
 keep-alive connections and ``Content-Length`` framing (a chunked request
-body is refused with 400).  Everything below the endpoints lives here
-once, for the replica and the router alike:
+body is refused with 400).  Everything below the endpoints lives here:
 
-* :func:`read_request` / :func:`read_response` share one header-block
-  parser; :func:`encode_response` / :func:`encode_request` frame the
-  other direction.
+* :func:`read_request` parses a request; :func:`encode_response` frames
+  the answer.
 * Caps (from :mod:`~repro.serve.protocol`): a request line longer than
   ``MAX_LINE_BYTES`` (64 KiB, the listener's stream limit) is answered
   414, a longer header line or more than ``MAX_HEADER_LINES`` (100)
   header lines 431, a body over ``MAX_BODY_BYTES`` (1 MiB) 413.  Every
   such refusal carries the ``invalid-request`` error payload and
   ``Connection: close``.
-* A response that breaks the framing (garbage status line, bad
-  ``Content-Length``, over-long line) raises :class:`FramingError`, which
-  the router counts as a failed forward and fails over on.
 * :class:`HttpService` owns the listener, the connection loop, the one
   dispatcher (endpoint naming, request ids, 404/405, typed errors,
-  ``<name>.requests`` / ``.responses`` / ``.latency_ms`` metrics, flight
-  records), the shared ``/debug`` and ``/metrics`` endpoints, and the
-  graceful-drain lifecycle.  :func:`merge_numeric` sums ``/metrics``
-  ``caches`` sections: the router's over its replicas, a replica's over
-  its compute workers.  :class:`~repro.serve.server.PartitionServer`
-  and :class:`~repro.serve.cluster.RouterServer` are two handler sets on
-  top of it; :class:`EmbeddedService` runs either on a background thread
-  and :func:`run_service` runs either as a CLI until SIGTERM/SIGINT.
+  ``serve.requests`` / ``.responses`` / ``.latency_ms`` metrics, flight
+  records), the ``/debug`` and ``/metrics`` endpoints, and the
+  graceful-drain lifecycle.  :func:`merge_numeric` sums the compute
+  workers' ``/metrics`` ``caches`` sections.
+  :class:`~repro.serve.server.PartitionServer` supplies the handlers on
+  top of it; :class:`EmbeddedService` runs it on a background thread
+  and :func:`run_service` runs it as a CLI until SIGTERM/SIGINT.
 """
 
 from __future__ import annotations
@@ -60,11 +54,9 @@ __all__ = [
     "FramingError",
     "HttpService",
     "Request",
-    "encode_request",
     "encode_response",
     "merge_numeric",
     "read_request",
-    "read_response",
     "run_service",
     "service_parser",
 ]
@@ -100,11 +92,8 @@ STATUS_TEXT = {
 
 
 class FramingError(Exception):
-    """Bytes on the wire outside the HTTP/1.1 subset this module speaks.
-
-    ``status`` is what a server answers a malformed request with; a
-    client reading a malformed response ignores it.
-    """
+    """A request outside the HTTP/1.1 subset this module speaks;
+    ``status`` is what the server answers it with."""
 
     def __init__(self, message: str, status: int = 400):
         super().__init__(message)
@@ -120,15 +109,10 @@ class Request(NamedTuple):
 
 @dataclass(frozen=True)
 class Body:
-    """A response body sent as-is rather than encoded as JSON.
-
-    ``server`` is the ``Server`` product token: a replica response the
-    router relays says ``repro-route``.
-    """
+    """A response body sent as-is rather than encoded as JSON."""
 
     data: bytes
     content_type: str
-    server: str = "repro-serve"
 
 
 # ----------------------------------------------------------------------
@@ -198,60 +182,24 @@ async def read_request(reader: asyncio.StreamReader) -> Request | None:
     return Request(method, target.split("?", 1)[0], headers, body)
 
 
-async def read_response(reader: asyncio.StreamReader):
-    """One response → ``(status, lower-cased headers, body)``.
-
-    ``None`` if the peer closed before the status line; raises
-    :class:`FramingError` on a malformed response and
-    :class:`asyncio.IncompleteReadError` on one cut short.
-    """
-    head = await _read_head(reader)
-    if head is None:
-        return None
-    start, headers = head
-    version, _, rest = start.partition(" ")
-    code = rest.partition(" ")[0]
-    if not version.startswith("HTTP/") or len(code) != 3 or not code.isdigit():
-        raise FramingError(f"malformed status line {start[:80]!r}")
-    n = _content_length(headers)
-    body = await reader.readexactly(n) if n else b""
-    return int(code), headers, body
-
-
-def _frame(lines: list[str], headers: dict[str, str] | None, body: bytes) -> bytes:
-    lines += [f"{name}: {value}" for name, value in (headers or {}).items()]
-    return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body
-
-
-def encode_request(
-    method: str, path: str, host: str, port: int, body: bytes, headers: dict[str, str] | None
-) -> bytes:
-    lines = [
-        f"{method} {path} HTTP/1.1",
-        f"Host: {host}:{port}",
-        f"Content-Length: {len(body)}",
-        "Connection: keep-alive",
-    ]
-    return _frame(lines, headers, body)
-
-
 def encode_response(
     status: int, payload, *, keep_alive: bool, headers: dict[str, str] | None = None
 ) -> bytes:
     """``payload`` is a :class:`Body` or a JSON-serialisable object."""
     if isinstance(payload, Body):
-        body, content_type, server = payload.data, payload.content_type, payload.server
+        body, content_type = payload.data, payload.content_type
     else:
         body = json.dumps(payload, indent=2).encode("utf-8") + b"\n"
-        content_type, server = "application/json", "repro-serve"
+        content_type = "application/json"
     lines = [
         f"HTTP/1.1 {status} {STATUS_TEXT.get(status, 'Unknown')}",
         f"Content-Type: {content_type}",
         f"Content-Length: {len(body)}",
-        f"Server: {server}/{__version__}",
+        f"Server: repro-serve/{__version__}",
         f"Connection: {'keep-alive' if keep_alive else 'close'}",
     ]
-    return _frame(lines, headers, body)
+    lines += [f"{name}: {value}" for name, value in (headers or {}).items()]
+    return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body
 
 
 def merge_numeric(into: dict, src: dict) -> dict:
@@ -278,13 +226,13 @@ def merge_numeric(into: dict, src: dict) -> dict:
 class HttpService:
     """Listener, connection loop, dispatcher and lifecycle of one service.
 
-    A subclass sets :attr:`name` (``"serve"`` or ``"route"``: the metric
-    prefix and CLI tag) and supplies the handlers:
+    :attr:`name` (``"serve"``) is the metric prefix and CLI tag.  A
+    subclass supplies the handlers:
 
     * ``async _handle_compute(path, body, request_id)`` →
       ``(status, payload, headers, info)`` for the POST routes;
     * ``_flight_details(record, status, cache, info, total_ms)`` → the
-      service's own fields (``trace``, worker timings, ``replica``) of
+      service's own fields (``trace``, worker timings) of
       the compute request's flight record;
     * ``_healthz()``, ``async _metric_entries()`` (snapshot entries for
       the Prometheus scrape) and ``async _metrics_json()``;
@@ -607,7 +555,8 @@ class EmbeddedService:
 
 
 def service_parser(prog: str, description: str, *, port: int) -> argparse.ArgumentParser:
-    """A CLI parser holding the flags both services share."""
+    """A CLI parser holding the listener, SLO, flight-recorder and
+    logging flags."""
     p = argparse.ArgumentParser(prog=prog, description=description)
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=port,
@@ -616,10 +565,10 @@ def service_parser(prog: str, description: str, *, port: int) -> argparse.Argume
                    help="write the bound port here once listening")
     p.add_argument("--slo-p99-ms", type=float, default=1000.0, metavar="MS",
                    help="latency SLO target: p99 of request latency "
-                   "(feeds a replica's serve.slo.latency_burn gauge)")
+                   "(feeds the serve.slo.latency_burn gauge)")
     p.add_argument("--slo-error-rate", type=float, default=0.01, metavar="RATE",
                    help="error-budget SLO: allowed 5xx fraction "
-                   "(feeds a replica's serve.slo.error_burn gauge)")
+                   "(feeds the serve.slo.error_burn gauge)")
     p.add_argument("--flight-capacity", type=int, default=512, metavar="N",
                    help="per-request flight-recorder ring size")
     p.add_argument("--log-level", default=None,
@@ -628,8 +577,8 @@ def service_parser(prog: str, description: str, *, port: int) -> argparse.Argume
 
 
 def run_service(service: HttpService, *, out, banner: str) -> int:
-    """Serve until SIGTERM/SIGINT, then drain; the CLI entry of both
-    services.  Returns the process exit code."""
+    """Serve until SIGTERM/SIGINT, then drain; the CLI entry of the
+    service.  Returns the process exit code."""
     config = service.config
 
     async def run() -> None:

@@ -8,17 +8,14 @@ structure family (one loop shape at varying bounds and processor
 counts), each with its own stats.
 
 One driver, :func:`run_loadgen`, scrapes the target's ``/metrics``
-before the first phase and after each, and reads the dumps with the
-reader in :mod:`repro.serve.client`.  Each phase gets its client-side
+after each phase and reads the dumps with the reader in
+:mod:`repro.serve.client`.  Each phase gets its client-side
 throughput and latency percentiles and the target's own ``latency_ms``
 histogram; queueing inside the server shows as the gap between the two
-views.  Behind a ``repro route`` front tier,
-whose dump carries every replica's series, the same dumps give
-per-shard request counts, cache hit rates and latency tails.
+views.
 
-``--spawn`` first launches the target on an ephemeral port: one server,
-or with ``--cluster`` a router over ``--replicas N`` servers
-(:func:`spawn_cluster`), warm and routable before the first request.
+``--spawn`` first launches the target on an ephemeral port
+(:func:`spawn_server`), with ``--spawn-workers N`` compute workers.
 
 429 responses are retried inside the client (capped exponential backoff
 honoring ``Retry-After``, seeded jitter; see
@@ -41,26 +38,16 @@ import time
 import uuid
 from typing import NamedTuple
 
-from .client import (
-    ServeClient,
-    ServeError,
-    hit_rate,
-    is_router,
-    latency,
-    shard_stats,
-)
+from .client import ServeClient, ServeError, latency
 
 __all__ = [
     "PAPER_CORPUS",
-    "ClusterHandle",
     "Phase",
     "build_phases",
     "family_corpus",
     "flow_family_corpus",
     "loadgen_main",
     "run_loadgen",
-    "spawn_cluster",
-    "spawn_router",
     "spawn_server",
 ]
 
@@ -257,17 +244,16 @@ def run_loadgen(
 ) -> dict:
     """Run ``phases`` in order from ``clients`` threads; return the stats.
 
-    The result holds the whole run's client stats, the target's own
+    The result holds the whole run's client stats and the target's own
     ``/v1/partition`` histogram (``server_latency_ms``, cumulative since
-    it started) and, behind a router, ``per_shard``.  Tagged phases are
-    listed under ``families`` with the same per-phase stats.
+    it started).  Tagged phases are listed under ``families`` with the
+    same per-phase stats.
     """
     if clients < 1:
         raise ValueError(f"clients must be >= 1, got {clients}")
     if not phases or any(p.requests < 1 or not p.corpus for p in phases):
         raise ValueError("every phase needs requests >= 1 and a non-empty corpus")
     run_id = uuid.uuid4().hex[:8]
-    dumps = [_scrape(host, port)]
     first, wall_s, records, entries = 0, 0.0, [], []
     for phase in phases:
         phase_records, phase_wall_s = _drive(
@@ -275,21 +261,19 @@ def run_loadgen(
             run_id=run_id, simulate=simulate, deadline_ms=deadline_ms,
             max_retries=max_retries,
         )
-        dumps.append(_scrape(host, port))
+        dump = _scrape(host, port)
         entries.append(
             dict(phase.tags or {},
                  **_client_stats(clients, phase.requests, phase_wall_s, phase_records),
-                 server_latency_ms=latency(dumps[-1]))
+                 server_latency_ms=latency(dump))
         )
         first += phase.requests
         wall_s += phase_wall_s
         records += phase_records
     stats = dict(
         _client_stats(clients, first, wall_s, records),
-        server_latency_ms=latency(dumps[-1]),
+        server_latency_ms=latency(dump),
     )
-    if is_router(dumps[-1]):
-        stats["per_shard"] = _shard_deltas(dumps[0], dumps[-1], wall_s)
     if any(phase.tags for phase in phases):
         stats["families"] = entries
     return stats
@@ -402,31 +386,14 @@ def _scrape(host: str, port: int) -> dict | None:
         return None
 
 
-def _shard_deltas(before: dict | None, after: dict | None, wall_s: float) -> list[dict]:
-    """Each replica behind a router at the end of the run, with its share
-    of the run: request and response-cache deltas, throughput."""
-    prior = {s["replica"]: s for s in shard_stats(before)}
-    shards = shard_stats(after)
-    for shard in filter(lambda s: s["reachable"], shards):
-        base = prior.get(shard["replica"], {})
-        delta = shard["requests"] - base.get("requests", 0)
-        shard["requests_delta"] = delta
-        shard["throughput_rps"] = (delta / wall_s) if wall_s > 0 else 0.0
-        hits, misses = (
-            shard["response_cache"][k] - base.get("response_cache", {}).get(k, 0)
-            for k in ("hits", "misses")
-        )
-        shard["response_cache_delta"] = {
-            "hits": hits, "misses": misses, "hit_rate": hit_rate(hits, misses)
-        }
-    return shards
-
-
-def _spawn_with_port_file(
-    subcommand: list[str], *, timeout_s: float = 60.0
+def spawn_server(
+    *,
+    workers: int = 1,
+    queue_depth: int = 64,
+    timeout_s: float = 60.0,
 ) -> tuple[subprocess.Popen, int]:
-    """Launch ``python -m repro <subcommand>`` with ``--port 0
-    --port-file`` appended; return ``(process, port)`` once listening."""
+    """Start ``python -m repro serve`` on an ephemeral port; returns
+    ``(process, port)`` once the server is listening."""
     port_file = tempfile.NamedTemporaryFile(
         prefix="repro-port.", suffix=".txt", delete=False
     )
@@ -437,7 +404,9 @@ def _spawn_with_port_file(
     package_root = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
     env = dict(os.environ)
     env["PYTHONPATH"] = package_root + os.pathsep + env.get("PYTHONPATH", "")
-    cmd = [sys.executable, "-m", "repro"] + subcommand + [
+    cmd = [
+        sys.executable, "-m", "repro", "serve",
+        "--workers", str(workers), "--queue-depth", str(queue_depth),
         "--port", "0", "--port-file", port_file.name,
     ]
     proc = subprocess.Popen(cmd, env=env)
@@ -445,7 +414,7 @@ def _spawn_with_port_file(
     while time.monotonic() < deadline:
         if proc.poll() is not None:
             raise RuntimeError(
-                f"{subcommand[0]} subprocess exited early with code {proc.returncode}"
+                f"serve subprocess exited early with code {proc.returncode}"
             )
         try:
             with open(port_file.name, encoding="utf-8") as fh:
@@ -457,142 +426,19 @@ def _spawn_with_port_file(
             pass
         time.sleep(0.05)
     proc.terminate()
-    raise RuntimeError(f"{subcommand[0]} did not start within {timeout_s}s")
+    raise RuntimeError(f"serve did not start within {timeout_s}s")
 
 
-def spawn_server(
-    *,
-    workers: int = 1,
-    queue_depth: int = 64,
-    extra_args: list[str] | None = None,
-    timeout_s: float = 60.0,
-) -> tuple[subprocess.Popen, int]:
-    """Start ``python -m repro serve`` on an ephemeral port; returns
-    ``(process, port)`` once the server is listening."""
-    cmd = ["serve", "--workers", str(workers), "--queue-depth", str(queue_depth)]
-    cmd += extra_args or []
-    return _spawn_with_port_file(cmd, timeout_s=timeout_s)
-
-
-def spawn_router(
-    replicas: list[str],
-    *,
-    extra_args: list[str] | None = None,
-    timeout_s: float = 60.0,
-) -> tuple[subprocess.Popen, int]:
-    """Start ``python -m repro route`` over ``replicas`` (HOST:PORT list)
-    on an ephemeral port; returns ``(process, port)`` once listening."""
-    cmd = ["route", "--replicas", ",".join(replicas)]
-    cmd += extra_args or []
-    return _spawn_with_port_file(cmd, timeout_s=timeout_s)
-
-
-class ClusterHandle:
-    """A spawned router + replica fleet (see :func:`spawn_cluster`)."""
-
-    def __init__(
-        self,
-        router_proc: subprocess.Popen,
-        router_port: int,
-        replicas: list[tuple[subprocess.Popen, int]],
-    ):
-        self.router_proc = router_proc
-        self.router_port = router_port
-        self.replicas = replicas
-
-    @property
-    def replica_addresses(self) -> list[str]:
-        return [f"127.0.0.1:{port}" for _, port in self.replicas]
-
-    def wait_ready(self, timeout_s: float = 120.0) -> None:
-        """Block until the router reports every replica routable.
-
-        Replicas advertise ``ready`` only once their worker pool is
-        warm-hydrated, so returning from here means the first real
-        request will not pay process-spawn latency.
-        """
-        deadline = time.monotonic() + timeout_s
-        last = "unreachable"
-        while time.monotonic() < deadline:
-            try:
-                with ServeClient("127.0.0.1", self.router_port, timeout=5.0) as c:
-                    health = c.healthz()
-            except (ServeError, OSError) as e:
-                last = str(e)
-                time.sleep(0.1)
-                continue
-            if health.get("replicas_routable") == len(self.replicas):
-                return
-            last = (
-                f"{health.get('replicas_routable')}/{len(self.replicas)} routable"
-            )
-            time.sleep(0.1)
-        raise RuntimeError(f"cluster not ready within {timeout_s}s ({last})")
-
-    def kill_replica(self, index: int) -> None:
-        """Hard-kill one replica (failover tests); the router must absorb it."""
-        self.replicas[index][0].kill()
-
-    @property
-    def processes(self) -> list[subprocess.Popen]:
-        """The router first, then the replicas."""
-        return [self.router_proc] + [p for p, _ in self.replicas]
-
-    def terminate(self) -> None:
-        """Stop the router first, then the replicas."""
-        _terminate(self.processes)
-
-    def __enter__(self) -> "ClusterHandle":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.terminate()
-
-
-def spawn_cluster(
-    *,
-    replicas: int = 2,
-    workers: int = 1,
-    queue_depth: int = 64,
-    timeout_s: float = 60.0,
-    wait_ready: bool = True,
-) -> ClusterHandle:
-    """Spawn ``replicas`` server subprocesses plus a router over them."""
-    if replicas < 1:
-        raise ValueError(f"replicas must be >= 1, got {replicas}")
-    fleet: list[tuple[subprocess.Popen, int]] = []
-    handle = None
+def _terminate(proc: subprocess.Popen) -> None:
+    """SIGTERM the process (a graceful drain), then reap it; killed if
+    still running after 30 s."""
+    if proc.poll() is None:
+        proc.terminate()
     try:
-        for _ in range(replicas):
-            fleet.append(
-                spawn_server(
-                    workers=workers, queue_depth=queue_depth, timeout_s=timeout_s
-                )
-            )
-        router_proc, router_port = spawn_router(
-            [f"127.0.0.1:{port}" for _, port in fleet], timeout_s=timeout_s
-        )
-        handle = ClusterHandle(router_proc, router_port, fleet)
-        if wait_ready:
-            handle.wait_ready()
-        return handle
-    except BaseException:
-        _terminate(handle.processes if handle else [p for p, _ in fleet])
-        raise
-
-
-def _terminate(procs: list[subprocess.Popen]) -> None:
-    """SIGTERM every process (a graceful drain), then reap them; one
-    still running after 30 s is killed."""
-    for proc in procs:
-        if proc.poll() is None:
-            proc.terminate()
-    for proc in procs:
-        try:
-            proc.wait(timeout=30)
-        except subprocess.TimeoutExpired:
-            proc.kill()
-            proc.wait()
+        proc.wait(timeout=30)
+    except subprocess.TimeoutExpired:
+        proc.kill()
+        proc.wait()
 
 
 def build_loadgen_parser() -> argparse.ArgumentParser:
@@ -625,13 +471,6 @@ def build_loadgen_parser() -> argparse.ArgumentParser:
                    help="with --families: sweep two-statement dataflow "
                    "pipelines (\"program\": \"flow\") instead of single "
                    "nests")
-    p.add_argument("--cluster", action="store_true",
-                   help="with --spawn: launch a repro route front tier "
-                   "over --replicas server subprocesses instead of one "
-                   "server (per-shard stats appear for any router target)")
-    p.add_argument("--replicas", type=int, default=2, metavar="N",
-                   help="with --cluster --spawn: number of replica "
-                   "subprocesses behind the spawned router (default 2)")
     p.add_argument("--spawn", action="store_true",
                    help="launch a private server subprocess on an ephemeral "
                    "port, load it, then drain it")
@@ -672,26 +511,12 @@ def loadgen_main(argv: list[str] | None = None, *, out=None) -> int:
         flow=args.flow,
     )
 
-    spawned: list[subprocess.Popen] = []
-    host, port = args.host, args.port
+    proc, host, port = None, args.host, args.port
     try:
         if args.spawn:
             host = "127.0.0.1"
-            if args.cluster:
-                cluster = spawn_cluster(
-                    replicas=args.replicas, workers=args.spawn_workers
-                )
-                spawned, port = cluster.processes, cluster.router_port
-                print(
-                    f"loadgen: spawned router on port {port} over "
-                    f"{args.replicas} replica(s): "
-                    f"{', '.join(cluster.replica_addresses)}",
-                    file=out,
-                )
-            else:
-                proc, port = spawn_server(workers=args.spawn_workers)
-                spawned = [proc]
-                print(f"loadgen: spawned server on port {port}", file=out)
+            proc, port = spawn_server(workers=args.spawn_workers)
+            print(f"loadgen: spawned server on port {port}", file=out)
         stats = run_loadgen(
             host=host,
             port=port,
@@ -701,7 +526,8 @@ def loadgen_main(argv: list[str] | None = None, *, out=None) -> int:
             deadline_ms=args.deadline_ms,
         )
     finally:
-        _terminate(spawned)
+        if proc is not None:
+            _terminate(proc)
 
     _print_summary(stats, out)
     if args.json:
@@ -741,23 +567,6 @@ def _print_summary(stats: dict, out) -> None:
             f"{entry['requests']} ok, p50 {entry['latency_ms']['p50']:.1f} ms",
             file=out,
         )
-    for shard in stats.get("per_shard", []):
-        if not shard["reachable"]:
-            print(f"  shard {shard['replica']}: unreachable", file=out)
-            continue
-        lat = shard["latency_ms"]
-        lat_text = (
-            f"p50 {lat['p50']:.1f}  p95 {lat['p95']:.1f}  p99 {lat['p99']:.1f}"
-            if lat
-            else "no samples"
-        )
-        print(
-            f"  shard {shard['replica']}: {shard['requests_delta']:.0f} "
-            f"requests ({shard['throughput_rps']:.1f} req/s), response-cache "
-            f"hit rate {_percent(shard['response_cache_delta']['hit_rate'])}, "
-            f"latency ms {lat_text}",
-            file=out,
-        )
     for err in stats["errors"][:10]:
         print(
             f"  error: request {err['request']} ({err['label']}): "
@@ -765,6 +574,3 @@ def _print_summary(stats: dict, out) -> None:
             file=out,
         )
 
-
-def _percent(rate: float | None) -> str:
-    return f"{rate * 100:.0f}%" if rate is not None else "n/a"

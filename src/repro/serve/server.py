@@ -54,8 +54,8 @@ Production semantics, in the order a request meets them:
    ``503 shutting-down``), then exit.
 
 The HTTP framing, connection loop, dispatcher, ``/debug`` endpoints and
-lifecycle are the shared core in :mod:`repro.serve.http`; this module
-holds only the replica's handlers.
+lifecycle are the core in :mod:`repro.serve.http`; this module holds
+the server's handlers.
 """
 
 from __future__ import annotations
@@ -97,8 +97,8 @@ class ServeConfig:
 
 
 class PartitionServer(HttpService):
-    """The replica: admission, coalescing, the response cache and the
-    worker pool, on top of the shared :class:`~repro.serve.http.HttpService`."""
+    """The server: admission, coalescing, the response cache and the
+    worker pool, on top of :class:`~repro.serve.http.HttpService`."""
 
     name = "serve"
 
@@ -132,8 +132,8 @@ class PartitionServer(HttpService):
 
         The listener answers immediately (liveness), but ``ready`` stays
         false until every compute worker has spawned and finished
-        :func:`~repro.serve.pipeline.init_worker` — so a router or a
-        rolling restart never sends traffic at a replica whose first
+        :func:`~repro.serve.pipeline.init_worker` — so a load balancer or
+        a rolling restart never sends traffic at a server whose first
         request would eat the whole cold-hydration cost.
         """
         try:
@@ -143,7 +143,7 @@ class PartitionServer(HttpService):
         finally:
             self._ready = True
             self._metrics.gauge("serve.ready").set(1)
-            logger.info("workers warm; replica ready")
+            logger.info("workers warm; server ready")
 
     async def _drain(self) -> None:
         """Drain in-flight work once the listener is closed.

@@ -2,7 +2,8 @@
 
 These are the original per-point and per-cell loops of
 :func:`repro.lattice.points.parallelepiped_lattice_points` and
-:func:`repro.lattice.points.union_of_boxes_size`.  Only tests and
+:func:`repro.lattice.points.union_of_boxes_size`, and the double loop
+behind the parallelepiped's corner points.  Only tests and
 benchmarks call them: ``tests/test_kernels_vectorized.py`` asserts that
 each vectorized kernel bit-matches its oracle on fuzzed inputs, and
 ``benchmarks/test_e21_analytic_speed.py`` times both.
@@ -16,7 +17,6 @@ import numpy as np
 
 from repro._util import as_int_matrix, as_int_vector, box_points_array, box_volume
 from repro.lattice.points import (
-    _corner_points_scalar,
     _in_parallelepiped_mask,
     _pick_parallelogram,
     _union_axes,
@@ -27,6 +27,21 @@ __all__ = ["parallelepiped_lattice_points_scalar", "union_of_boxes_size_scalar"]
 #: The scalar oracle materialises the whole bounding box, so it keeps the
 #: historical 5M-point cap.
 _PARALLELEPIPED_SCALAR_CAP = 5_000_000
+
+
+def _corner_points_scalar(q: np.ndarray) -> np.ndarray:
+    """Scalar oracle for :func:`repro.lattice.points._corner_points`
+    (original double loop)."""
+    m = q.shape[0]
+    n = q.shape[1]
+    corners = np.zeros((1 << m, n), dtype=np.int64)
+    for mask in range(1 << m):
+        s = np.zeros(n, dtype=np.int64)
+        for i in range(m):
+            if mask >> i & 1:
+                s = s + q[i]
+        corners[mask] = s
+    return corners
 
 
 def parallelepiped_lattice_points_scalar(q) -> int:

@@ -83,27 +83,6 @@ class TestRenderDashboard:
         row = next(ln for ln in frame.splitlines() if ln.startswith("/v1/partition"))
         assert "1.5" in row and "80.0" in row
 
-    def test_router_merged_dump_with_per_replica_rows(self):
-        # A router's /metrics repeats each endpoint's histogram once per
-        # replica; rendering must not crash on the duplicate sort keys
-        # and must keep the rows tellable apart.
-        metrics = CANNED_METRICS + [
-            {"name": "serve.latency_ms", "type": "histogram", "count": 7,
-             "p50": 2.5, "p95": 21.0, "p99": 81.0, "max": 96.0,
-             "labels": {"endpoint": "/v1/partition", "replica": "127.0.0.1:8801"}},
-            {"name": "serve.latency_ms", "type": "histogram", "count": 9,
-             "p50": 3.5, "p95": 22.0, "p99": 82.0, "max": 97.0,
-             "labels": {"endpoint": "/v1/partition", "replica": "127.0.0.1:8802"}},
-            {"name": "route.latency_ms", "type": "histogram", "count": 16,
-             "p50": 4.5, "p95": 23.0, "p99": 83.0, "max": 98.0,
-             "labels": {"endpoint": "/v1/partition"}},
-        ]
-        frame = render_dashboard(_dump(metrics), {}, {})
-        assert "/v1/partition @127.0.0.1:8801" in frame
-        assert "/v1/partition @127.0.0.1:8802" in frame
-        rows = [ln for ln in frame.splitlines() if ln.startswith("/v1/partition")]
-        assert len(rows) == 4  # route + un-labelled serve + two replicas
-
     def test_throughput_needs_prev_sample(self):
         dump = _dump(CANNED_METRICS)
         assert "req/s" not in render_dashboard(dump, {}, {})

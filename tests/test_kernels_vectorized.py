@@ -19,12 +19,15 @@ from repro.check.generator import generate_case
 from repro.core.classify import partition_references
 from repro.lattice.points import (
     _corner_points,
-    _corner_points_scalar,
     parallelepiped_lattice_points,
     union_of_boxes_size,
 )
 
-from .lattice_oracles import parallelepiped_lattice_points_scalar, union_of_boxes_size_scalar
+from .lattice_oracles import (
+    _corner_points_scalar,
+    parallelepiped_lattice_points_scalar,
+    union_of_boxes_size_scalar,
+)
 
 N_FUZZ_CASES = 200
 

@@ -197,8 +197,7 @@ def test_one_metrics_dump_reader():
     generator, ``repro top`` and the E22 benchmark import it and read
     no entry list, label or cache section themselves."""
     root = Path(repro.__file__).parent
-    readers = {"cache_stats", "counter_total", "gauge", "latency", "latency_rows",
-               "shard_stats"}
+    readers = {"cache_stats", "counter_total", "gauge", "latency", "latency_rows"}
     files = {
         "cli_top.py": (root / "cli_top.py", "repro"),
         "serve/loadgen.py": (root / "serve" / "loadgen.py", "repro.serve"),
@@ -221,10 +220,12 @@ def test_one_metrics_dump_reader():
 def test_lattice_exports_no_scalar_oracles():
     """The scalar kernel oracles are test-side code
     (``tests/lattice_oracles.py``): the runtime lattice package exports
-    no ``*_scalar`` name."""
+    no ``*_scalar`` name, and ``repro.lattice.points`` defines none,
+    private ones included."""
     import repro.lattice
     import repro.lattice.points
 
     exported = set(repro.lattice.__all__) | set(repro.lattice.points.__all__)
     exported |= {n for n in dir(repro.lattice) if not n.startswith("_")}
+    exported |= set(dir(repro.lattice.points))
     assert sorted(n for n in exported if n.endswith("_scalar")) == []

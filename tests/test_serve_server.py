@@ -271,6 +271,22 @@ class TestWorkerDeath:
                 assert deaths and deaths[0]["value"] >= 1
 
 
+class TestReadiness:
+    def test_healthz_not_ready_until_pool_hydrated(self, monkeypatch):
+        monkeypatch.setenv("REPRO_TEST_WORKER_INIT_DELAY_S", "1.5")
+        with EmbeddedServer(ServeConfig(port=0, workers=1)) as emb:
+            with ServeClient("127.0.0.1", emb.port) as c:
+                h = c.healthz()
+                # The listener is up (status ok, requests would queue)
+                # but the pool is still hydrating: not ready yet.
+                assert h["status"] == "ok"
+                assert h["ready"] is False
+                deadline = time.monotonic() + 60
+                while not c.healthz()["ready"]:
+                    assert time.monotonic() < deadline, "server never became ready"
+                    time.sleep(0.05)
+
+
 def _children(pid: int) -> list[int]:
     out = []
     for task in os.listdir(f"/proc/{pid}/task"):
