@@ -12,8 +12,7 @@ Everything the repository measures flows through this package:
   joining the paper's analytic prediction (:class:`~repro.core.cost.
   TrafficEstimate`) with the measured simulator counts, read from the
   simulated machine's own ints, including prediction-error ratios;
-* :mod:`repro.obs.export` — a sampled per-access JSONL event trace, plus
-  the Prometheus text exposition renderer/parser behind ``/metrics``;
+* :mod:`repro.obs.export` — a sampled per-access JSONL event trace;
 * :mod:`repro.obs.flight` — the per-request flight recorder behind the
   service's ``/debug`` endpoints, with cross-process trace stitching;
 * :mod:`repro.obs.log` — the ``repro`` stdlib-logging hierarchy.
@@ -44,13 +43,7 @@ from .report import (
     load_report,
     validate_report,
 )
-from .export import (
-    EventTraceWriter,
-    PrometheusFormatError,
-    parse_prometheus_text,
-    prometheus_text,
-    prometheus_text_from_snapshot,
-)
+from .export import EventTraceWriter
 from .tracing import Span, Tracer, get_tracer, span
 
 __all__ = [
@@ -63,10 +56,6 @@ __all__ = [
     "FlightRecorder",
     "format_span_tree",
     "stitch_trace",
-    "PrometheusFormatError",
-    "parse_prometheus_text",
-    "prometheus_text",
-    "prometheus_text_from_snapshot",
     "Span",
     "Tracer",
     "get_tracer",

@@ -7,7 +7,7 @@ a fixed-capacity ring — plus a bounded store of *full stitched traces*
 for a subset of requests worth keeping whole: the slowest K and the most
 recent K errors are pinned so the interesting exemplars survive even
 when traffic is heavy.  ``GET /debug/requests``, ``/debug/requests/<id>``
-and ``/debug/inflight`` in :mod:`repro.serve.http` are thin views over
+and ``/debug/inflight`` in :mod:`repro.serve.server` are thin views over
 this object.
 
 :func:`stitch_trace` joins the server-side timing of one request with

@@ -7,8 +7,9 @@ coalescing and a completed-response LRU, dispatch of compute to worker
 processes over one pipe each, one request at a time
 (:mod:`~repro.serve.workers` → :mod:`~repro.serve.pipeline`), bounded
 admission with 429 backpressure, per-request deadlines, and graceful
-drain — all metered through :mod:`repro.obs` (:mod:`~repro.serve.server`,
-on the HTTP core in :mod:`~repro.serve.http`).  Workers run
+drain — all metered through :mod:`repro.obs`, in one server class
+(:mod:`~repro.serve.server`; request framing in
+:mod:`~repro.serve.http`).  Workers run
 :func:`~repro.serve.pipeline.run_request`, the same pipeline as the
 one-shot CLI; ``--workers N`` is how one server uses N cores, all of
 them behind one response cache.  The blocking client lives in

@@ -137,22 +137,15 @@ class ServeClient:
         payload: dict | None = None,
         *,
         request_id: str | None = None,
-        accept: str | None = None,
-        raw_body: bool = False,
-    ) -> dict | str:
+    ) -> dict:
         """One logical request (with transparent 429 retries).
 
         ``request_id`` travels as the ``X-Repro-Request-Id`` header
-        (never in the body — the request schema is strict);
-        ``accept``/``raw_body`` fetch non-JSON responses such as the
-        Prometheus ``/metrics`` exposition."""
+        (never in the body — the request schema is strict)."""
         attempt = 0
         while True:
             try:
-                return self._round_trip(
-                    method, path, payload,
-                    request_id=request_id, accept=accept, raw_body=raw_body,
-                )
+                return self._round_trip(method, path, payload, request_id=request_id)
             except ServeError as e:
                 time.sleep(self._retry_delay(e, attempt))
                 attempt += 1
@@ -177,9 +170,7 @@ class ServeClient:
         payload: dict | None,
         *,
         request_id: str | None,
-        accept: str | None,
-        raw_body: bool,
-    ) -> dict | str:
+    ) -> dict:
         conn = self._connection()
         body = None
         headers = {}
@@ -188,8 +179,6 @@ class ServeClient:
             headers["Content-Type"] = "application/json"
         if request_id is not None:
             headers["X-Repro-Request-Id"] = request_id
-        if accept is not None:
-            headers["Accept"] = accept
         try:
             conn.request(method, path, body=body, headers=headers)
             response = conn.getresponse()
@@ -203,17 +192,13 @@ class ServeClient:
             response = conn.getresponse()
             raw = response.read()
         rheaders = {name.lower(): value for name, value in response.getheaders()}
-        return self._decode(response.status, rheaders, raw, raw_body=raw_body)
+        return self._decode(response.status, rheaders, raw)
 
-    def _decode(
-        self, status: int, headers: dict[str, str], raw: bytes, *, raw_body: bool = False
-    ) -> dict | str:
-        """Response → decoded JSON (or text with ``raw_body``); a non-200
-        raises :class:`ServeError`.  ``headers`` keys are lower-case."""
+    def _decode(self, status: int, headers: dict[str, str], raw: bytes) -> dict:
+        """Response → decoded JSON; a non-200 raises :class:`ServeError`.
+        ``headers`` keys are lower-case."""
         self.last_cache_status = headers.get("x-repro-cache")
         self.last_request_id = headers.get("x-repro-request-id")
-        if raw_body and status == 200:
-            return raw.decode("utf-8")
         try:
             decoded = json.loads(raw.decode("utf-8")) if raw else {}
         except json.JSONDecodeError as e:
@@ -255,12 +240,6 @@ class ServeClient:
 
     def metrics(self) -> dict:
         return self.request("GET", "/metrics")
-
-    def metrics_text(self) -> str:
-        """``GET /metrics`` in Prometheus text exposition format."""
-        return self.request(
-            "GET", "/metrics", accept="text/plain", raw_body=True
-        )
 
     def debug_requests(self) -> dict:
         """``GET /debug/requests`` — the flight recorder's recent view."""

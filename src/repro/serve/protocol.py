@@ -28,6 +28,7 @@ __all__ = [
     "MAX_BODY_BYTES",
     "MAX_LINE_BYTES",
     "MAX_HEADER_LINES",
+    "MAX_DEADLINE_MS",
     "METHODS",
     "ENGINES",
     "PROGRAMS",
@@ -51,6 +52,9 @@ MAX_LINE_BYTES = 1 << 16
 
 #: Most header lines one request may carry; one more is refused with 431.
 MAX_HEADER_LINES = 100
+
+#: Longest deadline, per request or the server's default: one day.
+MAX_DEADLINE_MS = 24 * 3600 * 1000
 
 METHODS = ("rectangular", "parallelepiped", "auto")
 ENGINES = ("auto", "fast", "exact")
@@ -318,7 +322,7 @@ def validate_partition_request(
     if label is not None:
         _require(isinstance(label, str), "'label' must be a string", field="label")
 
-    deadline_ms = _int_field(payload, "deadline_ms", lo=1, hi=24 * 3600 * 1000, default=None)
+    deadline_ms = _int_field(payload, "deadline_ms", lo=1, hi=MAX_DEADLINE_MS, default=None)
 
     return PartitionRequest(
         source=source,

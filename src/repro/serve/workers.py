@@ -39,7 +39,6 @@ from collections import deque
 
 from ..lattice import analytic_cache_stats
 from ..obs import get_logger, get_registry
-from .http import merge_numeric
 from .pipeline import init_worker, run_one
 from .protocol import PartitionRequest, ProtocolError
 
@@ -67,6 +66,23 @@ def _worker_main(conn, opt_budget_s) -> None:
         if message is None:
             return
         conn.send((run_one(*message), analytic_cache_stats()))
+
+
+def merge_numeric(into: dict, src: dict) -> dict:
+    """Recursively sum numeric leaves of ``src`` into ``into``."""
+    for key, value in src.items():
+        if isinstance(value, dict):
+            into[key] = merge_numeric(
+                into.get(key) if isinstance(into.get(key), dict) else {}, value
+            )
+        elif isinstance(value, bool):
+            into.setdefault(key, value)
+        elif isinstance(value, (int, float)):
+            base = into.get(key, 0)
+            into[key] = (base if isinstance(base, (int, float)) else 0) + value
+        else:
+            into.setdefault(key, value)
+    return into
 
 
 class _Worker:

@@ -229,3 +229,52 @@ def test_lattice_exports_no_scalar_oracles():
     exported |= {n for n in dir(repro.lattice) if not n.startswith("_")}
     exported |= set(dir(repro.lattice.points))
     assert sorted(n for n in exported if n.endswith("_scalar")) == []
+
+
+def test_one_service_class():
+    """The service is one class, ``serve/server.PartitionServer``: only
+    ``serve/server.py`` opens a listener, and no class under ``serve/``
+    extends another class defined there (no hook protocol between a
+    service core and its handlers)."""
+    serve = Path(repro.__file__).parent / "serve"
+    trees = {
+        path.name: ast.parse(path.read_text(), filename=str(path))
+        for path in sorted(serve.glob("*.py"))
+    }
+    listeners = sorted(name for name, tree in trees.items() if _calls(tree, "start_server"))
+    assert listeners == ["server.py"]
+    classes = [
+        node
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+    ]
+    defined = {node.name for node in classes}
+    subclassed = sorted(
+        f"{node.name}({base.id})"
+        for node in classes
+        for base in node.bases
+        if isinstance(base, ast.Name) and base.id in defined
+    )
+    assert subclassed == []
+
+
+def test_runtime_imports_no_test_helpers():
+    """Runtime code imports nothing test-side, and ``repro.obs`` exports
+    no Prometheus text codec (``/metrics`` speaks JSON only)."""
+    import repro.obs
+
+    root = Path(repro.__file__).parent
+    test_side = {"tests", "lattice_oracles", "conftest", "pytest"}
+    offending = sorted(
+        f"{path.relative_to(root).as_posix()}: {name}"
+        for path in sorted(root.rglob("*.py"))
+        for name in _absolute_imports(
+            ast.parse(path.read_text(), filename=str(path)),
+            ".".join(("repro", *path.relative_to(root).parent.parts)),
+        )
+        if name.split(".", 1)[0] in test_side
+    )
+    assert offending == []
+    exported = set(repro.obs.__all__) | set(dir(repro.obs))
+    assert sorted(n for n in exported if "prometheus" in n.lower()) == []

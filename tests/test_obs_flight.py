@@ -2,9 +2,8 @@
 
 Covers the flight recorder (ring, pinned exemplars, in-flight view,
 burn rates), trace stitching and pretty-printing, the bounded-bucket
-:class:`LatencyHistogram`, the tracer's explicit root ring and
-aggregated spans, and the Prometheus text round trip
-(:func:`prometheus_text` → :func:`parse_prometheus_text`).
+:class:`LatencyHistogram`, and the tracer's explicit root ring and
+aggregated spans.
 """
 
 from __future__ import annotations
@@ -16,10 +15,7 @@ import pytest
 from repro.obs import (
     FlightRecorder,
     LatencyHistogram,
-    PrometheusFormatError,
     format_span_tree,
-    parse_prometheus_text,
-    prometheus_text,
     stitch_trace,
 )
 from repro.obs.metrics import MetricsRegistry, get_registry
@@ -269,67 +265,3 @@ class TestTracerRing:
                 pass
         (root,) = t.roots
         assert [c.name for c in root.children] == ["child", "child"]
-
-
-class TestPrometheusRoundTrip:
-    def _registry(self) -> MetricsRegistry:
-        reg = MetricsRegistry()
-        reg.counter("serve.requests", endpoint="/v1/partition").inc(7)
-        reg.gauge("serve.inflight").set(3)
-        lat = reg.latency_histogram("serve.latency_ms", endpoint="/v1/partition")
-        for v in (0.8, 4.0, 90.0):
-            lat.observe(v)
-        reg.latency_histogram("serve.queue_ms").observe(2)
-        return reg
-
-    def test_render_and_strict_parse(self):
-        text = prometheus_text(self._registry())
-        parsed = parse_prometheus_text(text)
-        assert parsed["repro_serve_requests"]["type"] == "counter"
-        (sample,) = parsed["repro_serve_requests"]["samples"]
-        assert sample["value"] == 7.0
-        assert sample["labels"] == {"endpoint": "/v1/partition"}
-        assert parsed["repro_serve_inflight"]["samples"][0]["value"] == 3.0
-        hist = parsed["repro_serve_latency_ms"]
-        assert hist["type"] == "histogram"
-        buckets = [s for s in hist["samples"] if s["role"] == "bucket"]
-        assert buckets[-1]["labels"]["le"] == "+Inf"
-        summary = parsed["repro_serve_latency_ms_summary"]
-        quantiles = {s["labels"]["quantile"] for s in summary["samples"]
-                     if s["role"] == "value"}
-        assert quantiles == {"0.5", "0.95", "0.99"}
-        assert parsed["repro_serve_queue_ms"]["type"] == "histogram"
-
-    def test_counters_end_in_total(self):
-        text = prometheus_text(self._registry())
-        for line in text.splitlines():
-            if line.startswith("repro_serve_requests"):
-                assert line.startswith("repro_serve_requests_total"), line
-
-    def test_extra_gauges(self):
-        text = prometheus_text(MetricsRegistry(), extra_gauges={"serve.uptime_s": 5.5})
-        parsed = parse_prometheus_text(text)
-        assert parsed["repro_serve_uptime_s"]["samples"][0]["value"] == 5.5
-
-    def test_deterministic_output(self):
-        assert prometheus_text(self._registry()) == prometheus_text(self._registry())
-
-    @pytest.mark.parametrize(
-        "bad",
-        [
-            "repro_orphan 1\n",  # sample without a TYPE line
-            "# TYPE repro_x counter\nrepro_x 1\n",  # counter without _total
-            "# TYPE repro_x_total counter\nrepro_x_total -1\n",  # negative counter
-            # Histogram without +Inf bucket:
-            "# TYPE repro_h histogram\nrepro_h_bucket{le=\"1\"} 1\n"
-            "repro_h_sum 1\nrepro_h_count 1\n",
-            # Non-cumulative buckets:
-            "# TYPE repro_h histogram\nrepro_h_bucket{le=\"1\"} 5\n"
-            "repro_h_bucket{le=\"+Inf\"} 3\nrepro_h_sum 1\nrepro_h_count 3\n",
-            "# TYPE repro_x bogus\n",  # unknown type
-            "repro bad name 1\n",  # unparseable sample
-        ],
-    )
-    def test_malformed_text_rejected(self, bad):
-        with pytest.raises(PrometheusFormatError):
-            parse_prometheus_text(bad)

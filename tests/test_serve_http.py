@@ -1,4 +1,4 @@
-"""The HTTP core (:mod:`repro.serve.http`) under bad input.
+"""The service under bad input (framing in :mod:`repro.serve.http`).
 
 The server must refuse malformed bytes with the right status and typed
 error code — and never let a framing problem escape as an unhandled
@@ -123,6 +123,17 @@ def test_bad_http_answered_alike(server, caplog, raw, status, code):
         assert headers["connection"] == "close"
     unhandled = [r for r in caplog.records if "Unhandled exception" in r.getMessage()]
     assert not unhandled, unhandled
+
+
+def test_metrics_is_json_whatever_accept_says(server):
+    """``/metrics`` has one encoding: a client asking for text gets the
+    JSON dump."""
+    status, headers, payload = _send_raw(
+        server.port, _get("/metrics", b"Accept: text/plain\r\n")
+    )
+    assert status == 200
+    assert headers["content-type"] == "application/json"
+    assert payload["schema"] == "repro.serve-metrics"
 
 
 def test_header_line_cap_is_inclusive(server):
