@@ -100,8 +100,25 @@ def project_det(lm: np.ndarray, volume: float) -> np.ndarray | None:
     return lm * (volume / det) ** (1.0 / l)
 
 
+@dataclass(frozen=True)
+class _Box:
+    """The entry bounds of one annealing run, derived once from
+    ``max_extents``: the clamp interval, the 1e-6 slack that counts as
+    inside, and the 5% overshoot still accepted after the last round."""
+
+    lo: np.ndarray
+    hi: np.ndarray
+    slack: np.ndarray
+    overshoot: np.ndarray
+
+    @classmethod
+    def of(cls, max_extents: np.ndarray) -> "_Box":
+        return cls(-max_extents, max_extents, max_extents * (1.0 + 1e-6),
+                   max_extents * 1.05)
+
+
 def _clamped_project(
-    lm: np.ndarray, volume: float, max_extents: np.ndarray, *, rounds: int = 3
+    lm: np.ndarray, volume: float, box: _Box, *, rounds: int = 3
 ) -> np.ndarray | None:
     """Alternate clamping into the per-column bounds and re-projecting.
 
@@ -112,16 +129,16 @@ def _clamped_project(
     """
     cur = lm
     for _ in range(rounds):
-        cur = np.clip(cur, -max_extents, max_extents)
+        cur = np.minimum(np.maximum(cur, box.lo), box.hi)
         cur = project_det(cur, volume)
         if cur is None:
             return None
-        if np.all(np.abs(cur) <= max_extents * (1.0 + 1e-6)):
+        if (np.abs(cur) <= box.slack).all():
             return cur
     # Accept a mild overshoot (projection can push a clamped entry back
     # out); anything worse means the volume cannot fit in the box along
     # this shape — reject.
-    if np.all(np.abs(cur) <= max_extents * 1.05):
+    if (np.abs(cur) <= box.overshoot).all():
         return cur
     return None
 
@@ -151,7 +168,7 @@ def anneal_parallelepiped(
     config = config or AnnealConfig()
     l = start.shape[0]
     v = float(volume)
-    max_extents = np.asarray(max_extents, dtype=float)
+    box = _Box.of(np.asarray(max_extents, dtype=float))
     sigma0 = config.step_scale * v ** (1.0 / l)
 
     best_lm: np.ndarray | None = None
@@ -169,7 +186,7 @@ def anneal_parallelepiped(
             lm = start.astype(float)
             if restart:
                 lm = lm + rng.normal(scale=0.5 * sigma0, size=(l, l))
-            lm = _clamped_project(lm, v, max_extents)
+            lm = _clamped_project(lm, v, box)
             if lm is None:
                 continue
             f = float(objective(lm.ravel()))
@@ -196,7 +213,7 @@ def anneal_parallelepiped(
                 prop[idx] += rng.normal(
                     scale=sigma0 * max(cooling_frac, 0.05), size=n_touch
                 )
-                cand = _clamped_project(prop.reshape(l, l), v, max_extents)
+                cand = _clamped_project(prop.reshape(l, l), v, box)
                 if cand is None:
                     temp *= config.cooling
                     continue

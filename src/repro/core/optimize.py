@@ -450,18 +450,16 @@ def _slsqp_starts(
     return starts
 
 
-def _volume_constraint(l: int, v: float):
-    """SLSQP's load-balance constraint ``det L = V`` on the flattened
+def _volume_constraint(l: int, v: float) -> dict:
+    """SLSQP's load-balance constraint ``det L − V = 0`` on the flattened
     ``L``, with its exact Jacobian: by Jacobi's formula ``∂ det L / ∂L``
-    is the cofactor matrix ``adj(L)ᵀ``."""
-    from scipy.optimize import NonlinearConstraint
-
-    return NonlinearConstraint(
-        lambda x: np.linalg.det(x.reshape(l, l)),
-        v,
-        v,
-        jac=lambda x: cofactors(x.reshape(l, l)).reshape(1, l * l),
-    )
+    is the cofactor matrix ``adj(L)ᵀ``.  A plain constraint dict, which
+    SLSQP takes as it is."""
+    return {
+        "type": "eq",
+        "fun": lambda x: np.linalg.det(x.reshape(l, l)) - v,
+        "jac": lambda x: cofactors(x.reshape(l, l)).reshape(1, l * l),
+    }
 
 
 def _slsqp_member(
@@ -478,7 +476,9 @@ def _slsqp_member(
     """Multi-start SLSQP minimisation of the Theorem 2 objective.
 
     Returns ``(best_x_matrix, best_f)`` or ``(None, inf)`` when no start
-    converged to a point satisfying ``|det L - V|/V < 1e-3``.  With a
+    converged to a point satisfying ``|det L - V|/V < 1e-3``.  A start
+    that repeats an earlier one byte for byte runs once: the same
+    deterministic run cannot beat ``best_f`` strictly.  With a
     ``deadline`` (``time.monotonic()`` instant), remaining starts are
     skipped once it passes — each start that does run is still complete,
     so results under a budget are a deterministic *prefix* of the
@@ -486,27 +486,28 @@ def _slsqp_member(
     """
     from scipy.optimize import minimize
 
-    var_bounds = [
-        (-float(max_extents[j]), float(max_extents[j]))
-        for _i in range(l)
-        for j in range(l)
-    ]
-    starts = _slsqp_starts(uisets, l, v, sides, seed=seed)
+    hi = np.tile(np.asarray(max_extents, dtype=float), l)
+    lo = -hi
+    var_bounds = list(zip(lo.tolist(), hi.tolist()))
+    starts = {}
+    for s0 in _slsqp_starts(uisets, l, v, sides, seed=seed):
+        # Fix the determinant sign of the start.
+        if np.linalg.det(s0) < 0:
+            s0 = s0.copy()
+            s0[0] = -s0[0]
+        x0 = np.clip(s0.ravel(), lo, hi)
+        starts.setdefault(x0.tobytes(), x0)
     det_con = _volume_constraint(l, v)
     best_x = None
     best_f = np.inf
     with _span("optimize.parallelepiped.minimize", starts=len(starts)):
-        for s0 in starts:
+        for x0 in starts.values():
             if deadline is not None and time.monotonic() >= deadline:
                 break
-            # Fix the determinant sign of the start.
-            if np.linalg.det(s0) < 0:
-                s0 = s0.copy()
-                s0[0] = -s0[0]
             try:
                 res = minimize(
                     objective,
-                    np.clip(s0.ravel(), [b[0] for b in var_bounds], [b[1] for b in var_bounds]),
+                    x0,
                     method="SLSQP",
                     # Exact gradient (Jacobi's formula), not finite
                     # differences; the value stays the batched determinant.
@@ -671,7 +672,7 @@ def optimize_parallelepiped(
         _lm, _obj, elapsed = outcomes[name]
         reg.counter("opt.portfolio.member_runs", member=name).inc()
         reg.counter("opt.portfolio.member_ms", member=name).inc(
-            int(elapsed * 1000)
+            round(elapsed * 1000)
         )
 
     member_objectives = {"rectangular": float(rect_obj)}

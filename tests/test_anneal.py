@@ -5,8 +5,11 @@ import time
 import numpy as np
 import pytest
 
+from repro.core import anneal as _anneal
 from repro.core.anneal import (
     AnnealConfig,
+    _Box,
+    _clamped_project,
     anneal_parallelepiped,
     project_det,
 )
@@ -143,3 +146,79 @@ class TestAnnealParallelepiped:
             max_extents=np.array([1.0, 1.0]),
         )
         assert res is None
+
+
+def literal_clamped_project(lm, volume, max_extents, *, rounds=3):
+    """The clamp-and-project as first written: bounds derived from
+    ``max_extents`` on every call, clamped with ``np.clip``."""
+    cur = lm
+    for _ in range(rounds):
+        cur = np.clip(cur, -max_extents, max_extents)
+        cur = project_det(cur, volume)
+        if cur is None:
+            return None
+        if np.all(np.abs(cur) <= max_extents * (1.0 + 1e-6)):
+            return cur
+    if np.all(np.abs(cur) <= max_extents * 1.05):
+        return cur
+    return None
+
+
+def assert_same_projection(got, want):
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert np.array_equal(got, want)
+        assert got.tobytes() == want.tobytes()
+
+
+class TestClampedProject:
+    """``_clamped_project`` with its bounds derived once per run returns
+    the literal per-call version's matrix bit for bit."""
+
+    EXTENTS = np.array([5.0, 5.0])
+
+    @pytest.mark.parametrize(
+        "lm,volume,projections,outcome",
+        [
+            # Clamps to [[5, 5], [-5, -5]]: singular, no rescale reaches V.
+            ([[9.9, 5.1], [-5.4, -5.1]], 29.0, [False], None),
+            # Lands inside the box only after the third projection.
+            ([[7.2, 0.9], [-1.2, -0.4]], 7.0, [True] * 3, "inside"),
+            # Still ~3% out after three rounds: within the 5% overshoot.
+            ([[-0.6, 2.2], [0.9, 1.4]], 25.0, [True] * 3, "overshoot"),
+            # Further out after three rounds: rejected.
+            ([[0.5, -0.5], [2.6, 0.4]], 13.0, [True] * 3, None),
+        ],
+        ids=["singular", "three-rounds", "overshoot", "rejected"],
+    )
+    def test_paths_match_literal(self, monkeypatch, lm, volume, projections, outcome):
+        lm = np.array(lm)
+        want = literal_clamped_project(lm, volume, self.EXTENTS)
+        seen = []
+
+        def counting(m, v):
+            out = project_det(m, v)
+            seen.append(out is not None)
+            return out
+
+        monkeypatch.setattr(_anneal, "project_det", counting)
+        got = _clamped_project(lm, volume, _Box.of(self.EXTENTS))
+        assert seen == projections
+        assert_same_projection(got, want)
+        if outcome is None:
+            assert got is None
+        else:
+            inside = np.all(np.abs(got) <= self.EXTENTS * (1.0 + 1e-6))
+            assert inside == (outcome == "inside")
+
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4])
+    def test_random_proposals_match_literal(self, depth):
+        rng = np.random.default_rng(depth)
+        for _ in range(300):
+            extents = rng.uniform(0.5, 8.0, size=depth)
+            volume = float(rng.uniform(0.5, 2.0) * np.prod(extents))
+            lm = rng.normal(scale=rng.uniform(0.5, 12.0), size=(depth, depth))
+            assert_same_projection(
+                _clamped_project(lm, volume, _Box.of(extents)),
+                literal_clamped_project(lm, volume, extents),
+            )

@@ -1,5 +1,7 @@
 """Tests for tile optimization (Section 3.6, Examples 8-10, Example 3)."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -447,6 +449,84 @@ class TestPortfolio:
         assert reg.counter("opt.portfolio.winner", member=res.winner).value >= 1
         for member in ("slsqp", "anneal"):
             assert reg.counter("opt.portfolio.member_runs", member=member).value >= 1
+
+    def test_member_ms_rounds_to_nearest(self, monkeypatch):
+        """A member that takes 0.6 ms adds 1 to ``member_ms``, not 0."""
+        from types import SimpleNamespace
+
+        from repro.core import optimize as _opt
+        from repro.obs.metrics import get_registry
+
+        ticks = iter(range(100))
+        monkeypatch.setattr(_opt, "time", SimpleNamespace(
+            monotonic=time.monotonic, perf_counter=lambda: 0.0006 * next(ticks)
+        ))
+        reg = get_registry()
+        members = ("slsqp", "anneal")
+        before = {m: reg.counter("opt.portfolio.member_ms", member=m).value for m in members}
+        res = optimize_parallelepiped(self._stencil_sets(), volume=16.0)
+        for m in members:
+            assert res.member_seconds[m] == pytest.approx(0.0006)
+            assert reg.counter("opt.portfolio.member_ms", member=m).value - before[m] == 1
+
+    def test_repeated_starts_run_once(self, monkeypatch):
+        """Classes with parallel spreads (``u`` = (2, 2) and (1, 1)) give
+        the same skew and long-thin starts.  Each distinct start runs
+        once, and the member returns what running every start returns."""
+        import scipy.optimize
+
+        from repro.core.affine import AffineRef
+        from repro.core.cumulative import Theorem2Objective
+        from repro.core.optimize import (
+            _continuous_lagrange,
+            _slsqp_member,
+            _slsqp_starts,
+            _volume_constraint,
+        )
+        from repro.obs.tracing import get_tracer
+
+        sets = partition_references([
+            AffineRef("A", np.eye(2, dtype=int), [0, 0]),
+            AffineRef("A", np.eye(2, dtype=int), [2, 2]),
+            AffineRef("B", np.eye(2, dtype=int), [0, 0]),
+            AffineRef("B", np.eye(2, dtype=int), [1, 1]),
+        ])
+        l, v = 2, 16.0
+        max_extents = np.full(l, 3.0 * v ** (1.0 / l))
+        sides = _continuous_lagrange(rect_cost_coefficients(sets, l), max_extents, v)
+        objective = Theorem2Objective(sets, l)
+        starts = _slsqp_starts(sets, l, v, sides, seed=0)
+
+        real = scipy.optimize.minimize
+        x0s = []
+
+        def counting(fun, x0, **kwargs):
+            x0s.append(x0.copy())
+            return real(fun, x0, **kwargs)
+
+        monkeypatch.setattr(scipy.optimize, "minimize", counting)
+        best_x, best_f = _slsqp_member(sets, objective, l, v, sides, max_extents, seed=0)
+        assert len(starts) == 9
+        assert len(x0s) == len({x.tobytes() for x in x0s}) == 7
+        assert get_tracer().find("optimize.parallelepiped.minimize")[-1].attrs["starts"] == 7
+
+        # Every start, repeats included.
+        bound = np.tile(max_extents, l)
+        every_x, every_f = None, np.inf
+        for s0 in starts:
+            if np.linalg.det(s0) < 0:
+                s0 = s0.copy()
+                s0[0] = -s0[0]
+            res = real(
+                objective, np.clip(s0.ravel(), -bound, bound), method="SLSQP",
+                jac=objective.gradient, constraints=[_volume_constraint(l, v)],
+                bounds=list(zip(-bound, bound)), options={"maxiter": 300, "ftol": 1e-9},
+            )
+            if res.success and res.fun < every_f:
+                if abs(np.linalg.det(res.x.reshape(l, l)) - v) / v < 1e-3:
+                    every_x, every_f = res.x.reshape(l, l), float(res.fun)
+        assert best_f == every_f
+        assert best_x.tobytes() == every_x.tobytes()
 
     def test_depth3_fuzz_sweep_feasible_nonnegative(self):
         """Seeded depth-3 sweep over the fuzz distribution: the portfolio

@@ -35,6 +35,35 @@ def literal_objective(uisets, l_flat, l):
     return total
 
 
+def literal_stack(uisets, l_flat, l):
+    """Every class's ``l + 1`` matrices, built fresh on every call with
+    ``np.repeat`` and a fancy-index write of the ``â`` rows."""
+    gs = np.array([s.reduced[0] for s in uisets], dtype=float).reshape(-1, l, l)
+    a_hat = np.array(
+        [(off.max(axis=0) - off.min(axis=0)) for off in (s.reduced[1] for s in uisets)],
+        dtype=float,
+    ).reshape(-1, 1, l)
+    rows = np.arange(l)
+    lm = np.asarray(l_flat, dtype=float).reshape(l, l)
+    stack = np.repeat((lm @ gs)[:, None], l + 1, axis=1)
+    stack[:, rows + 1, rows, :] = a_hat
+    return stack
+
+
+def literal_gradient(uisets, l_flat, l):
+    """The gradient as first written: a fresh stack, a scaled copy of
+    the cofactors and a fancy-index zeroing of the ``â`` rows."""
+    gs = np.array([s.reduced[0] for s in uisets], dtype=float).reshape(-1, l, l)
+    g_t = gs.transpose(0, 2, 1).copy()
+    rows = np.arange(l)
+    stack = literal_stack(uisets, l_flat, l)
+    cof = cofactors(stack)
+    det = (stack[..., 0, :] * cof[..., 0, :]).sum(axis=-1)
+    d_m = np.sign(det)[..., None, None] * cof
+    d_m[:, rows + 1, rows, :] = 0.0
+    return (d_m @ g_t[:, None]).sum(axis=(0, 1)).ravel()
+
+
 def _sets(spec):
     refs = [
         AffineRef(c.array, np.array(c.g), np.array(off))
@@ -69,6 +98,45 @@ def test_matches_literal_formula_exactly(case_id, depth, sets):
     for _ in range(25):
         x = rng.normal(scale=rng.uniform(0.1, 20.0), size=depth * depth)
         assert objective(x) == literal_objective(sets, x, depth)
+
+
+def assert_same_bits(got, want):
+    """Equal values and equal bytes (so ``-0.0`` is not ``0.0``)."""
+    assert np.array_equal(got, want)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("case_id,depth,sets", CASES, ids=[c[0] for c in CASES])
+def test_gradient_matches_literal_exactly(case_id, depth, sets):
+    try:
+        objective = Theorem2Objective(sets, depth)
+    except SingularMatrixError:
+        return
+    rng = np.random.default_rng(list(case_id.encode()))
+    points = [np.eye(depth).ravel(), np.zeros(depth * depth)]
+    points += [rng.normal(scale=rng.uniform(0.1, 20.0), size=depth * depth) for _ in range(25)]
+    for x in points:
+        assert_same_bits(objective.gradient(x), literal_gradient(sets, x, depth))
+        assert_same_bits(objective._stack(x), literal_stack(sets, x, depth))
+
+
+@pytest.mark.parametrize("case_id,depth,sets", CASES[::7], ids=[c[0] for c in CASES[::7]])
+def test_reused_stack_leaks_no_state(case_id, depth, sets):
+    """Interleaved value and gradient calls on one instance return what
+    fresh instances return: nothing of one call's ``L`` survives into
+    the next."""
+    try:
+        objective = Theorem2Objective(sets, depth)
+    except SingularMatrixError:
+        return
+    rng = np.random.default_rng(list(case_id.encode()))
+    x1, x2 = rng.normal(scale=4.0, size=(2, depth * depth))
+    first = objective(x1)
+    grad = objective.gradient(x2)
+    again = objective(x1)
+    assert first == again == Theorem2Objective(sets, depth)(x1)
+    assert_same_bits(grad, Theorem2Objective(sets, depth).gradient(x2))
+    assert_same_bits(objective.gradient(x1), Theorem2Objective(sets, depth).gradient(x1))
 
 
 def test_cases_cover_singular_and_multi_class():
@@ -166,10 +234,11 @@ def test_gradient_zero_spread_class_at_every_depth():
 def test_volume_constraint_jacobian_is_det_times_inverse_transpose(depth):
     rng = np.random.default_rng(depth)
     con = _volume_constraint(depth, 10.0)
+    assert con["type"] == "eq"
     for _ in range(10):
         lm = rng.normal(scale=3.0, size=(depth, depth))
         expected = np.linalg.det(lm) * np.linalg.inv(lm).T
         np.testing.assert_allclose(
-            con.jac(lm.ravel()), expected.reshape(1, -1), rtol=1e-9, atol=1e-12
+            con["jac"](lm.ravel()), expected.reshape(1, -1), rtol=1e-9, atol=1e-12
         )
-        assert con.fun(lm.ravel()) == np.linalg.det(lm)
+        assert con["fun"](lm.ravel()) == np.linalg.det(lm) - 10.0
